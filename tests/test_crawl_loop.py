@@ -228,20 +228,6 @@ def test_crawl_skew_salted_grant_identical(ray_session, tmp_path,
     assert ray_rounds == [r["fetched"] for r in want["rounds"]]
 
 
-def test_crawl_cuckoo_seen_mode(ray_session, tmp_path):
-    """URL-seen shards in tandem_cuckoo mode: same crawl, zero
-    divergence between cuckoo and exact."""
-    small = dict(num_hosts=2, base_pages=6, fanout=2, hot_factor=2.0)
-    web = SynthWeb(**small)
-    cfg = CrawlConfig(web_config=small, out_dir=str(tmp_path / "ck"),
-                      seeds=web.seed_urls(), max_rounds=10,
-                      per_host_budget=4, seen_shard_bits=1,
-                      seen_mode="tandem_cuckoo")
-    totals = run_crawl(cfg, web.rule_pack())
-    assert totals["pages_ok"] > 0
-    assert totals["seen"]["divergences"] == 0
-
-
 def test_crawl_wallclock_politeness_same_results(ray_session, tmp_path,
                                                  oracle_result):
     """wallclock_politeness=True adds real-time pacing inside the fetch
@@ -358,82 +344,63 @@ def test_crawl_robots_delay_budget_matches_oracle(ray_session, tmp_path):
     assert max(per_round_hits) == 3, per_round_hits
 
 
-def test_crawl_fused_image_path_identical(ray_session, tmp_path):
-    """fuse_image_fetch=True (fragments written from inside the fetch
-    tasks) and =False (standalone ImageFetchStage execution) must
-    produce the SAME image table: ids, bytes, captions, phash, and
-    per-round lineage."""
+def _crawl_outputs(out):
+    """(url -> (round, status, result_json, error), image table with
+    md5 of bytes, image id -> committed round) of one finished crawl;
+    asserts no page row is written twice."""
+    import hashlib
+    rows = {}
+    for r_dir in _round_dirs(out / "pages"):
+        rnd = int(r_dir.name.split("=")[1])
+        for f in sorted(r_dir.glob("*.parquet")):
+            t = pq.read_table(f, columns=["url", "status", "result_json",
+                                          "error"])
+            for u, s, rj, e in zip(t["url"].to_pylist(),
+                                   t["status"].to_pylist(),
+                                   t["result_json"].to_pylist(),
+                                   t["error"].to_pylist()):
+                assert u not in rows, f"duplicate page row {u}"
+                rows[u] = (rnd, s, rj, e)
+    store = LanceLayoutTable(str(out / "images_lance"))
+    df = store.to_table(columns=["image_id", "bytes", "caption", "phash"]) \
+        .to_pandas().sort_values("image_id").reset_index(drop=True)
+    df["md5"] = df.pop("bytes").map(lambda b: hashlib.md5(b).hexdigest())
+    lineage = {}
+    for frag in store.manifest()["fragments"]:
+        rnd = int(frag["file"].split("round=")[1].split("/")[0])
+        t = pq.read_table(store.data_dir / frag["file"],
+                          columns=["image_id"])
+        for iid in t["image_id"].to_pylist():
+            lineage[iid] = rnd
+    return rows, df, lineage
+
+
+def test_crawl_driver_vs_distributed_identical(ray_session, tmp_path):
+    """The same crawl with every round on the driver path (default
+    threshold) and every round on the distributed path
+    (small_grant_threshold=0) leaves identical outputs: the same page
+    map, no duplicate page rows (both paths write the checkpoint
+    inside the fetch tasks), and the same image table — ids, bytes,
+    captions, phash and per-round lineage."""
     results = {}
-    for fused in (True, False):
-        out = tmp_path / f"crawl_fused_{fused}"
+    for threshold in (CrawlConfig.small_grant_threshold, 0):
+        out = tmp_path / f"crawl_t{threshold}"
         web = SynthWeb(**WEB_CFG)
         cfg = CrawlConfig(web_config=WEB_CFG, out_dir=str(out),
                           seeds=web.seed_urls(), max_rounds=30,
                           per_host_budget=3, fetch_concurrency=2,
-                          seen_shard_bits=2, fuse_image_fetch=fused)
+                          seen_shard_bits=2,
+                          small_grant_threshold=threshold)
         totals = run_crawl(cfg, web.rule_pack())
-        store = LanceLayoutTable(str(out / "images_lance"))
-        tbl = store.to_table(
-            columns=["image_id", "bytes", "caption", "phash"])
-        df = tbl.to_pandas().sort_values("image_id") \
-            .reset_index(drop=True)
-        df["md5"] = df.pop("bytes").map(
-            lambda b: __import__("hashlib").md5(b).hexdigest())
-        # lineage: committed round per image id (from the manifest)
-        lin = {}
-        for frag in store.manifest()["fragments"]:
-            rnd = int(frag["file"].split("round=")[1].split("/")[0])
-            t = pq.read_table(store.data_dir / frag["file"],
-                              columns=["image_id"])
-            for iid in t["image_id"].to_pylist():
-                lin[iid] = rnd
-        results[fused] = (df, lin, totals["images"])
+        results[threshold] = (_crawl_outputs(out), totals["images"])
 
-    df_t, lin_t, n_t = results[True]
-    df_f, lin_f, n_f = results[False]
-    assert n_t == n_f and n_t > 0
-    assert lin_t == lin_f
+    (rows_d, df_d, lin_d), n_d = results[CrawlConfig.small_grant_threshold]
+    (rows_r, df_r, lin_r), n_r = results[0]
+    assert rows_d and rows_d == rows_r
+    assert n_d == n_r and n_d > 0
+    assert lin_d == lin_r
     import pandas.testing as pdt
-    pdt.assert_frame_equal(df_t, df_f)
-
-
-def test_crawl_fused_page_write_identical(ray_session, tmp_path):
-    """fuse_page_write=True (checkpoint rows written from inside the
-    fetch tasks, deterministic file names) and =False (separate
-    write_parquet execution) must leave byte-equivalent page
-    checkpoints: same (url -> round, status, result_json, error) map
-    and same per-round row counts.  small_grant_threshold=0 forces the
-    distributed path, where the fusion applies."""
-    results = {}
-    for fused in (True, False):
-        out = tmp_path / f"crawl_pfuse_{fused}"
-        web = SynthWeb(**WEB_CFG)
-        cfg = CrawlConfig(web_config=WEB_CFG, out_dir=str(out),
-                          seeds=web.seed_urls(), max_rounds=30,
-                          per_host_budget=3, fetch_concurrency=2,
-                          seen_shard_bits=2, small_grant_threshold=0,
-                          fuse_page_write=fused)
-        run_crawl(cfg, web.rule_pack())
-        rows = {}
-        counts = {}
-        for r_dir in _round_dirs(out / "pages"):
-            rnd = int(r_dir.name.split("=")[1])
-            for f in sorted(r_dir.glob("*.parquet")):
-                t = pq.read_table(f, columns=["url", "status",
-                                              "result_json", "error"])
-                counts[rnd] = counts.get(rnd, 0) + t.num_rows
-                for u, s, rj, e in zip(t["url"].to_pylist(),
-                                       t["status"].to_pylist(),
-                                       t["result_json"].to_pylist(),
-                                       t["error"].to_pylist()):
-                    assert u not in rows, f"duplicate page row {u}"
-                    rows[u] = (rnd, s, rj, e)
-        results[fused] = (rows, counts)
-
-    rows_t, counts_t = results[True]
-    rows_f, counts_f = results[False]
-    assert counts_t == counts_f and sum(counts_t.values()) > 0
-    assert rows_t == rows_f
+    pdt.assert_frame_equal(df_d, df_r)
 
 
 def test_crawl_politeness_audit_invariant(ray_session):
@@ -1013,6 +980,35 @@ def test_crawl_host_error_budget_matches_oracle(ray_session, tmp_path):
     assert _ray_rounds(out2) == [r["fetched"] for r in want["rounds"]]
 
 
+def test_small_rounds_run_one_ray_data_stage(ray_session, tmp_path,
+                                             monkeypatch):
+    """Below small_grant_threshold the only Ray Data stage of a round
+    is the fetch: admit, grant, counts, the dead-host error fold, the
+    page checkpoint and the next frontier all run on the driver table
+    (pinned with host_error_budget and retries on, so those steps
+    run)."""
+    import ray.data as rd
+
+    stages = []
+    real = rd.Dataset.map_batches
+
+    def spy(self, fn, *args, **kwargs):
+        stages.append(getattr(fn, "__name__", repr(fn)))
+        return real(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(rd.Dataset, "map_batches", spy)
+    flaky_cfg = dict(WEB_CFG, flaky_mod=3)
+    web = SynthWeb(**WEB_CFG)
+    cfg = CrawlConfig(web_config=flaky_cfg, out_dir=str(tmp_path / "c"),
+                      seeds=web.seed_urls(), max_rounds=4,
+                      per_host_budget=3, fetch_concurrency=2,
+                      seen_shard_bits=2, host_error_budget=50,
+                      max_fetch_retries=1)
+    totals = run_crawl(cfg, web.rule_pack())
+    assert sum(m["retried"] for m in totals["per_round"]) > 0
+    assert stages == ["cached_FetchParseStage"] * totals["rounds"]
+
+
 def test_crawl_honors_retry_after(ray_session, tmp_path):
     """Server-requested backoff: flaky pages answer 503 with
     Retry-After 60 or 120 (deterministic per page); with
@@ -1070,7 +1066,7 @@ def test_crawl_honors_retry_after(ray_session, tmp_path):
     assert sum(m.get("deferred", 0) for m in totals["per_round"]) > 0
 
 
-@pytest.mark.parametrize("combo", [
+_SWEEP_COMBOS = [
     # randomized-web differential sweep: each combo drives a DIFFERENT
     # feature mix of the whole engine through full-schedule equality
     # with the sequential oracle (fetch sets per round, statuses,
@@ -1095,8 +1091,7 @@ def test_crawl_honors_retry_after(ray_session, tmp_path):
     dict(web=dict(num_hosts=6, base_pages=8, fanout=2, hot_factor=5.0,
                   seed=31, redirect_rate=0.5, trap_links=True),
          cfg=dict(per_host_budget=2, max_pending_per_host=4,
-                  max_path_repeats=2, skew_salts=3,
-                  small_grant_threshold=0),
+                  max_path_repeats=2, skew_salts=3),
          oracle=dict(per_host_budget=2, max_pending_per_host=4,
                      max_path_repeats=2)),
     # round-5: RFC-9309 wildcard robots + redirects (per-hop robots
@@ -1109,19 +1104,27 @@ def test_crawl_honors_retry_after(ray_session, tmp_path):
          oracle=dict(per_host_budget=3, robots_matcher="rfc9309",
                      robots_delay_budget=True),
          run=dict(sitemap_seeds=True)),
-])
-def test_crawl_differential_sweep(ray_session, tmp_path, combo):
+]
+
+
+@pytest.mark.parametrize("combo,threshold", [
+    pytest.param(c, t, id=f"combo{i}{suffix}")
+    for t, suffix in ((CrawlConfig.small_grant_threshold, ""),
+                      (0, "-distributed"))
+    for i, c in enumerate(_SWEEP_COMBOS)])
+def test_crawl_differential_sweep(ray_session, tmp_path, combo, threshold):
     """Engine == oracle across randomized web/feature combos:
     redirects, traps+guards, sitemap seeding with lossy images,
     permanent failures + dead-host ban + Crawl-delay budgets, and the
-    salted distributed grant under tight backlog clipping — one
-    parametrized differential test per mix."""
+    salted grant under tight backlog clipping — one parametrized
+    differential test per mix, each on both round paths (driver
+    tables at the default threshold, Datasets at 0)."""
     web = SynthWeb(**combo["web"])
     out = tmp_path / "sweep"
     cfg = CrawlConfig(web_config=combo["web"], out_dir=str(out),
                       seeds=web.seed_urls(), max_rounds=25,
                       fetch_concurrency=2, seen_shard_bits=2,
-                      **combo["cfg"])
+                      small_grant_threshold=threshold, **combo["cfg"])
     totals = run_crawl(cfg, web.rule_pack())
     oracle = BFSOracle(SynthWeb(**combo["web"]), web.rule_pack(),
                        **combo["oracle"])

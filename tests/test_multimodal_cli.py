@@ -400,3 +400,36 @@ def test_http_console_html_page():
     finally:
         server.shutdown()
         server.server_close()
+
+
+def test_http_console_page_substitutes_tokens_once():
+    """A parser docstring that mentions a page token (%PARSERS_JSON%)
+    reaches the page as text: substituted content is never scanned
+    for tokens again, so the registry JSON is not injected into the
+    docs payload."""
+    import re as _re
+    import threading
+    import urllib.request
+
+    from uniparser_ray.webconsole import make_server
+
+    class Evil:
+        """Mentions %PARSERS_JSON% and %CB_NAMES% in its doc."""
+
+    server = make_server(port=0)
+    server.RequestHandlerClass.state.vm.parsers["evil"] = Evil()
+    port = server.server_address[1]
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        req = urllib.request.Request(f"http://127.0.0.1:{port}/")
+        req.add_header("Accept", "text/html")
+        with urllib.request.urlopen(req, timeout=10) as resp:
+            page = resp.read().decode()
+    finally:
+        server.shutdown()
+        server.server_close()
+    docs = json.loads(_re.search(
+        r"const DOCS = (\{.*?\});\nconst CALLBACKS", page, _re.S).group(1))
+    assert docs["evil"] == "Mentions %PARSERS_JSON% and %CB_NAMES% in its doc."
+    assert "evil: Mentions %PARSERS_JSON% and %CB_NAMES%" in page
+    assert page.count("const PARSERS = [") == 1

@@ -2,9 +2,10 @@
 
 Spec semantics pinned: wildcard `*`, end-anchor `$`, longest-match
 precedence with Allow winning ties, user-agent group selection by
-longest product-token substring match with `*` fallback, adjacent
-user-agent lines sharing one group, same-token groups merging, and
-rules before any user-agent line belonging to no group.  A naive
+case-insensitive equality of the UA line's product token with ours
+and `*` fallback, adjacent user-agent lines sharing one group,
+same-token groups merging, first-wins Crawl-delay, and rules before
+any user-agent line belonging to no group.  A naive
 independent matcher (character-walk backtracking) fuzzes the compiled
 regex form, and a differential crawl pins engine == oracle schedules
 over a wildcard-robots web.
@@ -156,13 +157,23 @@ def test_crawl_rfc9309_differential(ray_session, tmp_path):
 
 def test_fuzz_group_selection_vs_naive():
     """Group selection fuzz: random robots files with random UA tokens
-    vs an independent naive reimplementation (parse groups by state
-    machine, pick longest substring token, * fallback, merge
-    same-token groups)."""
+    vs an independent naive reading of RFC 9309 s2.2.1 (parse groups
+    by state machine, product token = the leading letters, '_' and '-'
+    of a UA value, pick the group whose token EQUALS ours ignoring
+    case, else *, merge same-token groups)."""
     import random
 
     rnd = random.Random(2209)
-    toks = ["bot", "b", "botx", "my-bot", "other", "*"]
+    toks = ["bot", "b", "botx", "my-bot", "My-Bot/2.0", "other", "*"]
+
+    def token(v):
+        # walk characters instead of a regex: letters, '_' and '-'
+        out = ""
+        for ch in v:
+            if not (ch.isascii() and (ch.isalpha() or ch in "_-")):
+                break
+            out += ch
+        return out.lower()
 
     def naive(text, ua):
         groups, cur, last_ua = {}, [], False
@@ -175,8 +186,9 @@ def test_fuzz_group_selection_vs_naive():
             if f == "user-agent":
                 if not last_ua:
                     cur = []
-                cur.append(v.lower())
-                groups.setdefault(v.lower(), [])
+                key = "*" if v == "*" else token(v)
+                cur.append(key)
+                groups.setdefault(key, [])
                 last_ua = True
             elif f in ("allow", "disallow"):
                 last_ua = False
@@ -185,9 +197,9 @@ def test_fuzz_group_selection_vs_naive():
                         groups[t].append((v, f == "allow"))
             else:
                 last_ua = False
-        cands = [t for t in groups if t != "*" and t in ua.lower()]
-        if cands:
-            return groups[max(cands, key=len)]
+        ours = token(ua)
+        if ours and ours in groups:
+            return groups[ours]
         return groups.get("*", [])
 
     for _ in range(300):
@@ -203,7 +215,7 @@ def test_fuzz_group_selection_vs_naive():
             else:
                 lines.append("Crawl-delay: 5")
         text = "\n".join(lines)
-        ua = rnd.choice(["my-bot/1.0", "botx", "zzz", "b"])
+        ua = rnd.choice(["my-bot/1.0", "botx", "zzz", "b", "BOT"])
         assert parse_robots_rfc9309(text, ua) == naive(text, ua), \
             (text, ua)
 
@@ -223,5 +235,42 @@ def test_crawl_delay_group_selection():
     t2 = "User-agent: a\nUser-agent: b\nCrawl-delay: nope\n"
     assert parse_crawl_delay(t2, "a") == 0.0
     t3 = "User-agent: a\nCrawl-delay: 7\n"
-    assert parse_crawl_delay(t3, "a-bot") == 7.0
+    assert parse_crawl_delay(t3, "a") == 7.0
+    assert parse_crawl_delay(t3, "A/1.0") == 7.0         # case-insensitive
+    assert parse_crawl_delay(t3, "a-bot") == 0.0         # not our token
     assert parse_crawl_delay(t3) == 0.0                  # no * group
+
+
+@pytest.mark.parametrize("decoy", ["a", "uni", "uniparser", "ray"])
+def test_decoy_user_agent_does_not_capture_product_token(decoy):
+    """A UA line whose token is only a substring of ours is another
+    crawler's group: the * catch-all applies to uniparser-ray."""
+    t = (f"User-agent: {decoy}\nDisallow:\nCrawl-delay: 1\n"
+         "User-agent: *\nDisallow: /\nCrawl-delay: 9\n")
+    m = RobotsMatcher(parse_robots_rfc9309(t, "uniparser-ray"))
+    assert not m.allowed("/page/1")
+    from uniparser_ray.state.robots import parse_crawl_delay
+    assert parse_crawl_delay(t, "uniparser-ray") == 9.0
+    # our own token (with a version suffix) still selects its group
+    t2 = t + "User-agent: Uniparser-Ray/1.0\nAllow: /\n"
+    assert RobotsMatcher(parse_robots_rfc9309(
+        t2, "uniparser-ray")).allowed("/page/1")
+
+
+def test_crawl_delay_first_line_wins_even_if_zero():
+    """An explicit Crawl-delay: 0 (or an invalid value) is the group's
+    delay; a later line in the same (merged) group does not replace it."""
+    from uniparser_ray.state.robots import parse_crawl_delay
+    t = ("User-agent: uniparser-ray\nCrawl-delay: 0\n"
+         "User-agent: uniparser-ray\nCrawl-delay: 30\n")
+    assert parse_crawl_delay(t, "uniparser-ray") == 0.0
+    t2 = "User-agent: uniparser-ray\nCrawl-delay: x\nCrawl-delay: 30\n"
+    assert parse_crawl_delay(t2, "uniparser-ray") == 0.0
+
+
+def test_end_anchor_rejects_trailing_newline():
+    """'$' anchors the end of the path: a path with a trailing
+    (decoded %0A) newline does not match an anchored rule."""
+    m = RobotsMatcher(parse_robots_rfc9309("User-agent: *\nDisallow: /a$\n"))
+    assert not m.allowed("/a")
+    assert m.allowed("/a\n")

@@ -1669,3 +1669,35 @@ def test_minhash_recall_audit(ray_session, tmp_path):
     expected_recall = got["n_lsh_hit"] / got["n_exact"]
     pd.testing.assert_series_equal(got["recall"], expected_recall,
                                    check_names=False)
+
+
+@pytest.mark.parametrize("broadcast", [True, False])
+def test_q14_counts_orphan_lineitems_in_total(ray_session, tmp_path,
+                                              monkeypatch, broadcast):
+    """q14 on data without FK integrity: a month lineitem whose
+    l_partkey has no part row counts in 'total' as non-promo on both
+    plans — the broadcast probe and the shuffle-join fallback (forced
+    by a zero broadcast limit)."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from uniparser_ray.pipelines import relational
+
+    pq.write_table(pa.table({
+        "p_partkey": pa.array([1, 2, 3], pa.int64()),
+        "p_type": ["PROMO", "STANDARD", "PROMO"]}),
+        tmp_path / "part.parquet")
+    day = pd.Timestamp(relational.Q14_MONTH_LO) + pd.Timedelta(days=3)
+    late = pd.Timestamp(relational.Q14_MONTH_HI) + pd.Timedelta(days=3)
+    pq.write_table(pa.table({
+        "l_partkey": pa.array([1, 2, 99, 3, 1], pa.int64()),
+        "l_shipdate": pa.array([day, day, day, day, late],
+                               pa.timestamp("us")),
+        "l_extendedprice": [100.0, 200.0, 400.0, 50.0, 1000.0],
+        "l_discount": [0.0, 0.5, 0.0, 0.0, 0.0]}),
+        tmp_path / "lineitem.parquet")
+    if not broadcast:
+        monkeypatch.setattr(relational, "_Q14_BROADCAST_LIMIT", -1)
+    got = relational.q14_promo_revenue(str(tmp_path)).to_pandas()
+    # promo = 100 + 50; total = 100 + 100 + 400 (orphan) + 50
+    assert got["promo_share"].tolist() == [round(100.0 * 150 / 650, 4)]

@@ -1,16 +1,25 @@
 """The distributed crawl: round-based BFS over a checkpointed frontier.
 
-One round = one Ray Data pipeline (SURVEY.md §3.1):
+One round = one pipeline of named per-block steps (SURVEY.md §3.1):
 
     read frontier_r (parquet checkpoint)
-      -> map_batches: canonicalize + url_hash + host      [stateless]
-      -> map_batches: seen test-and-set + robots filter   [actor RPCs]
-      -> groupby(host).map_groups: politeness top-k grant [shuffle #1]
-      -> map_batches(FetchParseStage, concurrency=N)      [actor pool]
-      -> sinks: pages parquet (round-partitioned);
-                image candidates -> dedup -> ImageFetchStage
-                  -> Lance image+caption fragments;
-                links + backlog -> frontier_{r+1} checkpoint
+      -> admit: canonicalize + url_hash + host, trap and dead-host
+         filters, seen test-and-set + robots filter     [actor RPCs]
+      -> grant: per-host politeness top-k               [the one shuffle]
+      -> fetch tasks (FetchParseStage): fetch + rule-VM parse; each
+         task also writes its batch's page-checkpoint rows and runs the
+         image side-channel (explode -> dedup -> fetch -> Lance
+         fragments) for its own pages
+      -> links + retries + backlog -> frontier_{r+1} checkpoint
+
+Every step is a function over one ``pa.Table`` block, written once.
+The frontier read makes the round's one size decision: a frontier of
+at most ``small_grant_threshold`` rows is read as one driver table and
+the steps are called on it directly (the seen / robots actors are
+reached by direct RPC, no Ray Data execution before the fetch); a
+bigger frontier is read as a Dataset and the same steps run through
+``map_batches``.  Only the grant has two bodies, because only the
+Dataset one is a shuffle.  The fetch always runs in Ray tasks.
 
 Determinism: which URLs are fetched in round r is decided by a stable
 per-host sort on (priority, url_hash) under a fixed per-host budget —
@@ -22,18 +31,20 @@ failed run resumes from the last committed round.
 
 Scale notes (the 10^10 design):
 * the frontier lives on disk between rounds — the driver never holds
-  URLs, only Dataset handles and per-round counters;
+  URLs of a distributed round, only Dataset handles and per-round
+  counters;
 * the only all-to-all exchange is the groupby(host) grant (politeness
   locality); hot hosts are bounded by the budget so the biggest group
   is budget + max_pending rows — skew is clipped, not shuffled;
 * the seen anti-join is actor-sharded by hash prefix (no shuffle);
-* image payload fetching is an actor pool with small batches so
-  multi-MB bodies never concentrate in one block.
+* image payloads are fetched in small chunks inside the fetch tasks,
+  so multi-MB bodies never concentrate in one block.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -42,10 +53,11 @@ from typing import Dict, List, Optional
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..rulevm.urlutil import url_hash64
-from ..stages.crawl_stages import (FetchParseStage, ImageFetchStage,
+from ..stages.crawl_stages import (_PAGE_SCHEMA, FetchParseStage,
                                    SeenRobotsStage, canonicalize_batch)
 from ..state.seen import SeenFilter
 from ..storage.lance_layout import LanceLayoutTable
@@ -63,6 +75,10 @@ FRONTIER_SCHEMA = pa.schema([
     ("ready_round", pa.int32()),
 ])
 
+# a distributed round's frontier files hold at least this many rows,
+# so the next round reads a few files, not one tiny file per fetch block
+_MIN_FRONTIER_FILE_ROWS = 16384
+
 
 @dataclass
 class CrawlConfig:
@@ -75,27 +91,11 @@ class CrawlConfig:
     fetch_concurrency: int = 4
     fetch_batch_size: int = 128
     image_batch_size: int = 128       # keep small when payloads are MBs
-    # fold the image side-channel INTO the fetch tasks (each task
-    # explodes/dedups/fetches its own pages' images and writes Lance
-    # fragments directly), eliminating the round's second Ray execution
-    # and overlapping image work with page fetching.  Row-for-row
-    # identical to the standalone ImageFetchStage execution (pinned by
-    # test); False restores the two-execution layout.
-    fuse_image_fetch: bool = True
-    # fold the page-checkpoint write into the fetch tasks the same way
-    # (each task writes its own batch's rows, deterministic file names
-    # so a task retry overwrites instead of duplicating): parquet
-    # encode + disk I/O overlap fetching and the round loses a whole
-    # second pass over the materialized page blocks.  Applies to the
-    # distributed path only (the small-round driver fast path already
-    # writes once from the driver); False restores the separate
-    # write_parquet execution.
-    fuse_page_write: bool = True
     seen_shard_bits: int = 3
+    # exact | bloom | tandem (exact + bloom, divergence-counted)
     seen_mode: str = "tandem"
-    # per-shard capacity for the bloom/cuckoo seen filters; size to
-    # (expected URLs) / 2^seen_shard_bits with headroom — cuckoo mode
-    # degrades to an overflow stash past ~84% load (state/cuckoo.py)
+    # per-shard capacity of the bloom seen filter; size to
+    # (expected URLs) / 2^seen_shard_bits with headroom
     seen_capacity: int = 1_000_000
     use_robots: bool = True
     # robots matcher semantics (state/robots.py): "prefix" = the
@@ -115,9 +115,10 @@ class CrawlConfig:
     # (any row in a host's global top (k + max_pending) is in its
     # salt's top (k + max_pending)); tests assert equality.
     skew_salts: int = 0
-    # frontiers at or below this row count grant in ONE vectorized
-    # task (no shuffle) — a pandas sort of 100k rows is milliseconds,
-    # while a Ray groupby shuffle has seconds of fixed cost
+    # frontiers at or below this row count run admit and grant on the
+    # driver over one table (no shuffle, no Ray Data execution before
+    # the fetch) — a pandas sort of 100k rows is milliseconds, while a
+    # Ray groupby shuffle has seconds of fixed cost
     small_grant_threshold: int = 100_000
     # wall-clock per-host pacing INSIDE the fetch workers (politeness
     # shard actors hand out per-host schedules); the virtual-clock
@@ -183,8 +184,8 @@ class CrawlConfig:
     # error fetches (transport -1 or 5xx) reaches the budget is banned
     # — its frontier rows are dropped at admission from the NEXT round
     # on (after canonicalization, before the seen test-and-set, so no
-    # seen-set side effect).  Error counts fold distributed per round
-    # (tiny per-host partials) and are recomputed from the page
+    # seen-set side effect).  Error counts fold per page block each
+    # round (tiny per-host partials) and are recomputed from the page
     # checkpoints on resume.  At 10^10 scale this is what stops a dead
     # CDN from eating the politeness budget round after round.
     host_error_budget: int = 0
@@ -217,18 +218,154 @@ def _normalize_frontier(t: pa.Table) -> pa.Table:
     retry lane (no ``retries``) or the Retry-After deferral lane (no
     ``ready_round``) read as zeros — a resume of an old-out-dir crawl
     proceeds instead of KeyErroring on the new columns."""
-    if "retries" not in t.column_names:
-        t = t.append_column(
-            "retries", pa.array(np.zeros(t.num_rows, np.int32),
-                                pa.int32()))
-    if "ready_round" not in t.column_names:
-        t = t.append_column(
-            "ready_round", pa.array(np.zeros(t.num_rows, np.int32),
-                                    pa.int32()))
-    # appended columns land at the END — restore the canonical field
-    # order so downstream cast(FRONTIER_SCHEMA) (order-sensitive)
-    # accepts migrated tables
-    return t.select([f.name for f in FRONTIER_SCHEMA])
+    for name in ("retries", "ready_round"):
+        if name not in t.column_names:
+            t = t.append_column(
+                name, pa.array(np.zeros(t.num_rows, np.int32), pa.int32()))
+    return t.select([f.name for f in FRONTIER_SCHEMA]).cast(FRONTIER_SCHEMA)
+
+
+# -- per-block round steps ----------------------------------------------------
+
+def _apply(step, data, **map_kwargs):
+    """Apply one per-block step: called directly on a driver table, or
+    as a ``map_batches`` stage over a Dataset."""
+    if isinstance(data, pa.Table):
+        return step(data)
+    return data.map_batches(step, batch_format="pyarrow", **map_kwargs)
+
+
+def _count(data) -> int:
+    return data.num_rows if isinstance(data, pa.Table) else data.count()
+
+
+def _collect(data) -> Optional[pa.Table]:
+    """A step's (small) output as one driver table; None if empty."""
+    import ray
+    if isinstance(data, pa.Table):
+        return data
+    blocks = ray.get(data.to_arrow_refs())
+    return pa.concat_tables(blocks, promote_options="default") \
+        if blocks else None
+
+
+def _chain(*steps):
+    """Compose per-block steps (``None`` entries skipped) into one."""
+    steps = [s for s in steps if s is not None]
+
+    def run(t: pa.Table) -> pa.Table:
+        for step in steps:
+            t = step(t)
+        return t
+    return run
+
+
+def _readiness(round_idx: int, ready: bool):
+    """The Retry-After deferral lane: the frontier rows whose
+    ``ready_round`` has arrived (``ready=True``) or not yet.  Deferred
+    rows skip the round (no seen/politeness side effects) and ride
+    into the next checkpoint untouched."""
+    def split(t: pa.Table) -> pa.Table:
+        t = _normalize_frontier(t)
+        mask = pc.less_equal(t["ready_round"],
+                             pa.scalar(round_idx, pa.int32()))
+        return t.filter(mask if ready else pc.invert(mask))
+    return split
+
+
+def _drop_hosts(hosts):
+    """Dead-host ban: drop the rows of banned hosts."""
+    banned = pa.array(sorted(hosts), pa.string())
+
+    def ban(t: pa.Table) -> pa.Table:
+        return t.filter(pc.invert(pc.is_in(t["host"], value_set=banned)))
+    return ban
+
+
+def _granted_rows(t: pa.Table) -> pa.Table:
+    return t.filter(pc.equal(t["granted"], 1))
+
+
+def _ok_rows(t: pa.Table) -> pa.Table:
+    return t.filter(pc.equal(t["status"], 200))
+
+
+def _tag_round(round_idx: int):
+    """``_round`` rides the fetch batches so the warm-worker stage
+    cache stays keyed by constants."""
+    def tag(t: pa.Table) -> pa.Table:
+        return t.append_column("_round", pa.array(
+            np.full(t.num_rows, round_idx, dtype=np.int32), pa.int32()))
+    return tag
+
+
+def _transient(t: pa.Table) -> pa.Array:
+    """Error fetches: transport failure (-1) or a 5xx."""
+    st = t["status"]
+    return pc.or_(pc.equal(st, pa.scalar(-1, pa.int32())),
+                  pc.greater_equal(st, pa.scalar(500, pa.int32())))
+
+
+def _host_error_counts(t: pa.Table) -> pa.Table:
+    """Per-host count of error fetches in one page block — the tiny
+    partials the dead-host counters fold."""
+    agg = t.filter(_transient(t)).group_by("host") \
+        .aggregate([("host", "count")])
+    return pa.table({"host": agg["host"],
+                     "n": agg["host_count"].cast(pa.int64())})
+
+
+def _backlog_rows(t: pa.Table) -> pa.Table:
+    """Decided rows the grant did not take re-enter the next frontier
+    with seen_ok=1: they were admitted already, so they bypass the
+    seen anti-join."""
+    t = t.filter(pc.equal(t["granted"], 0))
+    n = t.num_rows
+    return pa.Table.from_arrays([
+        t["url"], t["parent"], t["depth"], t["priority"], t["retries"],
+        pa.array(np.ones(n, np.int8), pa.int8()),
+        pa.array(np.zeros(n, np.int32), pa.int32()),
+    ], names=FRONTIER_SCHEMA.names).cast(FRONTIER_SCHEMA)
+
+
+def _make_retry(max_retries: int, round_idx: int, round_seconds: float,
+                honor_retry_after: bool):
+    """Transient-failure requeue: -1 / 5xx pages re-enter the next
+    frontier with retries+1 and seen_ok=1 (already in the seen set from
+    this round's admission).  404 / rule-miss stay permanent."""
+    def retry(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.and_(_transient(t), pc.less(
+            t["retries"], pa.scalar(max_retries, pa.int32()))))
+        ready = np.zeros(t.num_rows, np.int64)
+        if honor_retry_after:
+            # server-requested backoff: requeue no earlier than
+            # ceil(Retry-After / round_seconds) rounds out (minimum 1 =
+            # the normal next-round requeue)
+            ra = t["retry_after"].to_numpy(zero_copy_only=False) \
+                .astype(np.float64)
+            ready += round_idx + np.maximum(
+                1, np.ceil(ra / max(round_seconds, 1e-9)).astype(np.int64))
+        return pa.Table.from_arrays([
+            t["url"], t["parent"], t["depth"], t["priority"],
+            pc.add(t["retries"], pa.scalar(1, pa.int32())).cast(pa.int32()),
+            pa.array(np.ones(t.num_rows, np.int8), pa.int8()),
+            pa.array(ready.astype(np.int32), pa.int32()),
+        ], schema=FRONTIER_SCHEMA)
+    return retry
+
+
+def _rank(bucket: pd.DataFrame, keys, budgets: Dict[str, int],
+          default_budget: int):
+    """Stable per-group order by (priority, url_hash): the sorted
+    bucket, each row's position in its ``keys`` group, and each row's
+    host budget."""
+    bucket = bucket.sort_values(["priority", "url_hash"], kind="mergesort")
+    pos = bucket.groupby(keys, sort=False).cumcount().to_numpy()
+    if budgets:
+        k = bucket["host"].map(budgets).fillna(default_budget).to_numpy()
+    else:
+        k = np.full(len(bucket), default_budget)
+    return bucket, pos, k
 
 
 def _make_granter(budgets: Dict[str, int], default_budget: int,
@@ -238,13 +375,7 @@ def _make_granter(budgets: Dict[str, int], default_budget: int,
         # hosts: stable per-host order by (priority, url_hash), first k
         # rows of each host granted, backlog clipped at k+max_pending
         # so one hot host cannot grow the frontier unboundedly
-        bucket = bucket.sort_values(["priority", "url_hash"],
-                                    kind="mergesort")
-        pos = bucket.groupby("host", sort=False).cumcount()
-        if budgets:
-            k = bucket["host"].map(budgets).fillna(default_budget).to_numpy()
-        else:
-            k = np.full(len(bucket), default_budget)
+        bucket, pos, k = _rank(bucket, "host", budgets, default_budget)
         if round_seconds > 0 and "crawl_delay" in bucket.columns:
             # robots Crawl-delay -> per-host budget: a round models
             # round_seconds of crawl time, so a host asking for d sec
@@ -257,34 +388,28 @@ def _make_granter(budgets: Dict[str, int], default_budget: int,
                                np.maximum(1, np.floor(round_seconds / np.where(
                                    d > 0, d, 1.0))), np.inf)
             k = np.minimum(k, cap)
-        bucket = bucket.assign(granted=(pos.to_numpy() < k).astype(np.int8))
-        return bucket[pos.to_numpy() < k + max_pending]
+        bucket = bucket.assign(granted=(pos < k).astype(np.int8))
+        return bucket[pos < k + max_pending]
     return grant
 
 
 def _make_preclipper(budgets: Dict[str, int], default_budget: int,
-                     max_pending: int, num_salts: int):
+                     max_pending: int):
     """Phase 1 of the skew-split grant: per (host, salt) keep only the
     top (budget + max_pending) rows by (priority, url_hash).  Exact:
     every row of a host's global top (budget + max_pending) survives
     its salt's clip, so phase 2 over the survivors equals the
     single-phase grant."""
     def preclip(bucket: pd.DataFrame) -> pd.DataFrame:
-        bucket = bucket.sort_values(["priority", "url_hash"],
-                                    kind="mergesort")
-        pos = bucket.groupby(["host", "_salt"], sort=False).cumcount()
-        if budgets:
-            k = bucket["host"].map(budgets).fillna(default_budget).to_numpy()
-        else:
-            k = np.full(len(bucket), default_budget)
-        return bucket[pos.to_numpy() < k + max_pending]
+        bucket, pos, k = _rank(bucket, ["host", "_salt"], budgets,
+                               default_budget)
+        return bucket[pos < k + max_pending]
     return preclip
 
 
 def _explode_links(batch: pa.Table) -> pa.Table:
     """One page row -> N frontier rows, all-Arrow: ``list_flatten`` +
     ``list_parent_indices`` + ``take`` (no per-row Python)."""
-    import pyarrow.compute as pc
     links = batch["links"]
     flat = pc.list_flatten(links).cast(pa.large_string())
     idx = pc.list_parent_indices(links)
@@ -299,9 +424,16 @@ def _explode_links(batch: pa.Table) -> pa.Table:
     ], schema=FRONTIER_SCHEMA)
 
 
-# _explode_images moved to stages.crawl_stages (shared with the fused
-# in-fetch image path); re-exported here for compatibility.
-from ..stages.crawl_stages import explode_images as _explode_images  # noqa: E402
+def _next_rows(retry):
+    """Page block -> its next-frontier rows: links, plus the transient
+    failures' requeues when retries are on."""
+    def rows(t: pa.Table) -> pa.Table:
+        if retry is None:
+            return _explode_links(t)
+        return pa.concat_tables([_explode_links(t), retry(t)])
+    return rows
+
+
 class CrawlRun:
     """Driver for one crawl (resumable)."""
 
@@ -376,22 +508,18 @@ class CrawlRun:
         """Crash-window rollback.  A round commits only at
         ``_save_state(round+1)``, so on resume ANY on-disk artifact
         tagged ``round >= start_round`` is an orphan of a crashed
-        attempt: partial page checkpoints (Ray's write_parquet file
-        names are unique per attempt — a re-run would MERGE duplicate
-        rows, not overwrite), image fragments (possibly already
-        registered: ``images.commit`` runs mid-round, before the state
-        commit), and the attempt's next-frontier dir.  Purge them
-        BEFORE ``_reseed_filters`` runs, else the reseed would poison
-        ``img_seen`` with rolled-back fetches and the re-run would
-        silently drop those images.  The frontier dir for
+        attempt: partial page checkpoints, image fragments (possibly
+        already registered: ``images.commit`` runs mid-round, before
+        the state commit), and the attempt's next-frontier dir.  Purge
+        them BEFORE ``_reseed_filters`` runs, else the reseed would
+        poison ``img_seen`` with rolled-back fetches and the re-run
+        would silently drop those images.  The frontier dir for
         ``round=start_round`` itself is committed state (written by
         round ``start_round-1``) and is kept."""
-        import shutil as _shutil
-
         def purge(base: Path, min_round: int):
             for d in base.glob("round=*"):
                 if int(d.name.split("=")[1]) >= min_round:
-                    _shutil.rmtree(d, ignore_errors=True)
+                    shutil.rmtree(d, ignore_errors=True)
 
         purge(self.pages_dir, start_round)
         purge(self.frontier_dir, start_round + 1)
@@ -407,50 +535,28 @@ class CrawlRun:
 
     def _reseed_host_errors(self, upto_round: int):
         """Rebuild the dead-host error counters from the committed
-        page checkpoints (resume): one projection-pruned distributed
-        fold to per-host error counts — only the tiny (host, n) rows
-        reach the driver."""
+        page checkpoints (resume): the round's own per-block error
+        fold over a projection-pruned read — only the tiny (host, n)
+        rows reach the driver."""
         import ray.data as rd
         files = [str(f) for r in range(upto_round)
                  for f in sorted(
                      (self.pages_dir / f"round={r}").glob("*.parquet"))]
-        if not files:
-            return
+        if files:
+            self._absorb_host_errors(_collect(_apply(
+                _host_error_counts,
+                rd.read_parquet(files, columns=["host", "status"]))))
 
-        def fold(t: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-            st = t["status"]
-            bad = pc.or_(pc.equal(st, pa.scalar(-1, pa.int32())),
-                         pc.greater_equal(st, pa.scalar(500, pa.int32())))
-            sub = t.filter(bad)
-            if sub.num_rows == 0:
-                return pa.table({"host": pa.array([], pa.string()),
-                                 "n": pa.array([], pa.int64())})
-            agg = sub.group_by("host").aggregate([("host", "count")])
-            return pa.table({"host": agg["host"],
-                             "n": agg["host_count"].cast(pa.int64())})
-
-        parts = rd.read_parquet(files, columns=["host", "status"]) \
-            .map_batches(fold, batch_format="pyarrow").to_pandas()
-        if "host" not in parts.columns:
-            return
-        for host, n in zip(parts["host"], parts["n"]):
-            self._host_errors[host] = self._host_errors.get(host, 0) + int(n)
-        self._refresh_bans()
-
-    def _refresh_bans(self):
+    def _absorb_host_errors(self, counts: Optional[pa.Table]):
+        """Fold per-host error counts into the dead-host counters
+        (bans apply from the NEXT round's admission)."""
+        if counts is not None:
+            for host, n in zip(counts["host"].to_pylist(),
+                               counts["n"].to_pylist()):
+                self._host_errors[host] = self._host_errors.get(host, 0) + n
         budget = self.cfg.host_error_budget
         self._banned_hosts = frozenset(
             h for h, n in self._host_errors.items() if n >= budget)
-
-    def _absorb_round_errors(self, err_df):
-        """Fold one round's per-host error partials into the counters
-        (bans apply from the NEXT round's admission)."""
-        if "host" not in err_df.columns:   # all-empty partials lose
-            return                          # their columns in to_pandas
-        for host, n in zip(err_df["host"], err_df["n"]):
-            self._host_errors[host] = self._host_errors.get(host, 0) + int(n)
-        self._refresh_bans()
 
     def _reseed_filters(self, upto_round: int):
         """Rebuild seen state from committed checkpoints (resume).
@@ -535,24 +641,47 @@ class CrawlRun:
             replay([str(f) for f in sorted(d.glob("*.parquet"))],
                    ["url", "seen_ok"], frontier_hashes, self.seen)
 
-    # -- rounds ------------------------------------------------------------
-    def _write_frontier(self, table: pa.Table, round_idx: int):
+    # -- frontier checkpoints ----------------------------------------------
+    def _write_frontier(self, round_idx: int, parts: list) -> int:
+        """Write a frontier checkpoint from per-step outputs
+        (``FRONTIER_SCHEMA`` rows; ``None`` parts skipped): driver
+        tables as one compacted file, Datasets task-parallel (so URLs
+        of a distributed round never pass through the driver).
+        Returns the checkpoint's row count; an empty one is removed."""
         d = self.frontier_dir / f"round={round_idx}"
-        d.mkdir(parents=True, exist_ok=True)
-        pq.write_table(table, d / "part-driver.parquet")
+        if d.exists():  # stale partial write from a crashed run
+            shutil.rmtree(d)
+        d.mkdir(parents=True)
+        parts = [p for p in parts if p is not None]
+        tables = [p for p in parts if isinstance(p, pa.Table)]
+        if tables:
+            pq.write_table(pa.concat_tables(tables), d / "part-0.parquet")
+        for p in parts:
+            if not isinstance(p, pa.Table):
+                p.write_parquet(str(d),
+                                min_rows_per_file=_MIN_FRONTIER_FILE_ROWS)
+        n = 0
+        for f in list(d.glob("*.parquet")):
+            rows = pq.read_metadata(f).num_rows
+            if rows == 0:
+                f.unlink()
+            n += rows
+        if n == 0:
+            shutil.rmtree(d)
+        return n
 
-    def _seed_round0(self):
+    def _seed_round0(self) -> None:
         seeds = self.cfg.seeds
-        self._write_frontier(_frontier_table(
-            seeds, [""] * len(seeds), [0] * len(seeds),
-            [0.0] * len(seeds), [0] * len(seeds)), 0)
+        n = len(seeds)
+        parts = [_frontier_table(seeds, [""] * n, [0] * n, [0.0] * n,
+                                 [0] * n)]
         if self.cfg.sitemap_seeds:
-            self._seed_sitemaps(seeds)
+            parts.append(self._sitemap_rows(seeds))
+        self._write_frontier(0, parts)
 
-    def _seed_sitemaps(self, seeds: List[str]):
+    def _sitemap_rows(self, seeds: List[str]):
         """Distributed sitemap ingest of the seed hosts -> extra
-        round-0 frontier rows, written task-parallel alongside the
-        driver's seed file (the round read globs the directory)."""
+        round-0 frontier rows (a Dataset, one task per host batch)."""
         import ray
         import ray.data as rd
 
@@ -563,7 +692,7 @@ class CrawlRun:
         hosts = sorted({get_host(canonicalize_url(u), "")
                         for u in seeds} - {""})
         if not hosts:
-            return
+            return None
         seed_canon_ref = ray.put(
             frozenset(canonicalize_url(u) for u in seeds))
         web_cfg = dict(self.cfg.web_config)
@@ -581,14 +710,136 @@ class CrawlRun:
             n = len(urls)
             return _frontier_table(urls, parents, [0] * n, prios, [0] * n)
 
-        (rd.from_items([{"host": h} for h in hosts],
-                       override_num_blocks=min(len(hosts), 16))
-           .map_batches(to_frontier, batch_format="pyarrow", batch_size=4)
-           .write_parquet(str(self.frontier_dir / "round=0")))
+        return rd.from_items([{"host": h} for h in hosts],
+                             override_num_blocks=min(len(hosts), 16)) \
+            .map_batches(to_frontier, batch_format="pyarrow", batch_size=4)
+
+    def _read_frontier(self, round_idx: int):
+        """Round ``round_idx``'s frontier and its row count — the
+        round's one size decision: at most ``small_grant_threshold``
+        rows read as one driver table, more as a Dataset."""
+        import ray
+        import ray.data as rd
+        fdir = self.frontier_dir / f"round={round_idx}"
+        files = sorted(fdir.glob("*.parquet"))
+        if not files:
+            return None, 0
+        n = sum(pq.read_metadata(f).num_rows for f in files)
+        if n <= self.cfg.small_grant_threshold:
+            return pa.concat_tables([pq.read_table(f) for f in files],
+                                    promote_options="default"), n
+        # first distributed round: block on the state actors' ramp here,
+        # outside the round clock (a long crawl pays it once)
+        ray.get(self._actor_ramp)
+        self._actor_ramp = []
+        # a checkpoint file is one block; split at the READ so every
+        # stage of the round fans out across the pool (block splitting
+        # is free — measured 15% off the warm grant phase at 255k
+        # candidates vs a separate repartition)
+        n_blocks = max(1, min(4 * self.cfg.fetch_concurrency, (n + 63) // 64))
+        return rd.read_parquet(str(fdir), override_num_blocks=n_blocks), n
+
+    # -- round steps with more than one body ---------------------------------
+    def _grant(self, admitted):
+        """The politeness grant: the one step with two bodies, because
+        only the Dataset one is a shuffle — a host's pending rows must
+        be co-located, so hosts hash into a bounded number of buckets
+        and the per-host top-k is vectorized per bucket."""
+        from ..stages.combine import hash_bucket_combine
+        granter = self._granter
+        if isinstance(admitted, pa.Table):
+            return pa.Table.from_pandas(
+                granter(admitted.to_pandas()), preserve_index=False) \
+                .replace_schema_metadata(None)
+        if self.cfg.skew_salts > 1:
+            # a salted pre-clip phase bounds the per-task volume of hot
+            # hosts before the per-host merge
+            salts = self.cfg.skew_salts
+
+            def add_salt(t: pa.Table) -> pa.Table:
+                s = (t["url_hash"].to_numpy(zero_copy_only=False)
+                     % np.uint64(salts)).astype(np.int32)
+                return t.append_column("_salt", pa.array(s, pa.int32()))
+
+            preclip = _make_preclipper(self.cfg.host_budgets,
+                                       self.cfg.per_host_budget,
+                                       self.cfg.max_pending_per_host)
+            # block-local combiner BEFORE the shuffle: the same
+            # per-(host,_salt) clip applied to each block is exact
+            # (every row of a group's global top survives its block's
+            # clip) and frontier checkpoints are host-clustered, so the
+            # shuffle carries only plausible grantees.  Materialized
+            # before the shuffle: overlapping the RPC-blocking admit
+            # chain with the shuffle's map side DOUBLED the grant phase
+            # (7.0s -> 3.3s warm at 255k candidates, 8 cpus)
+            salted = admitted.map_batches(
+                add_salt, batch_format="pyarrow").map_batches(
+                preclip, batch_format="pandas").materialize()
+            preclipped = hash_bucket_combine(
+                salted, ["host", "_salt"], preclip, num_buckets=64)
+            decided = hash_bucket_combine(
+                preclipped, ["host"],
+                lambda b: granter(b.drop(columns=["_salt"])),
+                num_buckets=64)
+        else:
+            decided = hash_bucket_combine(
+                admitted.materialize(), ["host"], granter, num_buckets=64)
+        # the round's pipeline cache: counts, fetch input and backlog
+        # all read these blocks
+        return decided.materialize()
+
+    def _fetch(self, granted, n_granted: int, round_idx: int,
+               fetch_kwargs: dict):
+        """Fetch + rule-VM parse in the warm-worker task pool (the
+        transport / compiled-pack state is cached per worker).  Each
+        task also writes its batch's page-checkpoint rows and its
+        pages' image fragments.  A driver-table round gets its pages
+        back as one table."""
+        import ray
+        import ray.data as rd
+        from ..stages.taskcache import cached_stage
+        if not n_granted:
+            return _PAGE_SCHEMA.empty_table()
+        # row-balanced fetch blocks, whatever the host skew the grant
+        # left: 8 tasks per cpu — at 4x a giant round ran as ~4 waves
+        # of ~15s tasks and the straggler tail idled a measurable slice
+        # of the machine (A/B'd at 32 cpus)
+        cpus = int(ray.cluster_resources().get("CPU", 8))
+        n_blocks = max(1, min(-(-n_granted // self.cfg.fetch_batch_size),
+                              8 * cpus))
+        granted = _apply(_tag_round(round_idx), granted,
+                         zero_copy_batch=True)
+        if isinstance(granted, pa.Table):
+            cuts = np.linspace(0, n_granted, n_blocks + 1).astype(int)
+            blocks = rd.from_arrow([granted.slice(a, b - a)
+                                    for a, b in zip(cuts, cuts[1:]) if b > a])
+        else:
+            blocks = granted.repartition(n_blocks)
+        pages = blocks.map_batches(
+            cached_stage(FetchParseStage, **fetch_kwargs),
+            batch_format="pyarrow",
+            batch_size=self.cfg.fetch_batch_size).materialize()
+        return _collect(pages) if isinstance(granted, pa.Table) else pages
+
+    def _commit_images(self, round_idx: int) -> int:
+        """Commit the round's image fragments (written by the fetch
+        tasks) as one table version; returns the rows committed.  ONE
+        footer read per fragment: a big round writes thousands."""
+        img_dir = self.images.data_dir / f"round={round_idx}"
+        names, n_images = [], 0
+        for p in sorted(img_dir.glob("*.parquet")):
+            n = pq.read_metadata(p).num_rows
+            if n > 0:
+                names.append(f"round={round_idx}/{p.name}")
+                n_images += n
+            else:
+                p.unlink()
+        self.images.commit(names, metadata={"round": round_idx})
+        return n_images
 
     def run(self, rule_pack: dict, resume: bool = True) -> dict:
         import ray
-        import ray.data as rd
+        cfg = self.cfg
         self.out.mkdir(parents=True, exist_ok=True)
         self.rule_pack_ref = ray.put(rule_pack)
         start_round = 0
@@ -600,72 +851,57 @@ class CrawlRun:
             self.metrics = state["metrics"]
             self._rollback_uncommitted(start_round)
             self._reseed_filters(start_round)
-            if self.cfg.host_error_budget > 0:
+            if cfg.host_error_budget > 0:
                 self._reseed_host_errors(start_round)
         else:
             self._seed_round0()
 
         # actor-readiness pings: the run's ~dozens of state-shard
         # actors each ramp a fresh worker process (~3.5s total at 8
-        # cpus); a long-lived crawl pays that once, so start the ramp
-        # NOW (fire the pings) but only BLOCK on it right before the
-        # first distributed round — per-round metrics then measure
-        # steady-state frontier cost, while short all-driver-path
-        # crawls (tests, tiny resumes) never stall on actors their
-        # rounds barely touch
-        ready_futures = ([s.stats.remote() for s in
-                          (list(self.seen.shards)
-                           + list(self.img_seen.shards)
-                           + list(self.robots_shards))]
-                         + [s.budget.remote("__warmup__")
-                            for s in self.politeness_shards])
+        # cpus); fire the pings NOW but only BLOCK on them before the
+        # first distributed round (_read_frontier) — per-round metrics
+        # then measure steady-state frontier cost, while all-driver
+        # crawls never stall on actors their rounds barely touch
+        self._actor_ramp = ([s.stats.remote() for s in
+                             (list(self.seen.shards)
+                              + list(self.img_seen.shards)
+                              + list(self.robots_shards))]
+                            + [s.budget.remote("__warmup__")
+                               for s in self.politeness_shards])
 
         from ..stages.crawl_stages import make_trap_filter
-        trap_filter = (make_trap_filter(self.cfg.max_depth,
-                                        self.cfg.max_url_len,
-                                        self.cfg.max_path_repeats)
-                       if (self.cfg.max_depth or self.cfg.max_url_len
-                           or self.cfg.max_path_repeats) else None)
+        trap_filter = (make_trap_filter(cfg.max_depth, cfg.max_url_len,
+                                        cfg.max_path_repeats)
+                       if (cfg.max_depth or cfg.max_url_len
+                           or cfg.max_path_repeats) else None)
         seen_stage = SeenRobotsStage(
-            self.seen.shards, self.cfg.seen_shard_bits,
+            self.seen.shards, cfg.seen_shard_bits,
             self.robots_shards, len(self.robots_shards))
-        granter = _make_granter(self.cfg.host_budgets,
-                                self.cfg.per_host_budget,
-                                self.cfg.max_pending_per_host,
-                                round_seconds=(self.cfg.round_seconds
-                                               if self.cfg.robots_delay_budget
-                                               else 0.0))
+        self._granter = _make_granter(
+            cfg.host_budgets, cfg.per_host_budget, cfg.max_pending_per_host,
+            round_seconds=(cfg.round_seconds if cfg.robots_delay_budget
+                           else 0.0))
+        fetch_kwargs = dict(rule_pack_ref=self.rule_pack_ref,
+                            web_config=cfg.web_config,
+                            max_redirects=cfg.max_redirects,
+                            seen_shards=self.seen.shards,
+                            seen_shard_bits=self.seen.shard_bits,
+                            robots_shards=self.robots_shards,
+                            page_ckpt_dir=str(self.pages_dir),
+                            image_data_dir=str(self.images.data_dir),
+                            image_seen_shards=self.img_seen.shards,
+                            image_shard_bits=self.img_seen.shard_bits,
+                            image_batch_size=cfg.image_batch_size)
+        if self.politeness_shards:
+            fetch_kwargs.update(
+                politeness_shards=self.politeness_shards,
+                politeness_num=len(self.politeness_shards))
+        honor = cfg.honor_retry_after
 
-        for r in range(start_round, self.cfg.max_rounds):
-            fdir = self.frontier_dir / f"round={r}"
-            if not fdir.exists() or not list(fdir.glob("*.parquet")):
+        for r in range(start_round, cfg.max_rounds):
+            frontier, n_candidates = self._read_frontier(r)
+            if frontier is None:
                 break
-            # a checkpoint file is one block; split it so every stage
-            # of the round fans out across the pool (a single-block
-            # frontier serializes the whole round through one task)
-            n_candidates = sum(pq.read_metadata(f).num_rows
-                               for f in fdir.glob("*.parquet"))
-            small_round = (n_candidates
-                           <= self.cfg.small_grant_threshold)
-            if not small_round and ready_futures:
-                # first distributed round: block on the actor ramp
-                # OUTSIDE the round clock (a long crawl pays it once)
-                ray.get(ready_futures)
-                ready_futures = []
-
-            # dead-host ban filter: a per-round closure over the
-            # (frozen) banned set — applied after canonicalization,
-            # before the seen test-and-set, like the trap guards
-            banned = self._banned_hosts
-            if banned:
-                def ban_filter(t: pa.Table, _b=banned) -> pa.Table:
-                    keep = ~np.isin(
-                        np.asarray(t["host"].to_pylist(), dtype=object),
-                        list(_b))
-                    return t.filter(pa.array(keep))
-            else:
-                ban_filter = None
-
             t0 = time.perf_counter()
             phase_t: Dict[str, float] = {}
 
@@ -674,488 +910,57 @@ class CrawlRun:
                 phase_t[name] = round(now - _last[0], 3)
                 _last[0] = now
 
-            # -- admit + politeness grant (the round's one shuffle) ----
-            from ..stages.combine import hash_bucket_combine
-            if small_round:
-                # adaptive fast path: below the threshold the whole
-                # admit+grant runs ON THE DRIVER with the exact same
-                # functions (canonicalize_batch / seen_stage / granter
-                # — the seen/robots actors are reached by direct RPC),
-                # skipping several per-round Ray Data executions whose
-                # fixed startup dominates kilobyte frontiers; semantics
-                # identical because every function is partitioning-
-                # independent.  Above the threshold the distributed
-                # path below is authoritative.
-                tbls = [pq.read_table(f)
-                        for f in sorted(fdir.glob("*.parquet"))]
-                t = (pa.concat_tables(tbls, promote_options="default")
-                     if len(tbls) > 1 else tbls[0])
-                t = _normalize_frontier(t)
-                if self.cfg.honor_retry_after:
-                    # deferral lane: rows whose ready_round hasn't
-                    # arrived skip the whole round (no seen/politeness
-                    # side effects) and ride into the next checkpoint
-                    import pyarrow.compute as _pc
-                    ready_mask = _pc.less_equal(
-                        t["ready_round"], pa.scalar(r, pa.int32()))
-                    deferred_tbl = t.filter(_pc.invert(ready_mask))
-                    n_deferred = deferred_tbl.num_rows
-                    t = t.filter(ready_mask)
-                else:
-                    deferred_tbl, n_deferred = None, 0
-                t = canonicalize_batch(t)
-                if trap_filter is not None:
-                    t = trap_filter(t)
-                if ban_filter is not None:
-                    t = ban_filter(t)
-                t = seen_stage(t)
-                dt = pa.Table.from_pandas(
-                    granter(t.to_pandas()), preserve_index=False) \
-                    .replace_schema_metadata(None)
-                decided = None   # dt IS the decided table (driver)
-            else:
-                n_blocks = max(1, min(4 * self.cfg.fetch_concurrency,
-                                      (n_candidates + 63) // 64))
-                # fan out at the READ (block splitting is free) instead
-                # of a separate repartition all-to-all — measured 15%
-                # off the warm grant phase at 255k candidates
-                frontier = rd.read_parquet(str(fdir),
-                                           override_num_blocks=n_blocks)
-                first = next(iter(sorted(fdir.glob("*.parquet"))), None)
-                if first is not None and "ready_round" not in \
-                        pq.read_schema(first).names:
-                    # pre-deferral-lane checkpoint: migrate on the fly
-                    # (missing ready_round/retries read as zeros)
-                    frontier = frontier.map_batches(
-                        _normalize_frontier, batch_format="pyarrow")
-                if self.cfg.honor_retry_after:
-                    deferred_ds = frontier.filter(
-                        expr=f"ready_round > {r}").materialize()
-                    n_deferred = deferred_ds.count()
-                    deferred_tbl = deferred_ds if n_deferred else None
-                    frontier = frontier.filter(expr=f"ready_round <= {r}")
-                else:
-                    deferred_tbl, n_deferred = None, 0
-                admitted = frontier.map_batches(canonicalize_batch,
-                                                batch_format="pyarrow")
-                if trap_filter is not None:
-                    admitted = admitted.map_batches(
-                        trap_filter, batch_format="pyarrow")
-                if ban_filter is not None:
-                    admitted = admitted.map_batches(
-                        ban_filter, batch_format="pyarrow")
-                admitted = admitted.map_batches(
-                    seen_stage, batch_format="pyarrow", batch_size=4096)
-            # shuffle #1: the grant needs all of a host's pending rows
-            # co-located — hosts hash into a bounded number of buckets
-            # and the per-host top-k grant is vectorized per bucket.
-            # With skew_salts > 1, a salted pre-clip phase bounds the
-            # per-task volume of hot hosts before the per-host merge.
-            if small_round:
-                pass   # decided built on the driver above
-            elif self.cfg.skew_salts > 1:
-                salts = self.cfg.skew_salts
-
-                def add_salt(t: pa.Table) -> pa.Table:
-                    s = (t["url_hash"].to_numpy(zero_copy_only=False)
-                         % np.uint64(salts)).astype(np.int32)
-                    return t.append_column("_salt", pa.array(s, pa.int32()))
-
-                # materialize the admitted frontier (tiny URL rows,
-                # object-store resident and spillable) before the grant
-                # shuffles: letting the streaming executor overlap the
-                # admit map chain with the sort all-to-all DOUBLES the
-                # grant phase (measured 7.0s -> 3.3s warm at 255k
-                # candidates, 8 cpus — the sort's map side contends
-                # with the RPC-blocking seen stage for workers)
-                preclip_fn = _make_preclipper(
-                    self.cfg.host_budgets, self.cfg.per_host_budget,
-                    self.cfg.max_pending_per_host, salts)
-                # block-local combiner BEFORE the shuffle: the same
-                # per-(host,_salt) top-(budget+pending) clip applied to
-                # each block is exact (every row of a group's global
-                # top survives its block's clip) and frontier
-                # checkpoints are host-clustered, so the clip removes
-                # most of a hot host's rows before they ever move —
-                # the shuffle then carries only plausible grantees
-                salted = admitted.map_batches(
-                    add_salt, batch_format="pyarrow").map_batches(
-                    preclip_fn, batch_format="pandas").materialize()
-                preclipped = hash_bucket_combine(
-                    salted,
-                    ["host", "_salt"],
-                    preclip_fn,
-                    num_buckets=64)
-                decided = hash_bucket_combine(
-                    preclipped, ["host"],
-                    lambda b: granter(b.drop(columns=["_salt"])),
-                    num_buckets=64)
-            else:
-                decided = hash_bucket_combine(
-                    admitted.materialize(), ["host"], granter,
-                    num_buckets=64)
-            if not small_round:
-                # materialize as the round's pipeline cache: count /
-                # filter / repartition below all read these blocks.
-                # (The former _strip_meta pass is gone — the Arrow-
-                # native bucket combine emits metadata-free Arrow
-                # blocks already, so there is no pandas schema blob to
-                # strip.)
-                decided = decided.materialize()
+            # -- admit + politeness grant --------------------------------
+            admit = _chain(
+                _readiness(r, True) if honor else _normalize_frontier,
+                canonicalize_batch, trap_filter,
+                (_drop_hosts(self._banned_hosts)
+                 if self._banned_hosts else None),
+                seen_stage)
+            deferred = _apply(_readiness(r, False), frontier) \
+                if honor else None
+            n_deferred = _count(deferred) if honor else 0
+            decided = self._grant(_apply(admit, frontier, batch_size=4096))
             _mark('grant')
-            cpus = int(ray.cluster_resources().get("CPU", 8))
-            if small_round:
-                # driver fast path (cont.): dt is in memory, so the
-                # decided/granted counts are free and the fetch input
-                # is PRE-SPLIT into row-balanced blocks (from_arrow of
-                # N slices makes N blocks) — the filter/count
-                # executions and the repartition all-to-all the
-                # distributed path needs below would each cost a whole
-                # Ray execution on kilobyte rounds
-                import pyarrow.compute as _pc
-                n_decided = dt.num_rows
-                gt = dt.filter(_pc.equal(dt["granted"], 1))
-                n_granted = gt.num_rows
-                _mark('counts')
-                if n_granted == 0 and not n_deferred:
-                    break
-                fetch_blocks = max(1, min(
-                    -(-n_granted // self.cfg.fetch_batch_size),
-                    8 * cpus))
-                cuts = np.linspace(0, n_granted,
-                                   fetch_blocks + 1).astype(int)
-                granted = rd.from_arrow([
-                    gt.slice(a, b - a)
-                    for a, b in zip(cuts, cuts[1:]) if b > a])
-            else:
-                n_decided = decided.count()
-                granted = decided.filter(expr="granted == 1")
-                n_granted = granted.count()
-                _mark('counts')
-                if n_granted == 0 and not n_deferred:
-                    break
-                # the grant co-locates each host's rows in one block,
-                # so a hot host would otherwise ride into the fetch
-                # stage as one giant serial task; rows here are tiny
-                # URL metadata, so a row-balanced rebalance is cheap
-                # and makes fetch tasks uniform regardless of host
-                # skew.  8 tasks per cpu: at 4x a giant round ran as
-                # ~4 waves of ~15s tasks and the end-of-stage
-                # straggler tail idled a measurable slice of the
-                # machine; finer tasks halve the tail at negligible
-                # dispatch cost (A/B'd at 32 cpus)
-                fetch_blocks = max(1, min(
-                    -(-n_granted // self.cfg.fetch_batch_size),
-                    8 * cpus))
-                granted = granted.repartition(fetch_blocks)
+            n_decided = _count(decided)
+            granted = _apply(_granted_rows, decided)
+            n_granted = _count(granted)
+            _mark('counts')
+            if n_granted == 0 and not n_deferred:
+                break
 
-
-            def _flush_deferred(ndir_path):
-                """Write the deferral lane's rows into the next
-                frontier checkpoint (they ride untouched)."""
-                if not n_deferred:
-                    return 0
-                ndir_path.mkdir(parents=True, exist_ok=True)
-                if isinstance(deferred_tbl, pa.Table):
-                    pq.write_table(deferred_tbl.cast(FRONTIER_SCHEMA),
-                                   ndir_path / "part-deferred.parquet")
-                else:
-                    deferred_tbl.write_parquet(str(ndir_path))
-                return n_deferred
-
-            if n_granted == 0:
-                # deferral-only round: nothing admissible yet — carry
-                # the deferred rows forward and advance the clock
-                ndir = self.frontier_dir / f"round={r + 1}"
-                if ndir.exists():
-                    import shutil as _shutil
-                    _shutil.rmtree(ndir)
-                n_next = _flush_deferred(ndir)
-                self.metrics.append({
-                    "round": r, "candidates": n_candidates,
-                    "granted": 0, "backlog": 0, "pages_ok": 0,
-                    "retried": 0, "images_written": 0,
-                    "deferred": n_deferred, "next_frontier": n_next,
-                    "sec": round(time.perf_counter() - t0, 3),
-                    "phases": phase_t})
-                self._save_state(r + 1)
-                continue
-
-            # -- fetch + rule-VM parse (warm-worker task pool; the
-            # transport/compiled-pack state is cached per worker, so
-            # there is no per-round pool spin-up; per-host fetch rate
-            # is already bounded by the politeness grant, not by
-            # worker concurrency) --------------------------------------
-            from ..stages.taskcache import cached_stage
-            fetch_kwargs = dict(rule_pack_ref=self.rule_pack_ref,
-                                web_config=self.cfg.web_config,
-                                max_redirects=self.cfg.max_redirects,
-                                seen_shards=self.seen.shards,
-                                seen_shard_bits=self.seen.shard_bits,
-                                robots_shards=self.robots_shards)
-            if self.politeness_shards:
-                fetch_kwargs.update(
-                    politeness_shards=self.politeness_shards,
-                    politeness_num=len(self.politeness_shards))
-            if self.cfg.fuse_image_fetch:
-                # fused image side-channel (stages/crawl_stages.py
-                # FetchParseStage._fetch_images): each fetch task
-                # explodes/dedups/fetches ITS OWN pages' images and
-                # writes Lance fragments directly — the round's second
-                # Ray execution (and its fixed pipeline-start cost)
-                # disappears, and image work overlaps page fetching in
-                # the same pool.  `_round` rides the batch so the
-                # warm-worker stage cache stays keyed by constants.
-                fetch_kwargs.update(
-                    image_data_dir=str(self.images.data_dir),
-                    image_seen_shards=self.img_seen.shards,
-                    image_shard_bits=self.img_seen.shard_bits,
-                    image_batch_size=self.cfg.image_batch_size)
-            fuse_pages = self.cfg.fuse_page_write and not small_round
-            if fuse_pages:
-                # fused page-checkpoint write (same geometry as the
-                # image fusion): each fetch task writes its own batch's
-                # checkpoint rows straight into round=r — parquet
-                # encode + disk overlap fetching, and the loop's
-                # separate write execution over the materialized page
-                # blocks disappears (profiled as the wide-leg
-                # pages_write share; see BASELINE round 5)
-                fetch_kwargs.update(page_ckpt_dir=str(self.pages_dir))
-            if self.cfg.fuse_image_fetch or fuse_pages:
-                def tag_round(t: pa.Table, _r=r) -> pa.Table:
-                    return t.append_column(
-                        "_round", pa.array(
-                            np.full(t.num_rows, _r, dtype=np.int32),
-                            pa.int32()))
-
-                granted = granted.map_batches(
-                    tag_round, batch_format="pyarrow",
-                    zero_copy_batch=True)
-            pages = granted.map_batches(
-                cached_stage(FetchParseStage, **fetch_kwargs),
-                batch_format="pyarrow",
-                batch_size=self.cfg.fetch_batch_size).materialize()
-
+            # -- fetch + parse; page checkpoint and images inside -------
+            pages = self._fetch(granted, n_granted, r, fetch_kwargs)
             _mark('fetch_parse')
-            if self.cfg.host_error_budget > 0:
-                # per-host error partials for the dead-host counters —
-                # distributed fold, only (host, n) rows move
-                def err_fold(t: pa.Table) -> pa.Table:
-                    import pyarrow.compute as pc
-                    st = t["status"]
-                    bad = pc.or_(pc.equal(st, pa.scalar(-1, pa.int32())),
-                                 pc.greater_equal(
-                                     st, pa.scalar(500, pa.int32())))
-                    sub = t.filter(bad)
-                    if sub.num_rows == 0:
-                        return pa.table(
-                            {"host": pa.array([], pa.string()),
-                             "n": pa.array([], pa.int64())})
-                    agg = sub.group_by("host").aggregate(
-                        [("host", "count")])
-                    return pa.table(
-                        {"host": agg["host"],
-                         "n": agg["host_count"].cast(pa.int64())})
-
-                self._absorb_round_errors(
-                    pages.map_batches(err_fold, batch_format="pyarrow")
-                    .to_pandas())
-            pdir = self.pages_dir / f"round={r}"
-            if small_round:
-                # driver fast path (cont.): the materialized page
-                # blocks are kilobytes — concat once, reuse the table
-                # for the checkpoint write, the next-frontier build
-                # and the metrics, skipping one Ray execution each
-                pages_tbl = pa.concat_tables(
-                    ray.get(pages.to_arrow_refs()),
-                    promote_options="default")
-                pdir.mkdir(parents=True, exist_ok=True)
-                pq.write_table(
-                    pages_tbl.drop_columns(["links", "img_srcs",
-                                            "img_captions"]),
-                    pdir / "part-0.parquet")
-            elif fuse_pages:
-                # checkpoint rows were written inside the fetch tasks
-                # (deterministic per-batch file names); the dir is
-                # guaranteed even for an all-empty round so resume
-                # replay and the round readers see a committed round
-                pages_tbl = None
-                pdir.mkdir(parents=True, exist_ok=True)
-            else:
-                pages_tbl = None
-                pages.drop_columns(["links", "img_srcs",
-                                    "img_captions"]) \
-                    .write_parquet(str(pdir))
-
+            if cfg.host_error_budget > 0:
+                self._absorb_host_errors(
+                    _collect(_apply(_host_error_counts, pages)))
+            # the dir exists even for an all-empty round, so resume
+            # replay and the round readers see a committed round
+            (self.pages_dir / f"round={r}").mkdir(parents=True,
+                                                  exist_ok=True)
             _mark('pages_write')
-            # -- image side-channel: explode -> dedup -> fetch -> Lance
-            # fragments written task-parallel straight into the table dir
-            # (bytes never touch the driver)
-            img_dir = self.images.data_dir / f"round={r}"
-            if not self.cfg.fuse_image_fetch:
-                img_rows = (
-                    pages
-                    .map_batches(_explode_images, batch_format="pyarrow")
-                    .map_batches(
-                        cached_stage(ImageFetchStage,
-                                     web_config=self.cfg.web_config,
-                                     # fused cross-round dedup: the seen
-                                     # test-and-set runs inside the fetch
-                                     # workers (shards are atomic, so any
-                                     # concurrency is safe)
-                                     seen_shards=self.img_seen.shards,
-                                     shard_bits=self.img_seen.shard_bits),
-                        batch_format="pyarrow",
-                        batch_size=self.cfg.image_batch_size)
-                )
-                img_rows.write_parquet(str(img_dir))
-            # ONE footer read per fragment (this used to be three:
-            # keep-list, empty-unlink, and count each re-read the
-            # metadata — at 256-row fetch batches a big round writes
-            # thousands of fragments, and the triple scan was most of
-            # the driver's fixed per-round 'images' phase)
-            frag_names = []
-            n_images = 0
-            for p in sorted(img_dir.glob("*.parquet")):
-                n = pq.read_metadata(p).num_rows
-                if n > 0:
-                    frag_names.append(f"round={r}/{p.name}")
-                    n_images += n
-                else:
-                    p.unlink()
-            self.images.commit(frag_names, metadata={"round": r})
+            n_images = self._commit_images(r)
             _mark('images')
 
-            # -- next frontier: links + politeness backlog -------------
-            # written task-parallel straight into the round=r+1
-            # checkpoint dir — URLs never pass through the driver (at
-            # 10^10 scale the frontier checkpoint is the largest
-            # artifact of a round)
-            ndir = self.frontier_dir / f"round={r + 1}"
-            if ndir.exists():  # stale partial write from a crashed run
-                import shutil as _shutil
-                _shutil.rmtree(ndir)
-            ndir.mkdir(parents=True, exist_ok=True)
-
-            def as_backlog(t: pa.Table) -> pa.Table:
-                t = t.select(["url", "parent", "depth", "priority",
-                              "retries"])
-                t = t.append_column(
-                    "seen_ok", pa.array([1] * t.num_rows, pa.int8()))
-                t = t.append_column(
-                    "ready_round",
-                    pa.array(np.zeros(t.num_rows, np.int32), pa.int32()))
-                # backlog blocks come pandas-converted (plain string
-                # url/parent) while link blocks are large_string:
-                # cast so EVERY file in a frontier checkpoint has
-                # the identical FRONTIER_SCHEMA (read-side schema
-                # unification across mixed files is pyarrow-version
-                # fragile)
-                return t.cast(FRONTIER_SCHEMA)
-
-            # -- transient-failure requeue: -1 / 5xx pages re-enter the
-            # next frontier with retries+1 (seen_ok=1: already in the
-            # seen set from this round's grant, so they must bypass
-            # the anti-join).  404 / rule-miss stay permanent.
-            max_r = self.cfg.max_fetch_retries
-
-            def as_retry(t: pa.Table, _r=r) -> pa.Table:
-                import pyarrow.compute as pc
-                st = t["status"]
-                transient = pc.or_(
-                    pc.equal(st, pa.scalar(-1, pa.int32())),
-                    pc.greater_equal(st, pa.scalar(500, pa.int32())))
-                keep = pc.and_(transient, pc.less(
-                    t["retries"], pa.scalar(max_r, pa.int32())))
-                t = t.filter(keep)
-                if self.cfg.honor_retry_after:
-                    # server-requested backoff: requeue no earlier than
-                    # ceil(Retry-After / round_seconds) rounds out
-                    # (minimum 1 = the normal next-round requeue)
-                    ra = t["retry_after"].to_numpy(zero_copy_only=False) \
-                        .astype(np.float64)
-                    defer = np.maximum(
-                        1, np.ceil(ra / max(self.cfg.round_seconds, 1e-9))
-                        .astype(np.int64))
-                    ready = (_r + defer).astype(np.int32)
-                else:
-                    ready = np.zeros(t.num_rows, np.int32)
-                return pa.Table.from_arrays([
-                    t["url"], t["parent"], t["depth"], t["priority"],
-                    pc.add(t["retries"],
-                           pa.scalar(1, pa.int32())).cast(pa.int32()),
-                    pa.array(np.ones(t.num_rows, np.int8), pa.int8()),
-                    pa.array(ready, pa.int32()),
-                ], schema=FRONTIER_SCHEMA)
-
-            n_retry = 0
-            if small_round:
-                # driver fast path (cont.): explode/backlog/requeue over
-                # the in-memory page table, ONE compacted checkpoint
-                # file, zero Ray executions
-                parts = [_explode_links(pages_tbl)]
-                if n_decided - n_granted > 0:
-                    import pyarrow.compute as _pc
-                    parts.append(as_backlog(
-                        dt.filter(_pc.equal(dt["granted"], 0))))
-                if max_r > 0:
-                    rt = as_retry(pages_tbl)
-                    n_retry = rt.num_rows
-                    if n_retry:
-                        parts.append(rt)
-                if n_deferred:
-                    parts.append(deferred_tbl)
-                nf = pa.concat_tables(
-                    [p.cast(FRONTIER_SCHEMA) for p in parts])
-                n_next = nf.num_rows
-                if n_next:
-                    pq.write_table(nf, ndir / "part-0.parquet")
-                else:
-                    import shutil as _shutil
-                    _shutil.rmtree(ndir, ignore_errors=True)
-            else:
-                links = pages.map_batches(_explode_links,
-                                          batch_format="pyarrow")
-                if n_granted < 50_000:
-                    # small-ish rounds: compact so the next round reads
-                    # a few files, not one tiny file per fetch block
-                    # (at large rounds the extra exchange would cost
-                    # more than many files do, so links stream
-                    # straight to the sink)
-                    links = links.repartition(max(1, n_granted // 1024))
-                links.write_parquet(str(ndir))
-                if n_decided - n_granted > 0:
-                    decided.filter(expr="granted == 0") \
-                        .map_batches(as_backlog, batch_format="pyarrow") \
-                        .write_parquet(str(ndir))
-                if max_r > 0:
-                    retry_rows = pages.map_batches(
-                        as_retry, batch_format="pyarrow").materialize()
-                    n_retry = retry_rows.count()
-                    if n_retry:
-                        retry_rows.write_parquet(str(ndir))
-                _flush_deferred(ndir)
-                n_next = 0
-                for f in list(ndir.glob("*.parquet")):
-                    rows = pq.read_metadata(f).num_rows
-                    if rows == 0:
-                        f.unlink()
-                    n_next += rows
-                if n_next == 0:
-                    import shutil as _shutil
-                    _shutil.rmtree(ndir, ignore_errors=True)
-
+            # -- next frontier: links + retries, backlog, deferred -------
+            retry = (_make_retry(cfg.max_fetch_retries, r, cfg.round_seconds,
+                                 honor)
+                     if cfg.max_fetch_retries > 0 else None)
+            parts = [_apply(_next_rows(retry), pages)]
+            if n_decided > n_granted:
+                parts.append(_apply(_backlog_rows, decided))
+            if n_deferred:
+                parts.append(deferred)
+            n_next = self._write_frontier(r + 1, parts)
+            n_retry = _count(_apply(retry, pages)) if retry else 0
             _mark('frontier_next')
             self.metrics.append({
                 "round": r,
                 "candidates": n_candidates,
                 "granted": n_granted,
                 "backlog": n_decided - n_granted,
-                "pages_ok": (
-                    int((pages_tbl["status"].to_numpy(
-                        zero_copy_only=False) == 200).sum())
-                    if pages_tbl is not None
-                    else pages.filter(expr="status == 200").count()),
+                "pages_ok": _count(_apply(_ok_rows, pages)),
                 "retried": n_retry,
                 "deferred": n_deferred,
                 "images_written": n_images,

@@ -1277,9 +1277,11 @@ def q14_promo_revenue(sf_dir: str):
                 "l_partkey": sub["l_partkey"],
                 "disc": sub["l_extendedprice"] * (1.0 - sub["l_discount"])})
 
+        # LEFT join: a month lineitem whose part row is missing still
+        # counts in 'total' (as non-promo), like the broadcast probe
         joined = hash_bucket_join(
             ds.map_batches(month_slice, batch_format="pandas"), part,
-            "l_partkey", "p_partkey",
+            "l_partkey", "p_partkey", how="left",
             left_cols=["l_partkey", "disc"],
             right_cols=["p_partkey", "p_type"])
 

@@ -8,12 +8,15 @@ Stage contract (all ``batch_format="pyarrow"``):
   shards (test-and-set anti-join) and robots cache; returns the
   surviving rows.  Rows with ``seen_ok=1`` (backlog re-admissions)
   bypass the seen test.
-* :class:`FetchParseStage` — actor pool: transport + compiled rule
-  pack + RuleVM built once per actor; per batch it fetches pages and
+* :class:`FetchParseStage` — task pool: transport + compiled rule
+  pack + RuleVM built once per worker; per batch it fetches pages and
   runs the rule VM, emitting parsed results + link/image candidates as
-  list columns (exploded by the loop into next-round frontier rows).
-* :class:`ImageFetchStage` — actor pool: fetch + decode + phash of
-  image URLs, emitting rows in the Lance image+caption schema.
+  list columns (links are exploded by the loop into next-round
+  frontier rows).  Inside the task it also writes the batch's page
+  checkpoint rows and runs the image side-channel.
+* :class:`ImageFetchStage` — fetch + decode + phash of image URLs,
+  emitting rows in the Lance image+caption schema (called by
+  FetchParseStage on its own pages' image candidates).
 
 Reference trace being reproduced: Crawler.crawl -> find rule -> fetch
 -> parse -> recurse on __request__ (reference: crawler.py:156-189),
@@ -212,9 +215,6 @@ class SeenRobotsStage:
         self.robots_shards = robots_shards or []
         self.robots_num = robots_num
 
-    def _seen_mask(self, hashes: np.ndarray) -> np.ndarray:
-        return _sharded_add_batch(self.seen_shards, self.shard_bits, hashes)
-
     def _robots_futures(self, hosts: List[str], urls: List[str]):
         """Launch (allow mask, Crawl-delay) RPCs — one per shard per
         batch — without blocking: returns (slices, futures)."""
@@ -240,19 +240,6 @@ class SeenRobotsStage:
                 [(hosts[i], paths[i]) for i in idxs])
             for s, idxs in zip(starts, slices)]
         return slices, futures
-
-    def _robots_mask(self, hosts: List[str], urls: List[str]) \
-            -> tuple[np.ndarray, np.ndarray]:
-        """(allow mask, per-row robots Crawl-delay) — both served by
-        the SAME one-RPC-per-shard-per-batch round trip."""
-        import ray
-        out = np.ones(len(urls), dtype=bool)
-        delays = np.zeros(len(urls), dtype=np.float32)
-        slices, futures = self._robots_futures(hosts, urls)
-        for idxs, (mask, ds) in zip(slices, ray.get(futures)):
-            out[idxs] = mask
-            delays[idxs] = ds
-        return out, delays
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import ray
@@ -346,28 +333,22 @@ class FetchParseStage:
         self.adapter = SyntheticWebAdapter(self.web)
         self.vm = RuleVM()
         self._rule_cache: Dict[str, object] = {}
-        # fused image side-channel: when an image table dir is given,
-        # each fetch task explodes its own pages' <img> candidates,
+        # image side-channel: when an image table dir is given, each
+        # fetch task explodes its own pages' <img> candidates,
         # test-and-sets the image-seen shards, fetches + decodes the
-        # survivors, and writes a Lance fragment DIRECTLY from the task
-        # (bytes never ride the page stream or touch the driver).  This
-        # folds the round's second Ray execution into the first — the
-        # per-round fixed cost of a whole pipeline start disappears and
-        # the image work overlaps page fetching inside the same pool.
-        # The fragment set is identical to the standalone ImageFetchStage
-        # path (same explode, same seen shards, same decode), only the
-        # execution geometry changes.
+        # survivors, and writes Lance fragments DIRECTLY from the task
+        # (bytes never ride the page stream or touch the driver), so
+        # image work overlaps page fetching inside the same pool.
         self.image_data_dir = image_data_dir
         self.image_batch_size = image_batch_size
-        # fused page-checkpoint write: when a pages dir is given, each
-        # fetch task writes ITS OWN batch's checkpoint rows (minus the
+        # page checkpoint: when a pages dir is given, each fetch task
+        # writes ITS OWN batch's checkpoint rows (minus the
         # frontier-only list columns) straight into the round's
-        # partition dir, so parquet encode + disk I/O overlap fetching
-        # and the loop's separate write execution (a full second pass
-        # over the materialized page blocks) disappears.  File names
-        # are DETERMINISTIC — fused-{round}-{min url_hash}-{rows} — so
-        # a retried task overwrites its own file (idempotent) instead
-        # of duplicating rows the way a fresh-uuid name would.
+        # partition dir, so parquet encode + disk I/O overlap fetching.
+        # File names are DETERMINISTIC — fused-{round}-{min
+        # url_hash}-{rows} — so a retried task overwrites its own file
+        # (idempotent) instead of duplicating rows the way a fresh-uuid
+        # name would.
         self.page_ckpt_dir = page_ckpt_dir
         self._img_stage = (
             ImageFetchStage(web_config=web_config,
@@ -628,7 +609,8 @@ class FetchParseStage:
         return page_tbl
 
     def _write_page_ckpt(self, page_tbl: pa.Table, round_no: int) -> None:
-        """Fused page-checkpoint write (see __init__)."""
+        """Page-checkpoint write from inside the fetch task (see
+        __init__)."""
         from pathlib import Path
 
         import pyarrow.parquet as _pq
@@ -643,7 +625,7 @@ class FetchParseStage:
                       f"{page_tbl.num_rows}.parquet")
 
     def _fetch_images(self, page_tbl: pa.Table, round_no: int) -> None:
-        """Fused image side-channel (see __init__): explode this page
+        """Image side-channel (see __init__): explode this page
         batch's candidates, dedup via the seen shards, fetch + decode,
         and write one fragment per ``image_batch_size`` chunk straight
         into the round's partition dir.  Chunking bounds task memory:
@@ -734,7 +716,7 @@ class ImageFetchStage:
         from ..rulevm.transport import SyntheticWebAdapter
         from ..sources.synthweb import SynthWeb
         self.adapter = SyntheticWebAdapter(SynthWeb(**web_config))
-        # optional fused dedup (one actor pool instead of two per round)
+        # optional cross-batch dedup against the image-seen shards
         self.seen = (HashSeenStage(seen_shards, shard_bits)
                      if seen_shards else None)
 

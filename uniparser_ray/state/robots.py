@@ -12,9 +12,9 @@ Two matchers (CrawlConfig.robots_matcher):
   prefixes — the de-facto behavior of simple crawlers.
 * ``"rfc9309"`` (round 5): full REP semantics — ``*`` wildcards, ``$``
   end anchor, Allow lines, LONGEST-match precedence with Allow winning
-  exact ties, user-agent group selection by longest product-token
-  substring match with ``*`` fallback, adjacent ``User-agent`` lines
-  sharing a group and same-token groups merging (RFC 9309 s2.2).
+  exact ties, user-agent group selection by case-insensitive equality
+  with our product token and ``*`` fallback, adjacent ``User-agent``
+  lines sharing a group and same-token groups merging (RFC 9309 s2.2).
 """
 
 from __future__ import annotations
@@ -24,79 +24,101 @@ from typing import Dict, List, Tuple
 
 import ray
 
-from ..rulevm.urlutil import url_hash64
+
+def _lines(text: str):
+    """(field, value) per robots.txt line: comments stripped, field
+    lower-cased, lines without a ``:`` skipped."""
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if ":" in line:
+            name, value = line.split(":", 1)
+            yield name.strip().lower(), value.strip()
+
+
+def _delay(value: str) -> float:
+    try:
+        return max(0.0, float(value))
+    except ValueError:
+        return 0.0
 
 
 def parse_robots(text: str) -> List[str]:
     """Disallow prefixes for User-agent: * (simple, standard parsing)."""
     disallows: List[str] = []
     applies = False
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line or ":" not in line:
-            continue
-        field, value = line.split(":", 1)
-        field = field.strip().lower()
-        value = value.strip()
-        if field == "user-agent":
+    for name, value in _lines(text):
+        if name == "user-agent":
             applies = value == "*"
-        elif field == "disallow" and applies and value:
+        elif name == "disallow" and applies and value:
             disallows.append(value)
     return disallows
 
 
+_TOKEN_RE = re.compile(r"[A-Za-z_-]+")
+
+
+def _product_token(value: str) -> str:
+    """The leading ``[A-Za-z_-]+`` run of a user-agent value,
+    lower-cased (RFC 9309 s2.2.1); ``*`` stays ``*``."""
+    if value == "*":
+        return "*"
+    m = _TOKEN_RE.match(value)
+    return m.group(0).lower() if m else ""
+
+
+def robots_group(text: str, user_agent: str = "*") \
+        -> Tuple[List[Tuple[str, bool]], float]:
+    """RFC 9309 group selection in one pass -> the chosen group's
+    ([(path_pattern, is_allow)], Crawl-delay).
+
+    Groups are runs of ``User-agent`` lines followed by rules.  The
+    chosen group is the one whose UA token equals our product token
+    (case-insensitive, s2.2.1), falling back to ``*``.  Same-token
+    groups merge; adjacent UA lines share one group; lines before any
+    UA line belong to no group; an empty Disallow value allows
+    everything (records no rule).  A group's first Crawl-delay line
+    wins, even when it is 0 or not a number."""
+    rules: Dict[str, List[Tuple[str, bool]]] = {}
+    delays: Dict[str, float] = {}
+    cur: List[str] = []
+    last_was_ua = False
+    for name, value in _lines(text):
+        if name == "user-agent":
+            if not last_was_ua:
+                cur = []
+            tok = _product_token(value)
+            cur.append(tok)
+            rules.setdefault(tok, [])
+            last_was_ua = True
+            continue
+        last_was_ua = False
+        if name in ("allow", "disallow") and value:
+            for tok in cur:
+                rules[tok].append((value, name == "allow"))
+        elif name == "crawl-delay":
+            for tok in cur:
+                delays.setdefault(tok, _delay(value))
+    ours = _product_token(user_agent)
+    key = ours if ours and ours in rules else "*"
+    return rules.get(key, []), delays.get(key, 0.0)
+
+
 def parse_robots_rfc9309(text: str, user_agent: str = "*") \
         -> List[Tuple[str, bool]]:
-    """RFC 9309 group selection -> [(path_pattern, is_allow)].
-
-    Groups are runs of ``User-agent`` lines followed by rules; the
-    chosen group is the one whose UA token is the LONGEST substring of
-    our product token (case-insensitive), falling back to ``*``.
-    Same-token groups merge (s2.2.1); adjacent UA lines share one
-    group; rules before any UA line belong to no group; an empty
-    Disallow value allows everything (records no rule)."""
-    ua = user_agent.lower()
-    groups: Dict[str, List[Tuple[str, bool]]] = {}
-    cur_uas: List[str] = []
-    last_was_ua = False
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line or ":" not in line:
-            continue
-        field, value = line.split(":", 1)
-        field = field.strip().lower()
-        value = value.strip()
-        if field == "user-agent":
-            if not last_was_ua:
-                cur_uas = []
-            cur_uas.append(value.lower())
-            groups.setdefault(value.lower(), [])
-            last_was_ua = True
-        elif field in ("allow", "disallow"):
-            last_was_ua = False
-            if not cur_uas or not value:
-                continue
-            for tok in cur_uas:
-                groups[tok].append((value, field == "allow"))
-        else:
-            last_was_ua = False
-    best, best_len = None, -1
-    for tok in groups:
-        if tok != "*" and tok in ua and len(tok) > best_len:
-            best, best_len = tok, len(tok)
-    if best is not None:
-        return groups[best]
-    return groups.get("*", [])
+    """The rules of the group :func:`robots_group` selects."""
+    return robots_group(text, user_agent)[0]
 
 
 def _rule_regex(pattern: str) -> re.Pattern:
     """One robots rule -> anchored-at-start regex: ``*`` matches any
-    run of characters, a trailing ``$`` anchors the end, everything
-    else is literal (regex metacharacters escaped)."""
+    run of characters, a trailing ``$`` anchors the end of the path
+    (``\\Z``: Python's ``$`` would also match before a trailing
+    newline), everything else is literal (regex metacharacters
+    escaped)."""
     anchored = pattern.endswith("$")
     body = pattern[:-1] if anchored else pattern
     rx = ".*".join(re.escape(p) for p in body.split("*"))
-    return re.compile(rx + ("$" if anchored else ""))
+    return re.compile(rx + (r"\Z" if anchored else ""), re.DOTALL)
 
 
 class RobotsMatcher:
@@ -124,62 +146,19 @@ def parse_crawl_delay(text: str, user_agent: str = "*") -> float:
 
     ``user_agent="*"`` (default — the prefix-matcher configuration of
     rounds 1-4) honors only ``User-agent: *`` groups, byte-identical
-    to the historic behavior.  A concrete product token applies the
-    SAME group selection as the rule matcher (longest UA-substring
-    match, ``*`` fallback, adjacent UA lines sharing a group): the
-    delay a spec-following crawler must obey is its own group's, not
-    the catch-all's."""
-    if user_agent == "*":
-        applies = False
-        for line in text.splitlines():
-            line = line.split("#", 1)[0].strip()
-            if not line or ":" not in line:
-                continue
-            field, value = line.split(":", 1)
-            field = field.strip().lower()
-            value = value.strip()
-            if field == "user-agent":
-                applies = value == "*"
-            elif field == "crawl-delay" and applies:
-                try:
-                    return max(0.0, float(value))
-                except ValueError:
-                    return 0.0
-        return 0.0
-    ua = user_agent.lower()
-    groups: Dict[str, float] = {}
-    cur_uas: List[str] = []
-    last_was_ua = False
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line or ":" not in line:
-            continue
-        field, value = line.split(":", 1)
-        field = field.strip().lower()
-        value = value.strip()
-        if field == "user-agent":
-            if not last_was_ua:
-                cur_uas = []
-            cur_uas.append(value.lower())
-            groups.setdefault(value.lower(), 0.0)
-            last_was_ua = True
-        else:
-            if field == "crawl-delay" and cur_uas:
-                try:
-                    d = max(0.0, float(value))
-                except ValueError:
-                    d = 0.0
-                for tok in cur_uas:
-                    if not groups.get(tok):
-                        groups[tok] = d
-            last_was_ua = False
-    best, best_len = None, -1
-    for tok in groups:
-        if tok != "*" and tok in ua and len(tok) > best_len:
-            best, best_len = tok, len(tok)
-    if best is not None:
-        return groups[best]
-    return groups.get("*", 0.0)
+    to the historic behavior (the first such line wins).  A concrete
+    product token applies the rule matcher's group selection
+    (:func:`robots_group`): the delay a spec-following crawler must
+    obey is its own group's, not the catch-all's."""
+    if user_agent != "*":
+        return robots_group(text, user_agent)[1]
+    applies = False
+    for name, value in _lines(text):
+        if name == "user-agent":
+            applies = value == "*"
+        elif name == "crawl-delay" and applies:
+            return _delay(value)
+    return 0.0
 
 
 class RobotsShard:
@@ -195,14 +174,15 @@ class RobotsShard:
         self.cache: Dict[str, Tuple[object, float]] = {}
         self.fetches = 0
 
-    def _compile(self, text: str):
+    def _compile(self, text: str) -> Tuple[object, float]:
+        """(allow_fn or None, Crawl-delay) of one robots.txt."""
         if self.matcher_mode == "rfc9309":
-            m = RobotsMatcher(parse_robots_rfc9309(text, self.user_agent))
-            return m.allowed
+            rules, delay = robots_group(text, self.user_agent)
+            return RobotsMatcher(rules).allowed, delay
         rules = parse_robots(text)
-        if not rules:
-            return None
-        return lambda p: not any(p.startswith(r) for r in rules)
+        allow_fn = ((lambda p: not any(p.startswith(r) for r in rules))
+                    if rules else None)
+        return allow_fn, parse_crawl_delay(text)
 
     def _entry_for(self, host: str) -> Tuple[object, float]:
         entry = self.cache.get(host)
@@ -213,12 +193,8 @@ class RobotsShard:
                 try:
                     status, _h, body = self.web.get(f"http://{host}/robots.txt")
                     if status == 200:
-                        text = body.decode("utf-8", "replace")
-                        allow_fn = self._compile(text)
-                        delay = parse_crawl_delay(
-                            text,
-                            self.user_agent
-                            if self.matcher_mode == "rfc9309" else "*")
+                        allow_fn, delay = self._compile(
+                            body.decode("utf-8", "replace"))
                 except Exception:
                     allow_fn, delay = None, 0.0
             self.fetches += 1
@@ -257,32 +233,3 @@ class RobotsShard:
 
 
 RobotsShardActor = ray.remote(num_cpus=0.01)(RobotsShard)
-
-
-class RobotsCache:
-    """Client over robots shards; shard = hash(host) % n."""
-
-    def __init__(self, num_shards: int = 4, web_factory=None):
-        self.num_shards = num_shards
-        self.shards = [RobotsShardActor.remote(web_factory=web_factory)
-                       for _ in range(num_shards)]
-
-    def _shard(self, host: str):
-        return self.shards[url_hash64(host) % self.num_shards]
-
-    def allowed(self, host_paths: List[Tuple[str, str]]) -> List[bool]:
-        """[(host, path)] -> allow mask, batched one RPC per (shard, host)."""
-        from collections import defaultdict
-        groups = defaultdict(list)
-        for idx, (host, path) in enumerate(host_paths):
-            groups[host].append((idx, path))
-        futures = {}
-        for host, items in groups.items():
-            futures[host] = self._shard(host).allowed_batch.remote(
-                host, [p for _, p in items])
-        out = [True] * len(host_paths)
-        for host, items in groups.items():
-            mask = ray.get(futures[host])
-            for (idx, _), ok in zip(items, mask):
-                out[idx] = ok
-        return out

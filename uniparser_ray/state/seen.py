@@ -10,40 +10,36 @@ retries safe: re-adding a hash simply returns "already seen".
 Scale math (north rule, 10^10 URLs): exact sets don't fit, so shards
 switch to bloom mode — 10 bits/URL = 12.5 GB across the cluster, ~256
 shards → ~50 MB/shard, FP ~0.8% (a false positive means a URL is
-wrongly skipped; the cuckoo-filter alternative gives exactness at
-similar memory if required).  At test scale shards run exact+bloom in
-tandem and count divergences, so the bloom path is continuously
-verified against ground truth.
+wrongly skipped).  At test scale shards run exact+bloom in tandem and
+count divergences, so the bloom path is continuously verified against
+ground truth.
 
-The client batches hashes per shard and issues one RPC per shard per
-batch — RPC count is O(shards), not O(urls).
+Callers (stages/crawl_stages.py ``_sharded_add_futures``) batch hashes
+per shard and issue one RPC per shard per batch — RPC count is
+O(shards), not O(urls).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import List, Sequence
 
 import numpy as np
 import ray
 
 from .bloom import BloomFilter
-from .cuckoo import CuckooFilter
 
 
 class SeenShard:
-    """One shard: exact set, bloom, and/or cuckoo filter over uint64
-    hashes.  Modes: exact | bloom | cuckoo | tandem (exact + bloom,
-    divergence-counted) | tandem_cuckoo (exact + cuckoo)."""
+    """One shard: exact set and/or bloom filter over uint64 hashes.
+    Modes: exact | bloom | tandem (exact + bloom, divergence-counted)."""
 
     def __init__(self, mode: str = "tandem", capacity: int = 1_000_000):
+        if mode not in ("exact", "bloom", "tandem"):
+            raise ValueError(f"unknown seen mode: {mode!r}")
         self.mode = mode
-        self.exact = (set() if mode in ("exact", "tandem", "tandem_cuckoo")
-                      else None)
+        self.exact = set() if mode in ("exact", "tandem") else None
         self.bloom = (BloomFilter(capacity)
                       if mode in ("bloom", "tandem") else None)
-        if mode in ("cuckoo", "tandem_cuckoo"):
-            self.bloom = CuckooFilter(capacity)
         self.divergences = 0
         self.added = 0
 
@@ -54,33 +50,23 @@ class SeenShard:
         zero-copy through the object store) and returns a numpy bool
         array.  Within-batch DUPLICATES keep exact sequential
         semantics at every mode: the batch dedups first (np.unique),
-        only the first occurrence can be new.  Pure-bloom mode rides
-        the vectorized test-and-set (BloomFilter.add_batch_unique);
-        cuckoo keeps its per-key loop (stateful eviction)."""
+        only the first occurrence can be new.  The bloom rides the
+        vectorized test-and-set (BloomFilter.add_batch_unique)."""
         h = np.asarray(hashes, dtype=np.uint64)
         if not h.size:
             return np.zeros(0, dtype=bool)
         uniq, first_idx, inv = np.unique(
             h, return_index=True, return_inverse=True)
-        use_vec_bloom = (self.bloom is not None
-                         and isinstance(self.bloom, BloomFilter))
+        if self.bloom is not None:
+            new_uniq = self.bloom.add_batch_unique(uniq)
         if self.exact is not None:
             ex = self.exact
-            new_uniq = np.fromiter((int(u) not in ex for u in uniq),
-                                   dtype=bool, count=uniq.size)
-            ex.update(int(u) for u in uniq[new_uniq])
+            exact_new = np.fromiter((int(u) not in ex for u in uniq),
+                                    dtype=bool, count=uniq.size)
+            ex.update(int(u) for u in uniq[exact_new])
             if self.bloom is not None:
-                if use_vec_bloom:
-                    bl = self.bloom.add_batch_unique(uniq)
-                else:
-                    bl = np.fromiter((self.bloom.add(int(u)) for u in uniq),
-                                     dtype=bool, count=uniq.size)
-                self.divergences += int((bl != new_uniq).sum())
-        elif use_vec_bloom:
-            new_uniq = self.bloom.add_batch_unique(uniq)
-        else:
-            new_uniq = np.fromiter((self.bloom.add(int(u)) for u in uniq),
-                                   dtype=bool, count=uniq.size)
+                self.divergences += int((new_uniq != exact_new).sum())
+            new_uniq = exact_new
         self.added += int(new_uniq.sum())
         # only the FIRST occurrence of a duplicated key may be new
         first_mask = np.zeros(h.size, dtype=bool)
@@ -112,27 +98,6 @@ class SeenFilter:
             SeenShardActor.remote(mode=mode, capacity=capacity_per_shard)
             for _ in range(self.num_shards)
         ]
-
-    def _shard_of(self, hashes: np.ndarray) -> np.ndarray:
-        return (hashes >> np.uint64(64 - self.shard_bits)).astype(np.int64)
-
-    def add_batch(self, hashes: Sequence[int]) -> np.ndarray:
-        """Vector test-and-set preserving input order; one RPC/shard."""
-        arr = np.asarray(hashes, dtype=np.uint64)
-        if arr.size == 0:
-            return np.zeros(0, dtype=bool)
-        shard_ids = self._shard_of(arr)
-        groups = defaultdict(list)
-        for idx, sid in enumerate(shard_ids):
-            groups[int(sid)].append(idx)
-        futures = {}
-        for sid, idxs in groups.items():
-            futures[sid] = self.shards[sid].add_batch.remote(arr[idxs])
-        out = np.zeros(arr.size, dtype=bool)
-        for sid, idxs in groups.items():
-            res = ray.get(futures[sid])
-            out[idxs] = res
-        return out
 
     def stats(self) -> dict:
         shard_stats = ray.get([s.stats.remote() for s in self.shards])

@@ -273,6 +273,32 @@ _EXAMPLE_RULE = {
 }
 
 
+def render_index(idx: dict) -> str:
+    """The console page for a ``do_index()`` registry.  Every
+    ``%TOKEN%`` is substituted in ONE pass, so inserted content (a
+    parser docstring that mentions a token) is never re-scanned."""
+    import re
+    registry = "\n".join(
+        f"{name}: {idx['docs'][name].splitlines()[0] if idx['docs'][name] else ''}"
+        for name in idx["parsers"])
+    esc = lambda s: s.replace("&", "&amp;").replace("<", "&lt;")
+    # json.dumps with <-escaping keeps the inline <script> payload
+    # safe regardless of docstring content
+    jjs = lambda o: json.dumps(o, ensure_ascii=False).replace("<", "\\u003c")
+    cbs = [c for c in idx["cb_names"].split(" | ") if c]
+    values = {
+        "N_PARSERS": str(len(idx["parsers"])),
+        "CB_NAMES": esc(idx["cb_names"]),
+        "REGISTRY": esc(registry),
+        "EXAMPLE": esc(json.dumps(_EXAMPLE_RULE, indent=1)),
+        "PARSERS_JSON": jjs(idx["parsers"]),
+        "DOCS_JSON": jjs(idx["docs"]),
+        "CBS_JSON": jjs(cbs),
+    }
+    return re.sub(r"%([A-Z_]+)%",
+                  lambda m: values.get(m.group(1), m.group(0)), _INDEX_HTML)
+
+
 class _Handler(BaseHTTPRequestHandler):
     state: ConsoleState = None  # injected by make_server
 
@@ -300,25 +326,7 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path.rstrip("/") in ("", "/"):
             accept = self.headers.get("Accept", "")
             if "text/html" in accept:
-                idx = self.state.do_index()
-                registry = "\n".join(
-                    f"{name}: {idx['docs'][name].splitlines()[0] if idx['docs'][name] else ''}"
-                    for name in idx["parsers"])
-                esc = lambda s: s.replace("&", "&amp;").replace("<", "&lt;")
-                # json.dumps with <-escaping keeps the inline <script>
-                # payload safe regardless of docstring content
-                jjs = lambda o: json.dumps(o, ensure_ascii=False) \
-                    .replace("<", "\\u003c")
-                cbs = [c for c in idx["cb_names"].split(" | ") if c]
-                html = (_INDEX_HTML
-                        .replace("%N_PARSERS%", str(len(idx["parsers"])))
-                        .replace("%CB_NAMES%", esc(idx["cb_names"]))
-                        .replace("%REGISTRY%", esc(registry))
-                        .replace("%EXAMPLE%",
-                                 esc(json.dumps(_EXAMPLE_RULE, indent=1)))
-                        .replace("%PARSERS_JSON%", jjs(idx["parsers"]))
-                        .replace("%DOCS_JSON%", jjs(idx["docs"]))
-                        .replace("%CBS_JSON%", jjs(cbs)))
+                html = render_index(self.state.do_index())
                 self._reply_html(html)
             else:
                 self._reply(self.state.do_index())
