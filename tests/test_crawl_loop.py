@@ -375,16 +375,15 @@ def _crawl_outputs(out):
     return rows, df, lineage
 
 
-def test_crawl_driver_vs_distributed_identical(ray_session, tmp_path):
+@pytest.fixture(scope="module")
+def two_path_outputs(ray_session, tmp_path_factory):
     """The same crawl with every round on the driver path (default
     threshold) and every round on the distributed path
-    (small_grant_threshold=0) leaves identical outputs: the same page
-    map, no duplicate page rows (both paths write the checkpoint
-    inside the fetch tasks), and the same image table — ids, bytes,
-    captions, phash and per-round lineage."""
+    (small_grant_threshold=0): threshold -> (_crawl_outputs, images
+    total)."""
     results = {}
     for threshold in (CrawlConfig.small_grant_threshold, 0):
-        out = tmp_path / f"crawl_t{threshold}"
+        out = tmp_path_factory.mktemp(f"crawl_t{threshold}") / "crawl"
         web = SynthWeb(**WEB_CFG)
         cfg = CrawlConfig(web_config=WEB_CFG, out_dir=str(out),
                           seeds=web.seed_urls(), max_rounds=30,
@@ -393,14 +392,28 @@ def test_crawl_driver_vs_distributed_identical(ray_session, tmp_path):
                           small_grant_threshold=threshold)
         totals = run_crawl(cfg, web.rule_pack())
         results[threshold] = (_crawl_outputs(out), totals["images"])
+    return (results[CrawlConfig.small_grant_threshold], results[0])
 
-    (rows_d, df_d, lin_d), n_d = results[CrawlConfig.small_grant_threshold]
-    (rows_r, df_r, lin_r), n_r = results[0]
-    assert rows_d and rows_d == rows_r
+
+def test_crawl_fused_image_path_identical(two_path_outputs):
+    """The image side-channel runs inside the fetch tasks on both round
+    paths; the driver path and the distributed path must produce the
+    SAME image table: ids, bytes, captions, phash, and per-round
+    lineage."""
+    ((_, df_d, lin_d), n_d), ((_, df_r, lin_r), n_r) = two_path_outputs
     assert n_d == n_r and n_d > 0
     assert lin_d == lin_r
     import pandas.testing as pdt
     pdt.assert_frame_equal(df_d, df_r)
+
+
+def test_crawl_fused_page_write_identical(two_path_outputs):
+    """The fetch tasks write the page checkpoint on both round paths;
+    the driver path and the distributed path must leave equivalent page
+    checkpoints: the same (url -> round, status, result_json, error)
+    map, with no page row written twice (checked while reading)."""
+    ((rows_d, _, _), _), ((rows_r, _, _), _) = two_path_outputs
+    assert rows_d and rows_d == rows_r
 
 
 def test_crawl_politeness_audit_invariant(ray_session):
