@@ -364,7 +364,7 @@ def run_suite(sf_dir: str, num_cpus: int) -> dict:
 
 def politeness_fetch_rate(num_cpus: int, n_urls: int = 4096) -> dict:
     """Throughput of the CONTINUOUS-fetch path: FetchParseStage with
-    wall-clock PolitenessShard actors attached (per-request pacing via
+    wall-clock politeness shards attached (per-request pacing via
     shard-clock schedules, stages/crawl_stages.py)."""
     import pyarrow as pa
     import ray
@@ -374,12 +374,12 @@ def politeness_fetch_rate(num_cpus: int, n_urls: int = 4096) -> dict:
     from uniparser_ray.sources.synthweb import SynthWeb
     from uniparser_ray.stages.crawl_stages import FetchParseStage
     from uniparser_ray.stages.taskcache import cached_stage
-    from uniparser_ray.state.politeness import PolitenessShardActor
+    from uniparser_ray.state.host import PolitenessClient, start_state_hosts
 
     web_cfg = dict(num_hosts=32, base_pages=160, fanout=4, hot_factor=4.0)
     web = SynthWeb(**web_cfg)
     urls = web.all_page_urls()[:n_urls]
-    shards = [PolitenessShardActor.remote() for _ in range(4)]
+    hosts = start_state_hosts(seen={}, politeness_shards=4)
     t = pa.table({
         "url": pa.array(urls, pa.large_string()),
         "url_hash": pa.array([0] * len(urls), pa.uint64()),
@@ -393,12 +393,12 @@ def politeness_fetch_rate(num_cpus: int, n_urls: int = 4096) -> dict:
     t0 = time.perf_counter()
     n = ds.map_batches(
         cached_stage(FetchParseStage, rule_pack_ref=rule_pack_ref,
-                     web_config=web_cfg, politeness_shards=shards,
-                     politeness_num=len(shards)),
+                     web_config=web_cfg,
+                     politeness=PolitenessClient(hosts, 4)),
         batch_format="pyarrow", batch_size=256).count()
     sec = time.perf_counter() - t0
-    for s in shards:
-        ray.kill(s)
+    for h in hosts:
+        ray.kill(h)
     return {"sec": round(sec, 3), "pages": n,
             "pages_per_sec": round(n / sec, 1)}
 

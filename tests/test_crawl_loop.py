@@ -1022,6 +1022,43 @@ def test_small_rounds_run_one_ray_data_stage(ray_session, tmp_path,
     assert stages == ["cached_FetchParseStage"] * totals["rounds"]
 
 
+def test_crawl_state_hosts_one_per_node_none_left(ray_session, tmp_path):
+    """A default crawl starts one state-host actor per alive node (the
+    seen, image-seen and robots shards all live on it) and leaves none
+    ALIVE after run_crawl returns; the seen totals still count
+    2^seen_shard_bits logical shards once each (71 URLs on this web,
+    as before the shards moved onto hosts, and as the oracle says)."""
+    import time
+
+    import ray
+    from ray._private import state as gcs
+
+    def state_hosts():
+        return {a["ActorID"]: a["State"] for a in gcs.actors().values()
+                if a["ActorClassName"] == "StateHost"}
+
+    before = set(state_hosts())
+    web = SynthWeb(**WEB_CFG)
+    cfg = CrawlConfig(web_config=WEB_CFG, out_dir=str(tmp_path / "c"),
+                      seeds=web.seed_urls())
+    totals = run_crawl(cfg, web.rule_pack())
+    nodes = sum(1 for n in ray.nodes() if n["Alive"])
+    deadline = time.monotonic() + 30   # ray.kill is asynchronous
+    while True:
+        mine = {k: v for k, v in state_hosts().items() if k not in before}
+        if "ALIVE" not in mine.values() or time.monotonic() > deadline:
+            break
+        time.sleep(0.2)
+    assert len(mine) == min(1 << cfg.seen_shard_bits, nodes)
+    assert "ALIVE" not in mine.values(), mine
+    assert totals["seen"]["shards"] == 1 << cfg.seen_shard_bits
+    want = BFSOracle(web, web.rule_pack()).run(web.seed_urls(),
+                                               max_rounds=cfg.max_rounds)
+    assert totals["seen"]["added"] == len(want["seen"]) == 71
+    assert totals["state_ramp_s"] >= 0
+    assert all("state_ramp" not in m["phases"] for m in totals["per_round"])
+
+
 def test_crawl_honors_retry_after(ray_session, tmp_path):
     """Server-requested backoff: flaky pages answer 503 with
     Retry-After 60 or 120 (deterministic per page); with

@@ -1,4 +1,4 @@
-"""State-layer units: seen-shard modes, politeness."""
+"""State-layer units: seen-shard modes, politeness, state-host routing."""
 
 import numpy as np
 import pyarrow as pa
@@ -62,25 +62,26 @@ def test_politeness_wall_clock_delays():
 
 
 def test_fetch_stage_wall_clock_politeness(ray_session):
-    """FetchParseStage + PolitenessShard actors in wall-clock mode:
-    the stage acquires per-host schedules and sleeps the batch delay
-    (sleep injected, so the test is instant and deterministic)."""
+    """FetchParseStage + politeness shards on a state host in
+    wall-clock mode: the stage acquires per-host schedules and sleeps
+    the batch delay (sleep injected, so the test is instant and
+    deterministic)."""
     import pyarrow as pa
     import ray
 
     from uniparser_ray.sources.synthweb import SynthWeb
     from uniparser_ray.stages.crawl_stages import FetchParseStage
-    from uniparser_ray.state.politeness import PolitenessShardActor
+    from uniparser_ray.state.host import PolitenessClient, start_state_hosts
 
     web_cfg = dict(num_hosts=2, base_pages=4, fanout=2, hot_factor=2.0)
     web = SynthWeb(**web_cfg)
-    shard = PolitenessShardActor.remote()
-    ray.get(shard.set_rule.remote("host-0000.test", 1, 2.0))  # 1 req / 2 s
+    hosts = start_state_hosts(seen={}, politeness_shards=1)
+    politeness = PolitenessClient(hosts, 1)
+    politeness.set_rule("host-0000.test", 1, 2.0)  # 1 req / 2 s
 
     slept = []
     stage = FetchParseStage(rule_pack=web.rule_pack(), web_config=web_cfg,
-                            politeness_shards=[shard], politeness_num=1,
-                            sleep_fn=slept.append)
+                            politeness=politeness, sleep_fn=slept.append)
     urls = [web.page_url(0, p) for p in range(3)]
     batch = pa.Table.from_pylist([
         {"url": u, "url_hash": 0, "host": "host-0000.test", "depth": 0,
@@ -98,6 +99,75 @@ def test_fetch_stage_wall_clock_politeness(ray_session):
     # 6/8/10s on the shard's clock)
     stage(batch)
     assert len(slept) == 5 and slept[2] > 5.0 and slept[4] > slept[3]
+    for h in hosts:
+        ray.kill(h)
+
+
+@pytest.mark.parametrize("n_hosts", [1, 3])
+def test_state_host_routing_matches_in_process_shards(ray_session, n_hosts):
+    """Logical shards on 1 or 3 state hosts answer exactly as
+    in-process shards routed by hand: the seen masks and every logical
+    shard's ``added`` over 100k hashes (~40 % duplicates, several
+    batches) equal 8 ``SeenShard``s picked by the top 3 bits, and
+    robots (allow, Crawl-delay) per (host, path) equals one in-process
+    ``RobotsShard`` on the same web, under both matchers."""
+    import ray
+
+    from uniparser_ray.sources.synthweb import SynthWeb
+    from uniparser_ray.state.host import (RobotsClient, SeenFilter,
+                                          start_state_hosts)
+    from uniparser_ray.state.robots import RobotsShard
+
+    rng = np.random.default_rng(7)
+    fresh = rng.integers(0, np.iinfo(np.uint64).max, size=60_000,
+                         dtype=np.uint64, endpoint=True)
+    hashes = np.concatenate([fresh, rng.choice(fresh, size=40_000)])
+    rng.shuffle(hashes)
+    ref = [SeenShard("tandem", 50_000) for _ in range(8)]
+    want = np.zeros(hashes.size, dtype=bool)
+    batches = np.array_split(np.arange(hashes.size), 7)
+    for pos in batches:
+        sids = (hashes[pos] >> np.uint64(61)).astype(int)
+        for sid in range(8):
+            sel = pos[sids == sid]
+            want[sel] = ref[sid].add_batch(hashes[sel])
+
+    pairs = [(f"host-{h:04d}.test", p) for h in range(20)
+             for p in ["/", "/private/a"] + [f"/page/{i}"
+                                              for i in range(31)]]
+    for matcher, wildcards in (("prefix", False), ("rfc9309", True)):
+        web_cfg = dict(num_hosts=20, base_pages=30, fanout=2,
+                       hot_factor=4.0, robots_wildcards=wildcards)
+        hosts = start_state_hosts(
+            n_hosts=n_hosts, seen={"seen": 3}, seen_capacity=50_000,
+            robots_shards=4, web_config=web_cfg, robots_matcher=matcher)
+        try:
+            assert len(hosts) == n_hosts
+            seen = SeenFilter(hosts, "seen", 3)
+            got = np.concatenate([seen.add_batch(hashes[pos])
+                                  for pos in batches])
+            assert np.array_equal(got, want)
+            assert [s["added"] for s in ray.get(
+                [ref_.stats.remote() for ref_ in seen.shards])] \
+                == [s.added for s in ref]
+            assert seen.stats()["added"] == sum(s.added for s in ref)
+
+            web = SynthWeb(**web_cfg)
+            local = RobotsShard(web_factory=lambda: web, matcher=matcher)
+            exp_mask, exp_delay = local.allowed_delays_many(pairs)
+            robots = RobotsClient(hosts, 4)
+            mask = np.zeros(len(pairs), dtype=bool)
+            delay = np.zeros(len(pairs), dtype=np.float32)
+            slices, futs = robots.futures([h for h, _ in pairs],
+                                          [p for _, p in pairs])
+            for idx, (m, d) in zip(slices, ray.get(futs)):
+                mask[idx], delay[idx] = m, d
+            assert mask.tolist() == exp_mask
+            assert delay.tolist() == exp_delay
+            assert not all(exp_mask) and any(exp_delay)
+        finally:
+            for h in hosts:
+                ray.kill(h)
 
 
 def test_canonicalize_url_rules():

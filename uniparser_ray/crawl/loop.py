@@ -15,9 +15,9 @@ One round = one pipeline of named per-block steps (SURVEY.md §3.1):
 Every step is a function over one ``pa.Table`` block, written once.
 The frontier read makes the round's one size decision: a frontier of
 at most ``small_grant_threshold`` rows is read as one driver table and
-the steps are called on it directly (the seen / robots actors are
-reached by direct RPC, no Ray Data execution before the fetch); a
-bigger frontier is read as a Dataset and the same steps run through
+the steps are called on it directly (the state hosts are reached by
+direct RPC, no Ray Data execution before the fetch); a bigger
+frontier is read as a Dataset and the same steps run through
 ``map_batches``.  Only the grant has two bodies, because only the
 Dataset one is a shuffle.  The fetch always runs in Ray tasks.
 
@@ -36,7 +36,8 @@ Scale notes (the 10^10 design):
 * the only all-to-all exchange is the groupby(host) grant (politeness
   locality); hot hosts are bounded by the budget so the biggest group
   is budget + max_pending rows — skew is clipped, not shuffled;
-* the seen anti-join is actor-sharded by hash prefix (no shuffle);
+* the seen anti-join is sharded by hash prefix into logical shards on
+  one state-host actor per node (state/host.py; no shuffle);
 * image payloads are fetched in small chunks inside the fetch tasks,
   so multi-MB bodies never concentrate in one block.
 """
@@ -59,7 +60,8 @@ import pyarrow.parquet as pq
 from ..rulevm.urlutil import url_hash64
 from ..stages.crawl_stages import (_PAGE_SCHEMA, FetchParseStage,
                                    SeenRobotsStage, canonicalize_batch)
-from ..state.seen import SeenFilter
+from ..state.host import (PolitenessClient, RobotsClient, SeenFilter,
+                          start_state_hosts)
 from ..storage.lance_layout import LanceLayoutTable
 
 FRONTIER_SCHEMA = pa.schema([
@@ -74,6 +76,9 @@ FRONTIER_SCHEMA = pa.schema([
     # checkpoints untouched until its round arrives
     ("ready_round", pa.int32()),
 ])
+
+# logical robots-cache shards of a run (routing: url_hash64(host) % n)
+_ROBOTS_SHARDS = 4
 
 # a distributed round's frontier files hold at least this many rows,
 # so the next round reads a few files, not one tiny file per fetch block
@@ -121,10 +126,10 @@ class CrawlConfig:
     # Ray groupby shuffle has seconds of fixed cost
     small_grant_threshold: int = 100_000
     # wall-clock per-host pacing INSIDE the fetch workers (politeness
-    # shard actors hand out per-host schedules); the virtual-clock
-    # per-round budget above stays authoritative for WHAT is fetched —
-    # this adds real-time WHEN pacing on top (stages/crawl_stages.py
-    # FetchParseStage politeness path)
+    # shards on the state hosts hand out per-host schedules); the
+    # virtual-clock per-round budget above stays authoritative for
+    # WHAT is fetched — this adds real-time WHEN pacing on top
+    # (stages/crawl_stages.py FetchParseStage politeness path)
     wallclock_politeness: bool = False
     politeness_shard_count: int = 4
     # transient-failure requeue: pages that fetch with a transport
@@ -445,47 +450,39 @@ class CrawlRun:
         self.pages_dir = self.out / "pages"
         self.images = LanceLayoutTable(str(self.out / "images_lance"))
         self.metrics: List[dict] = []
-        self.seen = SeenFilter(cfg.seen_shard_bits, cfg.seen_mode,
-                               capacity_per_shard=cfg.seen_capacity)
-        self.img_seen = SeenFilter(max(cfg.seen_shard_bits - 1, 1),
-                                   cfg.seen_mode,
-                                   capacity_per_shard=cfg.seen_capacity)
-        if cfg.use_robots:
-            from ..state.robots import RobotsShardActor
-            from ..sources.synthweb import SynthWeb
-            web_config = dict(cfg.web_config)
-            self.robots_shards = [
-                RobotsShardActor.remote(
-                    web_factory=lambda wc=web_config: SynthWeb(**wc),
-                    matcher=cfg.robots_matcher,
-                    user_agent=cfg.robots_user_agent)
-                for _ in range(4)]
-        else:
-            self.robots_shards = []
-        if cfg.wallclock_politeness:
-            from ..state.politeness import PolitenessShardActor
-            self.politeness_shards = [PolitenessShardActor.remote()
-                                      for _ in range(cfg.politeness_shard_count)]
-        else:
-            self.politeness_shards = []
+        # every state family's logical shards on one actor per node
+        img_bits = max(cfg.seen_shard_bits - 1, 1)
+        n_robots = _ROBOTS_SHARDS if cfg.use_robots else 0
+        n_politeness = (cfg.politeness_shard_count
+                        if cfg.wallclock_politeness else 0)
+        self.state_hosts = start_state_hosts(
+            seen={"seen": cfg.seen_shard_bits, "img_seen": img_bits},
+            seen_mode=cfg.seen_mode, seen_capacity=cfg.seen_capacity,
+            robots_shards=n_robots, web_config=dict(cfg.web_config),
+            robots_matcher=cfg.robots_matcher,
+            robots_user_agent=cfg.robots_user_agent,
+            politeness_shards=n_politeness)
+        self.seen = SeenFilter(self.state_hosts, "seen", cfg.seen_shard_bits)
+        self.img_seen = SeenFilter(self.state_hosts, "img_seen", img_bits)
+        self.robots = (RobotsClient(self.state_hosts, n_robots)
+                       if n_robots else None)
+        self.robots_shards = self.robots.shards if n_robots else []
+        self.politeness = (PolitenessClient(self.state_hosts, n_politeness)
+                           if n_politeness else None)
         self.rule_pack_ref = None
 
     def shutdown(self):
-        """Kill this run's state actors (seen / robots shards) so
-        back-to-back runs in one Ray session don't accumulate actor
-        processes contending for CPU slots."""
+        """Kill this run's state hosts so back-to-back runs in one Ray
+        session don't accumulate actor processes contending for CPU
+        slots."""
         import ray
-        for actor in (list(self.seen.shards) + list(self.img_seen.shards)
-                      + list(self.robots_shards)
-                      + list(self.politeness_shards)):
+        for actor in self.state_hosts:
             try:
                 ray.kill(actor)
             except Exception:
                 pass
-        self.seen.shards = []
-        self.img_seen.shards = []
+        self.state_hosts = []
         self.robots_shards = []
-        self.politeness_shards = []
 
     # -- state / resume ----------------------------------------------------
     def _state_path(self) -> Path:
@@ -562,22 +559,17 @@ class CrawlRun:
         """Rebuild seen state from committed checkpoints (resume).
 
         ALL replayed state streams task-parallel: parquet fragments are
-        read in tasks and their hashes pushed to the shard actors in
-        batches via the vectorized argsort grouping
-        (``_sharded_add_futures``) — the driver never materializes a
-        column.  At 10^10-URL scale a resume replays billions of page
-        hashes and image URLs; any ``to_table()`` here would be a
-        driver OOM."""
+        read in tasks and their hashes pushed to the state hosts in
+        batches (``SeenFilter.add_futures``: one RPC per host) — the
+        driver never materializes a column.  At 10^10-URL scale a
+        resume replays billions of page hashes and image URLs; any
+        ``to_table()`` here would be a driver OOM."""
         import ray.data as rd
-        from ..stages.crawl_stages import _sharded_add_futures
 
         def replay(files, columns, make_hashes, seen):
-            shards, bits = seen.shards, seen.shard_bits
-
             def push(t: pa.Table) -> pa.Table:
                 import ray as _ray
-                hashes = make_hashes(t)
-                _slices, futs = _sharded_add_futures(shards, bits, hashes)
+                _slices, futs = seen.add_futures(make_hashes(t))
                 if futs:
                     _ray.get(futs)
                 return pa.table({"n": pa.array([t.num_rows], pa.int64())})
@@ -718,7 +710,6 @@ class CrawlRun:
         """Round ``round_idx``'s frontier and its row count — the
         round's one size decision: at most ``small_grant_threshold``
         rows read as one driver table, more as a Dataset."""
-        import ray
         import ray.data as rd
         fdir = self.frontier_dir / f"round={round_idx}"
         files = sorted(fdir.glob("*.parquet"))
@@ -728,10 +719,6 @@ class CrawlRun:
         if n <= self.cfg.small_grant_threshold:
             return pa.concat_tables([pq.read_table(f) for f in files],
                                     promote_options="default"), n
-        # first distributed round: block on the state actors' ramp here,
-        # outside the round clock (a long crawl pays it once)
-        ray.get(self._actor_ramp)
-        self._actor_ramp = []
         # a checkpoint file is one block; split at the READ so every
         # stage of the round fans out across the pool (block splitting
         # is free — measured 15% off the warm grant phase at 255k
@@ -842,6 +829,9 @@ class CrawlRun:
         cfg = self.cfg
         self.out.mkdir(parents=True, exist_ok=True)
         self.rule_pack_ref = ray.put(rule_pack)
+        # readiness pings, fired before the round-0 frontier is written
+        # so the hosts' start overlaps it
+        ramp = [h.ready.remote() for h in self.state_hosts]
         start_round = 0
         state = self._load_state() if resume else None
         self._host_errors: Dict[str, int] = {}
@@ -856,27 +846,12 @@ class CrawlRun:
         else:
             self._seed_round0()
 
-        # actor-readiness pings: the run's ~dozens of state-shard
-        # actors each ramp a fresh worker process (~3.5s total at 8
-        # cpus); fire the pings NOW but only BLOCK on them before the
-        # first distributed round (_read_frontier) — per-round metrics
-        # then measure steady-state frontier cost, while all-driver
-        # crawls never stall on actors their rounds barely touch
-        self._actor_ramp = ([s.stats.remote() for s in
-                             (list(self.seen.shards)
-                              + list(self.img_seen.shards)
-                              + list(self.robots_shards))]
-                            + [s.budget.remote("__warmup__")
-                               for s in self.politeness_shards])
-
         from ..stages.crawl_stages import make_trap_filter
         trap_filter = (make_trap_filter(cfg.max_depth, cfg.max_url_len,
                                         cfg.max_path_repeats)
                        if (cfg.max_depth or cfg.max_url_len
                            or cfg.max_path_repeats) else None)
-        seen_stage = SeenRobotsStage(
-            self.seen.shards, cfg.seen_shard_bits,
-            self.robots_shards, len(self.robots_shards))
+        seen_stage = SeenRobotsStage(self.seen, self.robots)
         self._granter = _make_granter(
             cfg.host_budgets, cfg.per_host_budget, cfg.max_pending_per_host,
             round_seconds=(cfg.round_seconds if cfg.robots_delay_budget
@@ -884,19 +859,19 @@ class CrawlRun:
         fetch_kwargs = dict(rule_pack_ref=self.rule_pack_ref,
                             web_config=cfg.web_config,
                             max_redirects=cfg.max_redirects,
-                            seen_shards=self.seen.shards,
-                            seen_shard_bits=self.seen.shard_bits,
-                            robots_shards=self.robots_shards,
+                            seen=self.seen, robots=self.robots,
+                            politeness=self.politeness,
                             page_ckpt_dir=str(self.pages_dir),
                             image_data_dir=str(self.images.data_dir),
-                            image_seen_shards=self.img_seen.shards,
-                            image_shard_bits=self.img_seen.shard_bits,
+                            image_seen=self.img_seen,
                             image_batch_size=cfg.image_batch_size)
-        if self.politeness_shards:
-            fetch_kwargs.update(
-                politeness_shards=self.politeness_shards,
-                politeness_num=len(self.politeness_shards))
         honor = cfg.honor_retry_after
+
+        # the state hosts' start (a fresh worker process each) is paid
+        # once, here, outside every round's clock
+        t_ramp = time.perf_counter()
+        ray.get(ramp)
+        state_ramp_s = round(time.perf_counter() - t_ramp, 3)
 
         for r in range(start_round, cfg.max_rounds):
             frontier, n_candidates = self._read_frontier(r)
@@ -978,6 +953,7 @@ class CrawlRun:
             "granted": sum(m["granted"] for m in self.metrics),
             "images": self.images.count_rows(),
             "seen": self.seen.stats(),
+            "state_ramp_s": state_ramp_s,
             "per_round": self.metrics,
         }
         (self.out / "metrics.json").write_text(json.dumps(totals, indent=1))

@@ -4,10 +4,10 @@ Stage contract (all ``batch_format="pyarrow"``):
 
 * :func:`canonicalize_batch` — stateless task: canonical URL, 64-bit
   hash, host (vectorized-ish; cheap string work).
-* :class:`SeenRobotsStage` — light actor: batched RPCs to the seen
-  shards (test-and-set anti-join) and robots cache; returns the
-  surviving rows.  Rows with ``seen_ok=1`` (backlog re-admissions)
-  bypass the seen test.
+* :class:`SeenRobotsStage` — batched RPCs to the state hosts (seen
+  test-and-set anti-join and robots cache); returns the surviving
+  rows.  Rows with ``seen_ok=1`` (backlog re-admissions) bypass the
+  seen test.
 * :class:`FetchParseStage` — task pool: transport + compiled rule
   pack + RuleVM built once per worker; per batch it fetches pages and
   runs the rule VM, emitting parsed results + link/image candidates as
@@ -166,80 +166,20 @@ def make_trap_filter(max_depth: int = 0, max_url_len: int = 0,
     return trap_filter
 
 
-def _sharded_add_futures(shards: List, shard_bits: int,
-                         hashes: np.ndarray):
-    """Launch one test-and-set RPC per shard for this batch (shard
-    runs found by a vectorized argsort — no per-row Python grouping)
-    WITHOUT blocking: returns (slices, futures) so the caller can
-    coalesce the wait with other RPC waves (every blocked ``ray.get``
-    inside a map task invites the raylet to spawn a replacement
-    worker — fewer, wider waits keep the pool stable)."""
-    if not hashes.size:
-        return [], []
-    sids = (hashes >> np.uint64(64 - shard_bits)).astype(np.int64)
-    order = np.argsort(sids, kind="stable")
-    ssorted = sids[order]
-    bounds = np.flatnonzero(np.diff(ssorted)) + 1
-    starts = np.concatenate(([0], bounds))
-    ends = np.concatenate((bounds, [ssorted.size]))
-    slices = [order[s:e] for s, e in zip(starts, ends)]
-    # ship numpy slices, not python lists: arrays serialize
-    # zero-copy through the object store (10M tolist() ints cost
-    # whole seconds per round at frontier scale)
-    futures = [shards[int(ssorted[s])].add_batch.remote(
-        hashes[idxs]) for s, idxs in zip(starts, slices)]
-    return slices, futures
-
-
-def _sharded_add_batch(shards: List, shard_bits: int,
-                       hashes: np.ndarray) -> np.ndarray:
-    """One test-and-set RPC per shard per batch (blocking form)."""
-    import ray
-    out = np.zeros(hashes.size, dtype=bool)
-    slices, futures = _sharded_add_futures(shards, shard_bits, hashes)
-    for idxs, res in zip(slices, ray.get(futures)):
-        out[idxs] = res
-    return out
+def _url_path(url: str) -> str:
+    """The path (+ query) robots rules match against."""
+    return "/" + url.split("/", 3)[3] if url.count("/") >= 3 else "/"
 
 
 class SeenRobotsStage:
     """Anti-join against the seen shards + robots allow filter.
 
-    Holds only actor handles; safe at any concurrency because the
+    Holds only state-host clients; safe at any concurrency because the
     shards' test-and-set is atomic per shard."""
 
-    def __init__(self, seen_shards: List, shard_bits: int,
-                 robots_shards: List = None, robots_num: int = 0):
-        self.seen_shards = seen_shards
-        self.shard_bits = shard_bits
-        self.robots_shards = robots_shards or []
-        self.robots_num = robots_num
-
-    def _robots_futures(self, hosts: List[str], urls: List[str]):
-        """Launch (allow mask, Crawl-delay) RPCs — one per shard per
-        batch — without blocking: returns (slices, futures)."""
-        if not self.robots_shards or not urls:
-            return [], []
-        # group by SHARD (one RPC per shard per batch) — the shard id
-        # hash runs once per UNIQUE host, runs found by argsort
-        paths = ["/" + u.split("/", 3)[3] if u.count("/") >= 3 else "/"
-                 for u in urls]
-        uniq, inv = np.unique(np.asarray(hosts, dtype=object),
-                              return_inverse=True)
-        host_sid = np.array([url_hash64(h) % self.robots_num for h in uniq],
-                            dtype=np.int64)
-        sids = host_sid[inv]
-        order = np.argsort(sids, kind="stable")
-        ssorted = sids[order]
-        bounds = np.flatnonzero(np.diff(ssorted)) + 1
-        starts = np.concatenate(([0], bounds))
-        ends = np.concatenate((bounds, [ssorted.size]))
-        slices = [order[s:e] for s, e in zip(starts, ends)]
-        futures = [
-            self.robots_shards[int(ssorted[s])].allowed_delays_many.remote(
-                [(hosts[i], paths[i]) for i in idxs])
-            for s, idxs in zip(starts, slices)]
-        return slices, futures
+    def __init__(self, seen, robots=None):
+        self.seen = seen
+        self.robots = robots
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import ray
@@ -254,27 +194,25 @@ class SeenRobotsStage:
             bypass = np.zeros(len(hashes), dtype=bool)
         fresh = np.ones(len(hashes), dtype=bool)
         todo = ~bypass
-        urls = batch["url"].to_pylist()
-        hosts = batch["host"].to_pylist()
         # launch the seen test-and-set AND the robots lookups, then
         # wait ONCE: a single coalesced ray.get per batch instead of
         # two sequential waves — halves the blocked-worker windows
         # that make the raylet spawn replacement workers, and overlaps
         # the two RPC families' latencies
-        s_slices, s_futs = ([], [])
-        if todo.any():
-            s_slices, s_futs = _sharded_add_futures(
-                self.seen_shards, self.shard_bits, hashes[todo])
-        r_slices, r_futs = self._robots_futures(hosts, urls)
-        results = ray.get(list(s_futs) + list(r_futs))
-        if s_futs:
-            sub = np.zeros(int(todo.sum()), dtype=bool)
-            for idxs, res in zip(s_slices, results[:len(s_futs)]):
-                sub[idxs] = res
-            fresh[todo] = sub
+        s_slices, s_futs = self.seen.add_futures(hashes[todo])
+        r_slices, r_futs = ([], [])
+        if self.robots is not None:
+            r_slices, r_futs = self.robots.futures(
+                batch["host"].to_pylist(),
+                [_url_path(u) for u in batch["url"].to_pylist()])
+        results = ray.get(s_futs + r_futs)
+        sub = np.zeros(int(todo.sum()), dtype=bool)
+        for idxs, res in zip(s_slices, results):
+            sub[idxs] = res
+        fresh[todo] = sub
         keep = fresh | bypass
-        allowed = np.ones(len(urls), dtype=bool)
-        delays = np.zeros(len(urls), dtype=np.float32)
+        allowed = np.ones(len(hashes), dtype=bool)
+        delays = np.zeros(len(hashes), dtype=np.float32)
         for idxs, (mask, ds) in zip(r_slices, results[len(s_futs):]):
             allowed[idxs] = mask
             delays[idxs] = ds
@@ -289,18 +227,16 @@ class SeenRobotsStage:
 
 class HashSeenStage:
     """Generic cross-batch dedup: keep rows whose ``url_hash`` is newly
-    added to the given seen shards (used for image-URL dedup)."""
+    added to the given seen filter (used for image-URL dedup)."""
 
-    def __init__(self, seen_shards: List, shard_bits: int):
-        self.seen_shards = seen_shards
-        self.shard_bits = shard_bits
+    def __init__(self, seen):
+        self.seen = seen
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
             return batch
         hashes = batch["url_hash"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        out = _sharded_add_batch(self.seen_shards, self.shard_bits, hashes)
-        return batch.filter(pa.array(out))
+        return batch.filter(pa.array(self.seen.add_batch(hashes)))
 
 
 class FetchParseStage:
@@ -313,12 +249,10 @@ class FetchParseStage:
     """
 
     def __init__(self, rule_pack_ref=None, web_config: dict = None,
-                 rule_pack: dict = None, politeness_shards: List = None,
-                 politeness_num: int = 0, sleep_fn=None,
-                 image_data_dir: str = None, image_seen_shards: List = None,
-                 image_shard_bits: int = 0, image_batch_size: int = 128,
-                 max_redirects: int = 5, seen_shards: List = None,
-                 seen_shard_bits: int = 0, robots_shards: List = None,
+                 rule_pack: dict = None, politeness=None, sleep_fn=None,
+                 image_data_dir: str = None, image_seen=None,
+                 image_batch_size: int = 128, max_redirects: int = 5,
+                 seen=None, robots=None,
                  page_ckpt_dir: str = None):
         import ray
         from ..crawl.storage import JSONRuleStorage
@@ -352,15 +286,14 @@ class FetchParseStage:
         self.page_ckpt_dir = page_ckpt_dir
         self._img_stage = (
             ImageFetchStage(web_config=web_config,
-                            seen_shards=image_seen_shards,
-                            shard_bits=image_shard_bits)
+                            seen=image_seen)
             if image_data_dir else None)
-        # wall-clock politeness (real-web mode): when shards are given,
-        # each batch acquires per-host delay schedules before fetching.
-        # The round-based virtual-clock grant is the deterministic
-        # default; this path is for continuous (non-round) fetching.
-        self.politeness_shards = politeness_shards or []
-        self.politeness_num = politeness_num
+        # wall-clock politeness (real-web mode): with a politeness
+        # client, each batch acquires per-host delay schedules before
+        # fetching.  The round-based virtual-clock grant is the
+        # deterministic default; this path is for continuous
+        # (non-round) fetching.
+        self.politeness = politeness
         import time as _time
         self._sleep = sleep_fn or _time.sleep
         self._now = _time.monotonic
@@ -377,8 +310,7 @@ class FetchParseStage:
         # (permanent: never requeued by the retry path, which only
         # takes -1/5xx).
         self.max_redirects = max_redirects
-        self.seen_shards = seen_shards or []
-        self.seen_shard_bits = seen_shard_bits
+        self.seen = seen
         # robots on redirect TARGETS: admission only vets the requested
         # URL, so without a per-hop check a 301 chain would smuggle a
         # disallowed page past robots.  A disallowed hop terminates the
@@ -387,7 +319,7 @@ class FetchParseStage:
         # disallowed canonical URL is stopped by THIS check, never by
         # the (resume-unreplayable) hash its rejected admission left in
         # the seen shards.  RPCs happen only on actual 3xx hops.
-        self.robots_shards = robots_shards or []
+        self.robots = robots
 
     def _politeness_targets(self, hosts: List[str]):
         """Acquire wall-clock delay schedules host-by-host and return
@@ -399,26 +331,15 @@ class FetchParseStage:
         timestamps never cross node clock domains); the RPC latency
         between actor and fetcher only shifts the schedule later —
         the polite direction."""
-        import ray
         from collections import Counter, defaultdict
-        if not self.politeness_shards:
+        if self.politeness is None:
             return None
+        # ONE RPC per state host per batch (not per URL host): a batch
+        # touches up to batch_size distinct hosts, and per-host calls
+        # queue-storm the state actors at high task concurrency
         counts = Counter(hosts)
-        # ONE RPC per shard per batch (not per host): a batch touches
-        # up to batch_size distinct hosts, and per-host calls queue-storm
-        # the shard actors at high task concurrency
-        per_shard: Dict[int, list] = defaultdict(list)
-        for host, cnt in counts.items():
-            per_shard[url_hash64(host) % self.politeness_num].append(
-                (host, cnt))
-        futures = [
-            (pairs, self.politeness_shards[si].acquire_batch_many.remote(
-                [h for h, _ in pairs], [c for _, c in pairs]))
-            for si, pairs in per_shard.items()]
-        delays = {}
-        for pairs, fut in futures:
-            for (host, _), d in zip(pairs, ray.get(fut)):
-                delays[host] = d
+        delays = dict(zip(counts, self.politeness.acquire(
+            list(counts), list(counts.values()))))
         t0 = self._now()
         nth: Dict[str, int] = defaultdict(int)
         targets = []
@@ -448,16 +369,9 @@ class FetchParseStage:
     def _hop_allowed(self, url: str) -> bool:
         """robots check for one redirect target (rare: one RPC per
         actual 3xx hop; the requested URL was vetted at admission)."""
-        if not self.robots_shards:
+        if self.robots is None:
             return True
-        import ray
-        host = get_host(url, "")
-        path = "/" + url.split("/", 3)[3] if url.count("/") >= 3 else "/"
-        shard = self.robots_shards[
-            url_hash64(host) % len(self.robots_shards)]
-        mask, _delays = ray.get(
-            shard.allowed_delays_many.remote([(host, path)]))
-        return bool(mask[0])
+        return self.robots.allowed(get_host(url, ""), _url_path(url))
 
     def _follow_fetch(self, rule, url: str, attempt: int):
         """One logical fetch with inline 3xx following (bounded by
@@ -532,11 +446,10 @@ class FetchParseStage:
         redirected = [i for i, f in enumerate(fetched)
                       if f[3] == 200 and f[4] and f[4] != urls[i]]
         fresh_final = {i: True for i in redirected}
-        if redirected and self.seen_shards:
+        if redirected and self.seen is not None:
             fh = np.fromiter((url_hash64(fetched[i][4]) for i in redirected),
                              dtype=np.uint64, count=len(redirected))
-            ok = _sharded_add_batch(self.seen_shards, self.seen_shard_bits,
-                                    fh)
+            ok = self.seen.add_batch(fh)
             fresh_final = {i: bool(o) for i, o in zip(redirected, ok)}
         out = {k: [] for k in ("status", "rule_name", "result_json", "links",
                                "img_srcs", "img_captions", "error",
@@ -711,14 +624,12 @@ class ImageFetchStage:
     synthetic web encodes the global image index; foreign URLs fall
     back to a hash id)."""
 
-    def __init__(self, web_config: dict = None, seen_shards: List = None,
-                 shard_bits: int = 0):
+    def __init__(self, web_config: dict = None, seen=None):
         from ..rulevm.transport import SyntheticWebAdapter
         from ..sources.synthweb import SynthWeb
         self.adapter = SyntheticWebAdapter(SynthWeb(**web_config))
-        # optional cross-batch dedup against the image-seen shards
-        self.seen = (HashSeenStage(seen_shards, shard_bits)
-                     if seen_shards else None)
+        # optional cross-batch dedup against the image-seen filter
+        self.seen = HashSeenStage(seen) if seen is not None else None
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from ..rulevm.parsers import md5 as _md5

@@ -1,2 +1,2 @@
-"""Stateful actor shards: URL-seen filters, politeness token buckets,
-robots caches."""
+"""Crawl state: URL-seen filters, politeness token buckets, robots
+caches — logical shards held by a few state-host actors."""

@@ -1,9 +1,9 @@
 """Bloom filter over 64-bit hashes (numpy bit array).
 
 Sized for the north rule's 10^10-URL frontier: at 10 bits/key and
-k=7 hash probes the false-positive rate is ~0.8%; sharded across
-2^s actors the per-shard array stays a few GiB at full scale and a few
-KiB at test scale.  Derived probes come from the one 64-bit input hash
+k=7 hash probes the false-positive rate is ~0.8%; split into 2^s
+logical shards the per-shard array stays a few GiB at full scale and a
+few KiB at test scale.  Derived probes come from the one 64-bit input hash
 (no rehashing — the input is already a blake2 digest), a standard
 double-hashing scheme from the public bloom-filter literature.
 
@@ -23,28 +23,6 @@ class BloomFilter:
         self.probes = probes
         self.bits = np.zeros((self.num_bits + 7) // 8, dtype=np.uint8)
 
-    def _positions(self, h: int) -> list:
-        h1 = h & 0xFFFFFFFF
-        h2 = (h >> 32) | 1
-        return [((h1 + i * h2) & 0xFFFFFFFFFFFFFFFF) % self.num_bits
-                for i in range(self.probes)]
-
-    def add(self, h: int) -> bool:
-        """Insert; returns True if the key was (probably) new."""
-        new = False
-        for pos in self._positions(h):
-            byte, bit = pos >> 3, 1 << (pos & 7)
-            if not self.bits[byte] & bit:
-                new = True
-                self.bits[byte] |= bit
-        return new
-
-    def __contains__(self, h: int) -> bool:
-        return all(self.bits[p >> 3] & (1 << (p & 7)) for p in self._positions(h))
-
-    def add_batch(self, hashes) -> list:
-        return [self.add(int(h)) for h in hashes]
-
     def add_batch_unique(self, hashes: np.ndarray) -> np.ndarray:
         """Vectorized test-and-set over a batch of DISTINCT keys:
         all probe bits are read before any is set, so a key is "new"
@@ -52,7 +30,7 @@ class BloomFilter:
         keys this differs from the sequential loop only when two keys
         in one batch collide on probe bits (false-positive-rate-level
         odds) — and errs on the PERMISSIVE side (a key is never
-        wrongly dropped as seen).  ~50x the per-key Python loop; the
+        wrongly dropped as seen).  ~50x a per-key Python loop; the
         caller (SeenShard.add_batch) dedups first so within-batch
         duplicate semantics stay exact."""
         h = np.asarray(hashes, dtype=np.uint64)

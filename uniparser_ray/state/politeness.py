@@ -2,9 +2,10 @@
 
 The reference gates each host behind ``Frequency(n, interval)``
 (reference: parsers.py:1582-1592, behavior pinned by its timing test).
-A 256-node crawl cannot share a process-local gate, so politeness is a
-sharded actor pool keyed by ``hash(host)``: fetch tasks acquire tokens
-in batch before issuing requests.
+A 256-node crawl cannot share a process-local gate, so politeness is
+split into logical shards keyed by ``url_hash64(host) % n`` that live
+on the state-host actors (state/host.py): fetch tasks acquire tokens
+in batch, one RPC per host, before issuing requests.
 
 Two modes:
 
@@ -19,8 +20,6 @@ Two modes:
 from __future__ import annotations
 
 from typing import Dict, List
-
-import ray
 
 
 class PolitenessShard:
@@ -84,12 +83,10 @@ class PolitenessShard:
         touches up to batch_size distinct hosts — per-host RPCs are an
         actor-queue storm at high task concurrency (measured: the
         politeness-on crawl leg scaled at 0.46 vs 0.84 politeness-off
-        at 32 CPUs); grouping per shard caps it at num_shards RPCs per
-        batch."""
+        at 32 CPUs); the state host hands each shard its slice of one
+        batched RPC."""
         import time
         now = time.monotonic()
         return [self.acquire_batch(h, c, now=now)
                 for h, c in zip(hosts, counts)]
 
-
-PolitenessShardActor = ray.remote(num_cpus=0.01)(PolitenessShard)

@@ -1,9 +1,11 @@
 """Robots.txt cache shards.
 
 Per-host robots.txt is fetched once per crawl (through the same
-transport as pages), parsed and cached in a sharded actor pool keyed
-by ``hash(host)`` — the distributed analog of the reference's
-process-local per-host dict (parsers.py:1262).
+transport as pages), parsed and cached in logical ``RobotsShard``s
+keyed by ``url_hash64(host) % n`` — the distributed analog of the
+reference's process-local per-host dict (parsers.py:1262).  The
+shards live on the state-host actors (state/host.py), which answer a
+whole batch's (host, path) rows in one RPC per host.
 
 Two matchers (CrawlConfig.robots_matcher):
 
@@ -21,8 +23,6 @@ from __future__ import annotations
 
 import re
 from typing import Dict, List, Tuple
-
-import ray
 
 
 def _lines(text: str):
@@ -231,5 +231,3 @@ class RobotsShard:
     def stats(self) -> dict:
         return {"hosts_cached": len(self.cache), "fetches": self.fetches}
 
-
-RobotsShardActor = ray.remote(num_cpus=0.01)(RobotsShard)

@@ -1,30 +1,31 @@
-"""Sharded URL-seen filter actors — the frontier's anti-join.
+"""URL-seen shards — the frontier's anti-join.
 
-The seen set is the crawl's single piece of global mutable state; Ray
-Data cannot express a streaming test-and-set, so it lives in a fixed
-pool of ``SeenShard`` actors, sharded by the top bits of the 64-bit
-canonical-URL hash (shard routing is pure arithmetic — no lookup
-table, no shuffle).  Test-and-set is idempotent, which makes fetch
-retries safe: re-adding a hash simply returns "already seen".
+The seen set is the crawl's biggest piece of global mutable state; Ray
+Data cannot express a streaming test-and-set, so it is split into
+2^shard_bits logical ``SeenShard``s by the top bits of the 64-bit
+canonical-URL hash (routing is pure arithmetic — no lookup table, no
+shuffle).  The shards live on the state-host actors (state/host.py):
+a few actors, each holding many logical shards.  Test-and-set is
+idempotent, which makes fetch retries safe: re-adding a hash simply
+returns "already seen".
 
 Scale math (north rule, 10^10 URLs): exact sets don't fit, so shards
 switch to bloom mode — 10 bits/URL = 12.5 GB across the cluster, ~256
-shards → ~50 MB/shard, FP ~0.8% (a false positive means a URL is
-wrongly skipped).  At test scale shards run exact+bloom in tandem and
-count divergences, so the bloom path is continuously verified against
-ground truth.
+logical shards → ~50 MB/shard, FP ~0.8% (a false positive means a URL
+is wrongly skipped).  At test scale shards run exact+bloom in tandem
+and count divergences, so the bloom path is continuously verified
+against ground truth.
 
-Callers (stages/crawl_stages.py ``_sharded_add_futures``) batch hashes
-per shard and issue one RPC per shard per batch — RPC count is
-O(shards), not O(urls).
+Callers (``SeenFilter`` in state/host.py) batch hashes per host and
+issue one RPC per host per batch — RPC count is O(hosts), not
+O(shards) or O(urls).
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
-import ray
 
 from .bloom import BloomFilter
 
@@ -73,36 +74,8 @@ class SeenShard:
         first_mask[first_idx] = True
         return new_uniq[inv] & first_mask
 
-    def contains_batch(self, hashes: Sequence[int]) -> List[bool]:
-        if self.exact is not None:
-            return [int(h) in self.exact for h in hashes]
-        return [int(h) in self.bloom for h in hashes]
-
     def stats(self) -> dict:
         return {"added": self.added, "divergences": self.divergences,
                 "mode": self.mode,
                 "bloom_bytes": self.bloom.approx_bytes if self.bloom else 0}
 
-
-SeenShardActor = ray.remote(num_cpus=0.01)(SeenShard)
-
-
-class SeenFilter:
-    """Client over 2^shard_bits SeenShard actors."""
-
-    def __init__(self, shard_bits: int = 3, mode: str = "tandem",
-                 capacity_per_shard: int = 1_000_000):
-        self.shard_bits = shard_bits
-        self.num_shards = 1 << shard_bits
-        self.shards = [
-            SeenShardActor.remote(mode=mode, capacity=capacity_per_shard)
-            for _ in range(self.num_shards)
-        ]
-
-    def stats(self) -> dict:
-        shard_stats = ray.get([s.stats.remote() for s in self.shards])
-        return {
-            "added": sum(s["added"] for s in shard_stats),
-            "divergences": sum(s["divergences"] for s in shard_stats),
-            "shards": self.num_shards,
-        }
