@@ -9,12 +9,12 @@ Prints ONE JSON line:
 num_cpus=8 and num_cpus=32 and reports both plus scaling efficiency —
 the sandbox evidence for the north rule's two-cluster-size criterion.
 Add ``--fast`` (or set BENCH_SCALING_REPEATS) to run one leg per
-width and skip the politeness legs — fits a 600 s harness budget.
+width — fits a 600 s harness budget.
 
 ``--steady`` runs one sustained-throughput leg at $RAY_GRAFT_CPUS
 (the per-leg unit ``--scaling`` composes).  ``--frontier`` runs the
 ~10^7-URL single-round frontier-machinery stress (canonicalize →
-seen-filter → salted grant shuffle; fetch work ~0.3%) and reports
+seen-filter → block-clipped grant shuffle; fetch work ~0.3%) and reports
 frontier-ops/sec plus the per-phase breakdown.
 """
 
@@ -403,7 +403,7 @@ def politeness_fetch_rate(num_cpus: int, n_urls: int = 4096) -> dict:
             "pages_per_sec": round(n / sec, 1)}
 
 
-def run_steady(num_cpus: int, politeness: bool = False) -> dict:
+def run_steady(num_cpus: int) -> dict:
     """Sustained-throughput crawl (the scaling-criterion workload).
 
     At 10^10-URL scale the frontier is never ramp-up-small, so the
@@ -442,8 +442,7 @@ def run_steady(num_cpus: int, politeness: bool = False) -> dict:
                    hot_factor=8.0, page_weight=60, image_rate=0.1)
     web = SynthWeb(**web_cfg)
     seeds = web.all_page_urls()
-    out_dir = (f"/tmp/uniparser_ray_bench/steady_{num_cpus}"
-               + ("_pol" if politeness else ""))
+    out_dir = f"/tmp/uniparser_ray_bench/steady_{num_cpus}"
     shutil.rmtree(out_dir, ignore_errors=True)
 
     # untimed warm-up: spawn + import-warm every worker process with a
@@ -455,16 +454,14 @@ def run_steady(num_cpus: int, politeness: bool = False) -> dict:
                            out_dir=out_dir + "_warm", seeds=seeds[:2048],
                            max_rounds=1, per_host_budget=10**9,
                            fetch_batch_size=256, seen_shard_bits=5,
-                           seen_mode="bloom", use_robots=False,
-                           wallclock_politeness=politeness)
+                           seen_mode="bloom", use_robots=False)
     shutil.rmtree(out_dir + "_warm", ignore_errors=True)
     run_crawl(warm_cfg, web.rule_pack())
 
     cfg = CrawlConfig(web_config=web_cfg, out_dir=out_dir, seeds=seeds,
                       max_rounds=2, per_host_budget=10**9,
                       fetch_batch_size=256, seen_shard_bits=5,
-                      seen_mode="bloom", skew_salts=8,
-                      wallclock_politeness=politeness)
+                      seen_mode="bloom")
     t0 = time.perf_counter()
     totals = run_crawl(cfg, web.rule_pack())
     sec = time.perf_counter() - t0
@@ -480,7 +477,6 @@ def run_steady(num_cpus: int, politeness: bool = False) -> dict:
             phases[k] = round(phases.get(k, 0.0) + v, 3)
     return {
         "num_cpus": num_cpus,
-        "politeness": politeness,
         "universe": len(seeds),
         "granted": totals["granted"],
         "images": totals["images"],
@@ -551,11 +547,11 @@ def run_frontier(num_cpus: int, num_hosts: int = 8192,
     """Pure frontier-machinery stress: ONE crawl round over a
     pre-seeded ~10^7-URL frontier with a tiny per-host budget, so the
     timed round is dominated by the frontier pipeline itself —
-    canonicalize → sharded bloom seen-filter → salted per-host
-    priority grant shuffle → checkpoint/next-frontier write — not by
+    canonicalize → sharded bloom seen-filter → per-host priority
+    grant shuffle → checkpoint/next-frontier write — not by
     fetching (grants ≈ hosts × budget ≈ 0.3% of candidates).  The
     hottest host holds ~6% of the whole universe (Zipf hot_factor),
-    so the skew-split pre-clip phase does real work.  This is the
+    so the grant's block-local clip does real work.  This is the
     sandbox's direct evidence for the north rule's 10^10-URL frontier
     design: per-round frontier cost is all shuffle/scan of tiny URL
     rows, and the reported ops/sec is what one node contributes to a
@@ -595,8 +591,7 @@ def run_frontier(num_cpus: int, num_hosts: int = 8192,
         cfg = CrawlConfig(web_config=web_cfg, out_dir=out_dir, seeds=seeds,
                           max_rounds=1, per_host_budget=4,
                           max_pending_per_host=8, fetch_batch_size=512,
-                          seen_shard_bits=5, seen_mode="bloom",
-                          skew_salts=8)
+                          seen_shard_bits=5, seen_mode="bloom")
         totals = run_crawl(cfg, web.rule_pack())
         runs.append(totals["per_round"][0])
     cold, m = runs
@@ -658,29 +653,24 @@ def main():
         return
 
     if "--steady" in sys.argv:
-        print(json.dumps(run_steady(num_cpus,
-                                    politeness="--politeness" in sys.argv)))
+        print(json.dumps(run_steady(num_cpus)))
         import ray
         ray.shutdown()
         return
 
     if "--scaling" in sys.argv:
-        def run_once(ncpu, politeness=False):
+        def run_once(ncpu):
             env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu))
             cmd = [sys.executable, os.path.abspath(__file__), "--steady"]
-            if politeness:
-                cmd.append("--politeness")
             out = subprocess.run(
                 cmd, env=env, capture_output=True, text=True,
                 check=True).stdout
             return json.loads(out.strip().splitlines()[-1])
 
-        # --fast: one rep per width, no politeness legs — fits a 600 s
-        # harness budget (full mode is ~20 min of legs); env override
-        # BENCH_SCALING_REPEATS picks any rep count
-        fast = "--fast" in sys.argv
+        # --fast: one rep per width — fits a 600 s harness budget;
+        # env override BENCH_SCALING_REPEATS picks any rep count
         n_reps = int(os.environ.get("BENCH_SCALING_REPEATS",
-                                    "1" if fast else "3"))
+                                    "1" if "--fast" in sys.argv else "3"))
 
         def run(ncpu, repeats=n_reps):
             # this sandbox VM shows ±20-30% host-level noise between
@@ -696,13 +686,6 @@ def main():
             return runs[0], runs[len(runs) // 2]
 
         (lo_best, lo_med), (hi_best, hi_med) = run(8), run(32)
-
-        # one politeness-ON leg per width (wall-clock pacing RPCs live
-        # inside the fetch workers) — shows the pacing path scales like
-        # the pacing-off path rather than serializing on shard actors
-        lo_pol, hi_pol = ((None, None) if fast
-                          else (run_once(8, politeness=True),
-                                run_once(32, politeness=True)))
 
         def eff(lo, hi):
             return round((hi["pages_per_sec"] / lo["pages_per_sec"])
@@ -730,12 +713,6 @@ def main():
             "median_pages_per_sec_8": lo_med["pages_per_sec"],
             "median_pages_per_sec_32": hi_med["pages_per_sec"],
             "scaling_efficiency_median": eff(lo_med, hi_med),
-            "politeness_pages_per_sec_8": (
-                lo_pol["pages_per_sec"] if lo_pol else None),
-            "politeness_pages_per_sec_32": (
-                hi_pol["pages_per_sec"] if hi_pol else None),
-            "scaling_efficiency_politeness": (
-                eff(lo_pol, hi_pol) if lo_pol else None),
             "cpu_ceiling_efficiency": ceiling,
             "efficiency_vs_ceiling": round(eff(lo_best, hi_best) / ceiling,
                                            3),

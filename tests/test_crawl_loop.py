@@ -3,12 +3,14 @@ identical URL-seen set, per-round fetch sets (crawl ordering), parsed
 values, and image rows (decoded-pixel equality + caption equality)."""
 
 import json
+import math
 
 import numpy as np
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from uniparser_ray.crawl.loop import CrawlConfig, run_crawl
+from uniparser_ray.crawl.loop import CrawlConfig, _make_grant, run_crawl
 from uniparser_ray.crawl.oracle import BFSOracle
 from uniparser_ray.sources.codecs import decode_image, psnr
 from uniparser_ray.sources.synthweb import SynthWeb
@@ -207,16 +209,17 @@ def test_crawl_resume_from_legacy_checkpoint(ray_session, tmp_path,
                                 for r in oracle_result["rounds"]]
 
 
-def test_crawl_skew_salted_grant_identical(ray_session, tmp_path,
-                                           oracle_result):
-    """skew_salts>1 (two-phase salted politeness grant for hot-domain
-    splitting) must be exactly equivalent to the single-phase grant:
-    identical per-round fetch sets vs the oracle."""
+def test_crawl_distributed_grant_tight_backlog_identical(ray_session,
+                                                         tmp_path,
+                                                         oracle_result):
+    """The Dataset grant (block-local clip, then the per-host shuffle)
+    under a tight backlog clip: identical per-round fetch sets vs the
+    oracle."""
     web = SynthWeb(**WEB_CFG)
     cfg = CrawlConfig(web_config=WEB_CFG, out_dir=str(tmp_path / "crawl3"),
                       seeds=web.seed_urls(), max_rounds=30,
                       per_host_budget=3, fetch_concurrency=2,
-                      seen_shard_bits=2, skew_salts=4,
+                      seen_shard_bits=2,
                       max_pending_per_host=5, small_grant_threshold=0)
     totals = run_crawl(cfg, web.rule_pack())
     assert totals["pages_ok"] > 0
@@ -228,22 +231,77 @@ def test_crawl_skew_salted_grant_identical(ray_session, tmp_path,
     assert ray_rounds == [r["fetched"] for r in want["rounds"]]
 
 
-def test_crawl_wallclock_politeness_same_results(ray_session, tmp_path,
-                                                 oracle_result):
-    """wallclock_politeness=True adds real-time pacing inside the fetch
-    workers (shard-actor schedules) but must not change WHAT is
-    crawled: per-round fetch sets stay oracle-identical, and the
-    pacing shard actors are killed at shutdown."""
-    web = SynthWeb(**WEB_CFG)
-    cfg = CrawlConfig(web_config=WEB_CFG, out_dir=str(tmp_path / "pol"),
-                      seeds=web.seed_urls(), max_rounds=30,
-                      per_host_budget=3, fetch_concurrency=2,
-                      seen_shard_bits=2, wallclock_politeness=True,
-                      politeness_shard_count=2)
-    totals = run_crawl(cfg, web.rule_pack())
-    assert totals["pages_ok"] > 0
-    ray_rounds = _ray_rounds(tmp_path / "pol")
-    assert ray_rounds == [r["fetched"] for r in oracle_result["rounds"]]
+def _naive_grant(rows, budgets, default_budget, max_pending,
+                 round_seconds):
+    """The grant as a per-host Python loop over row dicts: sort by
+    (priority, url_hash), walk the rows counting each host's position,
+    grant the first k, keep the first k + max_pending."""
+    seen_per_host = {}
+    out = []
+    for row in sorted(rows, key=lambda r: (r["priority"], r["url_hash"])):
+        k = budgets.get(row["host"], default_budget)
+        delay = row.get("crawl_delay") or 0.0
+        if round_seconds > 0 and delay > 0:
+            k = min(k, max(1, math.floor(round_seconds / delay)))
+        pos = seen_per_host.get(row["host"], 0)
+        seen_per_host[row["host"]] = pos + 1
+        if pos < k + max_pending:
+            out.append(dict(row, granted=int(pos < k)))
+    return out
+
+
+def _grant_input(rng, n, with_delay=True):
+    cols = {
+        "url": pa.array([f"http://h/{i}" for i in range(n)],
+                        pa.large_string()),
+        "host": pa.array([f"h{x}.test" for x in rng.integers(0, 5, n)],
+                         pa.string()),
+        # few distinct priorities: plenty of ties, broken by url_hash
+        "priority": pa.array(rng.integers(0, 3, n).astype(np.float32)),
+        "url_hash": pa.array(rng.permutation(n).astype(np.uint64)),
+    }
+    if with_delay:
+        # per-host delay: 0 (no cap), 10 (cap 3 at 30 s rounds) and
+        # 100 (more than a round: cap 1)
+        delay = {"h0.test": 0.0, "h1.test": 10.0, "h2.test": 100.0,
+                 "h3.test": 10.0, "h4.test": 0.0}
+        cols["crawl_delay"] = pa.array(
+            [delay[h] for h in cols["host"].to_pylist()], pa.float32())
+    return pa.table(cols)
+
+
+@pytest.mark.parametrize("with_delay", [True, False])
+@pytest.mark.parametrize("round_seconds", [0.0, 30.0])
+def test_grant_matches_per_host_loop(with_delay, round_seconds):
+    """The Arrow grant equals a plain per-host loop: priority ties,
+    host budgets, Crawl-delay 0 and longer than a round, no
+    crawl_delay column, an empty table; granting twice is a no-op."""
+    rng = np.random.default_rng(7)
+    budgets = {"h1.test": 5, "h3.test": 1}
+    grant = _make_grant(budgets, 4, 3, round_seconds)
+    for n in (0, 1, 9, 60, 400):
+        t = _grant_input(rng, n, with_delay)
+        got = grant(t)
+        assert got.to_pylist() == _naive_grant(
+            t.to_pylist(), budgets, 4, 3, round_seconds), n
+        assert got.schema.field("granted").type == pa.int8()
+        assert grant(got).equals(got)
+
+
+def test_grant_block_clip_exact():
+    """Granting each block, then the concatenated survivors, equals
+    granting everything at once, over random block splits — why the
+    Dataset grant may clip every block before its shuffle."""
+    rng = np.random.default_rng(11)
+    grant = _make_grant({"h1.test": 5}, 2, 3, 30.0)
+    for _ in range(20):
+        t = _grant_input(rng, int(rng.integers(1, 300)))
+        cuts = np.sort(rng.integers(0, t.num_rows + 1,
+                                    int(rng.integers(1, 6))))
+        bounds = [0, *cuts.tolist(), t.num_rows]
+        blocks = [t.slice(a, b - a) for a, b in zip(bounds, bounds[1:])]
+        merged = grant(pa.concat_tables([grant(b) for b in blocks]))
+        assert merged.equals(grant(t))
 
 
 def test_crawl_retries_recover_transient_failures(ray_session, tmp_path,
@@ -1141,7 +1199,7 @@ _SWEEP_COMBOS = [
     dict(web=dict(num_hosts=6, base_pages=8, fanout=2, hot_factor=5.0,
                   seed=31, redirect_rate=0.5, trap_links=True),
          cfg=dict(per_host_budget=2, max_pending_per_host=4,
-                  max_path_repeats=2, skew_salts=3),
+                  max_path_repeats=2),
          oracle=dict(per_host_budget=2, max_pending_per_host=4,
                      max_path_repeats=2)),
     # round-5: RFC-9309 wildcard robots + redirects (per-hop robots
@@ -1166,7 +1224,7 @@ def test_crawl_differential_sweep(ray_session, tmp_path, combo, threshold):
     """Engine == oracle across randomized web/feature combos:
     redirects, traps+guards, sitemap seeding with lossy images,
     permanent failures + dead-host ban + Crawl-delay budgets, and the
-    salted grant under tight backlog clipping — one parametrized
+    grant under tight backlog clipping — one parametrized
     differential test per mix, each on both round paths (driver
     tables at the default threshold, Datasets at 0)."""
     web = SynthWeb(**combo["web"])

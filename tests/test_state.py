@@ -35,18 +35,6 @@ def test_seen_shard_within_batch_duplicates():
         assert out == [True, False, True, False], (mode, out)
 
 
-def test_politeness_virtual_budget():
-    shard = PolitenessShard()
-    shard.set_rule("a.test", 2, 1.0)  # 2 per second
-    shard.begin_round()
-    assert shard.acquire_round("a.test", 5, round_duration=1.0) == 2
-    assert shard.acquire_round("a.test", 5, round_duration=1.0) == 0
-    # unknown host with unlimited default
-    assert shard.acquire_round("b.test", 5) == 5
-    shard.begin_round()
-    assert shard.acquire_round("a.test", 5, round_duration=2.0) == 4
-
-
 def test_politeness_wall_clock_delays():
     shard = PolitenessShard()
     shard.set_rule("a.test", 1, 2.0)  # 1 request / 2 s (the reference's

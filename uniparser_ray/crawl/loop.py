@@ -18,8 +18,10 @@ at most ``small_grant_threshold`` rows is read as one driver table and
 the steps are called on it directly (the state hosts are reached by
 direct RPC, no Ray Data execution before the fetch); a bigger
 frontier is read as a Dataset and the same steps run through
-``map_batches``.  Only the grant has two bodies, because only the
-Dataset one is a shuffle.  The fetch always runs in Ray tasks.
+``map_batches``.  The grant is one function too: on a Dataset it runs
+as an exact block-local clip followed by the round's one shuffle,
+which calls it again per host bucket.  The fetch always runs in Ray
+tasks.
 
 Determinism: which URLs are fetched in round r is decided by a stable
 per-host sort on (priority, url_hash) under a fixed per-host budget —
@@ -34,8 +36,10 @@ Scale notes (the 10^10 design):
   URLs of a distributed round, only Dataset handles and per-round
   counters;
 * the only all-to-all exchange is the groupby(host) grant (politeness
-  locality); hot hosts are bounded by the budget so the biggest group
-  is budget + max_pending rows — skew is clipped, not shuffled;
+  locality); each block is clipped to its hosts' top budget +
+  max_pending rows before the shuffle, so a hot host reaches its
+  reduce task as at most blocks x (budget + max_pending) rows — skew
+  is clipped, not shuffled;
 * the seen anti-join is sharded by hash prefix into logical shards on
   one state-host actor per node (state/host.py; no shuffle);
 * image payloads are fetched in small chunks inside the fetch tasks,
@@ -52,7 +56,6 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -60,8 +63,7 @@ import pyarrow.parquet as pq
 from ..rulevm.urlutil import url_hash64
 from ..stages.crawl_stages import (_PAGE_SCHEMA, FetchParseStage,
                                    SeenRobotsStage, canonicalize_batch)
-from ..state.host import (PolitenessClient, RobotsClient, SeenFilter,
-                          start_state_hosts)
+from ..state.host import RobotsClient, SeenFilter, start_state_hosts
 from ..storage.lance_layout import LanceLayoutTable
 
 FRONTIER_SCHEMA = pa.schema([
@@ -112,26 +114,11 @@ class CrawlConfig:
     robots_matcher: str = "prefix"
     robots_user_agent: str = "uniparser-ray"
     host_budgets: Dict[str, int] = field(default_factory=dict)
-    # explicit skew-splitting of hot domains: 0 = single-phase grant;
-    # >1 = two-phase salted grant — phase 1 pre-clips per (host, salt)
-    # so no single task ever sorts more than ~(budget + max_pending)
-    # rows of one host, phase 2 merges the per-salt survivors.  The
-    # two phases are exactly equivalent to the single-phase grant
-    # (any row in a host's global top (k + max_pending) is in its
-    # salt's top (k + max_pending)); tests assert equality.
-    skew_salts: int = 0
     # frontiers at or below this row count run admit and grant on the
     # driver over one table (no shuffle, no Ray Data execution before
-    # the fetch) — a pandas sort of 100k rows is milliseconds, while a
+    # the fetch) — an Arrow sort of 100k rows is milliseconds, while a
     # Ray groupby shuffle has seconds of fixed cost
     small_grant_threshold: int = 100_000
-    # wall-clock per-host pacing INSIDE the fetch workers (politeness
-    # shards on the state hosts hand out per-host schedules); the
-    # virtual-clock per-round budget above stays authoritative for
-    # WHAT is fetched — this adds real-time WHEN pacing on top
-    # (stages/crawl_stages.py FetchParseStage politeness path)
-    wallclock_politeness: bool = False
-    politeness_shard_count: int = 4
     # transient-failure requeue: pages that fetch with a transport
     # error (status -1) or a 5xx are re-admitted to the NEXT round's
     # frontier (seen_ok=1 bypasses the seen anti-join) up to this many
@@ -359,57 +346,52 @@ def _make_retry(max_retries: int, round_idx: int, round_seconds: float,
     return retry
 
 
-def _rank(bucket: pd.DataFrame, keys, budgets: Dict[str, int],
-          default_budget: int):
-    """Stable per-group order by (priority, url_hash): the sorted
-    bucket, each row's position in its ``keys`` group, and each row's
-    host budget."""
-    bucket = bucket.sort_values(["priority", "url_hash"], kind="mergesort")
-    pos = bucket.groupby(keys, sort=False).cumcount().to_numpy()
-    if budgets:
-        k = bucket["host"].map(budgets).fillna(default_budget).to_numpy()
-    else:
-        k = np.full(len(bucket), default_budget)
-    return bucket, pos, k
+def _make_grant(budgets: Dict[str, int], default_budget: int,
+                max_pending: int, round_seconds: float = 0.0):
+    """The politeness grant over one block of admitted rows.
 
-
-def _make_granter(budgets: Dict[str, int], default_budget: int,
-                  max_pending: int, round_seconds: float = 0.0):
-    def grant(bucket: pd.DataFrame) -> pd.DataFrame:
-        # deterministic politeness, fully vectorized over a bucket of
-        # hosts: stable per-host order by (priority, url_hash), first k
-        # rows of each host granted, backlog clipped at k+max_pending
-        # so one hot host cannot grow the frontier unboundedly
-        bucket, pos, k = _rank(bucket, "host", budgets, default_budget)
-        if round_seconds > 0 and "crawl_delay" in bucket.columns:
+    Deterministic and vectorized: a stable sort on (priority,
+    url_hash), each row's position within its host, the first k rows
+    of each host granted (``granted`` = 1) and the backlog clipped at
+    k + max_pending rows, so one hot host cannot grow the frontier
+    unboundedly.  k is the host's budget, tightened by its robots
+    Crawl-delay when ``round_seconds`` > 0.  A ``granted`` column
+    already present is replaced, so granting granted rows again is
+    safe — and exact: a row in its host's global top k + max_pending
+    is in any block's top k + max_pending."""
+    def grant(t: pa.Table) -> pa.Table:
+        if "granted" in t.column_names:
+            t = t.drop_columns(["granted"])
+        t = t.take(pc.sort_indices(t, sort_keys=[
+            ("priority", "ascending"), ("url_hash", "ascending")]))
+        hosts = pc.dictionary_encode(t["host"].combine_chunks(),
+                                     null_encoding="encode")
+        codes = hosts.indices.to_numpy(zero_copy_only=False)
+        # position within host: stable group-by-host order, minus each
+        # group's start
+        order = np.argsort(codes, kind="stable")
+        starts = np.flatnonzero(np.diff(codes[order], prepend=-1))
+        sizes = np.diff(np.append(starts, len(codes)))
+        pos = np.empty(len(codes), np.int64)
+        pos[order] = np.arange(len(codes)) - np.repeat(starts, sizes)
+        k = np.array([budgets.get(h, default_budget)
+                      for h in hosts.dictionary.to_pylist()],
+                     np.float64)[codes]
+        if round_seconds > 0 and "crawl_delay" in t.column_names:
             # robots Crawl-delay -> per-host budget: a round models
             # round_seconds of crawl time, so a host asking for d sec
             # between fetches gets at most floor(round_seconds/d)
             # grants (>= 1 so delayed hosts still progress); only ever
             # TIGHTENS the configured budget
-            d = bucket["crawl_delay"].to_numpy(np.float64)
+            d = t["crawl_delay"].to_numpy(zero_copy_only=False) \
+                .astype(np.float64)
             with np.errstate(divide="ignore"):
-                cap = np.where(d > 0,
-                               np.maximum(1, np.floor(round_seconds / np.where(
-                                   d > 0, d, 1.0))), np.inf)
-            k = np.minimum(k, cap)
-        bucket = bucket.assign(granted=(pos < k).astype(np.int8))
-        return bucket[pos < k + max_pending]
+                k = np.where(d > 0, np.minimum(
+                    k, np.maximum(1, np.floor(round_seconds / d))), k)
+        t = t.append_column("granted", pa.array(
+            (pos < k).astype(np.int8), pa.int8()))
+        return t.filter(pa.array(pos < k + max_pending))
     return grant
-
-
-def _make_preclipper(budgets: Dict[str, int], default_budget: int,
-                     max_pending: int):
-    """Phase 1 of the skew-split grant: per (host, salt) keep only the
-    top (budget + max_pending) rows by (priority, url_hash).  Exact:
-    every row of a host's global top (budget + max_pending) survives
-    its salt's clip, so phase 2 over the survivors equals the
-    single-phase grant."""
-    def preclip(bucket: pd.DataFrame) -> pd.DataFrame:
-        bucket, pos, k = _rank(bucket, ["host", "_salt"], budgets,
-                               default_budget)
-        return bucket[pos < k + max_pending]
-    return preclip
 
 
 def _explode_links(batch: pa.Table) -> pa.Table:
@@ -453,22 +435,17 @@ class CrawlRun:
         # every state family's logical shards on one actor per node
         img_bits = max(cfg.seen_shard_bits - 1, 1)
         n_robots = _ROBOTS_SHARDS if cfg.use_robots else 0
-        n_politeness = (cfg.politeness_shard_count
-                        if cfg.wallclock_politeness else 0)
         self.state_hosts = start_state_hosts(
             seen={"seen": cfg.seen_shard_bits, "img_seen": img_bits},
             seen_mode=cfg.seen_mode, seen_capacity=cfg.seen_capacity,
             robots_shards=n_robots, web_config=dict(cfg.web_config),
             robots_matcher=cfg.robots_matcher,
-            robots_user_agent=cfg.robots_user_agent,
-            politeness_shards=n_politeness)
+            robots_user_agent=cfg.robots_user_agent)
         self.seen = SeenFilter(self.state_hosts, "seen", cfg.seen_shard_bits)
         self.img_seen = SeenFilter(self.state_hosts, "img_seen", img_bits)
         self.robots = (RobotsClient(self.state_hosts, n_robots)
                        if n_robots else None)
         self.robots_shards = self.robots.shards if n_robots else []
-        self.politeness = (PolitenessClient(self.state_hosts, n_politeness)
-                           if n_politeness else None)
         self.rule_pack_ref = None
 
     def shutdown(self):
@@ -726,51 +703,20 @@ class CrawlRun:
         n_blocks = max(1, min(4 * self.cfg.fetch_concurrency, (n + 63) // 64))
         return rd.read_parquet(str(fdir), override_num_blocks=n_blocks), n
 
-    # -- round steps with more than one body ---------------------------------
     def _grant(self, admitted):
-        """The politeness grant: the one step with two bodies, because
-        only the Dataset one is a shuffle — a host's pending rows must
-        be co-located, so hosts hash into a bounded number of buckets
-        and the per-host top-k is vectorized per bucket."""
+        """The politeness grant.  A host's pending rows must meet in one
+        call: a driver table already is one; a Dataset is clipped block
+        by block, then hosts hash into a bounded number of buckets and
+        the same grant runs once per bucket."""
         from ..stages.combine import hash_bucket_combine
-        granter = self._granter
-        if isinstance(admitted, pa.Table):
-            return pa.Table.from_pandas(
-                granter(admitted.to_pandas()), preserve_index=False) \
-                .replace_schema_metadata(None)
-        if self.cfg.skew_salts > 1:
-            # a salted pre-clip phase bounds the per-task volume of hot
-            # hosts before the per-host merge
-            salts = self.cfg.skew_salts
-
-            def add_salt(t: pa.Table) -> pa.Table:
-                s = (t["url_hash"].to_numpy(zero_copy_only=False)
-                     % np.uint64(salts)).astype(np.int32)
-                return t.append_column("_salt", pa.array(s, pa.int32()))
-
-            preclip = _make_preclipper(self.cfg.host_budgets,
-                                       self.cfg.per_host_budget,
-                                       self.cfg.max_pending_per_host)
-            # block-local combiner BEFORE the shuffle: the same
-            # per-(host,_salt) clip applied to each block is exact
-            # (every row of a group's global top survives its block's
-            # clip) and frontier checkpoints are host-clustered, so the
-            # shuffle carries only plausible grantees.  Materialized
-            # before the shuffle: overlapping the RPC-blocking admit
-            # chain with the shuffle's map side DOUBLED the grant phase
-            # (7.0s -> 3.3s warm at 255k candidates, 8 cpus)
-            salted = admitted.map_batches(
-                add_salt, batch_format="pyarrow").map_batches(
-                preclip, batch_format="pandas").materialize()
-            preclipped = hash_bucket_combine(
-                salted, ["host", "_salt"], preclip, num_buckets=64)
-            decided = hash_bucket_combine(
-                preclipped, ["host"],
-                lambda b: granter(b.drop(columns=["_salt"])),
-                num_buckets=64)
-        else:
-            decided = hash_bucket_combine(
-                admitted.materialize(), ["host"], granter, num_buckets=64)
+        decided = _apply(self._grant_fn, admitted)
+        if isinstance(decided, pa.Table):
+            return decided
+        # materialized before the shuffle: overlapping the RPC-blocking
+        # admit chain with the shuffle's map side DOUBLED the grant
+        # phase (7.0s -> 3.3s warm at 255k candidates, 8 cpus)
+        decided = hash_bucket_combine(decided.materialize(), ["host"], None,
+                                      num_buckets=64, arrow_fn=self._grant_fn)
         # the round's pipeline cache: counts, fetch input and backlog
         # all read these blocks
         return decided.materialize()
@@ -852,7 +798,7 @@ class CrawlRun:
                        if (cfg.max_depth or cfg.max_url_len
                            or cfg.max_path_repeats) else None)
         seen_stage = SeenRobotsStage(self.seen, self.robots)
-        self._granter = _make_granter(
+        self._grant_fn = _make_grant(
             cfg.host_budgets, cfg.per_host_budget, cfg.max_pending_per_host,
             round_seconds=(cfg.round_seconds if cfg.robots_delay_budget
                            else 0.0))
@@ -860,7 +806,6 @@ class CrawlRun:
                             web_config=cfg.web_config,
                             max_redirects=cfg.max_redirects,
                             seen=self.seen, robots=self.robots,
-                            politeness=self.politeness,
                             page_ckpt_dir=str(self.pages_dir),
                             image_data_dir=str(self.images.data_dir),
                             image_seen=self.img_seen,

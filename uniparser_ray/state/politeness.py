@@ -1,4 +1,4 @@
-"""Per-host politeness: token buckets with a virtual clock.
+"""Per-host politeness: wall-clock token buckets.
 
 The reference gates each host behind ``Frequency(n, interval)``
 (reference: parsers.py:1582-1592, behavior pinned by its timing test).
@@ -6,15 +6,12 @@ A 256-node crawl cannot share a process-local gate, so politeness is
 split into logical shards keyed by ``url_hash64(host) % n`` that live
 on the state-host actors (state/host.py): fetch tasks acquire tokens
 in batch, one RPC per host, before issuing requests.
+``acquire_batch`` returns per-URL delays the fetcher must sleep before
+each request (fetchers sleep, actors never block).
 
-Two modes:
-
-* **wall-clock** — ``acquire_batch`` returns per-URL delays the fetcher
-  must sleep before each request (fetchers sleep, actors never block);
-* **virtual** — the round-based crawl loop advances logical time in
-  round units and asks "how many fetches may host H do this round?"
-  (``budget``); this keeps the loop deterministic and is the mode the
-  conformance oracle mirrors.
+This is pacing in real time only.  What the round-based crawl fetches
+is decided by its own virtual clock, the per-host grant in
+crawl/loop.py, which the conformance oracle mirrors.
 """
 
 from __future__ import annotations
@@ -29,31 +26,10 @@ class PolitenessShard:
         self.default = (default_rate, default_interval)
         # wall-clock state: host -> next allowed time
         self.next_free: Dict[str, float] = {}
-        # virtual state: host -> tokens used in current round
-        self.round_used: Dict[str, int] = {}
 
     def set_rule(self, host: str, n: float, interval: float = 1.0):
         self.rules[host] = (n, interval)
 
-    # -- virtual clock (round mode) ---------------------------------------
-    def begin_round(self):
-        self.round_used.clear()
-
-    def budget(self, host: str, round_duration: float = 1.0) -> int:
-        n, interval = self.rules.get(host, self.default)
-        if not n:
-            return 1 << 30
-        return max(1, int(n * round_duration / interval))
-
-    def acquire_round(self, host: str, want: int, round_duration: float = 1.0) -> int:
-        """How many of ``want`` fetches host may do this round."""
-        budget = self.budget(host, round_duration)
-        used = self.round_used.get(host, 0)
-        grant = max(0, min(want, budget - used))
-        self.round_used[host] = used + grant
-        return grant
-
-    # -- wall clock --------------------------------------------------------
     def acquire_batch(self, host: str, count: int,
                       now: float = None) -> List[float]:
         """Delays (seconds from now) before each of ``count`` requests.
