@@ -301,6 +301,14 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # rule-VM extraction as Dataset stages
         "events_json_k": relational.events_json_k,
         "doc_parse_rules": documents.doc_parse_rules,
+        # the DOM builder and selector and the image phash, kept
+        # among the first 50 entries, which correctness runs check
+        "images_phash_ann": images_q.images_phash_ann,
+        "images_dedup_clusters": images_q.images_dedup_clusters,
+        "crawl_images_curation": images_q.crawl_images_curation,
+        "crawl_page_lineage": images_q.crawl_page_lineage,
+        "crawl_image_lineage": images_q.crawl_image_lineage,
+        "crawl_redirects": crawl_q.crawl_redirects,
         # text analysis
         "doc_token_stats": documents.doc_token_stats,
         "doc_top_tokens": documents.doc_top_tokens,
@@ -357,7 +365,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # multimodal (input_hint image+caption table)
         "images_decode_stats": images_q.images_decode_stats,
         "images_neardup_phash": images_q.images_neardup_phash,
-        "images_dedup_clusters": images_q.images_dedup_clusters,
         "images_thumbnails": images_q.images_thumbnails,
         "images_aspect_buckets": images_q.images_aspect_buckets,
         "images_curation": images_q.images_curation,
@@ -366,9 +373,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "caption_token_stats": images_q.caption_token_stats,
         "images_caption_align": images_q.images_caption_align,
         "images_hard_negatives": images_q.images_hard_negatives,
-        "images_phash_ann": images_q.images_phash_ann,
         "caption_decontaminate": images_q.caption_decontaminate,
-        "crawl_images_curation": images_q.crawl_images_curation,
         "crawl_images_dedup_exact": images_q.crawl_images_dedup_exact,
         "crawl_wet_roundtrip": images_q.crawl_wet_roundtrip,
         "images_wds_roundtrip": images_q.images_wds_roundtrip,
@@ -376,7 +381,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "crawl_sitemap_ingest": crawl_q.crawl_sitemap_ingest,
         "crawl_sitemap_seed": crawl_q.crawl_sitemap_seed,
         "crawl_resume_roundtrip": crawl_q.crawl_resume_roundtrip,
-        "crawl_redirects": crawl_q.crawl_redirects,
         "images_psnr_audit": images_q.images_psnr_audit,
         "crawl_recrawl_delta": crawl_q.crawl_recrawl_delta,
         "crawl_sitemap_recrawl": crawl_q.crawl_sitemap_recrawl,
@@ -388,8 +392,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "video_shot_boundaries": images_q.video_shot_boundaries,
         "crawl_round_metrics": images_q.crawl_round_metrics,
         "crawl_politeness_audit": images_q.crawl_politeness_audit,
-        "crawl_page_lineage": images_q.crawl_page_lineage,
-        "crawl_image_lineage": images_q.crawl_image_lineage,
         "audio_vad_segments": images_q.audio_vad_segments,
         # the crawl itself
         "crawl_images": images_q.crawl_images,

@@ -160,3 +160,37 @@ def test_pii_and_decontam_constants_in_sync():
     assert entry.DECONTAM_MOD_SQL == DECONTAM_BENCH_MOD
     assert entry.PII_EMAIL_SQL == PII_EMAIL_RE
     assert entry.PII_PHONE_SQL == PII_PHONE_RE
+
+
+def test_queries_first_50_run_dom_and_phash():
+    """Correctness runs check the first 50 entries of queries().  The
+    entries that run the DOM builder, the selector or the image phash
+    sit among them; the six text entries they displaced keep their
+    callables further down, and there are still 132 distinct keys."""
+    from uniparser_ray.pipelines import crawl_q, documents, images_q
+
+    q = entry.queries()
+    names = list(q)
+    assert len(names) == len(set(names)) == 132
+    assert all(callable(fn) for fn in q.values())
+    moved_in = {
+        "images_phash_ann": images_q.images_phash_ann,
+        "images_dedup_clusters": images_q.images_dedup_clusters,
+        "crawl_images_curation": images_q.crawl_images_curation,
+        "crawl_page_lineage": images_q.crawl_page_lineage,
+        "crawl_image_lineage": images_q.crawl_image_lineage,
+        "crawl_redirects": crawl_q.crawl_redirects,
+        "doc_parse_rules": documents.doc_parse_rules,
+    }
+    moved_out = {
+        "doc_shard_assign": documents.doc_shard_assign,
+        "doc_seq_pack": documents.doc_seq_pack,
+        "doc_bpe_pairs": documents.doc_bpe_pairs,
+        "doc_dup_ngrams": documents.doc_dup_ngrams,
+        "doc_dup_spans": documents.doc_dup_spans,
+        "doc_dup_apply": documents.doc_dup_apply,
+    }
+    for name, fn in moved_in.items():
+        assert names.index(name) < 50 and q[name] is fn, name
+    for name, fn in moved_out.items():
+        assert names.index(name) >= 50 and q[name] is fn, name

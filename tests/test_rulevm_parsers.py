@@ -307,38 +307,20 @@ def test_md5():
     assert md5("test") == "098f6bcd4621d373cade4e832627b4f6"
 
 
-def test_fast_html_scanner_equals_stdlib_fuzz():
-    """parse_html's fast scanner is an optimization, never a semantic
-    change: for ANY markup the produced tree must equal the stdlib
-    html.parser build — structured generators cover the fast-path
-    grammar (nested tags, bare/valued attrs, self-close, voids,
-    implied closes) while hostile cases (entities, comments, doctype,
-    script-with-'<', unquoted attrs, spaces around '=', '>' in text
-    and attr values, uppercase, garbage) must BAIL to stdlib and so
-    agree trivially."""
-    from hypothesis import given, settings
+def _markup():
+    """Hypothesis strategy: markup mixing the one-pass builder's grammar
+    (nested tags, bare/valued attrs, self-close, voids, implied closes)
+    with hostile cases it must hand to html.parser (entities,
+    comments, doctype, script-with-'<', unquoted attrs, spaces around
+    '=', '>' in text and attr values, uppercase, garbage)."""
     from hypothesis import strategies as st
-
-    from uniparser_ray.rulevm.dom import _HtmlTreeBuilder, parse_html
-
-    def std_tree(markup):
-        b = _HtmlTreeBuilder()
-        b.feed(markup)
-        b.close()
-        return b.root
-
-    def eq(a, b):
-        return (a.kind == b.kind and a.tag == b.tag
-                and getattr(a, "attrs", None) == getattr(b, "attrs", None)
-                and getattr(a, "data", None) == getattr(b, "data", None)
-                and len(a.children) == len(b.children)
-                and all(eq(x, y) for x, y in zip(a.children, b.children)))
 
     tags = st.sampled_from(["a", "p", "li", "DIV", "br", "td", "tr",
                             "span", "img", "script", "style", "SCRIPT"])
     attr = st.sampled_from(['', ' class="x y"', ' href="/a?b=c"',
                             ' data-i="3"', ' checked', ' SRC="u" alt=""',
-                            ' title="a>b"', " style='q'", ' a = "b"'])
+                            ' title="a>b"', " style='q'", ' a = "b"',
+                            ' id="i" class="x"'])
     text = st.sampled_from(["", "hi", "a > b", "x & y", "5 < 6", "  ",
                             "café", "&amp;"])
 
@@ -362,11 +344,130 @@ def test_fast_html_scanner_equals_stdlib_fuzz():
         "<td>c1<td>c2<tr><td>r2</tr>", "<li>i1<li>i2",
     ])
     anything = st.text(alphabet="<>ab/\"'=& \n", max_size=30)
+    return st.lists(st.one_of(frag, hostile, anything),
+                    min_size=1, max_size=4).map("".join)
+
+
+def _std_tree(markup):
+    from uniparser_ray.rulevm.dom import _HtmlTreeBuilder
+
+    b = _HtmlTreeBuilder()
+    b.feed(markup)
+    b.close()
+    return b.root
+
+
+def _path(node):
+    """Child indexes from the root down to ``node``."""
+    out = []
+    while node.parent is not None:
+        out.append(node.parent.children.index(node))
+        node = node.parent
+    return tuple(reversed(out))
+
+
+def test_fast_html_scanner_equals_stdlib_fuzz():
+    """parse_html's one-pass builder is an optimization, never a
+    semantic change: for ANY markup the produced tree must equal the
+    stdlib html.parser build, parent links included (the descendant
+    and sibling combinators walk them), and combinator selectors must
+    pick the same nodes on both trees.  Hostile markup must bail to
+    stdlib and so agree trivially."""
+    from hypothesis import given, settings
+
+    from uniparser_ray.rulevm.dom import css_select, parse_html
+
+    def eq(a, b):
+        assert all(x.parent is a for x in a.children)
+        assert all(y.parent is b for y in b.children)
+        return (a.kind == b.kind and a.tag == b.tag
+                and getattr(a, "attrs", None) == getattr(b, "attrs", None)
+                and getattr(a, "data", None) == getattr(b, "data", None)
+                and len(a.children) == len(b.children)
+                and all(eq(x, y) for x, y in zip(a.children, b.children)))
 
     @settings(max_examples=250, deadline=None)
-    @given(st.lists(st.one_of(frag, hostile, anything),
-                    min_size=1, max_size=4).map("".join))
+    @given(_markup())
     def prop(markup):
-        assert eq(parse_html(markup), std_tree(markup)), repr(markup)
+        fast, std = parse_html(markup), _std_tree(markup)
+        assert fast.parent is None and eq(fast, std), repr(markup)
+        for sel in ("p a", "p > a", "li + li", "td ~ td", ":nth-child(2)"):
+            assert ([_path(n) for n in css_select(fast, sel)]
+                    == [_path(n) for n in css_select(std, sel)]), (sel, markup)
 
     prop()
+
+
+def test_css_select_tag_index_equals_walk_fuzz():
+    """css_select on a document root answers single-tag groups from a
+    per-document tag index; every answer must equal the plain walk
+    (same nodes, document order), for trees of both HTML builders and
+    of parse_xml, with first=True, and from an element scope, which
+    never builds an index."""
+    from hypothesis import given, settings
+
+    from uniparser_ray.rulevm.dom import (_fast_build, _match_complex,
+                                          _parse_group, css_select,
+                                          parse_xml)
+
+    groups = ["a", "p", "li", "td", "DIV", "div", "*", ".x", "#i",
+              "[href^=/a]", "[data-i]", "p a", "p > a", "li + li",
+              "td ~ td", "a.x, a[href]", "a, p", "li, td", "span, *",
+              "li:nth-child(2)", "td:first-child", "a:nth-of-type(1)",
+              "tr > td:last-child", "p:empty", ".x, #i"]
+
+    def walk(scope, sel):
+        group = _parse_group(sel)
+        return [el for el in scope.iter_elements()
+                if any(_match_complex(el, ps, scope) for ps in group)]
+
+    def same(got, want):
+        return len(got) == len(want) and all(
+            g is w for g, w in zip(got, want))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_markup())
+    def prop(markup):
+        trees = [_std_tree(markup), parse_xml(markup)]
+        fast = _fast_build(markup)
+        if fast is not None:
+            trees.append(fast)
+        for root in trees:
+            for sel in groups:
+                want = walk(root, sel)
+                assert same(css_select(root, sel), want), (sel, markup)
+                assert same(css_select(root, sel, first=True),
+                            want[:1]), (sel, markup)
+            assert root._tag_index is not None
+            for el in list(root.iter_elements())[:4]:
+                for sel in groups:
+                    assert same(css_select(el, sel), walk(el, sel)), \
+                        (sel, markup)
+                assert el._tag_index is None
+
+    prop()
+
+
+def test_fast_build_covers_benchmark_webs():
+    """Every 200 page of both benchmark web shapes takes the one-pass
+    builder: a template change that sends pages to html.parser (one
+    '&', a comment, a <script>) would silently give the speed back."""
+    import importlib.util
+
+    from uniparser_ray.rulevm.dom import _fast_build
+    from uniparser_ray.sources.synthweb import SynthWeb
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads",
+        Path(__file__).parent.parent / "perfbench" / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for w in workloads.WORKLOADS.values():
+        web = SynthWeb(**dict(w.web, num_hosts=6))
+        pages = 0
+        for url in web.all_page_urls():
+            status, _, body = web.get(url)
+            if status == 200:
+                pages += 1
+                assert _fast_build(body.decode()) is not None, (w.name, url)
+        assert pages > 0

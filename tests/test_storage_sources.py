@@ -36,6 +36,52 @@ def test_average_hash_properties():
     assert codecs.average_hash64(render_pixels(124)) != h1
 
 
+def _average_hash64_mean_loop(pixels):
+    """average_hash64 as first written, one np.mean per block: the
+    frozen reference its faster kernel must match bit for bit."""
+    gray = pixels.astype(np.float32).mean(axis=2)
+    h, w = gray.shape
+    ys = (np.arange(9) * h // 8).clip(1, h)
+    xs = (np.arange(9) * w // 8).clip(1, w)
+    ys[0] = 0
+    xs[0] = 0
+    small = np.empty((8, 8), np.float32)
+    for i in range(8):
+        for j in range(8):
+            small[i, j] = gray[ys[i]:max(ys[i + 1], ys[i] + 1),
+                               xs[j]:max(xs[j + 1], xs[j] + 1)].mean()
+    bits = (small > small.mean()).flatten()
+    val = int.from_bytes(np.packbits(bits).tobytes(), "big")
+    return val - (1 << 64) if val >= (1 << 63) else val
+
+
+def test_average_hash_bit_identical_to_mean_loop():
+    """The block means keep np.mean's summation order and rounding, so
+    every hash equals the np.mean loop's: on the synthetic renders
+    (smooth gradients, full of exact ties), on random images of every
+    side from 1 to 140 px, and on tie-heavy quantized ones.  1-px sides
+    leave empty blocks, which stay NaN but must not warn."""
+    import warnings
+
+    rng = np.random.default_rng(8)
+    images = [render_pixels(i) for i in range(20000)]
+    for k in range(3000):
+        h, w = (int(v) for v in rng.integers(1, 141, 2))
+        px = rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
+        images.append(px if k % 3 == 0 else
+                      (px // 128) * 255 if k % 3 == 1 else px // 64 * 64)
+    images += [np.full((h, w, 3), 7, np.uint8)
+               for h, w in ((1, 1), (1, 9), (13, 1), (8, 8), (140, 3))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        want = [_average_hash64_mean_loop(px) for px in images]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = [codecs.average_hash64(px) for px in images]
+    bad = [i for i, (g, x) in enumerate(zip(got, want)) if g != x]
+    assert not bad, (len(bad), bad[:5])
+
+
 def test_images_table_deterministic():
     t1 = build_images_batch(0, 20)
     t2 = build_images_batch(0, 20)

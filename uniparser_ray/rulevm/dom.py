@@ -4,8 +4,9 @@ The sandbox has no bs4 / lxml / selectolax, and the engine must parse
 millions of pages per worker, so this module implements:
 
 * a tiny tree (``Node``) shared by the HTML and XML front-ends,
-* an HTML builder over stdlib ``html.parser`` (void elements,
-  implied ``</p>``-style closes, comments kept as nodes),
+* an HTML builder (void elements, implied ``</p>``-style closes,
+  comments kept as nodes): one regex pass builds plain markup
+  directly, anything else goes through stdlib ``html.parser``,
 * a lenient XML builder (regex tokenizer; CDATA merged into text,
   namespace prefixes stripped from tag names — behavior matching what
   the reference observed through BeautifulSoup(features='lxml-xml'),
@@ -81,7 +82,8 @@ def _unescape(s: str) -> str:
 class Node:
     """One tree node: document root, element, text, or comment."""
 
-    __slots__ = ("kind", "tag", "attrs", "children", "parent", "data", "_xml")
+    __slots__ = ("kind", "tag", "attrs", "children", "parent", "data", "_xml",
+                 "_tag_index")
 
     def __init__(self, kind: int, tag: str = "", attrs: Optional[dict] = None,
                  data: str = "", xml: bool = False):
@@ -92,6 +94,9 @@ class Node:
         self.parent: Optional[Node] = None
         self.data = data
         self._xml = xml
+        # document roots only: tag -> elements in document order, built
+        # by the first css_select that can use it (see _elements_by_tag)
+        self._tag_index: Optional[dict] = None
 
     # -- tree ops ---------------------------------------------------------
     def append(self, node: "Node") -> None:
@@ -187,31 +192,41 @@ class Node:
 # ---------------------------------------------------------------------------
 
 
+def _implied_close(stack: List[Node], tag: str) -> None:
+    """Pop the elements that opening ``tag`` closes implicitly."""
+    cur = stack[-1]
+    if cur.kind != ELEMENT:
+        return
+    if tag in _P_CLOSERS and cur.tag == "p":
+        stack.pop()
+    elif tag == "li" and cur.tag == "li":
+        stack.pop()
+    elif tag in _CELL_TAGS and cur.tag in _CELL_TAGS:
+        stack.pop()
+    elif tag == "tr" and cur.tag in (_CELL_TAGS | {"tr"}):
+        while stack[-1].kind == ELEMENT and stack[-1].tag in _CELL_TAGS:
+            stack.pop()
+        if stack[-1].kind == ELEMENT and stack[-1].tag == "tr":
+            stack.pop()
+
+
+def _close_tag(stack: List[Node], tag: str) -> None:
+    """Pop through the innermost open ``tag``; an unmatched end tag is
+    ignored."""
+    for i in range(len(stack) - 1, 0, -1):
+        if stack[i].kind == ELEMENT and stack[i].tag == tag:
+            del stack[i:]
+            return
+
+
 class _HtmlTreeBuilder(_StdHTMLParser):
     def __init__(self):
         super().__init__(convert_charrefs=True)
         self.root = Node(DOCUMENT)
         self.stack: List[Node] = [self.root]
 
-    # implied end tags for a small set of container rules
-    def _implied_close(self, tag: str) -> None:
-        cur = self.stack[-1]
-        if cur.kind != ELEMENT:
-            return
-        if tag in _P_CLOSERS and cur.tag == "p":
-            self.stack.pop()
-        elif tag == "li" and cur.tag == "li":
-            self.stack.pop()
-        elif tag in _CELL_TAGS and cur.tag in _CELL_TAGS:
-            self.stack.pop()
-        elif tag == "tr" and cur.tag in (_CELL_TAGS | {"tr"}):
-            while self.stack[-1].kind == ELEMENT and self.stack[-1].tag in _CELL_TAGS:
-                self.stack.pop()
-            if self.stack[-1].kind == ELEMENT and self.stack[-1].tag == "tr":
-                self.stack.pop()
-
     def handle_starttag(self, tag, attrs):
-        self._implied_close(tag)
+        _implied_close(self.stack, tag)
         node = Node(ELEMENT, tag, {k: (v if v is not None else "") for k, v in attrs})
         self.stack[-1].append(node)
         if tag not in _VOID_TAGS:
@@ -222,11 +237,7 @@ class _HtmlTreeBuilder(_StdHTMLParser):
         self.stack[-1].append(node)
 
     def handle_endtag(self, tag):
-        for i in range(len(self.stack) - 1, 0, -1):
-            if self.stack[i].kind == ELEMENT and self.stack[i].tag == tag:
-                del self.stack[i:]
-                return
-        # unmatched end tag: ignore
+        _close_tag(self.stack, tag)
 
     def handle_data(self, data):
         if data:
@@ -236,20 +247,22 @@ class _HtmlTreeBuilder(_StdHTMLParser):
         self.stack[-1].append(Node(COMMENT, data=data))
 
 
-# Fast scanner for PLAIN html — the validate-then-replay twin of the
-# stdlib tokenizer (html.parser's goahead/parse_starttag machinery is
-# ~60% of fetch-stage CPU).  The scanner only accepts markup it can
-# tokenize with EXACTLY html.parser's semantics: tags of the strict
-# form <name attr="v" bare>, </name>, <name/>, no entities (&), no
-# single quotes, no comments/doctype/PI (any '<'/'>' left in a text
-# gap means the tag regex failed to consume something → bail), and no
-# CDATA mode (ANY opened <script>/<style> bails — stdlib treats their
-# content as raw text, the scanner would tokenize it as markup), so
-# rawtext elements, spaces around '=', unquoted values, '>' inside
-# attr values etc. all fall back to the stdlib path untouched.  Tag/attr names are lowercased exactly like
-# html.parser; duplicate attrs keep the last occurrence via the same
-# dict construction; <x/> replays as startendtag.  Differential fuzz
-# (tests/test_rulevm_parsers.py) pins fast-tree == stdlib-tree.
+# One-pass builder for PLAIN html.  The stdlib tokenizer's
+# goahead/parse_starttag machinery costs about twice this builder per
+# ~8 KB page, so markup the builder can read with EXACTLY html.parser's
+# semantics skips it: tags of the strict form <name attr="v" bare>,
+# </name>, <name/>; no entities (&), no single quotes, no
+# comments/doctype/PI (any '<'/'>' left in a text gap means the tag
+# regex failed to consume something), and no CDATA mode (an opened
+# <script>/<style> — stdlib reads their content as raw text).  Rawtext
+# elements, spaces around '=', unquoted values, '>' inside attr values
+# etc. make it return None, and parse_html throws the partial tree
+# away and runs the stdlib builder.  Tag/attr names are lowercased
+# exactly like html.parser, duplicate attrs keep the last occurrence,
+# <x/> is a startendtag (no implied close, never pushed), and both
+# builders share _implied_close and _close_tag.
+# Differential fuzz (tests/test_rulevm_parsers.py) pins the fast tree,
+# parent links included, to the stdlib tree.
 _FAST_TAG = re.compile(
     r'<(/?)([a-zA-Z][a-zA-Z0-9-]*)'
     r'((?:\s+[a-zA-Z_:][-a-zA-Z0-9_:.]*(?:="[^"<>]*")?)*)\s*(/?)>')
@@ -259,55 +272,57 @@ _FAST_ATTR = re.compile(
 _CDATA_CONTENT = frozenset(("script", "style"))
 
 
-def _fast_build(markup: str, builder: "_HtmlTreeBuilder") -> bool:
+def _fast_build(markup: str) -> Optional[Node]:
+    """The tree of plain ``markup``, or None where only html.parser
+    can read it."""
     if "&" in markup or "'" in markup:
-        return False
-    events = []
+        return None
+    root = Node(DOCUMENT)
+    stack = [root]
     pos = 0
     for m in _FAST_TAG.finditer(markup):
-        gap = markup[pos:m.start()]
-        if "<" in gap or ">" in gap:
-            return False
-        if gap:
-            events.append((builder.handle_data, gap))
+        start = m.start()
+        if start > pos:
+            gap = markup[pos:start]
+            if "<" in gap or ">" in gap:
+                return None
+            stack[-1].append(Node(TEXT, "", None, gap))
+        pos = m.end()
         closing, tag, rawattrs, selfclose = m.groups()
         tag = tag.lower()
         if closing:
             if rawattrs or selfclose:   # </a b> / </a/> — let stdlib rule
-                return False
-            events.append((builder.handle_endtag, tag))
-        else:
-            attrs = [(a.group(1).lower(), a.group(2))
-                     for a in _FAST_ATTR.finditer(rawattrs)]
-            if selfclose:
-                events.append((builder.handle_startendtag, tag, attrs))
-            else:
-                if tag in _CDATA_CONTENT:
-                    # html.parser enters CDATA mode after <script>/<style>
-                    # (but NOT after <script/>): everything up to the next
-                    # </script is raw text, never markup.  The scanner has
-                    # no CDATA state, so any opened rawtext element routes
-                    # the whole document to the stdlib path.
-                    return False
-                events.append((builder.handle_starttag, tag, attrs))
-        pos = m.end()
+                return None
+            _close_tag(stack, tag)
+            continue
+        attrs = ({a.lower(): v for a, v in _FAST_ATTR.findall(rawattrs)}
+                 if rawattrs else {})
+        node = Node(ELEMENT, tag, attrs)
+        if selfclose:
+            stack[-1].append(node)
+            continue
+        if tag in _CDATA_CONTENT:
+            return None
+        _implied_close(stack, tag)
+        stack[-1].append(node)
+        if tag not in _VOID_TAGS:
+            stack.append(node)
     tail = markup[pos:]
     if "<" in tail or ">" in tail:
-        return False
+        return None
     if tail:
-        events.append((builder.handle_data, tail))
-    for fn, *args in events:
-        fn(*args)
-    return True
+        stack[-1].append(Node(TEXT, "", None, tail))
+    return root
 
 
 def parse_html(markup: str) -> Node:
-    builder = _HtmlTreeBuilder()
-    if not _fast_build(markup, builder):
+    root = _fast_build(markup)
+    if root is None:
         builder = _HtmlTreeBuilder()
         builder.feed(markup)
         builder.close()
-    return builder.root
+        root = builder.root
+    return root
 
 
 # ---------------------------------------------------------------------------
@@ -636,12 +651,38 @@ def _match_complex(el: Node, ps: _ParsedSelector, scope: Node) -> bool:
     return backtrack(el, 1)
 
 
+def _elements_by_tag(doc: Node) -> dict:
+    """tag -> the document's elements with that tag, in document order.
+    Built once per document and cached on its root: trees are not
+    mutated after parsing, and the parsers' DOM memo hands one tree to
+    every rule of a page."""
+    index = doc._tag_index
+    if index is None:
+        index = {}
+        for el in doc.iter_elements():
+            index.setdefault(el.tag, []).append(el)
+        doc._tag_index = index
+    return index
+
+
 def css_select(scope: Node, selector: str, first: bool = False) -> List[Node]:
     """All descendant elements of ``scope`` matching the selector group,
     in document order."""
     group = _parse_group(selector)
+    candidates = None
+    if scope.kind == DOCUMENT:
+        # an element can only match if its tag is the rightmost
+        # compound's, so when the whole group names one concrete tag
+        # the document's elements with that tag are the whole walk
+        tags = {ps.parts[0][1].tag for ps in group}
+        if len(tags) == 1:
+            tag = tags.pop()
+            if tag and tag != "*":
+                candidates = _elements_by_tag(scope).get(tag, ())
+    if candidates is None:
+        candidates = scope.iter_elements()
     out: List[Node] = []
-    for el in scope.iter_elements():
+    for el in candidates:
         for ps in group:
             if _match_complex(el, ps, scope):
                 out.append(el)

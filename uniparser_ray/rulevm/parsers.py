@@ -124,12 +124,17 @@ class BaseParser:
 
 
 # One-slot DOM memo: a crawler rule runs SEVERAL parse rules over the
-# SAME page HTML back to back, and html parsing dominates the fetch
-# stage (measured 85% of stage CPU, ~3 parses/page).  Key by string
+# SAME page HTML back to back (3 css rules per page in the synthetic
+# web's rule pack), and building the DOM is still the largest share of
+# the fetch stage (~60% of its in-process CPU on ~8 KB pages with the
+# one-pass builder; CSS selection ~5%).  The memo keeps that to one
+# build per page, which also lets css_select reuse the tree's tag
+# index across the rules.  Key by string
 # IDENTITY and keep a reference to the key, so a recycled id() can
 # never alias (the memoized string stays alive while memoized) and
 # equal-but-distinct strings just miss — a miss is only the old cost.
-# The DOM is read-only under select, so sharing the tree is safe.
+# The DOM is read-only under select (its lazily built tag index comes
+# out the same whichever thread builds it), so sharing the tree is safe.
 # The (markup, node) pair lives in ONE global so both read and publish
 # are single atomic reference ops under the GIL — two separate globals
 # could tear under threaded use (async UDF helper threads) and pair one

@@ -260,11 +260,19 @@ def average_hash64(pixels: np.ndarray) -> int:
     xs = (np.arange(9) * w // 8).clip(1, w)
     ys[0] = 0
     xs[0] = 0
+    ys, xs = ys.tolist(), xs.tolist()
     small = np.empty((8, 8), np.float32)
+    # each block mean is np.mean's own kernel (pairwise float32
+    # add.reduce, then divide by an intp count) without its wrapper;
+    # a reshape-mean would sum in another order and flip exact ties.
+    # A 1-px side leaves empty blocks, NaN as np.mean gives them
     for i in range(8):
+        rows = gray[ys[i]:max(ys[i + 1], ys[i] + 1)]
         for j in range(8):
-            small[i, j] = gray[ys[i]:max(ys[i + 1], ys[i] + 1),
-                               xs[j]:max(xs[j + 1], xs[j] + 1)].mean()
+            block = rows[:, xs[j]:max(xs[j + 1], xs[j] + 1)]
+            n = block.size
+            small[i, j] = (np.add.reduce(block, axis=None) / np.intp(n)
+                           if n else np.nan)
     bits = (small > small.mean()).flatten()
     # MSB-first pack (np.packbits default bitorder) — value-identical
     # to the shift-or loop it replaced, without 64 python iterations
