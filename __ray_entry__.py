@@ -296,8 +296,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
             relational.events_hopping(sf).to_pandas(), ["window_start"]),
         "events_cumulative": relational.events_cumulative,
         "orders_rollup": relational.orders_rollup,
-        "orders_incremental_agg": relational.orders_incremental_agg,
-        "events_pivot": relational.events_pivot,
         # rule-VM extraction as Dataset stages
         "events_json_k": relational.events_json_k,
         "doc_parse_rules": documents.doc_parse_rules,
@@ -309,6 +307,16 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "crawl_page_lineage": images_q.crawl_page_lineage,
         "crawl_image_lineage": images_q.crawl_image_lineage,
         "crawl_redirects": crawl_q.crawl_redirects,
+        # the crawls that admit through robots (the one RFC 9309
+        # matcher), also among the first 50
+        "crawl_robots_rfc": crawl_q.crawl_robots_rfc,
+        "crawl_politeness_audit": images_q.crawl_politeness_audit,
+        "crawl_round_metrics": images_q.crawl_round_metrics,
+        "crawl_host_ban": crawl_q.crawl_host_ban,
+        "crawl_trap_guard": crawl_q.crawl_trap_guard,
+        "crawl_resume_roundtrip": crawl_q.crawl_resume_roundtrip,
+        "orders_incremental_agg": relational.orders_incremental_agg,
+        "events_pivot": relational.events_pivot,
         # text analysis
         "doc_token_stats": documents.doc_token_stats,
         "doc_top_tokens": documents.doc_top_tokens,
@@ -380,18 +388,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "crawl_url_canon": crawl_q.crawl_url_canon,
         "crawl_sitemap_ingest": crawl_q.crawl_sitemap_ingest,
         "crawl_sitemap_seed": crawl_q.crawl_sitemap_seed,
-        "crawl_resume_roundtrip": crawl_q.crawl_resume_roundtrip,
         "images_psnr_audit": images_q.images_psnr_audit,
         "crawl_recrawl_delta": crawl_q.crawl_recrawl_delta,
         "crawl_sitemap_recrawl": crawl_q.crawl_sitemap_recrawl,
-        "crawl_trap_guard": crawl_q.crawl_trap_guard,
-        "crawl_robots_rfc": crawl_q.crawl_robots_rfc,
-        "crawl_host_ban": crawl_q.crawl_host_ban,
         "audio_features": images_q.audio_features_q,
         "video_frames": images_q.video_frames_q,
         "video_shot_boundaries": images_q.video_shot_boundaries,
-        "crawl_round_metrics": images_q.crawl_round_metrics,
-        "crawl_politeness_audit": images_q.crawl_politeness_audit,
         "audio_vad_segments": images_q.audio_vad_segments,
         # the crawl itself
         "crawl_images": images_q.crawl_images,
@@ -892,9 +894,9 @@ def _multimodal_oracle_thunks(tag: str) -> dict:
             WITH {_values_cte('e', _expected_table('trap', tag))}
             SELECT url, round, depth, status FROM e
         """,
-        # twin = the sequential conformance crawler running the SAME
-        # RFC-9309 matcher (wildcards, $ anchors, Allow precedence,
-        # UA group selection) over the same wildcard-robots web; the
+        # twin = the sequential conformance crawler reading the same
+        # wildcard-robots web with its own RFC 9309 reader (wildcards,
+        # $ anchors, Allow precedence, UA group selection); the
         # compare pins the full fetch schedule
         "crawl_robots_rfc": lambda: f"""
             WITH {_values_cte('e', _expected_table('robots_rfc', tag))}

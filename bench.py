@@ -113,8 +113,7 @@ def run_suite(sf_dir: str, num_cpus: int) -> dict:
 
     # -- wall-clock politeness mode (PolitenessShard acquire path):
     # same fetch+parse stage, per-request pacing through the shard
-    # actors (unlimited rate, so the number measures the acquire/RPC
-    # overhead of the continuous-fetch path, not configured sleeps)
+    # actors under a per-host rule; reported beside its paced ceiling
     pol = politeness_fetch_rate(num_cpus)
 
     # `value` keeps the round-1 composition (crawl + operator queries)
@@ -355,6 +354,7 @@ def run_suite(sf_dir: str, num_cpus: int) -> dict:
         "crawl_pages": pages,
         "crawl_images": totals["images"],
         "politeness_pages_per_sec": pol["pages_per_sec"],
+        "politeness_ceiling_pages_per_sec": pol["ceiling_pages_per_sec"],
         "ops_r3": ops_r3,
         "ops_r4": ops_r4,
         "ops_r5": ops_r5,
@@ -362,10 +362,17 @@ def run_suite(sf_dir: str, num_cpus: int) -> dict:
     }
 
 
-def politeness_fetch_rate(num_cpus: int, n_urls: int = 4096) -> dict:
+def politeness_fetch_rate(num_cpus: int) -> dict:
     """Throughput of the CONTINUOUS-fetch path: FetchParseStage with
-    wall-clock politeness shards attached (per-request pacing via
-    shard-clock schedules, stages/crawl_stages.py)."""
+    wall-clock politeness shards attached, every host ruled at ``rate``
+    requests per ``interval`` (per-request pacing via shard-clock
+    schedules, stages/crawl_stages.py).  Each host serves the same
+    ``per_host`` pages, so hosts * rate / interval is the paced
+    ceiling.  Every request is stamped on the node's monotonic clock;
+    the observed per-host gaps must honour the rule up to one request
+    of scheduling jitter."""
+    from collections import defaultdict
+
     import pyarrow as pa
     import ray
     import ray.data as rd
@@ -376,10 +383,30 @@ def politeness_fetch_rate(num_cpus: int, n_urls: int = 4096) -> dict:
     from uniparser_ray.stages.taskcache import cached_stage
     from uniparser_ray.state.host import PolitenessClient, start_state_hosts
 
+    class StampedFetch(FetchParseStage):
+        """Adds each row's request start time as ``fetched_at``."""
+
+        def _follow_fetch(self, rule, url, attempt):
+            self.stamps[url] = time.monotonic()
+            return super()._follow_fetch(rule, url, attempt)
+
+        def __call__(self, batch):
+            self.stamps = {}
+            out = super().__call__(batch)
+            return out.append_column("fetched_at", pa.array(
+                [self.stamps.get(u) for u in out["url"].to_pylist()],
+                pa.float64()))
+
+    per_host, rate, interval = 28, 25.0, 1.0
     web_cfg = dict(num_hosts=32, base_pages=160, fanout=4, hot_factor=4.0)
     web = SynthWeb(**web_cfg)
-    urls = web.all_page_urls()[:n_urls]
+    urls = [web.page_url(h, p) for h in range(web_cfg["num_hosts"])
+            for p in range(per_host)]
+    host_names = sorted({get_host(u, "") for u in urls})
     hosts = start_state_hosts(seen={}, politeness_shards=4)
+    politeness = PolitenessClient(hosts, 4)
+    for h in host_names:
+        politeness.set_rule(h, rate, interval)
     t = pa.table({
         "url": pa.array(urls, pa.large_string()),
         "url_hash": pa.array([0] * len(urls), pa.uint64()),
@@ -391,16 +418,35 @@ def politeness_fetch_rate(num_cpus: int, n_urls: int = 4096) -> dict:
     ds = rd.from_arrow(t).repartition(max(4, num_cpus))
     rule_pack_ref = ray.put(web.rule_pack())
     t0 = time.perf_counter()
-    n = ds.map_batches(
-        cached_stage(FetchParseStage, rule_pack_ref=rule_pack_ref,
-                     web_config=web_cfg,
-                     politeness=PolitenessClient(hosts, 4)),
-        batch_format="pyarrow", batch_size=256).count()
+    rows = ds.map_batches(
+        cached_stage(StampedFetch, rule_pack_ref=rule_pack_ref,
+                     web_config=web_cfg, politeness=politeness),
+        batch_format="pyarrow", batch_size=256) \
+        .select_columns(["host", "fetched_at"]).take_all()
     sec = time.perf_counter() - t0
     for h in hosts:
         ray.kill(h)
-    return {"sec": round(sec, 3), "pages": n,
-            "pages_per_sec": round(n / sec, 1)}
+    by_host = defaultdict(list)
+    for r in rows:
+        by_host[r["host"]].append(r["fetched_at"])
+    # any k consecutive requests of a host span at least (k - 2) gaps:
+    # with u_i = t_i - i * gap, u_j - u_i >= -gap for every i < j
+    gap = interval / rate
+    slack = 0.0
+    for ts in by_host.values():
+        ts.sort()
+        peak = ts[0]
+        for i, ti in enumerate(ts):
+            u = ti - i * gap
+            slack = min(slack, u - peak)
+            peak = max(peak, u)
+    assert len(rows) == len(urls) and slack >= -gap, \
+        f"politeness rule broken: {len(rows)}/{len(urls)} rows, " \
+        f"a host ran {-slack:.3f}s ahead of its {gap:.3f}s gaps"
+    return {"sec": round(sec, 3), "pages": len(rows),
+            "pages_per_sec": round(len(rows) / sec, 1),
+            "ceiling_pages_per_sec": round(
+                len(host_names) * rate / interval, 1)}
 
 
 def run_steady(num_cpus: int) -> dict:

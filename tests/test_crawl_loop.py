@@ -1203,13 +1203,13 @@ _SWEEP_COMBOS = [
          oracle=dict(per_host_budget=2, max_pending_per_host=4,
                      max_path_repeats=2)),
     # round-5: RFC-9309 wildcard robots + redirects (per-hop robots
-    # checks run through the REP matcher) + sitemap seeding (seeded
+    # checks run through the RFC 9309 matcher) + sitemap seeding (seeded
     # URLs admitted through wildcard rules) in one mix
     dict(web=dict(num_hosts=8, base_pages=10, fanout=3, hot_factor=4.0,
                   seed=41, robots_wildcards=True, redirect_rate=0.35),
-         cfg=dict(per_host_budget=3, robots_matcher="rfc9309",
+         cfg=dict(per_host_budget=3,
                   sitemap_seeds=True, robots_delay_budget=True),
-         oracle=dict(per_host_budget=3, robots_matcher="rfc9309",
+         oracle=dict(per_host_budget=3,
                      robots_delay_budget=True),
          run=dict(sitemap_seeds=True)),
 ]

@@ -164,10 +164,12 @@ def test_pii_and_decontam_constants_in_sync():
 
 def test_queries_first_50_run_dom_and_phash():
     """Correctness runs check the first 50 entries of queries().  The
-    entries that run the DOM builder, the selector or the image phash
-    sit among them; the six text entries they displaced keep their
-    callables further down, and there are still 132 distinct keys."""
-    from uniparser_ray.pipelines import crawl_q, documents, images_q
+    entries that run the DOM builder, the selector or the image phash,
+    and the crawls that admit through robots, sit among them; the
+    entries they displaced keep their callables further down, and
+    there are still 132 distinct keys."""
+    from uniparser_ray.pipelines import (crawl_q, documents, images_q,
+                                         relational)
 
     q = entry.queries()
     names = list(q)
@@ -181,6 +183,12 @@ def test_queries_first_50_run_dom_and_phash():
         "crawl_image_lineage": images_q.crawl_image_lineage,
         "crawl_redirects": crawl_q.crawl_redirects,
         "doc_parse_rules": documents.doc_parse_rules,
+        "crawl_robots_rfc": crawl_q.crawl_robots_rfc,
+        "crawl_politeness_audit": images_q.crawl_politeness_audit,
+        "crawl_round_metrics": images_q.crawl_round_metrics,
+        "crawl_host_ban": crawl_q.crawl_host_ban,
+        "crawl_trap_guard": crawl_q.crawl_trap_guard,
+        "crawl_resume_roundtrip": crawl_q.crawl_resume_roundtrip,
     }
     moved_out = {
         "doc_shard_assign": documents.doc_shard_assign,
@@ -189,6 +197,12 @@ def test_queries_first_50_run_dom_and_phash():
         "doc_dup_ngrams": documents.doc_dup_ngrams,
         "doc_dup_spans": documents.doc_dup_spans,
         "doc_dup_apply": documents.doc_dup_apply,
+        "doc_token_stats": documents.doc_token_stats,
+        "doc_top_tokens": documents.doc_top_tokens,
+        "doc_sample_hash": documents.doc_sample_hash,
+        "doc_tfidf_topk": documents.doc_tfidf_topk,
+        "orders_incremental_agg": relational.orders_incremental_agg,
+        "events_pivot": relational.events_pivot,
     }
     for name, fn in moved_in.items():
         assert names.index(name) < 50 and q[name] is fn, name

@@ -5,38 +5,21 @@ precedence with Allow winning ties, user-agent group selection by
 case-insensitive equality of the UA line's product token with ours
 and `*` fallback, adjacent user-agent lines sharing one group,
 same-token groups merging, first-wins Crawl-delay, and rules before
-any user-agent line belonging to no group.  A naive
-independent matcher (character-walk backtracking) fuzzes the compiled
+any user-agent line belonging to no group.  The BFS oracle's own naive
+reading (a group state machine and a character-walk backtracking
+matcher, crawl/oracle.py) fuzzes the engine's parser and compiled
 regex form, and a differential crawl pins engine == oracle schedules
 over a wildcard-robots web.
 """
-import re
+import ast
+import inspect
 
 import pytest
 
-from uniparser_ray.state.robots import (RobotsMatcher,
+from uniparser_ray.crawl import oracle
+from uniparser_ray.crawl.oracle import naive_robots_group, naive_rule_match
+from uniparser_ray.state.robots import (RobotsMatcher, parse_crawl_delay,
                                         parse_robots_rfc9309)
-
-
-def _naive_match(pattern: str, path: str) -> bool:
-    """Independent reference: char-walk with backtracking on '*'."""
-    anchored = pattern.endswith("$")
-    body = pattern[:-1] if anchored else pattern
-
-    def walk(pi, si):
-        while True:
-            if pi == len(body):
-                return si == len(path) if anchored else True
-            c = body[pi]
-            if c == "*":
-                return any(walk(pi + 1, k) for k in range(si, len(path) + 1))
-            if si < len(path) and path[si] == c:
-                pi += 1
-                si += 1
-                continue
-            return False
-
-    return walk(0, 0)
 
 
 def test_rfc_examples():
@@ -105,14 +88,15 @@ def test_fuzz_vs_naive():
         path = "".join(rnd.choice("ab/.") for _ in range(rnd.randint(0, 10)))
         m = RobotsMatcher([(pat, False)])
         # matcher DISALLOWS path iff the pattern matches it
-        assert (not m.allowed(path)) == _naive_match(pat, path), (pat, path)
+        assert (not m.allowed(path)) == naive_rule_match(pat, path), \
+            (pat, path)
 
 
 def test_crawl_rfc9309_differential(ray_session, tmp_path):
-    """Engine crawl with robots_matcher='rfc9309' over the wildcard-
-    robots web == the rfc-configured sequential oracle, round for
-    round — and the wildcard semantics demonstrably bite (some page
-    allowed by the prefix matcher is blocked by the RFC one)."""
+    """Engine crawl over the wildcard-robots web == the sequential
+    oracle with its own robots reader, round for round — and the
+    wildcard semantics demonstrably bite (a page ending in 3 is
+    blocked, the Allow-tied /page/13 is not)."""
     import pyarrow.parquet as pq
 
     from uniparser_ray.crawl.loop import CrawlConfig, run_crawl
@@ -126,7 +110,7 @@ def test_crawl_rfc9309_differential(ray_session, tmp_path):
     cfg = CrawlConfig(web_config=cfgw, out_dir=str(out),
                       seeds=web.seed_urls(), max_rounds=20,
                       per_host_budget=4, fetch_concurrency=2,
-                      seen_shard_bits=2, robots_matcher="rfc9309")
+                      seen_shard_bits=2)
     totals = run_crawl(cfg, web.rule_pack())
     assert totals["pages_ok"] > 0
 
@@ -141,7 +125,7 @@ def test_crawl_rfc9309_differential(ray_session, tmp_path):
         rounds.append(sorted(urls))
 
     oracle = BFSOracle(SynthWeb(**cfgw), web.rule_pack(),
-                       per_host_budget=4, robots_matcher="rfc9309")
+                       per_host_budget=4)
     want = oracle.run(web.seed_urls(), max_rounds=20)
     assert rounds == [r["fetched"] for r in want["rounds"]]
 
@@ -157,50 +141,14 @@ def test_crawl_rfc9309_differential(ray_session, tmp_path):
 
 def test_fuzz_group_selection_vs_naive():
     """Group selection fuzz: random robots files with random UA tokens
-    vs an independent naive reading of RFC 9309 s2.2.1 (parse groups
-    by state machine, product token = the leading letters, '_' and '-'
-    of a UA value, pick the group whose token EQUALS ours ignoring
-    case, else *, merge same-token groups)."""
+    vs the oracle's independent naive reading of RFC 9309 s2.2.1
+    (parse groups by state machine, product token = the leading
+    letters, '_' and '-' of a UA value, pick the group whose token
+    EQUALS ours ignoring case, else *, merge same-token groups)."""
     import random
 
     rnd = random.Random(2209)
     toks = ["bot", "b", "botx", "my-bot", "My-Bot/2.0", "other", "*"]
-
-    def token(v):
-        # walk characters instead of a regex: letters, '_' and '-'
-        out = ""
-        for ch in v:
-            if not (ch.isascii() and (ch.isalpha() or ch in "_-")):
-                break
-            out += ch
-        return out.lower()
-
-    def naive(text, ua):
-        groups, cur, last_ua = {}, [], False
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line or ":" not in line:
-                continue
-            f, v = [x.strip() for x in line.split(":", 1)]
-            f = f.lower()
-            if f == "user-agent":
-                if not last_ua:
-                    cur = []
-                key = "*" if v == "*" else token(v)
-                cur.append(key)
-                groups.setdefault(key, [])
-                last_ua = True
-            elif f in ("allow", "disallow"):
-                last_ua = False
-                if cur and v:
-                    for t in cur:
-                        groups[t].append((v, f == "allow"))
-            else:
-                last_ua = False
-        ours = token(ua)
-        if ours and ours in groups:
-            return groups[ours]
-        return groups.get("*", [])
 
     for _ in range(300):
         lines = []
@@ -216,19 +164,16 @@ def test_fuzz_group_selection_vs_naive():
                 lines.append("Crawl-delay: 5")
         text = "\n".join(lines)
         ua = rnd.choice(["my-bot/1.0", "botx", "zzz", "b", "BOT"])
-        assert parse_robots_rfc9309(text, ua) == naive(text, ua), \
-            (text, ua)
+        rules, delay = naive_robots_group(text, ua)
+        assert parse_robots_rfc9309(text, ua) == rules, (text, ua)
+        assert parse_crawl_delay(text, ua) == delay, (text, ua)
 
 
 def test_crawl_delay_group_selection():
-    """Group-aware Crawl-delay (rfc mode): the crawler's OWN group's
-    delay wins over the catch-all's; ua='*' keeps the historic
-    *-group-only behavior byte for byte."""
-    from uniparser_ray.state.robots import parse_crawl_delay
-
+    """Group-aware Crawl-delay: the crawler's OWN group's delay wins
+    over the catch-all's."""
     t = ("User-agent: uniparser-ray\nCrawl-delay: 40\nDisallow:\n"
          "User-agent: *\nCrawl-delay: 5\nDisallow:\n")
-    assert parse_crawl_delay(t) == 5.0                   # historic
     assert parse_crawl_delay(t, "uniparser-ray") == 40.0
     assert parse_crawl_delay(t, "otherbot") == 5.0       # * fallback
     # adjacent UA lines share the delay; bogus values read 0
@@ -249,7 +194,6 @@ def test_decoy_user_agent_does_not_capture_product_token(decoy):
          "User-agent: *\nDisallow: /\nCrawl-delay: 9\n")
     m = RobotsMatcher(parse_robots_rfc9309(t, "uniparser-ray"))
     assert not m.allowed("/page/1")
-    from uniparser_ray.state.robots import parse_crawl_delay
     assert parse_crawl_delay(t, "uniparser-ray") == 9.0
     # our own token (with a version suffix) still selects its group
     t2 = t + "User-agent: Uniparser-Ray/1.0\nAllow: /\n"
@@ -260,7 +204,6 @@ def test_decoy_user_agent_does_not_capture_product_token(decoy):
 def test_crawl_delay_first_line_wins_even_if_zero():
     """An explicit Crawl-delay: 0 (or an invalid value) is the group's
     delay; a later line in the same (merged) group does not replace it."""
-    from uniparser_ray.state.robots import parse_crawl_delay
     t = ("User-agent: uniparser-ray\nCrawl-delay: 0\n"
          "User-agent: uniparser-ray\nCrawl-delay: 30\n")
     assert parse_crawl_delay(t, "uniparser-ray") == 0.0
@@ -274,3 +217,21 @@ def test_end_anchor_rejects_trailing_newline():
     m = RobotsMatcher(parse_robots_rfc9309("User-agent: *\nDisallow: /a$\n"))
     assert not m.allowed("/a")
     assert m.allowed("/a\n")
+
+
+def test_oracle_imports_nothing_from_engine_robots():
+    """The BFS oracle reads robots.txt with its own code: no import in
+    crawl/oracle.py (module level or inside a function) reaches
+    uniparser_ray.state.robots, so a crawl differential can see a
+    fault in the engine's matcher."""
+    tree = ast.parse(inspect.getsource(oracle))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            imported.add(base)
+            imported.update(f"{base}.{a.name}" for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+    assert imported, "no imports parsed"
+    assert not [n for n in imported if "state.robots" in n]

@@ -113,6 +113,16 @@ def test_xml_parser():
         ["This is a title"], ["This is a title2"]]
 
 
+def test_parse_xml_nameless_tag_is_text():
+    """'< >' opens no element: parse_xml keeps it as text instead of
+    failing on the missing tag name (a css-select fuzz input)."""
+    from uniparser_ray.rulevm.dom import parse_xml
+
+    root = parse_xml("a< >b<x>< /></x>")
+    assert [c.data for c in root.children[:3]] == ["a", "< >", "b"]
+    assert [c.tag for c in root.iter_elements()] == ["x"]
+
+
 def test_re_parser():
     uni = Uniparser()
     assert uni.re.parse(HTML, 'class="a"', "") == ['class="a"'] * 3

@@ -91,6 +91,52 @@ def test_fetch_stage_wall_clock_politeness(ray_session):
         ray.kill(h)
 
 
+def test_fetch_stage_paces_hosts_in_slot_order(ray_session):
+    """A batch holding two hosts' rows one host after the other still
+    paces each host: requests go out in slot order, so the second
+    host's requests do not fire back to back once the first host's
+    schedule has run (clock and sleep injected)."""
+    import pyarrow as pa
+    import ray
+
+    from uniparser_ray.sources.synthweb import SynthWeb
+    from uniparser_ray.stages.crawl_stages import FetchParseStage
+    from uniparser_ray.state.host import PolitenessClient, start_state_hosts
+
+    web_cfg = dict(num_hosts=2, base_pages=4, fanout=2, hot_factor=2.0)
+    web = SynthWeb(**web_cfg)
+    hosts = start_state_hosts(seen={}, politeness_shards=1)
+    politeness = PolitenessClient(hosts, 1)
+    for h in range(2):
+        politeness.set_rule(web.host_name(h), 1, 2.0)  # 1 req / 2 s
+    clock = [0.0]
+    stage = FetchParseStage(
+        rule_pack=web.rule_pack(), web_config=web_cfg,
+        politeness=politeness,
+        sleep_fn=lambda d: clock.__setitem__(0, clock[0] + d))
+    stage._now = lambda: clock[0]
+    fetch, sent = stage._follow_fetch, []
+
+    def stamped(rule, url, attempt):
+        sent.append((url.split("/")[2], clock[0]))
+        return fetch(rule, url, attempt)
+
+    stage._follow_fetch = stamped
+    batch = pa.Table.from_pylist([
+        {"url": web.page_url(h, p), "url_hash": 0,
+         "host": web.host_name(h), "depth": 0, "priority": 0.0,
+         "parent": ""} for h in range(2) for p in range(3)])
+    try:
+        assert stage(batch).num_rows == 6
+    finally:
+        for h in hosts:
+            ray.kill(h)
+    for h in range(2):
+        ts = [t for host, t in sent if host == web.host_name(h)]
+        assert len(ts) == 3
+        assert all(b - a > 1.75 for a, b in zip(ts, ts[1:])), (h, ts)
+
+
 @pytest.mark.parametrize("n_hosts", [1, 3])
 def test_state_host_routing_matches_in_process_shards(ray_session, n_hosts):
     """Logical shards on 1 or 3 state hosts answer exactly as
@@ -98,7 +144,7 @@ def test_state_host_routing_matches_in_process_shards(ray_session, n_hosts):
     shard's ``added`` over 100k hashes (~40 % duplicates, several
     batches) equal 8 ``SeenShard``s picked by the top 3 bits, and
     robots (allow, Crawl-delay) per (host, path) equals one in-process
-    ``RobotsShard`` on the same web, under both matchers."""
+    ``RobotsShard`` on the plain and the wildcard-robots web."""
     import ray
 
     from uniparser_ray.sources.synthweb import SynthWeb
@@ -123,12 +169,12 @@ def test_state_host_routing_matches_in_process_shards(ray_session, n_hosts):
     pairs = [(f"host-{h:04d}.test", p) for h in range(20)
              for p in ["/", "/private/a"] + [f"/page/{i}"
                                               for i in range(31)]]
-    for matcher, wildcards in (("prefix", False), ("rfc9309", True)):
+    for wildcards in (False, True):
         web_cfg = dict(num_hosts=20, base_pages=30, fanout=2,
                        hot_factor=4.0, robots_wildcards=wildcards)
         hosts = start_state_hosts(
             n_hosts=n_hosts, seen={"seen": 3}, seen_capacity=50_000,
-            robots_shards=4, web_config=web_cfg, robots_matcher=matcher)
+            robots_shards=4, web_config=web_cfg)
         try:
             assert len(hosts) == n_hosts
             seen = SeenFilter(hosts, "seen", 3)
@@ -141,7 +187,7 @@ def test_state_host_routing_matches_in_process_shards(ray_session, n_hosts):
             assert seen.stats()["added"] == sum(s.added for s in ref)
 
             web = SynthWeb(**web_cfg)
-            local = RobotsShard(web_factory=lambda: web, matcher=matcher)
+            local = RobotsShard(web_factory=lambda: web)
             exp_mask, exp_delay = local.allowed_delays_many(pairs)
             robots = RobotsClient(hosts, 4)
             mask = np.zeros(len(pairs), dtype=bool)

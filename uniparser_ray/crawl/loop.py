@@ -53,7 +53,7 @@ import shutil
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import ClassVar, Dict, List, Optional
 
 import numpy as np
 import pyarrow as pa
@@ -105,13 +105,9 @@ class CrawlConfig:
     # (expected URLs) / 2^seen_shard_bits with headroom
     seen_capacity: int = 1_000_000
     use_robots: bool = True
-    # robots matcher semantics (state/robots.py): "prefix" = the
-    # simple-crawler Disallow-prefix behavior (the oracle-checked
-    # default of rounds 1-4); "rfc9309" = full REP — * wildcards, $
-    # anchor, Allow lines, longest-match precedence with Allow winning
-    # ties, user-agent group selection.  The conformance oracle
-    # mirrors whichever is configured.
-    robots_matcher: str = "prefix"
+    # the one robots dialect (state/robots.py); a class constant that
+    # perfbench/layers.py reads
+    robots_matcher: ClassVar[str] = "rfc9309"
     robots_user_agent: str = "uniparser-ray"
     host_budgets: Dict[str, int] = field(default_factory=dict)
     # frontiers at or below this row count run admit and grant on the
@@ -439,7 +435,6 @@ class CrawlRun:
             seen={"seen": cfg.seen_shard_bits, "img_seen": img_bits},
             seen_mode=cfg.seen_mode, seen_capacity=cfg.seen_capacity,
             robots_shards=n_robots, web_config=dict(cfg.web_config),
-            robots_matcher=cfg.robots_matcher,
             robots_user_agent=cfg.robots_user_agent)
         self.seen = SeenFilter(self.state_hosts, "seen", cfg.seen_shard_bits)
         self.img_seen = SeenFilter(self.state_hosts, "img_seen", img_bits)

@@ -67,6 +67,97 @@ class OracleCrawler:
 Crawler = OracleCrawler
 
 
+def naive_product_token(value: str) -> str:
+    """RFC 9309 s2.2.1 product token by character walk: the leading
+    ASCII letters, ``_`` and ``-`` of a user-agent value, lower-cased;
+    ``*`` stays ``*``."""
+    if value == "*":
+        return "*"
+    out = ""
+    for ch in value:
+        if not (ch.isascii() and (ch.isalpha() or ch in "_-")):
+            break
+        out += ch
+    return out.lower()
+
+
+def naive_robots_group(text: str, user_agent: str):
+    """The oracle's own RFC 9309 reading of a robots.txt -> the chosen
+    group's ([(pattern, is_allow)], Crawl-delay).
+
+    A state machine over the lines: a run of User-agent lines opens
+    one group shared by all its tokens, any other field closes the
+    run, lines before the first User-agent belong to no group, groups
+    of the same token merge, an empty Allow/Disallow records nothing,
+    and a group's first Crawl-delay line wins (invalid or negative
+    reads 0).  The group whose token equals ours is chosen, else
+    ``*``."""
+    groups, delays, cur, last_ua = {}, {}, [], False
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if ":" not in line:
+            continue
+        f, v = [x.strip() for x in line.split(":", 1)]
+        f = f.lower()
+        if f == "user-agent":
+            if not last_ua:
+                cur = []
+            key = naive_product_token(v)
+            cur.append(key)
+            groups.setdefault(key, [])
+            last_ua = True
+            continue
+        last_ua = False
+        if f in ("allow", "disallow") and v:
+            for t in cur:
+                groups[t].append((v, f == "allow"))
+        elif f == "crawl-delay":
+            try:
+                d = float(v)
+            except ValueError:
+                d = 0.0
+            for t in cur:
+                if t not in delays:
+                    delays[t] = d if d > 0 else 0.0
+    ours = naive_product_token(user_agent)
+    key = ours if ours and ours in groups else "*"
+    return groups.get(key, []), delays.get(key, 0.0)
+
+
+def naive_rule_match(pattern: str, path: str) -> bool:
+    """Does one robots rule match ``path``?  Character walk with
+    backtracking on ``*``; a trailing ``$`` anchors the end."""
+    anchored = pattern.endswith("$")
+    body = pattern[:-1] if anchored else pattern
+
+    def walk(pi, si):
+        while True:
+            if pi == len(body):
+                return si == len(path) if anchored else True
+            c = body[pi]
+            if c == "*":
+                return any(walk(pi + 1, k) for k in range(si, len(path) + 1))
+            if si < len(path) and path[si] == c:
+                pi += 1
+                si += 1
+                continue
+            return False
+
+    return walk(0, 0)
+
+
+def naive_allowed(rules, path: str) -> bool:
+    """The longest matching rule decides, Allow wins a tie in length;
+    no matching rule allows."""
+    best = None
+    for pattern, allow in rules:
+        if naive_rule_match(pattern, path):
+            cand = (len(pattern), allow)   # True > False: Allow wins ties
+            if best is None or cand > best:
+                best = cand
+    return True if best is None else best[1]
+
+
 class BFSOracle:
     """Single-process mirror of the distributed round loop
     (crawl/loop.py): same canonicalization, URL-seen set, robots
@@ -82,11 +173,9 @@ class BFSOracle:
                  round_seconds: float = 60.0, max_redirects: int = 5,
                  max_depth: int = 0, max_url_len: int = 0,
                  max_path_repeats: int = 0, host_error_budget: int = 0,
-                 robots_matcher: str = "prefix",
                  robots_user_agent: str = "uniparser-ray"):
         from ..rulevm.transport import SyntheticWebAdapter
         from .storage import JSONRuleStorage
-        from ..state.robots import parse_crawl_delay, parse_robots
 
         self.web = web
         self.adapter = SyntheticWebAdapter(web)
@@ -112,15 +201,13 @@ class BFSOracle:
         # a host at/over the budget is dropped at admission from the
         # round AFTER the errors happened
         self.host_error_budget = host_error_budget
-        self._parse_robots = parse_robots
-        self._parse_delay = parse_crawl_delay
-        self.robots_matcher = robots_matcher
         self.robots_user_agent = robots_user_agent
         self._robots_cache: dict = {}
 
     def _robots_entry(self, host: str):
-        """(allow_fn|None, crawl_delay) — matcher-mode mirror of
-        RobotsShard._entry_for/_compile."""
+        """(allow_fn|None, crawl_delay) of a host, read by the oracle's
+        own :func:`naive_robots_group` (it shares no code with the
+        engine's state/robots.py)."""
         entry = self._robots_cache.get(host)
         if entry is None:
             try:
@@ -128,19 +215,9 @@ class BFSOracle:
                 text = body.decode() if status == 200 else ""
             except Exception:
                 text = ""
-            if self.robots_matcher == "rfc9309":
-                from ..state.robots import (RobotsMatcher,
-                                            parse_robots_rfc9309)
-                allow_fn = RobotsMatcher(parse_robots_rfc9309(
-                    text, self.robots_user_agent)).allowed
-            else:
-                rules = self._parse_robots(text)
-                allow_fn = (None if not rules else
-                            (lambda p, _r=rules:
-                             not any(p.startswith(x) for x in _r)))
-            delay = self._parse_delay(
-                text, self.robots_user_agent
-                if self.robots_matcher == "rfc9309" else "*")
+            rules, delay = naive_robots_group(text, self.robots_user_agent)
+            allow_fn = (None if not rules else
+                        (lambda p, _r=rules: naive_allowed(_r, p)))
             entry = (allow_fn, delay)
             self._robots_cache[host] = entry
         return entry

@@ -686,10 +686,10 @@ _ROBOTS_RFC_RUNS: dict = {}
 
 
 def _ensure_robots_rfc_crawl(tag: str) -> str:
-    """One RFC-9309-robots crawl per (process, tag): the wildcard-
+    """One RFC-9309-robots crawl per (process, tag) over the wildcard-
     robots web (``*`` globs, ``$`` anchors, Allow overrides, a
-    specific-UA group behind a disallow-everything decoy group) with
-    the full REP matcher configured."""
+    specific-UA group behind a disallow-everything decoy group, a
+    decoy group whose token is a prefix of ours)."""
     if tag in _ROBOTS_RFC_RUNS:
         return _ROBOTS_RFC_RUNS[tag]
     from ..crawl.loop import CrawlConfig, run_crawl
@@ -703,7 +703,7 @@ def _ensure_robots_rfc_crawl(tag: str) -> str:
     cfg = CrawlConfig(web_config=web_cfg, out_dir=out,
                       seeds=web.seed_urls(), max_rounds=_CRAWL_ROUNDS,
                       per_host_budget=_CRAWL_BUDGET, fetch_concurrency=4,
-                      seen_shard_bits=3, robots_matcher="rfc9309")
+                      seen_shard_bits=3)
     run_crawl(cfg, web.rule_pack())
     _ROBOTS_RFC_RUNS[tag] = out
     return _ROBOTS_RFC_RUNS[tag]
@@ -712,14 +712,13 @@ def _ensure_robots_rfc_crawl(tag: str) -> str:
 def crawl_robots_rfc(sf_dir: str):
     """RFC 9309 robots semantics under a value oracle: the engine
     crawls a web whose robots files use wildcards, $ anchors, Allow
-    overrides and specific-UA groups, with the full REP matcher
+    overrides and specific-UA groups, with its REP matcher
     (longest-match precedence, Allow wins ties, UA group selection)
     in the sharded robots actors — and the full (url, round, status)
-    schedule must equal the sequential oracle running the SAME matcher
-    over the SAME files.  A page the prefix matcher would fetch but
-    the RFC matcher blocks (or vice versa) shifts the whole schedule
-    and goes red.  One projection-pruned task-parallel read of the
-    pages checkpoints."""
+    schedule must equal the sequential oracle, which reads the SAME
+    files with its own naive RFC 9309 reader.  A page one side blocks
+    and the other fetches shifts the whole schedule and goes red.  One
+    projection-pruned task-parallel read of the pages checkpoints."""
     import ray.data as rd
 
     tag = _sf_tag(sf_dir)
@@ -744,7 +743,7 @@ def crawl_robots_rfc(sf_dir: str):
 
 
 def expected_robots_rfc(tag: str) -> pa.Table:
-    """Twin: the sequential BFSOracle with the same RFC matcher."""
+    """Twin: the sequential BFSOracle and its own RFC 9309 reader."""
     from ..crawl.oracle import BFSOracle
     from ..sources.synthweb import SynthWeb
     from .images_q import _CRAWL_BUDGET, _CRAWL_ROUNDS
@@ -752,8 +751,7 @@ def expected_robots_rfc(tag: str) -> pa.Table:
     web_cfg = dict(_CRAWL_BY_SF_OF(tag), robots_wildcards=True)
     web = SynthWeb(**web_cfg)
     oracle = BFSOracle(SynthWeb(**web_cfg), web.rule_pack(),
-                       per_host_budget=_CRAWL_BUDGET,
-                       robots_matcher="rfc9309")
+                       per_host_budget=_CRAWL_BUDGET)
     res = oracle.run(web.seed_urls(), max_rounds=_CRAWL_ROUNDS)
     rows = [{"url": u, "round": r["round"],
              "status": res["pages"][u][0]}

@@ -377,6 +377,10 @@ def parse_xml(markup: str) -> Node:
             selfclose = m.group("selfclose") is not None or raw.rstrip().endswith("/")
             raw = raw.rstrip().rstrip("/")
             parts = raw.split(None, 1)
+            if not parts:   # "< >" names no element: it is text
+                stack[-1].append(Node(TEXT, data=_unescape(m.group(0)),
+                                      xml=True))
+                continue
             tag = _strip_prefix(parts[0])
             attrs = {}
             if len(parts) > 1:

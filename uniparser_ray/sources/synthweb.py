@@ -97,9 +97,9 @@ class SynthWeb:
         self.trap_links = trap_links
         # RFC-9309 robots model (off by default — byte-identical robots
         # when False): hosts serve wildcard/anchor/Allow rules and
-        # specific-UA groups (see robots_txt) so the full REP matcher
-        # (CrawlConfig.robots_matcher="rfc9309") has real semantics to
-        # chew on; pure function of h, so engine and oracle agree.
+        # specific-UA groups (see robots_txt) so the RFC 9309 matcher
+        # has real semantics to chew on; pure function of h, so engine
+        # and oracle agree.
         self.robots_wildcards = robots_wildcards
         # Zipf-ish page budget: rank-0 host has hot_factor * base pages
         self.pages_of_host = [
@@ -247,7 +247,10 @@ class SynthWeb:
                         "Disallow: /page/*7$\n"
                         "User-agent: *\nDisallow: /page/\n")
             elif v == 2:
-                base = ("User-agent: *\n"
+                # the "uniparser" group is another crawler's: its token
+                # is only a prefix of ours, so * applies to us
+                base = ("User-agent: uniparser\nDisallow: /\n"
+                        "User-agent: *\n"
                         "Disallow: /page/1\n"     # 1, 10-19, 1xx
                         "Allow: /page/1*0$\n")    # ...except 10, 100...
             else:

@@ -425,21 +425,27 @@ class FetchParseStage:
         # pass 1 — fetch (with pacing + redirect following); parse is
         # deferred so redirected rows can be dedup-checked in ONE
         # sharded RPC wave before any content is parsed
-        fetched = []
-        for i, url in enumerate(urls):
+        fetched = [None] * len(urls)
+        order = range(len(urls))
+        if pacing is not None:
+            # requests go out in slot order, not row order: a row
+            # reached after its slot has passed would fire back to back
+            # with the rest of its host's schedule
+            t0, targets = pacing
+            order = sorted(order, key=targets.__getitem__)
+        for i in order:
+            url = urls[i]
             if pacing is not None:
-                t0, targets = pacing
                 wait = targets[i] - (self._now() - t0)
                 if wait > 0:
                     self._sleep(wait)
             rule = self._find_rule(url)
             if rule is None:
-                fetched.append((None, "", None, 0, "", 0,
-                                "RuleNotFoundError"))
+                fetched[i] = (None, "", None, 0, "", 0, "RuleNotFoundError")
                 continue
             text, resp, status, final, hops, err = \
                 self._follow_fetch(rule, url, retries[i])
-            fetched.append((rule, text, resp, status, final, hops, err))
+            fetched[i] = (rule, text, resp, status, final, hops, err)
         # batched final-URL test-and-set: a redirected 200 row extracts
         # only if its canonical final URL is NEW to the seen set (the
         # requested URL's own hash was added at admission)

@@ -76,7 +76,6 @@ class StateHost:
     def __init__(self, index: int, n_hosts: int, seen: Dict[str, int],
                  seen_mode: str = "tandem", seen_capacity: int = 1_000_000,
                  robots_shards: int = 0, web_config: dict = None,
-                 robots_matcher: str = "prefix",
                  robots_user_agent: str = "uniparser-ray",
                  politeness_shards: int = 0):
         def owned(n: int) -> range:
@@ -96,7 +95,6 @@ class StateHost:
         self.shards["robots"] = {
             i: RobotsShard(web_factory=(lambda: web)
                            if web is not None else None,
-                           matcher=robots_matcher,
                            user_agent=robots_user_agent)
             for i in owned(robots_shards)}
         self.shards["politeness"] = {i: PolitenessShard()

@@ -7,16 +7,12 @@ reference's process-local per-host dict (parsers.py:1262).  The
 shards live on the state-host actors (state/host.py), which answer a
 whole batch's (host, path) rows in one RPC per host.
 
-Two matchers (CrawlConfig.robots_matcher):
-
-* ``"prefix"`` (default, the oracle-checked config of rounds 1-4):
-  ``User-agent: *`` group only, Disallow values matched as plain path
-  prefixes — the de-facto behavior of simple crawlers.
-* ``"rfc9309"`` (round 5): full REP semantics — ``*`` wildcards, ``$``
-  end anchor, Allow lines, LONGEST-match precedence with Allow winning
-  exact ties, user-agent group selection by case-insensitive equality
-  with our product token and ``*`` fallback, adjacent ``User-agent``
-  lines sharing a group and same-token groups merging (RFC 9309 s2.2).
+One matcher, RFC 9309 (the Robots Exclusion Protocol): ``*``
+wildcards, ``$`` end anchor, Allow lines, LONGEST-match precedence
+with Allow winning exact ties, user-agent group selection by
+case-insensitive equality with our product token and ``*`` fallback,
+adjacent ``User-agent`` lines sharing a group and same-token groups
+merging (s2.2).  The crawl's Crawl-delay is its own group's.
 """
 
 from __future__ import annotations
@@ -40,18 +36,6 @@ def _delay(value: str) -> float:
         return max(0.0, float(value))
     except ValueError:
         return 0.0
-
-
-def parse_robots(text: str) -> List[str]:
-    """Disallow prefixes for User-agent: * (simple, standard parsing)."""
-    disallows: List[str] = []
-    applies = False
-    for name, value in _lines(text):
-        if name == "user-agent":
-            applies = value == "*"
-        elif name == "disallow" and applies and value:
-            disallows.append(value)
-    return disallows
 
 
 _TOKEN_RE = re.compile(r"[A-Za-z_-]+")
@@ -103,10 +87,14 @@ def robots_group(text: str, user_agent: str = "*") \
     return rules.get(key, []), delays.get(key, 0.0)
 
 
-def parse_robots_rfc9309(text: str, user_agent: str = "*") \
+def parse_robots(text: str, user_agent: str = "*") \
         -> List[Tuple[str, bool]]:
     """The rules of the group :func:`robots_group` selects."""
     return robots_group(text, user_agent)[0]
+
+
+# the former RFC parser name, kept because perfbench/layers.py imports it
+parse_robots_rfc9309 = parse_robots
 
 
 def _rule_regex(pattern: str) -> re.Pattern:
@@ -142,47 +130,30 @@ class RobotsMatcher:
 
 
 def parse_crawl_delay(text: str, user_agent: str = "*") -> float:
-    """``Crawl-delay`` (seconds); 0.0 if absent.
-
-    ``user_agent="*"`` (default — the prefix-matcher configuration of
-    rounds 1-4) honors only ``User-agent: *`` groups, byte-identical
-    to the historic behavior (the first such line wins).  A concrete
-    product token applies the rule matcher's group selection
-    (:func:`robots_group`): the delay a spec-following crawler must
-    obey is its own group's, not the catch-all's."""
-    if user_agent != "*":
-        return robots_group(text, user_agent)[1]
-    applies = False
-    for name, value in _lines(text):
-        if name == "user-agent":
-            applies = value == "*"
-        elif name == "crawl-delay" and applies:
-            return _delay(value)
-    return 0.0
+    """``Crawl-delay`` (seconds) of the group :func:`robots_group`
+    selects; 0.0 if absent."""
+    return robots_group(text, user_agent)[1]
 
 
 class RobotsShard:
-    def __init__(self, web_factory=None, matcher: str = "prefix",
+    # matcher= stays because perfbench/layers.py passes
+    # CrawlConfig.robots_matcher; RFC 9309 is the only value
+    def __init__(self, web_factory=None, matcher: str = "rfc9309",
                  user_agent: str = "uniparser-ray"):
         # web_factory() -> object with get(url) -> (status, headers, bytes)
         self.web = web_factory() if web_factory else None
-        if matcher not in ("prefix", "rfc9309"):
+        if matcher != "rfc9309":
             raise ValueError(f"unknown robots matcher: {matcher!r}")
-        self.matcher_mode = matcher
         self.user_agent = user_agent
-        # cache value: (allow_fn(path) -> bool, crawl_delay)
+        # cache value: (allow_fn(path) -> bool, or None = allow all;
+        # crawl_delay)
         self.cache: Dict[str, Tuple[object, float]] = {}
         self.fetches = 0
 
     def _compile(self, text: str) -> Tuple[object, float]:
         """(allow_fn or None, Crawl-delay) of one robots.txt."""
-        if self.matcher_mode == "rfc9309":
-            rules, delay = robots_group(text, self.user_agent)
-            return RobotsMatcher(rules).allowed, delay
-        rules = parse_robots(text)
-        allow_fn = ((lambda p: not any(p.startswith(r) for r in rules))
-                    if rules else None)
-        return allow_fn, parse_crawl_delay(text)
+        rules, delay = robots_group(text, self.user_agent)
+        return (RobotsMatcher(rules).allowed if rules else None), delay
 
     def _entry_for(self, host: str) -> Tuple[object, float]:
         entry = self.cache.get(host)
@@ -203,24 +174,16 @@ class RobotsShard:
         return entry
 
     def allowed_batch(self, host: str, paths: List[str]) -> List[bool]:
-        allow_fn = self._entry_for(host)[0]
-        if allow_fn is None:
-            return [True] * len(paths)
-        return [allow_fn(p) for p in paths]
+        return self.allowed_delays_many([(host, p) for p in paths])[0]
 
     def allowed_many(self, host_paths: List[Tuple[str, str]]) -> List[bool]:
-        """[(host, path)] -> allow mask; one RPC covers many hosts (the
-        per-batch client groups by shard, not by host)."""
-        out = []
-        for host, path in host_paths:
-            allow_fn = self._entry_for(host)[0]
-            out.append(True if allow_fn is None else allow_fn(path))
-        return out
+        return self.allowed_delays_many(host_paths)[0]
 
     def allowed_delays_many(self, host_paths: List[Tuple[str, str]]) \
             -> Tuple[List[bool], List[float]]:
-        """allowed_many + the host's robots Crawl-delay per row (one
-        RPC serves both the allow filter and the politeness budget)."""
+        """[(host, path)] -> (allow mask, the host's Crawl-delay per
+        row): one RPC covers many hosts and serves both the allow
+        filter and the politeness budget."""
         mask, delays = [], []
         for host, path in host_paths:
             allow_fn, delay = self._entry_for(host)
