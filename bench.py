@@ -15,7 +15,8 @@ width — fits a 600 s harness budget.
 (the per-leg unit ``--scaling`` composes).  ``--frontier`` runs the
 ~10^7-URL single-round frontier-machinery stress (canonicalize →
 seen-filter → block-clipped grant shuffle; fetch work ~0.3%) and reports
-frontier-ops/sec plus the per-phase breakdown.
+frontier-ops/sec plus the per-phase breakdown (FRONTIER_HOSTS and
+FRONTIER_BASE_PAGES size it; defaults 8192 and 82000).
 """
 
 from __future__ import annotations
@@ -693,7 +694,12 @@ def main():
         return
 
     if "--frontier" in sys.argv:
-        print(json.dumps(run_frontier(num_cpus)))
+        # size the stress via env for a reduced-size run on a small
+        # machine (e.g. FRONTIER_HOSTS=2048 FRONTIER_BASE_PAGES=2000)
+        print(json.dumps(run_frontier(
+            num_cpus,
+            num_hosts=int(os.environ.get("FRONTIER_HOSTS", 8192)),
+            base_pages=int(os.environ.get("FRONTIER_BASE_PAGES", 82000)))))
         import ray
         ray.shutdown()
         return

@@ -150,13 +150,13 @@ def test_semdedup_pipeline_matches_brute():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_semdedup_shuffle_path_equals_fast_path():
-    """The distributed hash-bucket shuffle path must produce the same
-    pair set as the adaptive driver fast path (which the small sf dirs
-    normally take)."""
+def test_semdedup_shuffle_path_equals_fast_path(monkeypatch):
+    """The exchange's many-bucket side must produce the same pair set
+    as its one-bucket side (which the small sf dirs normally take)."""
     import ray
 
     from uniparser_ray.pipelines.vectors import (_kmeans_centroids, _read)
+    from uniparser_ray.stages import combine
     from uniparser_ray.stages.combine import hash_bucket_combine
     from uniparser_ray.stages.kmeans import make_assign_fn, semdedup_group
 
@@ -177,14 +177,19 @@ def test_semdedup_shuffle_path_equals_fast_path():
         return pd.concat([empty] + outs, ignore_index=True) \
             if outs else empty
 
-    def run(limit):
-        out = hash_bucket_combine(labeled(), ["cluster"], pairs_in_bucket,
-                                  num_buckets=16,
-                                  driver_limit_rows=limit).to_pandas()
-        return sorted(map(tuple, out[["vec_a", "vec_b", "cluster"]]
-                          .values.tolist()))
+    def run():
+        ds = hash_bucket_combine(labeled(), ["cluster"], pairs_in_bucket,
+                                 num_buckets=16)
+        out = ds.to_pandas()
+        return ds.num_blocks(), sorted(map(
+            tuple, out[["vec_a", "vec_b", "cluster"]].values.tolist()))
 
-    fast, shuffle = run(200_000), run(None)
+    one_blocks, fast = run()
+    # the size decision's other side: 64 rows per bucket -> up to
+    # num_buckets=16 buckets
+    monkeypatch.setattr(combine, "_ROWS_PER_BUCKET", 64)
+    many_blocks, shuffle = run()
+    assert one_blocks == 1 and many_blocks > 1
     assert fast == shuffle and len(fast) > 0
 
 

@@ -57,10 +57,11 @@ def test_precedence_longest_match_and_allow_tie():
     m = RobotsMatcher(parse_robots_rfc9309(
         "User-agent: *\nAllow: /p\nDisallow: /p/q\n"))
     assert m.allowed("/p/z") and not m.allowed("/p/q/r")
-    # exact tie -> Allow wins
-    m2 = RobotsMatcher(parse_robots_rfc9309(
-        "User-agent: *\nAllow: /dir\nDisallow: /dir\n"))
-    assert m2.allowed("/dir/x")
+    # exact tie -> Allow wins, in either rule order
+    for text in ("User-agent: *\nAllow: /dir\nDisallow: /dir\n",
+                 "User-agent: *\nDisallow: /dir\nAllow: /dir\n"):
+        m2 = RobotsMatcher(parse_robots_rfc9309(text))
+        assert m2.allowed("/dir/x"), text
 
 
 def test_hostile_inputs():

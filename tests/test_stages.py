@@ -277,9 +277,16 @@ def test_jaccard_pairs_exact(docs_ds):
     assert [tuple(r) for r in got.itertuples(index=False)] == want
 
 
-def test_hash_bucket_join_matches_pandas(ray_session):
+def test_hash_bucket_join_matches_pandas(ray_session, monkeypatch):
+    """Every join type against pandas ``merge`` (which, like the
+    canonical key, matches null to null), on the one-bucket and the
+    many-bucket side of the exchange: null keys on both sides, an
+    empty side, and a list-typed payload (Acero's join rejects list
+    non-key fields; the index join carries them)."""
+    import ray
     import ray.data as rd
 
+    from uniparser_ray.stages import combine
     from uniparser_ray.stages.combine import hash_bucket_join
 
     left = pd.DataFrame({"k": [1, 2, 2, 3, 5], "lv": [10., 20., 21., 30., 50.]})
@@ -293,6 +300,53 @@ def test_hash_bucket_join_matches_pandas(ray_session):
     got["k"] = got["k"].astype("int64"); got["rk"] = got["rk"].astype("int64")
     want["k"] = want["k"].astype("int64"); want["rk"] = want["rk"].astype("int64")
     assert got.equals(want)
+
+    nl = pd.DataFrame({"k": pd.Series(["a", None, "b", "c", None, "a"],
+                                      dtype=object),
+                       "lv": [1, 2, 3, 4, 5, 6]})
+    nr = pd.DataFrame({"rk": pd.Series(["a", None, "d", "a"], dtype=object),
+                       "rv": [10, 20, 30, 40]})
+    empty_r = nr.iloc[:0]
+
+    def norm(v):
+        if v is None or (isinstance(v, float) and np.isnan(v)):
+            return None
+        return int(v) if isinstance(v, (float, np.number)) else v
+
+    def rows(records):
+        return sorted((tuple(norm(v) for v in r) for r in records), key=repr)
+
+    for rpb in (200_000, 2):                 # one bucket, many buckets
+        monkeypatch.setattr(combine, "_ROWS_PER_BUCKET", rpb)
+        for how in ("inner", "left", "right", "outer"):
+            for r in (nr, empty_r):
+                ds = hash_bucket_join(
+                    rd.from_pandas(nl), rd.from_pandas(r), "k", "rk",
+                    how=how, num_buckets=8, left_cols=["k", "lv"],
+                    right_cols=["rk", "rv"])
+                t = pa.concat_tables(ray.get(ds.to_arrow_refs()),
+                                     promote_options="permissive")
+                assert t.column_names == cols
+                want = nl.merge(r, left_on="k", right_on="rk", how=how)
+                assert rows(tuple(d.values()) for d in t.to_pylist()) \
+                    == rows(want[cols].itertuples(index=False)), \
+                    (rpb, how, len(r))
+
+        # list payload, equal key names: right/outer fill the key
+        ll = pd.DataFrame({"k": [1, 2, 3], "tags": [[1, 2], [], [3]]})
+        rl = pd.DataFrame({"k": [2, 3, 4], "rv": ["x", "y", "z"]})
+        for how, want in (
+                ("inner", [(2, [], "x"), (3, [3], "y")]),
+                ("outer", [(1, [1, 2], None), (2, [], "x"), (3, [3], "y"),
+                           (4, None, "z")])):
+            ds = hash_bucket_join(rd.from_pandas(ll), rd.from_pandas(rl),
+                                  "k", "k", how=how, num_buckets=8,
+                                  left_cols=["k", "tags"],
+                                  right_cols=["k", "rv"])
+            t = pa.concat_tables(ray.get(ds.to_arrow_refs()))
+            assert t.column_names == ["k", "tags", "rv"]
+            assert pa.types.is_list(t.schema.field("tags").type)
+            assert sorted(tuple(r.values()) for r in t.to_pylist()) == want
 
 
 def test_hash_bucket_join_64bit_values_lossless(ray_session):
@@ -320,6 +374,7 @@ def test_hash_bucket_join_mixed_kind_batches(ray_session):
     so equal keys always meet.  Also: python ints >= 2**63 must not
     raise OverflowError, and float-valued object keys must not be
     truncated to ints (1.5 != 1)."""
+    import ray
     import ray.data as rd
 
     from uniparser_ray.stages.combine import hash_bucket_join
@@ -372,6 +427,18 @@ def test_hash_bucket_join_mixed_kind_batches(ray_session):
                             left_cols=["k", "lv"], right_cols=["rk", "rv"]) \
         .to_pandas()
     assert len(goti) == 0
+
+    # a uint64 payload >= 2**63 on the null side of a left join stays
+    # uint64 and exact: the unmatched row gets a typed null, no float hop
+    lu = rd.from_pandas(pd.DataFrame({"k": [1, 2, 3], "lv": [1, 2, 3]}))
+    ru = rd.from_pandas(pd.DataFrame(
+        {"rk": [1, 3], "rv": pd.Series([huge, huge + 2], dtype="uint64")}))
+    gotu = pa.concat_tables(ray.get(hash_bucket_join(
+        lu, ru, "k", "rk", how="left", num_buckets=8,
+        left_cols=["k", "lv"], right_cols=["rk", "rv"]).to_arrow_refs()))
+    assert gotu.schema.field("rv").type == pa.uint64()
+    assert sorted(zip(gotu["k"].to_pylist(), gotu["rv"].to_pylist())) == \
+        [(1, huge), (2, None), (3, huge + 2)]
 
 
 def test_events_asof_semantics(ray_session, tmp_path):
@@ -500,11 +567,13 @@ def test_exact_quantiles_skew_and_multipass(ray_session):
         assert v == want, (q, v, want)
 
 
-def test_hash_bucket_join_small_input_path_equals_shuffle(ray_session):
-    """driver_limit_rows fast path (one-task merge) returns exactly the
-    shuffle path's rows."""
+def test_hash_bucket_join_small_input_path_equals_shuffle(ray_session,
+                                                          monkeypatch):
+    """The exchange's one-bucket side (a small input: one merge task,
+    no split) returns exactly the rows of its many-bucket side."""
     import ray.data
 
+    from uniparser_ray.stages import combine
     from uniparser_ray.stages.combine import hash_bucket_join
 
     rng = np.random.RandomState(11)
@@ -513,18 +582,22 @@ def test_hash_bucket_join_small_input_path_equals_shuffle(ray_session):
     r = pd.DataFrame({"rk": rng.randint(0, 50, 80),
                       "rv": rng.rand(80)})
 
-    def run(limit):
-        return hash_bucket_join(
+    def run(how):
+        ds = hash_bucket_join(
             ray.data.from_pandas(l).repartition(4),
             ray.data.from_pandas(r).repartition(3),
-            "k", "rk", left_cols=["k", "lv"], right_cols=["rk", "rv"],
-            driver_limit_rows=limit) \
-            .to_pandas().sort_values(["k", "lv", "rv"]) \
-            .reset_index(drop=True)
+            "k", "rk", how=how, left_cols=["k", "lv"],
+            right_cols=["rk", "rv"])
+        return ds.num_blocks(), ds.to_pandas() \
+            .sort_values(["k", "lv", "rv"]).reset_index(drop=True)
 
-    fast = run(10_000)       # under limit -> one-task merge
-    slow = run(10)           # over limit -> normal shuffle
-    pd.testing.assert_frame_equal(fast, slow)
+    for how in ("inner", "outer"):
+        monkeypatch.setattr(combine, "_ROWS_PER_BUCKET", 200_000)
+        n_one, fast = run(how)
+        monkeypatch.setattr(combine, "_ROWS_PER_BUCKET", 10)   # 38 buckets
+        n_many, slow = run(how)
+        assert n_one == 1 and n_many > 1, (n_one, n_many)
+        pd.testing.assert_frame_equal(fast, slow)
 
 
 def test_doc_shard_assign_prefix_sum(ray_session):

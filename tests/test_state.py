@@ -13,23 +13,28 @@ def _hashes(n, seed=1):
     return rng.integers(1, 1 << 63, size=n, dtype=np.uint64)
 
 
-def test_seen_shard_cuckoo_modes_agree():
+def test_seen_shard_bloom_and_tandem_agree():
     hs = [int(h) for h in _hashes(5000, seed=5)]
     dup = hs[:100]
-    for mode in ("exact", "bloom", "tandem"):
+    for mode in ("bloom", "tandem"):
         shard = SeenShard(mode=mode, capacity=20000)
         first = shard.add_batch(hs)
-        assert sum(first) >= len(hs) - 5  # approx modes may FP a few
+        assert sum(first) >= len(hs) - 5  # the bloom may FP a few
         again = shard.add_batch(dup)
         assert not any(again)
         if mode == "tandem":
+            # tandem answers from its exact set: every distinct hash
+            # is new, and the bloom agreed with it on every one
+            assert all(first)
             assert shard.stats()["divergences"] == 0
+    with pytest.raises(ValueError):
+        SeenShard(mode="exact")
 
 
 def test_seen_shard_within_batch_duplicates():
     # Repeats INSIDE one batch: only the first occurrence may be new.
     h, g = [int(x) for x in _hashes(2, seed=11)]
-    for mode in ("exact", "bloom", "tandem"):
+    for mode in ("bloom", "tandem"):
         shard = SeenShard(mode=mode, capacity=1000)
         out = list(shard.add_batch([h, h, g, h]))
         assert out == [True, False, True, False], (mode, out)

@@ -19,7 +19,7 @@ the steps are called on it directly (the state hosts are reached by
 direct RPC, no Ray Data execution before the fetch); a bigger
 frontier is read as a Dataset and the same steps run through
 ``map_batches``.  The grant is one function too: on a Dataset it runs
-as an exact block-local clip followed by the round's one shuffle,
+as an exact block-local clip followed by the round's one exchange,
 which calls it again per host bucket.  The fetch always runs in Ray
 tasks.
 
@@ -35,11 +35,13 @@ Scale notes (the 10^10 design):
 * the frontier lives on disk between rounds — the driver never holds
   URLs of a distributed round, only Dataset handles and per-round
   counters;
-* the only all-to-all exchange is the groupby(host) grant (politeness
-  locality); each block is clipped to its hosts' top budget +
-  max_pending rows before the shuffle, so a hot host reaches its
-  reduce task as at most blocks x (budget + max_pending) rows — skew
-  is clipped, not shuffled;
+* the only all-to-all exchange is the host-keyed grant (politeness
+  locality), on the engine's one plain-task ``exchange``
+  (stages/combine.py; its bucket count follows the clipped row count);
+  each block is clipped to its hosts' top budget + max_pending rows
+  before the exchange, so a hot host reaches its reduce task as at
+  most blocks x (budget + max_pending) rows — skew is clipped, not
+  shuffled;
 * the seen anti-join is sharded by hash prefix into logical shards on
   one state-host actor per node (state/host.py; no shuffle);
 * image payloads are fetched in small chunks inside the fetch tasks,
@@ -99,7 +101,8 @@ class CrawlConfig:
     fetch_batch_size: int = 128
     image_batch_size: int = 128       # keep small when payloads are MBs
     seen_shard_bits: int = 3
-    # exact | bloom | tandem (exact + bloom, divergence-counted)
+    # bloom | tandem (bloom + an exact set that answers and counts
+    # the bloom's divergences)
     seen_mode: str = "tandem"
     # per-shard capacity of the bloom seen filter; size to
     # (expected URLs) / 2^seen_shard_bits with headroom
@@ -701,20 +704,17 @@ class CrawlRun:
     def _grant(self, admitted):
         """The politeness grant.  A host's pending rows must meet in one
         call: a driver table already is one; a Dataset is clipped block
-        by block, then hosts hash into a bounded number of buckets and
-        the same grant runs once per bucket."""
+        by block, then exchanged on host and the same grant runs once
+        per bucket.  The exchange materializes the clipped rows before
+        its split (so the RPC-blocking admit chain never overlaps it)
+        and returns materialized blocks, which the round's counts,
+        fetch input and backlog all read."""
         from ..stages.combine import hash_bucket_combine
         decided = _apply(self._grant_fn, admitted)
         if isinstance(decided, pa.Table):
             return decided
-        # materialized before the shuffle: overlapping the RPC-blocking
-        # admit chain with the shuffle's map side DOUBLED the grant
-        # phase (7.0s -> 3.3s warm at 255k candidates, 8 cpus)
-        decided = hash_bucket_combine(decided.materialize(), ["host"], None,
-                                      num_buckets=64, arrow_fn=self._grant_fn)
-        # the round's pipeline cache: counts, fetch input and backlog
-        # all read these blocks
-        return decided.materialize()
+        return hash_bucket_combine(decided, ["host"], None, num_buckets=64,
+                                   arrow_fn=self._grant_fn)
 
     def _fetch(self, granted, n_granted: int, round_idx: int,
                fetch_kwargs: dict):

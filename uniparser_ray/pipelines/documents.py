@@ -81,15 +81,8 @@ def doc_dedup_exact(sf_dir: str):
 def doc_dedup_minhash(sf_dir: str, threshold: float = 0.6):
     from ..stages.dedup import minhash_neardup_pairs
 
-    # parquet footer row count (no scan, no Ray): lets the pipeline
-    # choose its adaptive no-shuffle fast paths only when the corpus
-    # is provably small enough (band rows = docs x 16)
-    import pyarrow.parquet as pq
-    n_docs = pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
-    driver_limit = 4_000_000 if n_docs * 16 <= 4_000_000 else None
     return minhash_neardup_pairs(_read(sf_dir, ["doc_id", "text"]),
-                                 threshold=threshold,
-                                 driver_limit_rows=driver_limit)
+                                 threshold=threshold)
 
 
 def doc_minhash_recall(sf_dir: str, threshold: float = 0.6):
@@ -147,8 +140,7 @@ def doc_minhash_recall(sf_dir: str, threshold: float = 0.6):
     agg = grouped_aggregate(
         pairs.map_batches(bucket, batch_format="pandas"),
         ["sim_bucket"],
-        {"n_exact": ("one", "sum"), "n_lsh_hit": ("hit", "sum")},
-        driver_limit_rows=4096)   # <= 11 decile rows: no shuffle
+        {"n_exact": ("one", "sum"), "n_lsh_hit": ("hit", "sum")})
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         df["recall"] = df["n_lsh_hit"] / df["n_exact"]
@@ -714,7 +706,7 @@ def doc_curriculum_rank(sf_dir: str, num_ranges: int = 32):
 
     hist = grouped_aggregate(
         scored.map_batches(bucketed, batch_format="pandas"), ["qb"],
-        {"n": ("qb", "count")}, driver_limit_rows=100_000).to_pandas()
+        {"n": ("qb", "count")}).to_pandas()
     hist = hist.sort_values("qb", ascending=False).reset_index(drop=True)
     counts = hist["n"].to_numpy(np.int64)
     total = int(counts.sum())
@@ -834,8 +826,7 @@ def doc_seq_pack(sf_dir: str, seq_len: int = 512, num_ranges: int = 32):
 
     from ..stages.combine import grouped_aggregate
     sums = grouped_aggregate(ranged, ["_range"],
-                             {"total": ("n_tokens", "sum")},
-                             driver_limit_rows=200_000).to_pandas()
+                             {"total": ("n_tokens", "sum")}).to_pandas()
     sums = sums.sort_values("_range")
     totals = np.zeros(num_ranges, np.int64)
     totals[sums["_range"].to_numpy()] = sums["total"].to_numpy()
@@ -1300,7 +1291,7 @@ def doc_source_lang_mix(sf_dir: str):
 
     Scale shape: langid + token count + cell fold in ONE shuffle-free
     pass (cells are sources × languages — tiny — so the per-batch
-    partial counts ride the low-cardinality partial-sum fast path);
+    partial counts combine in one exchange bucket);
     shares computed on the folded cell table.  The DuckDB twin nests
     the langid twin, so the composed report value-checks end to
     end."""
@@ -1323,8 +1314,7 @@ def doc_source_lang_mix(sf_dir: str):
     cells = partial_groupby(
         ds.map_batches(cell_rows, batch_format="pyarrow"),
         ["source", "lang_pred"],
-        {"n_docs": ("n_docs", "sum"), "n_tokens": ("n_tokens", "sum")},
-        driver_limit_rows=200_000).to_pandas()
+        {"n_docs": ("n_docs", "sum"), "n_tokens": ("n_tokens", "sum")}).to_pandas()
     src_docs = cells.groupby("source")["n_docs"].transform("sum") \
         .to_numpy(np.int64)
     cells["doc_share_bp"] = (10_000 * cells["n_docs"].to_numpy(np.int64)

@@ -681,8 +681,7 @@ def _bytes_dedup(table):
             "dup_count": cnt.astype("int64"),
             "keep": (g["image_id"] == keeper).astype("int64")})
 
-    return hash_bucket_combine(hashed, ["bytes_md5"], group,
-                               driver_limit_rows=200_000)
+    return hash_bucket_combine(hashed, ["bytes_md5"], group)
 
 
 def _curation_gate(table):
@@ -703,8 +702,7 @@ def _curation_gate(table):
 
     joined = hash_bucket_join(bits, cc, "image_id", "cc_id",
                               left_cols=["image_id", "viol"],
-                              right_cols=["cc_id", "cck"],
-                              driver_limit_rows=200_000)
+                              right_cols=["cc_id", "cck"])
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         viol = (df["viol"].astype("int64")
@@ -1051,8 +1049,7 @@ def crawl_politeness_audit(sf_dir: str):
         rd.from_items(rows).map_batches(read_hosts,
                                         batch_format="pyarrow",
                                         batch_size=4),
-        ["host", "round"], {"n": ("round", "count")},
-        driver_limit_rows=200_000)
+        ["host", "round"], {"n": ("round", "count")})
     cells = per_round.to_pandas()
     g = cells.groupby("host")["n"]
     audit = pd.DataFrame({"n_fetches": g.sum(), "n_rounds": g.size(),
@@ -1340,8 +1337,7 @@ def images_phash_ann(sf_dir: str, k: int = PHASH_ANN_K):
         df["hamming"] = df["hamming"].astype("int64")
         return df[["query_id", "neighbor_id", "hamming", "rank"]]
 
-    return hash_bucket_combine(local, ["query_id"], merge,
-                               driver_limit_rows=200_000)
+    return hash_bucket_combine(local, ["query_id"], merge)
 
 
 def images_hard_negatives(sf_dir: str, k: int = HARDNEG_K):
@@ -1387,8 +1383,7 @@ def images_hard_negatives(sf_dir: str, k: int = HARDNEG_K):
         df["hamming"] = df["hamming"].astype("int64")
         return df[["anchor_id", "neg_image_id", "hamming", "rank"]]
 
-    return hash_bucket_combine(local, ["anchor_id"], merge,
-                               driver_limit_rows=200_000)
+    return hash_bucket_combine(local, ["anchor_id"], merge)
 
 
 def images_psnr_audit(sf_dir: str):

@@ -67,8 +67,7 @@ def orders_incremental_agg(sf_dir: str):
             ds.map_batches(rows, batch_format="pyarrow"),
             ["o_custkey"],
             {"n_orders": ("n_orders", "sum"),
-             "sum_cents": ("sum_cents", "sum")},
-            driver_limit_rows=200_000)
+             "sum_cents": ("sum_cents", "sum")})
 
     # o_orderdate must be in the projection for the filter to bind;
     # the per-batch fold drops it immediately
@@ -82,8 +81,7 @@ def orders_incremental_agg(sf_dir: str):
     merged = partial_groupby(
         base.union(delta), ["o_custkey"],
         {"n_orders": ("n_orders", "sum"),
-         "sum_cents": ("sum_cents", "sum")},
-        driver_limit_rows=200_000)
+         "sum_cents": ("sum_cents", "sum")})
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         for c in ("o_custkey", "n_orders", "sum_cents"):
@@ -93,27 +91,15 @@ def orders_incremental_agg(sf_dir: str):
     return merged.map_batches(finish, batch_format="pandas")
 
 
-def partial_groupby(ds, keys, agg_spec, batch_size: int = 65536,
-                    driver_limit_rows: int = None):
-    """Two-phase aggregate: per-batch pandas groupby -> hash-bucketed
+def partial_groupby(ds, keys, agg_spec, batch_size: int = 65536):
+    """Two-phase aggregate: per-batch partial aggregate -> hash-bucketed
     vectorized combine (see stages.combine for why not
     ``Dataset.groupby().aggregate()``).
 
     agg_spec: {out_col: (in_col, 'sum'|'count')} — count uses any col.
-    ``driver_limit_rows``: opt into the adaptive no-shuffle combine —
-    pass ONLY for provably low-cardinality keys (partials are bounded
-    by blocks x keys, so the count check stays cheap at any data size).
     """
     from ..stages.combine import grouped_aggregate
-    return grouped_aggregate(ds, keys, agg_spec, batch_size=batch_size,
-                             driver_limit_rows=driver_limit_rows)
-
-
-# partials for a K-key aggregate are <= input_blocks * K rows; with K
-# of order 10-100 this limit is never hit by data growth alone, only
-# by block-count growth — and 200k partial rows is still a one-task
-# combine
-_LOWCARD_COMBINE_LIMIT = 200_000
+    return grouped_aggregate(ds, keys, agg_spec, batch_size=batch_size)
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +126,7 @@ def q1_pricing_summary(sf_dir: str):
          "sum_base_price": ("l_extendedprice", "sum"),
          "sum_disc_price": ("disc_price", "sum"),
          "sum_charge": ("charge", "sum"),
-         "count_order": ("l_quantity", "count")},
-        driver_limit_rows=_LOWCARD_COMBINE_LIMIT)  # 6 flag/status combos
+         "count_order": ("l_quantity", "count")})
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         for c in ("sum_qty", "sum_base_price", "sum_disc_price", "sum_charge"):
@@ -255,8 +240,7 @@ def nation_revenue(sf_dir: str):
 
     out = partial_groupby(li.map_batches(probe, batch_format="pandas"),
                           ["n_name"], {"revenue": ("revenue", "sum"),
-                                       "n_items": ("revenue", "count")},
-                          driver_limit_rows=_LOWCARD_COMBINE_LIMIT)  # 25 nations
+                                       "n_items": ("revenue", "count")})
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         df["revenue"] = df["revenue"].round(2)
@@ -532,13 +516,9 @@ def q5_local_supplier_volume(sf_dir: str, region: str = "ASIA",
 
     cust = cust.map_batches(cust_filter, batch_format="pandas")
 
-    # driver_limit_rows: at bench scale the filtered sides are tiny —
-    # the adaptive path merges in one task; above the limit (real
-    # scale) the same call is the full shuffle join
     oc = hash_bucket_join(orders, cust, "o_custkey", "c_custkey",
                           left_cols=["o_orderkey", "o_custkey"],
-                          right_cols=["c_custkey", "c_nationkey"],
-                          driver_limit_rows=300_000)
+                          right_cols=["c_custkey", "c_nationkey"])
 
     li = _read(sf_dir, "lineitem",
                ["l_orderkey", "l_suppkey", "l_extendedprice",
@@ -555,8 +535,7 @@ def q5_local_supplier_volume(sf_dir: str, region: str = "ASIA",
     joined = hash_bucket_join(li, oc, "l_orderkey", "o_orderkey",
                               left_cols=["l_orderkey", "l_suppkey",
                                          "rev"],
-                              right_cols=["o_orderkey", "c_nationkey"],
-                              driver_limit_rows=300_000)
+                              right_cols=["o_orderkey", "c_nationkey"])
 
     def probe(df: pd.DataFrame) -> pd.DataFrame:
         sn = ray.get(supp_ref)
@@ -570,8 +549,7 @@ def q5_local_supplier_volume(sf_dir: str, region: str = "ASIA",
         })
 
     agg = partial_groupby(joined.map_batches(probe, batch_format="pandas"),
-                          ["n_name"], {"revenue": ("rev", "sum")},
-                          driver_limit_rows=_LOWCARD_COMBINE_LIMIT)  # 25 nations
+                          ["n_name"], {"revenue": ("rev", "sum")})
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         df["revenue"] = df["revenue"].round(2)
@@ -642,8 +620,7 @@ def part_price_bands(sf_dir: str):
     out = partial_groupby(ds.map_batches(band, batch_format="pandas"),
                           ["band_lo"],
                           {"n_parts": ("p_retailprice", "count"),
-                           "sum_price": ("p_retailprice", "sum")},
-                          driver_limit_rows=_LOWCARD_COMBINE_LIMIT)  # |edges| bands
+                           "sum_price": ("p_retailprice", "sum")})
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         df["n_parts"] = df["n_parts"].astype("int64")
@@ -721,8 +698,7 @@ def orders_rollup(sf_dir: str):
               ["o_orderstatus", "o_orderpriority", "o_totalprice"]),
         ["o_orderstatus", "o_orderpriority"],
         {"n_orders": ("o_totalprice", "count"),
-         "revenue": ("o_totalprice", "sum")},
-        driver_limit_rows=_LOWCARD_COMBINE_LIMIT).to_pandas()  # 3x5 cells
+         "revenue": ("o_totalprice", "sum")}).to_pandas()
 
     mid = fine.groupby("o_orderstatus", as_index=False) \
         .agg(n_orders=("n_orders", "sum"), revenue=("revenue", "sum"))
@@ -801,8 +777,7 @@ def segment_order_stats(sf_dir: str):
                               right_cols=["c_custkey", "c_mktsegment"])
     out = partial_groupby(joined, ["c_mktsegment"],
                           {"total_price": ("o_totalprice", "sum"),
-                           "n_orders": ("o_totalprice", "count")},
-                          driver_limit_rows=_LOWCARD_COMBINE_LIMIT)  # 5 segments
+                           "n_orders": ("o_totalprice", "count")})
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         df["total_price"] = df["total_price"].round(2)
@@ -919,7 +894,7 @@ def events_retention(sf_dir: str):
     groupby-min, activity weeks dedupe per user vectorized, and each
     user contributes one row per distinct offset; a grouped partial
     sum then folds user rows into cells (cells are tiny —
-    O(weeks²) — so the combine uses the low-cardinality fast path)."""
+    O(weeks²) — so the combine runs in one exchange bucket)."""
     from ..stages.combine import hash_bucket_combine
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_type"])
@@ -942,8 +917,7 @@ def events_retention(sf_dir: str):
 
     rows = hash_bucket_combine(ds, ["user_id"], per_user, num_buckets=64)
     out = partial_groupby(rows, ["cohort_week", "week_offset"],
-                          {"n_users": ("one", "sum")},
-                          driver_limit_rows=_LOWCARD_COMBINE_LIMIT)
+                          {"n_users": ("one", "sum")})
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         for c in ("cohort_week", "week_offset", "n_users"):
@@ -962,7 +936,7 @@ def events_markov(sf_dir: str):
     One hash shuffle on user_id; per bucket one lexsort orders every
     user's stream at once, a shifted equality marks within-user
     adjacency (no per-user Python), and the tiny types x types matrix
-    folds through the low-cardinality partial-sum fast path."""
+    folds through a one-bucket partial-sum combine."""
     from ..stages.combine import hash_bucket_combine
 
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts",
@@ -985,8 +959,7 @@ def events_markov(sf_dir: str):
 
     rows = hash_bucket_combine(ds, ["user_id"], per_user, num_buckets=64)
     out = partial_groupby(rows, ["from_type", "to_type"],
-                          {"n_transitions": ("n", "sum")},
-                          driver_limit_rows=_LOWCARD_COMBINE_LIMIT)
+                          {"n_transitions": ("n", "sum")})
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         df["n_transitions"] = df["n_transitions"].astype("int64")
@@ -1012,8 +985,8 @@ def events_window_anomaly(sf_dir: str, sigmas: int = 2):
     Python ints and d fits int64 at any tested scale).
 
     Scale shape: one partial-sum shuffle builds the (type, window)
-    counts; per-type moments fold from those cells through the
-    low-cardinality fast path (types are few) and broadcast as a tiny
+    counts; per-type moments fold from those cells in one exchange
+    bucket (types are few) and broadcast as a tiny
     dict; the flag pass is vectorized over the cells — no second
     shuffle of raw events."""
     ds = _read(sf_dir, "events", ["event_type", "ts"])
@@ -1038,8 +1011,7 @@ def events_window_anomaly(sf_dir: str, sigmas: int = 2):
                 "nn": (df["n_events"].astype("int64") ** 2)}),
             batch_format="pandas"),
         ["event_type"], {"W": ("one", "sum"), "S": ("n", "sum"),
-                         "SS": ("nn", "sum")},
-        driver_limit_rows=_LOWCARD_COMBINE_LIMIT).to_pandas()
+                         "SS": ("nn", "sum")}).to_pandas()
     moments = {r.event_type: (int(r.W), int(r.S), int(r.SS))
                for r in moments_rows.itertuples()}
 
@@ -1081,14 +1053,11 @@ def q13_customer_distribution(sf_dir: str):
                              ["o_custkey"],
                              {"n_orders": ("o_custkey", "count")})
     cust = _read(sf_dir, "customer", ["c_custkey"])
-    # both sides are bounded by CUSTOMER count (orders pre-folded), so
-    # the adaptive small-input fast path applies — same limit rationale
-    # as orders_incremental_agg's per-customer partials
+    # both sides are bounded by CUSTOMER count (orders pre-folded)
     joined = hash_bucket_join(cust, counts, "c_custkey", "o_custkey",
                               how="left",
                               left_cols=["c_custkey"],
-                              right_cols=["o_custkey", "n_orders"],
-                              driver_limit_rows=200_000)
+                              right_cols=["o_custkey", "n_orders"])
 
     def c_count(df: pd.DataFrame) -> pd.DataFrame:
         # unmatched left rows carry a null n_orders (int64-with-nulls
@@ -1098,8 +1067,7 @@ def q13_customer_distribution(sf_dir: str):
 
     hist = partial_groupby(joined.map_batches(c_count,
                                               batch_format="pandas"),
-                           ["c_count"], {"custdist": ("c_count", "count")},
-                           driver_limit_rows=_LOWCARD_COMBINE_LIMIT)
+                           ["c_count"], {"custdist": ("c_count", "count")})
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         return df[["c_count", "custdist"]].astype("int64")
@@ -1155,8 +1123,7 @@ def q4_returned_order_priority(sf_dir: str):
 
     partials = hash_bucket_combine(u, ["o_orderkey"], semi_count)
     out = partial_groupby(partials, ["o_orderpriority"],
-                          {"n_orders": ("n_orders", "sum")},
-                          driver_limit_rows=_LOWCARD_COMBINE_LIMIT)
+                          {"n_orders": ("n_orders", "sum")})
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         df["n_orders"] = df["n_orders"].astype("int64")
@@ -1197,8 +1164,7 @@ def q6_forecast_revenue(sf_dir: str):
     out = partial_groupby(ds.map_batches(fold, batch_format="pandas"),
                           ["one"],
                           {"revenue": ("rev", "sum"),
-                           "n_items": ("n", "sum")},
-                          driver_limit_rows=_LOWCARD_COMBINE_LIMIT)
+                           "n_items": ("n", "sum")})
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         df["revenue"] = df["revenue"].round(2)
@@ -1297,8 +1263,7 @@ def q14_promo_revenue(sf_dir: str):
 
     out = partial_groupby(folded, ["one"],
                           {"promo": ("promo", "sum"),
-                           "total": ("total", "sum")},
-                          driver_limit_rows=_LOWCARD_COMBINE_LIMIT)
+                           "total": ("total", "sum")})
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({

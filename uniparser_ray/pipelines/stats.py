@@ -270,7 +270,7 @@ def events_countmin(sf_dir: str):
     hash params as VALUES literals) is bit-exact.
 
     Scale shape: the sketch pass ships ONE d×w grid per block (the
-    partial-sum fast path folds them driver-side — 128 ints here);
+    partials fold in one exchange bucket — 128 ints here);
     the exact side is the ordinary partial-agg groupby.  Keys reduce
     mod P31 BEFORE the affine hash so products stay in int64 range on
     both engines."""
@@ -298,15 +298,13 @@ def events_countmin(sf_dir: str):
 
     grid = partial_groupby(ds.map_batches(grid_rows,
                                           batch_format="pyarrow"),
-                           ["cell"], {"c": ("c", "sum")},
-                           driver_limit_rows=200_000).to_pandas()
+                           ["cell"], {"c": ("c", "sum")}).to_pandas()
     cms = np.zeros(CMS_DEPTH * CMS_WIDTH, np.int64)
     cms[grid["cell"].to_numpy()] = grid["c"].to_numpy()
     cms = cms.reshape(CMS_DEPTH, CMS_WIDTH)
 
     tru = partial_groupby(ds, ["user_id"],
-                          {"true_count": ("user_id", "count")},
-                          driver_limit_rows=200_000).to_pandas()
+                          {"true_count": ("user_id", "count")}).to_pandas()
     uid = tru["user_id"].to_numpy().astype(np.int64).view(np.uint64) % P
     cols = (a[:, None] * uid[None, :] + b[:, None]) % P \
         % np.uint64(CMS_WIDTH)

@@ -460,8 +460,7 @@ def embedding_outliers(sf_dir: str, k: int = 8, iters: int = 2,
     # partials are bounded by blocks x k x topk — the adaptive combine
     # merges them in one task at any data size
     return hash_bucket_combine(pruned, ["cluster"], final_topk,
-                               num_buckets=16,
-                               driver_limit_rows=200_000)
+                               num_buckets=16)
 
 
 def embedding_semdedup(sf_dir: str, k: int = 8, iters: int = 2,
@@ -477,12 +476,10 @@ def embedding_semdedup(sf_dir: str, k: int = 8, iters: int = 2,
     Scale note: cluster sizes bound the quadratic term; a production
     run sizes k so max-cluster fits a worker (SemDeDup's own design
     assumption) and salts any skewed cluster.  The co-location uses
-    ``hash_bucket_combine`` on the cluster id (with its adaptive
-    no-shuffle fast path for kilobyte inputs) rather than a sort-based
+    ``hash_bucket_combine`` on the cluster id rather than a sort-based
     ``groupby``: with only k distinct keys a sort produces more output
     partitions than keys, and Ray emits the surplus as schema-less
     empty bundles that trip its schema-divergence warning."""
-    import pyarrow.parquet as pq
     import ray
 
     from ..stages.combine import hash_bucket_combine
@@ -503,8 +500,5 @@ def embedding_semdedup(sf_dir: str, k: int = 8, iters: int = 2,
         return pd.concat([empty] + outs, ignore_index=True) \
             if outs else empty
 
-    n = pq.ParquetFile(f"{sf_dir}/embeddings.parquet").metadata.num_rows
-    limit = 200_000 if n <= 200_000 else None
     return hash_bucket_combine(labeled, ["cluster"], pairs_in_bucket,
-                               num_buckets=max(k, 16),
-                               driver_limit_rows=limit)
+                               num_buckets=max(k, 16))

@@ -30,12 +30,6 @@ def _unit(m: np.ndarray) -> np.ndarray:
     return m / norms
 
 
-# local top-k emits k rows per query PER BLOCK, so the global merge
-# input is bounded at |queries|·k·B; below this it merges on the
-# driver (no shuffle), above it falls into the bucketed combine
-_TOPK_MERGE_DRIVER_LIMIT = 200_000
-
-
 def _global_topk_merge(k: int):
     """Per-query merge of the per-block partial top-ks.  Runs under
     hash_bucket_combine (all rows of a query_id co-located), NOT a
@@ -98,8 +92,7 @@ def brute_topk(ds, query_ids, query_matrix: np.ndarray, k: int = 10,
         batch_format="pyarrow")
 
     from .combine import hash_bucket_combine
-    return hash_bucket_combine(local, ["query_id"], _global_topk_merge(k),
-                               driver_limit_rows=_TOPK_MERGE_DRIVER_LIMIT)
+    return hash_bucket_combine(local, ["query_id"], _global_topk_merge(k))
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +321,7 @@ class IVFIndex:
 
         from .combine import hash_bucket_combine
         return hash_bucket_combine(local, ["query_id"],
-                                   _global_topk_merge(k),
-                                   driver_limit_rows=_TOPK_MERGE_DRIVER_LIMIT)
+                                   _global_topk_merge(k))
 
 
 def ivf_topk(ds, query_ids, query_matrix: np.ndarray, k: int = 10,

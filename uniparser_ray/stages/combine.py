@@ -1,22 +1,37 @@
-"""Hash-bucket combine: scalable grouped aggregation for Ray Data.
+"""One hash exchange on plain Ray tasks, and the grouped primitives
+built on it.
 
-``Dataset.groupby(keys).aggregate(...)`` in this Ray version pays
-~2-3 ms of per-group Python overhead in its sort-based reducer — fine
-for a handful of groups, catastrophic for the millions of groups a
-dedup or per-key aggregate produces.  The idiomatic fix (and the shape
-that scales to 100 TB) is:
+``exchange(inputs, keys, fn)`` is the engine's shuffle.  Each input
+Dataset is materialized once and its blocks taken as object refs; the
+total row count (block metadata, no extra pass) picks the bucket count
+``B = min(num_buckets, ceil(rows / _ROWS_PER_BUCKET))``:
 
-1. **partial** per-batch vectorized aggregation (one row per key per
-   batch) inside ``map_batches`` — the heavy data never shuffles;
-2. **bucket** partials by a deterministic hash of the key columns into
-   ``num_buckets`` buckets (#buckets ~ cluster cores, NOT #keys);
-3. **combine** each bucket with one vectorized pandas groupby.
+* ``B == 1``: one reduce task receives every block of every input and
+  calls ``fn`` once.  No split task runs, so a small input pays one
+  task, not an all-to-all;
+* ``B > 1``: one split task per block hashes the key columns with
+  ``_bucket_of`` (``pandas.util.hash_pandas_object``, an unseeded
+  stable hash, so bucket assignment is reproducible across workers
+  and runs) and returns its B slices as B objects; reduce task b
+  concatenates slice b of every block and calls ``fn`` — once per
+  input, so a join's reduce gets its left and right bucket apart.
 
-The shuffle therefore moves partial rows grouped into O(buckets)
-groups, and all per-key work is vectorized — per-group overhead is
-gone.  Determinism: ``pandas.util.hash_pandas_object`` is an unseeded
-stable hash, so bucket assignment is reproducible across workers and
-runs.
+The result is ``ray.data.from_arrow_refs`` over the reduce outputs.
+An empty bucket runs no ``fn`` and leaves no block, so a consumer never
+sees a schema-less empty block.  The exchange is a barrier: it
+materializes its inputs before the split and returns materialized
+blocks (there is no streaming backpressure across it).
+
+On top of it:
+
+* ``hash_bucket_combine`` — a per-bucket combine, pandas (df -> df) or
+  Arrow; combine functions may only assume "all rows of a key are in
+  one call";
+* ``grouped_aggregate`` — a per-batch Arrow partial aggregate, then the
+  combine, so the heavy data never moves, only partials
+  (``Dataset.groupby().aggregate()`` pays ms of Python per group);
+* ``hash_bucket_join`` — both sides keyed by one canonical tagged
+  string, each bucket merged in Arrow by an index join.
 """
 
 from __future__ import annotations
@@ -26,6 +41,12 @@ from typing import Callable, Dict, Sequence
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
+import ray
+
+# rows per reduce bucket: the input's row count over this picks B
+# (capped by the caller's num_buckets); see CHANGES.md for the sweep
+_ROWS_PER_BUCKET = 200_000
 
 
 def _canon_elem(x) -> str:
@@ -61,77 +82,109 @@ def _bucket_of_table(t: pa.Table, keys: Sequence[str],
     return _bucket_of(t.select(list(keys)).to_pandas(), keys, num_buckets)
 
 
+def _arrow_block(block) -> pa.Table:
+    """A Ray block (Arrow or pandas) as a metadata-free Arrow table."""
+    if not isinstance(block, pa.Table):
+        from ray.data.block import BlockAccessor
+        block = BlockAccessor.for_block(block).to_arrow()
+    return block.replace_schema_metadata(None)
+
+
+def _concat(blocks) -> pa.Table:
+    tables = [_arrow_block(b) for b in blocks]
+    if not tables:
+        return pa.table({})
+    return pa.concat_tables(tables, promote_options="permissive")
+
+
+@ray.remote
+def _split(block, keys: Sequence[str], num_buckets: int):
+    t = _arrow_block(block)
+    b = _bucket_of_table(t, keys, num_buckets)
+    order = np.argsort(b, kind="stable")
+    cuts = np.searchsorted(b[order], np.arange(num_buckets + 1))
+    t = t.take(order)
+    return tuple(t.slice(lo, hi - lo) for lo, hi in zip(cuts, cuts[1:]))
+
+
+@ray.remote(num_returns=2)
+def _reduce(fn, counts: Sequence[int], skip_empty: bool, *blocks):
+    tables, i = [], 0
+    for n in counts:
+        tables.append(_concat(blocks[i:i + n]))
+        i += n
+    if skip_empty and not any(t.num_rows for t in tables):
+        return None, -1
+    out = fn(*tables)
+    return out, len(out)
+
+
+def exchange(inputs: Sequence, keys: Sequence[str], fn: Callable,
+             num_buckets: int = 64):
+    """Hash-exchange ``inputs`` (Datasets) on ``keys`` (columns present
+    in every input) and call ``fn(t_0, ..., t_k)`` once per bucket with
+    that bucket's rows of each input as one ``pa.Table``.  ``fn``
+    returns a ``pa.Table`` (or, for cells Arrow cannot type, a pandas
+    DataFrame); the outputs come back as one materialized Dataset."""
+    import ray.data
+    keys = list(keys)
+    sides, rows = [], 0
+    for ds in inputs:
+        # empty blocks carry nothing, and their schema can be stale:
+        # map_batches passes an empty input block through unmapped
+        blocks = [(r, m.num_rows) for b in ds.materialize()
+                  .iter_internal_ref_bundles()
+                  for r, m in zip(b.block_refs, b.metadata) if m.num_rows]
+        sides.append([r for r, _ in blocks])
+        rows += sum(n for _, n in blocks)
+    nb = max(1, min(num_buckets, -(-rows // _ROWS_PER_BUCKET)))
+    if nb == 1:
+        buckets = [sides]
+    else:
+        parts = [[_split.options(num_returns=nb).remote(r, keys, nb)
+                  for r in refs] for refs in sides]
+        buckets = [[[p[b] for p in side] for side in parts]
+                   for b in range(nb)]
+    outs, counts = zip(*(
+        _reduce.remote(fn, [len(s) for s in bucket], nb > 1,
+                       *[r for s in bucket for r in s])
+        for bucket in buckets))
+    # keep the non-empty outputs; if every bucket came out empty, one
+    # typed empty output (a skipped bucket, -1, has no block at all)
+    ns = ray.get(list(counts))
+    kept = [o for o, n in zip(outs, ns) if n > 0] \
+        or [o for o, n in zip(outs, ns) if n == 0][:1]
+    return ray.data.from_arrow_refs(kept)
+
+
 def hash_bucket_combine(ds, keys: Sequence[str],
                         combine_fn: Callable[[pd.DataFrame], pd.DataFrame],
                         num_buckets: int = 64,
-                        driver_limit_rows: int = None,
                         arrow_fn: Callable[[pa.Table], pa.Table] = None):
-    """Bucket rows by hash(keys), run the combine once per bucket
-    (all rows of a key land in one bucket).
-
-    The shuffle runs on ARROW blocks end to end: bucketize appends the
-    ``_bucket`` column to the zero-copy Arrow batch, the groupby sort
-    moves Arrow blocks (empty partitions are schema-stable Arrow, not
-    the object-dtype pandas frames that used to trip Ray's sampled
-    size estimator), and each group lands in the combine as a
-    ``pa.Table``.  ``combine_fn`` keeps the pandas contract
-    (df -> df) for callers with pandas-shaped logic — the hop happens
-    once per BUCKET, not per key; pass ``arrow_fn`` instead for a
-    fully Arrow combine (pa.Table -> pa.Table, no pandas hop at all —
-    ``grouped_aggregate`` uses this).
-
-    ``driver_limit_rows`` opts into the adaptive no-shuffle fast path
-    (same design as the crawl loop's small-round path): the input is
-    materialized and counted; at or below the limit the whole input is
-    combined in one driver-side call — valid because combine fns only
-    assume "all rows of a key are together", which one bucket
-    trivially satisfies — skipping a multi-second Ray all-to-all for
-    kilobyte inputs.  Above the limit the materialized input flows
-    into the normal shuffle.  Callers should pass it only when the
-    input is plausibly small (e.g. known row bounds from parquet
-    metadata); driver memory is bounded by the limit."""
-    keys = list(keys)
-
-    if driver_limit_rows:
-        import ray
-        import ray.data
-        m = ds.materialize()
-        if m.count() <= driver_limit_rows:
-            if arrow_fn is not None:
-                refs = m.to_arrow_refs()
-                tbls = [t for t in ray.get(refs) if t.num_rows] \
-                    if refs else []
-                if not tbls:
-                    return m
-                t = pa.concat_tables(tbls, promote_options="default")
-                return ray.data.from_arrow(
-                    arrow_fn(t.combine_chunks()))
-            return ray.data.from_pandas(combine_fn(m.to_pandas()))
-        ds = m  # reuse: don't re-execute the upstream for the shuffle
-
-    def bucketize(t: pa.Table) -> pa.Table:
-        return t.replace_schema_metadata(None).append_column(
-            "_bucket", pa.array(_bucket_of_table(t, keys, num_buckets),
-                                type=pa.int64()))
-
+    """Exchange rows by hash(keys) and run the combine once per bucket
+    (all rows of a key land in one bucket).  ``combine_fn`` keeps the
+    pandas contract (df -> df; the hop happens once per bucket, not per
+    key); pass ``arrow_fn`` instead for an Arrow combine (pa.Table ->
+    pa.Table, no pandas hop — ``grouped_aggregate`` and the crawl's
+    grant use this)."""
     if arrow_fn is not None:
-        def per_bucket(g: pa.Table):
-            return arrow_fn(
-                g.drop_columns(["_bucket"]).combine_chunks())
+        def per_bucket(t: pa.Table):
+            return arrow_fn(t.combine_chunks()) if t.num_columns else t
     else:
-        def per_bucket(g: pa.Table):
-            out = combine_fn(g.drop_columns(["_bucket"]).to_pandas())
+        def per_bucket(t: pa.Table):
+            if not t.num_columns:
+                return t
+            out = combine_fn(t.to_pandas())
             try:
                 from ..blocks import table_from_pandas
                 return table_from_pandas(out, preserve_index=False)
             except (pa.ArrowInvalid, pa.ArrowTypeError,
                     pa.ArrowNotImplementedError):
                 # combine output holds cells Arrow can't type (rare:
-                # ragged ndarrays etc.) — let Ray keep a pandas block
+                # ragged ndarrays etc.) — Ray keeps a pandas block
                 return out
 
-    return ds.map_batches(bucketize, batch_format="pyarrow") \
-        .groupby("_bucket").map_groups(per_bucket, batch_format="pyarrow")
+    return exchange([ds], keys, per_bucket, num_buckets)
 
 
 def _arrow_group_agg(t: pa.Table, keys: Sequence[str], items) -> pa.Table:
@@ -141,8 +194,6 @@ def _arrow_group_agg(t: pa.Table, keys: Sequence[str], items) -> pa.Table:
     (pandas ``groupby`` default), all-null sums are 0 (min_count=0),
     count counts rows.  ``use_threads=False``: each Ray task owns one
     CPU — threading inside the kernel would oversubscribe."""
-    import pyarrow.compute as pc
-
     keys = list(keys)
     mask = None
     for k in keys:
@@ -177,22 +228,15 @@ def _arrow_group_agg(t: pa.Table, keys: Sequence[str], items) -> pa.Table:
 
 
 def grouped_aggregate(ds, keys: Sequence[str], agg_spec: Dict[str, tuple],
-                      batch_size: int = 65536, num_buckets: int = 64,
-                      driver_limit_rows: int = None):
+                      batch_size: int = 65536, num_buckets: int = 64):
     """Two-phase grouped aggregate, Arrow end to end.
 
     agg_spec: {out_col: (in_col, 'sum'|'count'|'min'|'max')}.
     count combines as sum-of-partial-counts.  Both phases are single
     Arrow hash-aggregation kernel calls (``Table.group_by``) — no
-    pandas hop anywhere on the path, and every shuffled block is Arrow
-    with one stable schema.
-
-    ``driver_limit_rows`` (see ``hash_bucket_combine``) opts the final
-    combine into the adaptive no-shuffle fast path.  Pass it when the
-    key cardinality is provably small (the partials are bounded by
-    blocks x keys): low-cardinality aggregates otherwise pay a 64-way
-    all-to-all for kilobytes AND Ray's sort shuffle emits schema-less
-    empty partitions when keys << partition count.
+    pandas hop anywhere on the path.  Partials are bounded by
+    blocks x keys, so a low-cardinality aggregate combines in one
+    bucket.
     """
     keys = list(keys)
     items = [(out, col, how) for out, (col, how) in agg_spec.items()]
@@ -208,38 +252,80 @@ def grouped_aggregate(ds, keys: Sequence[str], agg_spec: Dict[str, tuple],
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               batch_size=batch_size)
     return hash_bucket_combine(partials, keys, None, num_buckets,
-                               driver_limit_rows=driver_limit_rows,
                                arrow_fn=combine)
+
+
+_JOIN_TYPES = {"inner": "inner", "left": "left outer",
+               "right": "right outer", "outer": "full outer"}
+
+
+def _canonical_key(k: pd.Series) -> pd.Series:
+    """Canonical join key: one stable physical type (string) with a
+    per-ELEMENT kind tag — ``i:<int>`` / ``f:<float>`` / ``b:<bool>``
+    / ``s:<str>`` / ``n:`` (null).  A value's canonical form never
+    depends on its batch neighbors (an all-numeric object batch and
+    a mixed one tag '101' identically), python ints >= 2**63 never
+    overflow (no int64 cast), floats keep their repr (no 1.5 -> 1
+    truncation), and ``_jkey`` is always string whatever the two
+    sides' key dtypes.  Keys of different kinds get different tags and
+    never match — the no-cross-type-equijoin semantics of a typed
+    engine; null matches null (``n:``), as in a pandas merge."""
+    kind = getattr(k.dtype, "kind", "O")
+    if kind == "i":
+        return "i:" + k.astype("int64").astype(str)
+    if kind == "u":
+        return "i:" + k.astype("uint64").astype(str)
+    if kind == "b":
+        return "b:" + k.astype(str)
+    if kind == "f":
+        return ("f:" + k.astype(str)).where(~k.isna(), "n:")
+    if kind == "O":
+        return k.map(_canon_elem)
+    return "s:" + k.astype(str)
+
+
+def _keyed(key: str, cols: Sequence[str]):
+    """pandas in (an object-dtype key batch keeps per-element python
+    kinds for ``_canonical_key`` — Arrow would coerce a mixed [1.5, 1]
+    object column to double before it could be tagged), Arrow out:
+    the side's columns plus its ``_jkey``."""
+    def fn(df: pd.DataFrame) -> pa.Table:
+        out = {c: pa.Array.from_pandas(df[c]) for c in cols}
+        out["_jkey"] = pa.array(_canonical_key(df[key]), type=pa.string())
+        return pa.table(out)
+    return fn
+
+
+def _coalesce(a, b):
+    if pa.types.is_null(a.type):
+        return b
+    return pc.coalesce(a, b if b.type == a.type else b.cast(a.type))
 
 
 def hash_bucket_join(left, right, left_on: str, right_on: str,
                      how: str = "inner", num_buckets: int = 64,
                      left_cols: Sequence[str] = None,
-                     right_cols: Sequence[str] = None,
-                     driver_limit_rows: int = None):
-    """Distributed equi-join: both sides bucketed by a stable hash of
-    the join key, one vectorized pandas merge per bucket.
+                     right_cols: Sequence[str] = None):
+    """Distributed equi-join: each side is exchanged on its canonical
+    key, and each bucket merges in Arrow.
 
-    The broadcast join (ray.put the small side) is right for
-    dimension lookups; this is the shuffle join for two LARGE sides —
-    each side moves once, buckets are O(cluster cores), the merge is
-    vectorized per bucket.  Column sets of the two sides must be
-    disjoint apart from the join keys (standard star-schema shape).
+    The broadcast join (ray.put the small side) is right for dimension
+    lookups; this is the shuffle join for two large sides — each side
+    moves once.  Column sets of the two sides must be disjoint apart
+    from the join keys (standard star-schema shape).  Output columns
+    are the left columns, then the right ones; when the key names are
+    equal the key appears once and, on right and outer joins, is
+    filled from the right side where the left has no row.
+
+    The merge is an index join: ``(_jkey, row index)`` tables joined by
+    ``pa.Table.join``, then each side's payload gathered with ``take``
+    (Acero's join rejects list-typed non-key fields; ``take`` carries
+    any type, and a null index gives a null of the column's own type,
+    so 64-bit payloads on the null side stay exact).
 
     Pass ``left_cols``/``right_cols`` when known: ``Dataset.schema()``
     on an unexecuted pipeline EXECUTES it, so sniffing names at plan
-    time would run each input twice (once for the sniff, once for the
-    join).  Restore dtypes come from each bucket's own Arrow schema at
-    merge time, so no plan-time type information is needed at all.
-
-    ``driver_limit_rows`` opts into the adaptive small-input fast path
-    (same contract as ``hash_bucket_combine``): both sides are
-    materialized and counted; at or below the limit the padded union
-    merges in ONE task — valid because the merge only assumes "all
-    rows of a key are together", which one partition trivially
-    satisfies — skipping the multi-second all-to-all for kilobyte
-    inputs.  Above the limit the materialized inputs flow into the
-    normal shuffle.  Pass it only when the inputs are plausibly small.
+    time would run each input twice.
     """
     lcols = list(left_cols) if left_cols is not None \
         else list(left.schema().names)
@@ -249,162 +335,32 @@ def hash_bucket_join(left, right, left_on: str, right_on: str,
     if overlap:
         raise ValueError(f"overlapping non-key columns: {sorted(overlap)}")
     allcols = lcols + [c for c in rcols if c not in lcols]
+    join_type = _JOIN_TYPES[how]
 
-    def _canonical_key(k: pd.Series) -> pd.Series:
-        """Canonical join key: one stable physical type (string) with a
-        per-ELEMENT kind tag — ``i:<int>`` / ``f:<float>`` / ``b:<bool>``
-        / ``s:<str>`` / ``n:`` (null).  A value's canonical form never
-        depends on its batch neighbors (an all-numeric object batch and
-        a mixed one tag '101' identically), python ints >= 2**63 never
-        overflow (no int64 cast), floats keep their repr (no 1.5 -> 1
-        truncation), and the unioned ``_jkey`` column is always string —
-        one Arrow schema regardless of the two sides' key dtypes.  Keys
-        of different kinds get different tags and never match — the
-        no-cross-type-equijoin semantics of a typed engine."""
-        kind = getattr(k.dtype, "kind", "O")
-        if kind == "i":
-            return "i:" + k.astype("int64").astype(str)
-        if kind == "u":
-            return "i:" + k.astype("uint64").astype(str)
-        if kind == "b":
-            return "b:" + k.astype(str)
-        if kind == "f":
-            return ("f:" + k.astype(str)).where(~k.isna(), "n:")
-        if kind == "O":
-            return k.map(_canon_elem)
-        return "s:" + k.astype(str)
+    def side(t: pa.Table, cols) -> pa.Table:
+        # a side with no blocks at all reaches the merge as a
+        # column-less table
+        if t.num_columns:
+            return t
+        return pa.table({**{c: pa.nulls(0) for c in cols},
+                         "_jkey": pa.array([], pa.string())})
 
-    small = False
-    type_hints: dict = {}
-    if driver_limit_rows:
-        left = left.materialize()
-        right = right.materialize()
-        small = left.count() + right.count() <= driver_limit_rows
-        # Materialized inputs make schema() free: collect each side's
-        # Arrow types so pad() can emit TYPED nulls for the other
-        # side's columns.  Without this, left blocks carry null-typed
-        # right columns and vice versa — two distinct schemas flowing
-        # into the groupby shuffle, which defeats Ray's block-schema
-        # dedup and fires a "different schema" warning per block pair.
-        for ds_side in (left, right):
-            sch = ds_side.schema(fetch_if_missing=False)
-            if sch is None:
-                continue
-            # Schema.types converts pandas dtypes to Arrow types where
-            # possible; non-convertible entries (object dtype) come
-            # back as python classes — no hint for those (they fall
-            # back to bare null padding, which Arrow unifies)
-            for name, typ in zip(sch.names, sch.types):
-                if isinstance(typ, pa.DataType) and not pa.types.is_null(typ):
-                    type_hints.setdefault(name, typ)
+    def merge(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        lt, rt = side(lt, lcols), side(rt, rcols)
+        # Acero's output order is unspecified: sort the index pairs so
+        # rows come in left order, as a pandas merge gives them
+        idx = pa.table({"_jkey": lt["_jkey"],
+                        "_li": np.arange(lt.num_rows)}).join(
+            pa.table({"_jkey": rt["_jkey"], "_ri": np.arange(rt.num_rows)}),
+            "_jkey", join_type=join_type, use_threads=False) \
+            .sort_by([("_li", "ascending"), ("_ri", "ascending")])
+        lt, rt = lt.take(idx["_li"]), rt.take(idx["_ri"])
+        out = {c: lt[c] if c in lcols else rt[c] for c in allcols}
+        if left_on == right_on and how in ("right", "outer"):
+            out[left_on] = _coalesce(lt[left_on], rt[right_on])
+        return pa.table(out)
 
-    def pad(side: int, key: str):
-        # pandas IN (an object-dtype key batch keeps per-element
-        # python kinds for _canonical_key — Arrow would coerce a mixed
-        # [1.5, 1] object column to double before we could tag it),
-        # Arrow OUT (one explicit schema for the union)
-        def fn(df: pd.DataFrame) -> pa.Table:
-            n = len(df)
-            jkey = _canonical_key(df[key])
-            cols = {}
-            for c in allcols:
-                if c in df.columns:
-                    cols[c] = pa.Array.from_pandas(
-                        df[c], type=type_hints.get(c))
-                else:
-                    # typed nulls when the other side's schema is
-                    # known; bare null type otherwise (Arrow unifies
-                    # null+T -> T at group assembly, at the cost of
-                    # mixed block schemas on the streaming path)
-                    cols[c] = pa.nulls(n, type=type_hints.get(c))
-            cols["_jkey"] = pa.array(jkey, type=pa.string())
-            cols["_side"] = pa.array(np.full(n, side, dtype=np.int8))
-            # pa.table() builds a fresh metadata-free schema, so the
-            # pandas metadata blob never enters the shuffle
-            return pa.table(cols)
-        return fn
-
-    u = left.map_batches(pad(0, left_on), batch_format="pandas").union(
-        right.map_batches(pad(1, right_on), batch_format="pandas"))
-
-    def bucketize(t):
-        # Arrow in, Arrow out: keeps the groupby shuffle on Arrow
-        # blocks, so group assembly uses Arrow schema unification
-        # (uint64 + null -> uint64) instead of a pandas->Arrow
-        # re-inference that chokes on object-of->2**63-int columns.
-        import pyarrow as pa_
-        s = t.column("_jkey").to_pandas()
-        h = pd.util.hash_pandas_object(s, index=False).to_numpy()
-        # drop the pandas metadata blob: schemas carrying it are
-        # unhashable, which defeats Ray's block-schema dedup in the
-        # groupby shuffle ("Failed to hash the schemas" warning)
-        return t.replace_schema_metadata(None).append_column(
-            "_bucket", pa_.array((h % np.uint64(num_buckets)).astype("int64")))
-
-    def merge(bucket: pa.Table) -> pd.DataFrame:
-        import pyarrow as pa_
-
-        # integer_object_nulls: a null-padded int64 column converts to
-        # object-of-python-ints instead of float64, so 64-bit values
-        # (hash keys) survive the arrow->pandas hop losslessly before
-        # the per-side dtype restore
-        pdf = bucket.to_pandas(integer_object_nulls=True)
-
-        def restore(side: int, cols):
-            sub = pdf[pdf["_side"] == side][cols]
-            dt = {}
-            for c in cols:
-                typ = bucket.schema.field(c).type
-                if pa_.types.is_unsigned_integer(typ):
-                    dt[c] = "uint64"
-                elif pa_.types.is_integer(typ):
-                    dt[c] = "int64"
-                elif pa_.types.is_floating(typ):
-                    dt[c] = "float64"
-                elif pa_.types.is_timestamp(typ):
-                    dt[c] = f"datetime64[{typ.unit}]"
-                # null-typed (all-null in this bucket) / string / bool:
-                # leave as converted
-            return sub.astype(dt)
-
-        # Merge on the canonical tagged key itself — both sides carry
-        # the same string dtype, so a bucket mixing int-kind and
-        # str-kind keys merges cleanly (they simply never match) and
-        # the restored natural-typed key columns ride through as data.
-        l = restore(0, lcols + ["_jkey"])
-        r = restore(1, rcols + ["_jkey"])
-        if left_on == right_on:
-            r = r.rename(columns={right_on: "_rkey_dup"})
-            out = l.merge(r, on="_jkey", how=how)
-            if how in ("right", "outer"):
-                out[left_on] = out[left_on].where(
-                    out[left_on].notna(), out["_rkey_dup"])
-            out = out.drop(columns=["_rkey_dup", "_jkey"])
-        else:
-            out = l.merge(r, on="_jkey", how=how).drop(columns=["_jkey"])
-        out = out[allcols]
-        # Arrow out for EVERY bucket, typed from the bucket's own
-        # schema: a mixed pandas(non-empty)/arrow(empty) output stream
-        # can never agree on a block schema (PandasBlockSchema !=
-        # arrow schema), so each empty bucket used to fire Ray's
-        # "different schema" warning; and an empty PANDAS block with
-        # object columns additionally trips the sampled size estimator
-        arrays = []
-        for c in allcols:
-            typ = bucket.schema.field(c).type
-            if len(out):
-                arrays.append(pa_.Array.from_pandas(out[c], type=typ))
-            else:
-                arrays.append(pa_.array([], typ))
-        return pa_.Table.from_arrays(arrays, names=allcols)
-
-    if small:
-        # one partition = one "bucket" holding every key: merge once,
-        # no shuffle (strip the pandas metadata blob like bucketize
-        # does so downstream block schemas stay hashable)
-        return u.repartition(1).map_batches(
-            lambda t: merge(t.replace_schema_metadata(None)),
-            batch_format="pyarrow", batch_size=None)
-
-    return u.map_batches(bucketize, batch_format="pyarrow") \
-        .groupby("_bucket").map_groups(merge, batch_format="pyarrow")
+    return exchange(
+        [left.map_batches(_keyed(left_on, lcols), batch_format="pandas"),
+         right.map_batches(_keyed(right_on, rcols), batch_format="pandas")],
+        ["_jkey"], merge, num_buckets)

@@ -116,18 +116,13 @@ class MinHashStage:
 
 def minhash_candidate_pairs(ds, num_perm: int = 64, num_bands: int = 16,
                             concurrency: int = 4, shingle_k: int = 3,
-                            seed: int = None, driver_limit_rows: int = None,
-                            band_cap: int = None):
+                            seed: int = None, band_cap: int = None):
     """documents -> candidate (doc_a, doc_b) pairs via banded LSH.
 
     Shuffles only (band, doc_id) rows, bucketed by band hash; pairs
     emerge from a vectorized per-bucket self-merge, deduped within
     each bucket.  Pairs colliding in multiple bands can appear once
     per band — callers dedup the (LSH-bounded, tiny) result.
-
-    ``driver_limit_rows``: opt-in no-shuffle fast path for the band
-    combine (see hash_bucket_combine) — pass only when the corpus is
-    known small (e.g. parquet-footer row count x num_bands).
 
     ``band_cap`` (default None = exact, the oracle-checked config) is
     the hot-bucket guard for 100 TB corpora: a DEGENERATE band key —
@@ -174,8 +169,7 @@ def minhash_candidate_pairs(ds, num_perm: int = 64, num_bands: int = 16,
         return out.drop_duplicates()
 
     return hash_bucket_combine(bands, ["band_id", "band_hash"],
-                               pairs_of_bucket,
-                               driver_limit_rows=driver_limit_rows)
+                               pairs_of_bucket)
 
 
 def jaccard(text_a: str, text_b: str, k: int = 3) -> float:
@@ -229,7 +223,6 @@ def minhash_neardup_pairs(ds, threshold: float = 0.7, num_perm: int = 64,
                           num_bands: int = 16, concurrency: int = 4,
                           shingle_k: int = 3, df_cap: int = None,
                           broadcast_limit: int = 200_000,
-                          driver_limit_rows: int = None,
                           band_cap: int = None):
     """Full near-dup pipeline: LSH candidates -> exact-Jaccard verify.
 
@@ -261,7 +254,6 @@ def minhash_neardup_pairs(ds, threshold: float = 0.7, num_perm: int = 64,
 
     cands = minhash_candidate_pairs(ds, num_perm, num_bands, concurrency,
                                     shingle_k=shingle_k,
-                                    driver_limit_rows=driver_limit_rows,
                                     band_cap=band_cap) \
         .materialize()
     empty = pa.table({"doc_a": pa.array([], pa.int64()),
@@ -294,8 +286,7 @@ def minhash_neardup_pairs(ds, threshold: float = 0.7, num_perm: int = 64,
         sh = shingle_set_rows(ds_f, shingle_k)
         partial = hash_bucket_combine(
             sh, ["shingle_hash"],
-            _pair_count_bucket(df_cap, allow_ref=allow_ref),
-            driver_limit_rows=driver_limit_rows).to_pandas()
+            _pair_count_bucket(df_cap, allow_ref=allow_ref)).to_pandas()
         if not len(partial):
             return empty
         # final combine on the driver: bounded by broadcast_limit

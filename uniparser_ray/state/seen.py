@@ -12,9 +12,9 @@ returns "already seen".
 Scale math (north rule, 10^10 URLs): exact sets don't fit, so shards
 switch to bloom mode — 10 bits/URL = 12.5 GB across the cluster, ~256
 logical shards → ~50 MB/shard, FP ~0.8% (a false positive means a URL
-is wrongly skipped).  At test scale shards run exact+bloom in tandem
-and count divergences, so the bloom path is continuously verified
-against ground truth.
+is wrongly skipped).  The default ``tandem`` mode keeps an exact set
+beside the bloom, answers from the exact set and counts divergences,
+so the bloom path is continuously verified against ground truth.
 
 Callers (``SeenFilter`` in state/host.py) batch hashes per host and
 issue one RPC per host per batch — RPC count is O(hosts), not
@@ -31,16 +31,16 @@ from .bloom import BloomFilter
 
 
 class SeenShard:
-    """One shard: exact set and/or bloom filter over uint64 hashes.
-    Modes: exact | bloom | tandem (exact + bloom, divergence-counted)."""
+    """One shard: a bloom filter over uint64 hashes, plus (tandem) an
+    exact set that answers and counts the bloom's divergences.
+    Modes: bloom | tandem."""
 
     def __init__(self, mode: str = "tandem", capacity: int = 1_000_000):
-        if mode not in ("exact", "bloom", "tandem"):
+        if mode not in ("bloom", "tandem"):
             raise ValueError(f"unknown seen mode: {mode!r}")
         self.mode = mode
-        self.exact = set() if mode in ("exact", "tandem") else None
-        self.bloom = (BloomFilter(capacity)
-                      if mode in ("bloom", "tandem") else None)
+        self.exact = set() if mode == "tandem" else None
+        self.bloom = BloomFilter(capacity)
         self.divergences = 0
         self.added = 0
 
@@ -58,15 +58,13 @@ class SeenShard:
             return np.zeros(0, dtype=bool)
         uniq, first_idx, inv = np.unique(
             h, return_index=True, return_inverse=True)
-        if self.bloom is not None:
-            new_uniq = self.bloom.add_batch_unique(uniq)
+        new_uniq = self.bloom.add_batch_unique(uniq)
         if self.exact is not None:
             ex = self.exact
             exact_new = np.fromiter((int(u) not in ex for u in uniq),
                                     dtype=bool, count=uniq.size)
             ex.update(int(u) for u in uniq[exact_new])
-            if self.bloom is not None:
-                self.divergences += int((new_uniq != exact_new).sum())
+            self.divergences += int((new_uniq != exact_new).sum())
             new_uniq = exact_new
         self.added += int(new_uniq.sum())
         # only the FIRST occurrence of a duplicated key may be new
@@ -77,5 +75,5 @@ class SeenShard:
     def stats(self) -> dict:
         return {"added": self.added, "divergences": self.divergences,
                 "mode": self.mode,
-                "bloom_bytes": self.bloom.approx_bytes if self.bloom else 0}
+                "bloom_bytes": self.bloom.approx_bytes}
 
