@@ -68,7 +68,6 @@ def run_suite(sf_dir: str, num_cpus: int) -> dict:
     warm_cfg = CrawlConfig(web_config=web_cfg, out_dir=warm_dir,
                            seeds=web.seed_urls(), max_rounds=2,
                            per_host_budget=8,
-                           fetch_concurrency=max(4, num_cpus // 2),
                            fetch_batch_size=64, seen_shard_bits=4,
                            seen_mode="tandem")
     run_crawl(warm_cfg, web.rule_pack())
@@ -76,7 +75,6 @@ def run_suite(sf_dir: str, num_cpus: int) -> dict:
     cfg = CrawlConfig(web_config=web_cfg, out_dir=out_dir,
                       seeds=web.seed_urls(), max_rounds=30,
                       per_host_budget=120,
-                      fetch_concurrency=max(4, num_cpus // 2),
                       fetch_batch_size=64,
                       seen_shard_bits=4, seen_mode="tandem")
     t0 = time.perf_counter()

@@ -2,6 +2,7 @@
 identical URL-seen set, per-round fetch sets (crawl ordering), parsed
 values, and image rows (decoded-pixel equality + caption equality)."""
 
+import contextlib
 import json
 import math
 
@@ -26,6 +27,36 @@ def _round_dirs(base):
 
 
 WEB_CFG = dict(num_hosts=3, base_pages=10, fanout=2, hot_factor=4.0)
+
+
+@contextlib.contextmanager
+def _many_blocks(rows=4):
+    """Rounds of these small webs spread over several admit blocks and
+    several grant buckets: the rows-per-admit-block and rows-per-bucket
+    constants shrunk to ``rows``.  Yields the (clipped blocks, buckets
+    run) of every grant exchange, for the caller to assert on."""
+    from uniparser_ray.crawl import loop
+    from uniparser_ray.stages import combine
+
+    grants = []
+    real = combine.exchange_refs
+
+    def spy(sides, *args, **kwargs):
+        outs = real(sides, *args, **kwargs)
+        grants.append((len(sides[0]), len(outs)))
+        return outs
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(loop, "_ADMIT_BLOCK_ROWS", rows)
+        mp.setattr(combine, "_ROWS_PER_BUCKET", rows)
+        mp.setattr(combine, "exchange_refs", spy)
+        yield grants
+
+
+def _assert_spread(grants):
+    """Some round spanned several admit blocks and several buckets."""
+    assert max(b for b, _ in grants) > 1, grants
+    assert max(n for _, n in grants) > 1, grants
 
 
 def _ray_rounds(out_dir, max_rounds=30):
@@ -56,7 +87,7 @@ def ray_crawl(ray_session, tmp_path_factory):
     web = SynthWeb(**WEB_CFG)
     cfg = CrawlConfig(web_config=WEB_CFG, out_dir=str(out),
                       seeds=web.seed_urls(), max_rounds=30,
-                      per_host_budget=3, fetch_concurrency=2,
+                      per_host_budget=3,
                       seen_shard_bits=2)
     totals = run_crawl(cfg, web.rule_pack())
     return out, totals
@@ -156,12 +187,12 @@ def test_crawl_resume(ray_session, tmp_path, oracle_result):
     out = tmp_path / "crawl2"
     cfg_partial = CrawlConfig(web_config=WEB_CFG, out_dir=str(out),
                               seeds=web.seed_urls(), max_rounds=2,
-                              per_host_budget=3, fetch_concurrency=2,
+                              per_host_budget=3,
                               seen_shard_bits=2)
     run_crawl(cfg_partial, web.rule_pack())
     cfg_full = CrawlConfig(web_config=WEB_CFG, out_dir=str(out),
                            seeds=web.seed_urls(), max_rounds=30,
-                           per_host_budget=3, fetch_concurrency=2,
+                           per_host_budget=3,
                            seen_shard_bits=2)
     totals = run_crawl(cfg_full, web.rule_pack(), resume=True)
     ray_rounds = _ray_rounds(out)
@@ -184,7 +215,7 @@ def test_crawl_resume_from_legacy_checkpoint(ray_session, tmp_path,
     out = tmp_path / "crawl_legacy"
     cfg_partial = CrawlConfig(web_config=WEB_CFG, out_dir=str(out),
                               seeds=web.seed_urls(), max_rounds=2,
-                              per_host_budget=3, fetch_concurrency=2,
+                              per_host_budget=3,
                               seen_shard_bits=2)
     run_crawl(cfg_partial, web.rule_pack())
     # rewrite the checkpoints in the legacy schema
@@ -201,7 +232,7 @@ def test_crawl_resume_from_legacy_checkpoint(ray_session, tmp_path,
         pq.write_table(t.drop_columns(drop), f)
     cfg_full = CrawlConfig(web_config=WEB_CFG, out_dir=str(out),
                            seeds=web.seed_urls(), max_rounds=30,
-                           per_host_budget=3, fetch_concurrency=2,
+                           per_host_budget=3,
                            seen_shard_bits=2)
     totals = run_crawl(cfg_full, web.rule_pack(), resume=True)
     assert totals["pages_ok"] > 0
@@ -212,16 +243,18 @@ def test_crawl_resume_from_legacy_checkpoint(ray_session, tmp_path,
 def test_crawl_distributed_grant_tight_backlog_identical(ray_session,
                                                          tmp_path,
                                                          oracle_result):
-    """The Dataset grant (block-local clip, then the per-host shuffle)
-    under a tight backlog clip: identical per-round fetch sets vs the
-    oracle."""
+    """The multi-block grant (block-local clips, then the per-host
+    exchange over several buckets) under a tight backlog clip:
+    identical per-round fetch sets vs the oracle."""
     web = SynthWeb(**WEB_CFG)
     cfg = CrawlConfig(web_config=WEB_CFG, out_dir=str(tmp_path / "crawl3"),
                       seeds=web.seed_urls(), max_rounds=30,
-                      per_host_budget=3, fetch_concurrency=2,
+                      per_host_budget=3,
                       seen_shard_bits=2,
-                      max_pending_per_host=5, small_grant_threshold=0)
-    totals = run_crawl(cfg, web.rule_pack())
+                      max_pending_per_host=5)
+    with _many_blocks() as grants:
+        totals = run_crawl(cfg, web.rule_pack())
+    _assert_spread(grants)
     assert totals["pages_ok"] > 0
     ray_rounds = _ray_rounds(tmp_path / "crawl3")
     # oracle with the same (tighter) backlog clip
@@ -316,7 +349,7 @@ def test_crawl_retries_recover_transient_failures(ray_session, tmp_path,
     out = tmp_path / "crawl_flaky"
     cfg = CrawlConfig(web_config=flaky_cfg, out_dir=str(out),
                       seeds=web.seed_urls(), max_rounds=40,
-                      per_host_budget=3, fetch_concurrency=2,
+                      per_host_budget=3,
                       seen_shard_bits=2, max_fetch_retries=2)
     totals = run_crawl(cfg, web.rule_pack())
     assert sum(m["retried"] for m in totals["per_round"]) > 0
@@ -349,7 +382,7 @@ def test_crawl_retry_exhaustion_is_permanent(ray_session, tmp_path):
     out = tmp_path / "crawl_dead"
     cfg = CrawlConfig(web_config=flaky_cfg, out_dir=str(out),
                       seeds=web.seed_urls(), max_rounds=40,
-                      per_host_budget=3, fetch_concurrency=2,
+                      per_host_budget=3,
                       seen_shard_bits=2, max_fetch_retries=1)
     totals = run_crawl(cfg, web.rule_pack())
     statuses = {}
@@ -380,7 +413,7 @@ def test_crawl_robots_delay_budget_matches_oracle(ray_session, tmp_path):
     out = tmp_path / "crawl_delay"
     cfg = CrawlConfig(web_config=web_cfg, out_dir=str(out),
                       seeds=web.seed_urls(), max_rounds=30,
-                      per_host_budget=6, fetch_concurrency=2,
+                      per_host_budget=6,
                       seen_shard_bits=2, robots_delay_budget=True,
                       round_seconds=60.0)
     run_crawl(cfg, web.rule_pack())
@@ -434,44 +467,53 @@ def _crawl_outputs(out):
 
 
 @pytest.fixture(scope="module")
-def two_path_outputs(ray_session, tmp_path_factory):
-    """The same crawl with every round on the driver path (default
-    threshold) and every round on the distributed path
-    (small_grant_threshold=0): threshold -> (_crawl_outputs, images
-    total)."""
-    results = {}
-    for threshold in (CrawlConfig.small_grant_threshold, 0):
-        out = tmp_path_factory.mktemp(f"crawl_t{threshold}") / "crawl"
+def block_leg_outputs(ray_session, tmp_path_factory):
+    """The same crawl with every round in one admit block (the default
+    constants) and with rounds spread over several admit blocks and
+    grant buckets (``_many_blocks``): (one-block, many-block)
+    ``(_crawl_outputs, images total, per-round fetch sets)``."""
+    results = []
+    for many in (False, True):
+        out = tmp_path_factory.mktemp(f"crawl_many{int(many)}") / "crawl"
         web = SynthWeb(**WEB_CFG)
         cfg = CrawlConfig(web_config=WEB_CFG, out_dir=str(out),
                           seeds=web.seed_urls(), max_rounds=30,
-                          per_host_budget=3, fetch_concurrency=2,
-                          seen_shard_bits=2,
-                          small_grant_threshold=threshold)
-        totals = run_crawl(cfg, web.rule_pack())
-        results[threshold] = (_crawl_outputs(out), totals["images"])
-    return (results[CrawlConfig.small_grant_threshold], results[0])
+                          per_host_budget=3,
+                          seen_shard_bits=2)
+        with (_many_blocks() if many else contextlib.nullcontext()) as g:
+            totals = run_crawl(cfg, web.rule_pack())
+        if many:
+            _assert_spread(g)
+        results.append((_crawl_outputs(out), totals["images"],
+                        _ray_rounds(out)))
+    return results
 
 
-def test_crawl_fused_image_path_identical(two_path_outputs):
-    """The image side-channel runs inside the fetch tasks on both round
-    paths; the driver path and the distributed path must produce the
-    SAME image table: ids, bytes, captions, phash, and per-round
-    lineage."""
-    ((_, df_d, lin_d), n_d), ((_, df_r, lin_r), n_r) = two_path_outputs
+def test_crawl_fused_image_path_identical(block_leg_outputs):
+    """The image side-channel runs inside the fetch tasks; one-block
+    rounds and rounds spread over several blocks and buckets must
+    produce the SAME image table: ids, bytes, captions, phash, and
+    per-round lineage."""
+    ((_, df_d, lin_d), n_d, _), ((_, df_r, lin_r), n_r, _) = \
+        block_leg_outputs
     assert n_d == n_r and n_d > 0
     assert lin_d == lin_r
     import pandas.testing as pdt
     pdt.assert_frame_equal(df_d, df_r)
 
 
-def test_crawl_fused_page_write_identical(two_path_outputs):
-    """The fetch tasks write the page checkpoint on both round paths;
-    the driver path and the distributed path must leave equivalent page
-    checkpoints: the same (url -> round, status, result_json, error)
-    map, with no page row written twice (checked while reading)."""
-    ((rows_d, _, _), _), ((rows_r, _, _), _) = two_path_outputs
+def test_crawl_fused_page_write_identical(block_leg_outputs,
+                                         oracle_result):
+    """The fetch tasks write the page checkpoint; one-block rounds and
+    rounds spread over several blocks and buckets must leave equivalent
+    page checkpoints: the same (url -> round, status, result_json,
+    error) map, with no page row written twice (checked while
+    reading), and both the oracle's per-round fetch sets."""
+    ((rows_d, _, _), _, rounds_d), ((rows_r, _, _), _, rounds_r) = \
+        block_leg_outputs
     assert rows_d and rows_d == rows_r
+    want = [r["fetched"] for r in oracle_result["rounds"]]
+    assert rounds_d == want and rounds_r == want
 
 
 def test_crawl_politeness_audit_invariant(ray_session):
@@ -526,7 +568,7 @@ def test_crawl_resume_value_roundtrip(ray_session, tmp_path, ray_crawl):
     out = tmp_path / "crawl_resume"
     base = dict(web_config=WEB_CFG, out_dir=str(out),
                 seeds=web.seed_urls(), per_host_budget=3,
-                fetch_concurrency=2, seen_shard_bits=2)
+                seen_shard_bits=2)
     run_crawl(CrawlConfig(max_rounds=2, **base), web.rule_pack())
 
     def snap(root):
@@ -579,7 +621,7 @@ def test_crawl_resume_after_midround_crash(ray_session, tmp_path, ray_crawl,
     out = tmp_path / "crawl_crash"
     base = dict(web_config=WEB_CFG, out_dir=str(out),
                 seeds=web.seed_urls(), per_host_budget=3,
-                fetch_concurrency=2, seen_shard_bits=2)
+                seen_shard_bits=2)
     run_crawl(CrawlConfig(max_rounds=2, **base), web.rule_pack())
 
     # forge the crash window: a partial round-2 page checkpoint ...
@@ -650,7 +692,7 @@ def test_crawl_redirects_match_oracle(ray_session, tmp_path,
     out = tmp_path / "crawl_redir"
     cfg = CrawlConfig(web_config=REDIRECT_CFG, out_dir=str(out),
                       seeds=web.seed_urls(), max_rounds=30,
-                      per_host_budget=3, fetch_concurrency=2,
+                      per_host_budget=3,
                       seen_shard_bits=2, sitemap_seeds=True)
     totals = run_crawl(cfg, web.rule_pack())
 
@@ -695,7 +737,7 @@ def test_crawl_redirect_resume_replays_finals(ray_session, tmp_path,
     out = tmp_path / "crawl_redir_resume"
     base = dict(web_config=REDIRECT_CFG, out_dir=str(out),
                 seeds=web.seed_urls(), per_host_budget=3,
-                fetch_concurrency=2, seen_shard_bits=2,
+                seen_shard_bits=2,
                 sitemap_seeds=True)
     run_crawl(CrawlConfig(max_rounds=2, **base), web.rule_pack())
     totals = run_crawl(CrawlConfig(max_rounds=30, **base),
@@ -826,7 +868,7 @@ def test_crawl_lossy_web_matches_oracle(ray_session, tmp_path):
     out = tmp_path / "crawl_lossy"
     cfg = CrawlConfig(web_config=lossy_cfg, out_dir=str(out),
                       seeds=web.seed_urls(), max_rounds=30,
-                      per_host_budget=3, fetch_concurrency=2,
+                      per_host_budget=3,
                       seen_shard_bits=2)
     run_crawl(cfg, web.rule_pack())
     oracle = BFSOracle(SynthWeb(**lossy_cfg), web.rule_pack(),
@@ -915,7 +957,7 @@ def test_crawl_trap_guards_match_oracle(ray_session, tmp_path):
     out = tmp_path / "crawl_trap"
     cfg = CrawlConfig(web_config=trap_cfg, out_dir=str(out),
                       seeds=web.seed_urls(), max_rounds=30,
-                      per_host_budget=3, fetch_concurrency=2,
+                      per_host_budget=3,
                       seen_shard_bits=2, max_path_repeats=2)
     run_crawl(cfg, web.rule_pack())
     oracle = BFSOracle(SynthWeb(**trap_cfg), web.rule_pack(),
@@ -933,7 +975,7 @@ def test_crawl_trap_guards_match_oracle(ray_session, tmp_path):
     out2 = tmp_path / "crawl_depth"
     cfg2 = CrawlConfig(web_config=trap_cfg, out_dir=str(out2),
                        seeds=web.seed_urls(), max_rounds=30,
-                       per_host_budget=3, fetch_concurrency=2,
+                       per_host_budget=3,
                        seen_shard_bits=2, max_depth=2)
     run_crawl(cfg2, web.rule_pack())
     oracle2 = BFSOracle(SynthWeb(**trap_cfg), web.rule_pack(),
@@ -1017,7 +1059,7 @@ def test_crawl_host_error_budget_matches_oracle(ray_session, tmp_path):
     out = tmp_path / "crawl_deadhost"
     base = dict(web_config=dead_cfg, out_dir=str(out),
                 seeds=web.seed_urls(), per_host_budget=3,
-                fetch_concurrency=2, seen_shard_bits=2,
+                seen_shard_bits=2,
                 host_error_budget=budget)
     run_crawl(CrawlConfig(max_rounds=30, **base), web.rule_pack())
     assert _ray_rounds(out) == [r["fetched"] for r in want["rounds"]]
@@ -1051,33 +1093,114 @@ def test_crawl_host_error_budget_matches_oracle(ray_session, tmp_path):
     assert _ray_rounds(out2) == [r["fetched"] for r in want["rounds"]]
 
 
-def test_small_rounds_run_one_ray_data_stage(ray_session, tmp_path,
-                                             monkeypatch):
-    """Below small_grant_threshold the only Ray Data stage of a round
-    is the fetch: admit, grant, counts, the dead-host error fold, the
-    page checkpoint and the next frontier all run on the driver table
-    (pinned with host_error_budget and retries on, so those steps
-    run)."""
+def test_crawl_rounds_start_no_ray_data_execution(ray_session, tmp_path,
+                                                 monkeypatch):
+    """A crawl runs on plain Ray tasks: seeding (with sitemap ingest),
+    admit, grant, the dead-host error fold, fetch, the next frontier
+    and a resume's replays start no Ray Data execution (pinned with
+    host_error_budget and retries on, so those steps run)."""
     import ray.data as rd
+    from ray.data._internal.execution.streaming_executor import \
+        StreamingExecutor
 
-    stages = []
-    real = rd.Dataset.map_batches
+    runs = []
+    real = StreamingExecutor.execute
 
-    def spy(self, fn, *args, **kwargs):
-        stages.append(getattr(fn, "__name__", repr(fn)))
-        return real(self, fn, *args, **kwargs)
+    def spy(self, *args, **kwargs):
+        runs.append(1)
+        return real(self, *args, **kwargs)
 
-    monkeypatch.setattr(rd.Dataset, "map_batches", spy)
+    monkeypatch.setattr(StreamingExecutor, "execute", spy)
+    rd.range(3).materialize()
+    assert runs, "the spy must see a Ray Data execution"
+    runs.clear()
     flaky_cfg = dict(WEB_CFG, flaky_mod=3)
     web = SynthWeb(**WEB_CFG)
-    cfg = CrawlConfig(web_config=flaky_cfg, out_dir=str(tmp_path / "c"),
-                      seeds=web.seed_urls(), max_rounds=4,
-                      per_host_budget=3, fetch_concurrency=2,
-                      seen_shard_bits=2, host_error_budget=50,
-                      max_fetch_retries=1)
-    totals = run_crawl(cfg, web.rule_pack())
+    base = dict(web_config=flaky_cfg, out_dir=str(tmp_path / "c"),
+                seeds=web.seed_urls(), per_host_budget=3,
+                seen_shard_bits=2, host_error_budget=50,
+                max_fetch_retries=1, sitemap_seeds=True)
+    run_crawl(CrawlConfig(max_rounds=2, **base), web.rule_pack())
+    totals = run_crawl(CrawlConfig(max_rounds=4, **base), web.rule_pack(),
+                       resume=True)
+    assert totals["rounds"] == 4
     assert sum(m["retried"] for m in totals["per_round"]) > 0
-    assert stages == ["cached_FetchParseStage"] * totals["rounds"]
+    assert runs == []
+
+
+def _frontier_schemas_ok(out):
+    from uniparser_ray.crawl.loop import FRONTIER_SCHEMA
+    files = sorted((out / "frontier").glob("round=*/*.parquet"))
+    assert files
+    for f in files:
+        assert pq.read_schema(f).remove_metadata() == FRONTIER_SCHEMA, f
+
+
+def test_crawl_empty_admit_block(ray_session, tmp_path, oracle_result,
+                                 monkeypatch):
+    """One admit block of a round comes out empty (every row already
+    seen) while the other does not: the next frontiers keep
+    FRONTIER_SCHEMA and the per-round fetch sets equal the oracle's.
+    The round-1 frontier gets a second file of round-0 URLs, and the
+    admit rows per block equal the first file's rows, so each file is
+    one admit block."""
+    from uniparser_ray.crawl import loop
+    from uniparser_ray.crawl.loop import CrawlRun, _frontier_table
+
+    web = SynthWeb(**WEB_CFG)
+    out = tmp_path / "crawl_empty_block"
+    base = dict(web_config=WEB_CFG, out_dir=str(out), seeds=web.seed_urls(),
+                per_host_budget=3, seen_shard_bits=2)
+    run_crawl(CrawlConfig(max_rounds=1, **base), web.rule_pack())
+    (part,) = (out / "frontier" / "round=1").glob("*.parquet")
+    n = pq.read_metadata(part).num_rows
+    fetched = oracle_result["rounds"][0]["fetched"]
+    urls = [fetched[i % len(fetched)] for i in range(n)]
+    pq.write_table(_frontier_table(urls, [""] * n, [0] * n, [0.0] * n,
+                                   [0] * n), part.parent / "seen.parquet")
+
+    counts = []
+    real = CrawlRun._admit
+
+    def spy(self, *args):
+        admitted = real(self, *args)
+        counts.append([c for _, _, c in admitted])
+        return admitted
+
+    monkeypatch.setattr(CrawlRun, "_admit", spy)
+    monkeypatch.setattr(loop, "_ADMIT_BLOCK_ROWS", n)
+    run_crawl(CrawlConfig(max_rounds=30, **base), web.rule_pack(),
+              resume=True)
+    first = counts[0]
+    assert len(first) == 2 and first[1][0] == 0 and first[0][0] > 0, first
+    _frontier_schemas_ok(out)
+    assert _ray_rounds(out) == [r["fetched"] for r in oracle_result["rounds"]]
+
+
+def test_crawl_all_deferred_round(ray_session, tmp_path, oracle_result):
+    """A round whose rows are all deferred (honor_retry_after; every
+    round-1 frontier row rewritten to ready_round 3) fetches nothing,
+    carries its rows on in FRONTIER_SCHEMA, and the crawl then runs
+    the oracle's schedule two rounds late."""
+    web = SynthWeb(**WEB_CFG)
+    out = tmp_path / "crawl_deferred"
+    base = dict(web_config=WEB_CFG, out_dir=str(out), seeds=web.seed_urls(),
+                per_host_budget=3, seen_shard_bits=2,
+                honor_retry_after=True)
+    run_crawl(CrawlConfig(max_rounds=1, **base), web.rule_pack())
+    (part,) = (out / "frontier" / "round=1").glob("*.parquet")
+    t = pq.read_table(part)
+    pq.write_table(t.set_column(
+        t.schema.get_field_index("ready_round"), "ready_round",
+        pa.array([3] * t.num_rows, pa.int32())), part)
+    totals = run_crawl(CrawlConfig(max_rounds=30, **base), web.rule_pack(),
+                       resume=True)
+    rounds = totals["per_round"]
+    assert [m["deferred"] for m in rounds[1:3]] == [t.num_rows] * 2
+    assert [m["granted"] for m in rounds[1:3]] == [0, 0]
+    _frontier_schemas_ok(out)
+    want = [r["fetched"] for r in oracle_result["rounds"]]
+    assert _ray_rounds(out) == [want[0], [], [], *want[1:]]
 
 
 def test_crawl_state_hosts_one_per_node_none_left(ray_session, tmp_path):
@@ -1132,7 +1255,7 @@ def test_crawl_honors_retry_after(ray_session, tmp_path):
     out = tmp_path / "crawl_ra"
     cfg = CrawlConfig(web_config=flaky_cfg, out_dir=str(out),
                       seeds=web.seed_urls(), max_rounds=40,
-                      per_host_budget=3, fetch_concurrency=2,
+                      per_host_budget=3,
                       seen_shard_bits=2, max_fetch_retries=2,
                       honor_retry_after=True, round_seconds=60.0)
     totals = run_crawl(cfg, web.rule_pack())
@@ -1215,25 +1338,27 @@ _SWEEP_COMBOS = [
 ]
 
 
-@pytest.mark.parametrize("combo,threshold", [
-    pytest.param(c, t, id=f"combo{i}{suffix}")
-    for t, suffix in ((CrawlConfig.small_grant_threshold, ""),
-                      (0, "-distributed"))
+@pytest.mark.parametrize("combo,many", [
+    pytest.param(c, many, id=f"combo{i}{suffix}")
+    for many, suffix in ((False, ""), (True, "-distributed"))
     for i, c in enumerate(_SWEEP_COMBOS)])
-def test_crawl_differential_sweep(ray_session, tmp_path, combo, threshold):
+def test_crawl_differential_sweep(ray_session, tmp_path, combo, many):
     """Engine == oracle across randomized web/feature combos:
     redirects, traps+guards, sitemap seeding with lossy images,
     permanent failures + dead-host ban + Crawl-delay budgets, and the
     grant under tight backlog clipping — one parametrized
-    differential test per mix, each on both round paths (driver
-    tables at the default threshold, Datasets at 0)."""
+    differential test per mix, each with one-block rounds and with
+    rounds spread over several admit blocks and grant buckets
+    (``-distributed``)."""
     web = SynthWeb(**combo["web"])
     out = tmp_path / "sweep"
     cfg = CrawlConfig(web_config=combo["web"], out_dir=str(out),
                       seeds=web.seed_urls(), max_rounds=25,
-                      fetch_concurrency=2, seen_shard_bits=2,
-                      small_grant_threshold=threshold, **combo["cfg"])
-    totals = run_crawl(cfg, web.rule_pack())
+                      seen_shard_bits=2, **combo["cfg"])
+    with (_many_blocks() if many else contextlib.nullcontext()) as grants:
+        totals = run_crawl(cfg, web.rule_pack())
+    if many:
+        _assert_spread(grants)
     oracle = BFSOracle(SynthWeb(**combo["web"]), web.rule_pack(),
                        **combo["oracle"])
     want = oracle.run(web.seed_urls(), max_rounds=25,

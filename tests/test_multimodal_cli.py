@@ -102,7 +102,7 @@ def test_cli_crawl_seeds_file(ray_session, tmp_path, capsys):
     web_cfg = dict(num_hosts=2, base_pages=4, fanout=2, hot_factor=2.0)
     web = SynthWeb(**web_cfg)
     cfg = {"web_config": web_cfg, "out_dir": str(tmp_path / "out"),
-           "max_rounds": 2, "per_host_budget": 2, "fetch_concurrency": 2,
+           "max_rounds": 2, "per_host_budget": 2,
            "seen_shard_bits": 1}
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     (tmp_path / "seeds.txt").write_text(

@@ -110,7 +110,7 @@ def test_crawl_rfc9309_differential(ray_session, tmp_path):
     out = tmp_path / "rfc_crawl"
     cfg = CrawlConfig(web_config=cfgw, out_dir=str(out),
                       seeds=web.seed_urls(), max_rounds=20,
-                      per_host_budget=4, fetch_concurrency=2,
+                      per_host_budget=4,
                       seen_shard_bits=2)
     totals = run_crawl(cfg, web.rule_pack())
     assert totals["pages_ok"] > 0

@@ -113,7 +113,7 @@ def test_crawl_sitemap_seeded_matches_oracle(ray_session, tmp_path):
     out = tmp_path / "crawl_sm"
     cfg = CrawlConfig(web_config=web_cfg, out_dir=str(out),
                       seeds=web.seed_urls(), max_rounds=30,
-                      per_host_budget=3, fetch_concurrency=2,
+                      per_host_budget=3,
                       seen_shard_bits=2, sitemap_seeds=True)
     run_crawl(cfg, web.rule_pack())
 
@@ -149,7 +149,7 @@ def test_crawl_sitemap_seeded_disjoint_from_plain(ray_session, tmp_path):
     out = tmp_path / "crawl_plain"
     cfg = CrawlConfig(web_config=web_cfg, out_dir=str(out),
                       seeds=web.seed_urls(), max_rounds=2,
-                      per_host_budget=3, fetch_concurrency=2,
+                      per_host_budget=3,
                       seen_shard_bits=2)
     run_crawl(cfg, web.rule_pack())
     d = out / "pages" / "round=0"

@@ -1,27 +1,25 @@
 """The distributed crawl: round-based BFS over a checkpointed frontier.
 
-One round = one pipeline of named per-block steps (SURVEY.md §3.1):
+One round = one pipeline of named per-block steps (SURVEY.md §3.1),
+each run as plain Ray tasks over Arrow blocks:
 
     read frontier_r (parquet checkpoint)
-      -> admit: canonicalize + url_hash + host, trap and dead-host
-         filters, seen test-and-set + robots filter     [actor RPCs]
-      -> grant: per-host politeness top-k               [the one shuffle]
-      -> fetch tasks (FetchParseStage): fetch + rule-VM parse; each
-         task also writes its batch's page-checkpoint rows and runs the
-         image side-channel (explode -> dedup -> fetch -> Lance
-         fragments) for its own pages
-      -> links + retries + backlog -> frontier_{r+1} checkpoint
+      -> admit tasks, one per row range of the checkpoint (at least
+         ``_ADMIT_BLOCK_ROWS`` rows each): canonicalize + url_hash +
+         host, trap and dead-host filters, seen test-and-set + robots
+         filter [actor RPCs], then the block-local grant clip
+      -> grant: per-host politeness top-k           [the one shuffle]
+      -> fetch tasks (FetchParseStage) over row-balanced spans of the
+         granted rows: fetch + rule-VM parse; each task also writes its
+         pages' checkpoint rows, runs the image side-channel (explode
+         -> dedup -> fetch -> Lance fragments) and returns its pages'
+         next-frontier rows (links + retries) and small counters
+      -> writer tasks: next rows + backlog + deferred -> frontier_{r+1}
 
-Every step is a function over one ``pa.Table`` block, written once.
-The frontier read makes the round's one size decision: a frontier of
-at most ``small_grant_threshold`` rows is read as one driver table and
-the steps are called on it directly (the state hosts are reached by
-direct RPC, no Ray Data execution before the fetch); a bigger
-frontier is read as a Dataset and the same steps run through
-``map_batches``.  The grant is one function too: on a Dataset it runs
-as an exact block-local clip followed by the round's one exchange,
-which calls it again per host bucket.  The fetch always runs in Ray
-tasks.
+Every step is a function over one ``pa.Table`` block, written once,
+and a round of any size runs the same tasks: a small round is one
+admit block (whose clip is already the grant), a few fetch tasks and
+one frontier file.  No round starts a Ray Data execution.
 
 Determinism: which URLs are fetched in round r is decided by a stable
 per-host sort on (priority, url_hash) under a fixed per-host budget —
@@ -33,8 +31,7 @@ failed run resumes from the last committed round.
 
 Scale notes (the 10^10 design):
 * the frontier lives on disk between rounds — the driver never holds
-  URLs of a distributed round, only Dataset handles and per-round
-  counters;
+  a round's URLs, only block refs and per-round counters;
 * the only all-to-all exchange is the host-keyed grant (politeness
   locality), on the engine's one plain-task ``exchange``
   (stages/combine.py; its bucket count follows the clipped row count);
@@ -55,16 +52,17 @@ import shutil
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import ClassVar, Dict, List, Optional
+from typing import ClassVar, Dict, List, Optional, Sequence
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+import ray
 
 from ..rulevm.urlutil import url_hash64
-from ..stages.crawl_stages import (_PAGE_SCHEMA, FetchParseStage,
-                                   SeenRobotsStage, canonicalize_batch)
+from ..stages.crawl_stages import (FetchParseStage, SeenRobotsStage,
+                                   canonicalize_batch)
 from ..state.host import RobotsClient, SeenFilter, start_state_hosts
 from ..storage.lance_layout import LanceLayoutTable
 
@@ -84,9 +82,14 @@ FRONTIER_SCHEMA = pa.schema([
 # logical robots-cache shards of a run (routing: url_hash64(host) % n)
 _ROBOTS_SHARDS = 4
 
-# a distributed round's frontier files hold at least this many rows,
-# so the next round reads a few files, not one tiny file per fetch block
+# frontier files hold at least this many rows (one writer task per
+# file), so a small round writes one file and the next round reads a
+# few files, not one tiny file per fetch task
 _MIN_FRONTIER_FILE_ROWS = 16384
+
+# an admit task's row range holds at least this many frontier rows, so
+# a frontier below 2x this is one admit block
+_ADMIT_BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -97,7 +100,6 @@ class CrawlConfig:
     max_rounds: int = 20
     per_host_budget: int = 8          # fetches per host per round (politeness)
     max_pending_per_host: int = 1000  # backlog cap (frontier bound)
-    fetch_concurrency: int = 4
     fetch_batch_size: int = 128
     image_batch_size: int = 128       # keep small when payloads are MBs
     seen_shard_bits: int = 3
@@ -113,11 +115,6 @@ class CrawlConfig:
     robots_matcher: ClassVar[str] = "rfc9309"
     robots_user_agent: str = "uniparser-ray"
     host_budgets: Dict[str, int] = field(default_factory=dict)
-    # frontiers at or below this row count run admit and grant on the
-    # driver over one table (no shuffle, no Ray Data execution before
-    # the fetch) — an Arrow sort of 100k rows is milliseconds, while a
-    # Ray groupby shuffle has seconds of fixed cost
-    small_grant_threshold: int = 100_000
     # transient-failure requeue: pages that fetch with a transport
     # error (status -1) or a 5xx are re-admitted to the NEXT round's
     # frontier (seen_ok=1 bypasses the seen anti-join) up to this many
@@ -217,28 +214,6 @@ def _normalize_frontier(t: pa.Table) -> pa.Table:
 
 
 # -- per-block round steps ----------------------------------------------------
-
-def _apply(step, data, **map_kwargs):
-    """Apply one per-block step: called directly on a driver table, or
-    as a ``map_batches`` stage over a Dataset."""
-    if isinstance(data, pa.Table):
-        return step(data)
-    return data.map_batches(step, batch_format="pyarrow", **map_kwargs)
-
-
-def _count(data) -> int:
-    return data.num_rows if isinstance(data, pa.Table) else data.count()
-
-
-def _collect(data) -> Optional[pa.Table]:
-    """A step's (small) output as one driver table; None if empty."""
-    import ray
-    if isinstance(data, pa.Table):
-        return data
-    blocks = ray.get(data.to_arrow_refs())
-    return pa.concat_tables(blocks, promote_options="default") \
-        if blocks else None
-
 
 def _chain(*steps):
     """Compose per-block steps (``None`` entries skipped) into one."""
@@ -420,12 +395,82 @@ def _next_rows(retry):
     return rows
 
 
+# -- plain-task dispatch ------------------------------------------------------
+
+@ray.remote
+def _task(fn, *args):
+    """``fn(*args)`` in one plain Ray task (ref arguments resolved;
+    Ray's default task retries).  Every round step and resume pass runs
+    through it."""
+    return fn(*args)
+
+
+def _spans(counts: Sequence[int], n: int,
+           unit: int = 1) -> List[List[tuple]]:
+    """Cut the concatenated rows of parts holding ``counts`` rows into
+    ``n`` spans, balanced in whole ``unit``-row steps: per span, its
+    ``(part, lo, hi)`` pieces in part order."""
+    starts = np.cumsum([0, *counts])
+    cuts = np.minimum(np.linspace(0, -(-starts[-1] // unit), n + 1)
+                      .astype(np.int64) * unit, starts[-1])
+    return [[(j, int(max(a, lo) - lo), int(min(b, hi) - lo))
+             for j, (lo, hi) in enumerate(zip(starts, starts[1:]))
+             if min(b, hi) > max(a, lo)]
+            for a, b in zip(cuts, cuts[1:])]
+
+
+def _grant_counts(t: pa.Table) -> tuple:
+    """(rows, granted rows) of a grant output block."""
+    return t.num_rows, int(pc.sum(t["granted"]).as_py() or 0)
+
+
+def _admit_block(admit, grant, deferred, pieces):
+    """One admit task: its row range of the frontier through the admit
+    chain and the block-local grant clip, and the deferred rows apart.
+    Returns (clipped rows, deferred rows, (rows, granted, deferred))."""
+    t = pa.concat_tables([_normalize_frontier(
+        pq.read_table(f).slice(lo, hi - lo)) for f, lo, hi in pieces])
+    decided = grant(admit(t))
+    later = deferred(t) if deferred is not None else t.slice(0, 0)
+    return decided, later, _grant_counts(decided) + (later.num_rows,)
+
+
+def _fetch_block(stage, batch_size: int, round_idx: int, retry, pieces,
+                 *blocks):
+    """One fetch task: its span of the granted rows through the fetch
+    stage, ``batch_size`` rows per call.  Returns the pages'
+    next-frontier rows and the counters the driver folds (next, ok,
+    retried, per-host error counts)."""
+    rows = _tag_round(round_idx)(pa.concat_tables([
+        _granted_rows(b).slice(lo, hi - lo)
+        for (lo, hi), b in zip(pieces, blocks)]))
+    nxt, ok, retried, errors = [], 0, 0, []
+    for off in range(0, rows.num_rows, batch_size):
+        pages = stage(rows.slice(off, batch_size))
+        nxt.append(_next_rows(retry)(pages))
+        ok += _ok_rows(pages).num_rows
+        retried += retry(pages).num_rows if retry is not None else 0
+        errors.append(_host_error_counts(pages))
+    nxt = pa.concat_tables(nxt)
+    return nxt, {"next": nxt.num_rows, "ok": ok, "retried": retried,
+                 "errors": pa.concat_tables(errors)}
+
+
+def _write_block(path: str, pieces, *blocks) -> None:
+    """One writer task: its span of the next frontier as one file
+    (each piece's ``view`` maps its block to frontier rows)."""
+    pq.write_table(pa.concat_tables([
+        (view(b) if view is not None else b).slice(lo, hi - lo)
+        for (view, lo, hi), b in zip(pieces, blocks)]), path)
+
+
 class CrawlRun:
     """Driver for one crawl (resumable)."""
 
     def __init__(self, cfg: CrawlConfig):
-        import ray  # noqa: F401  (driver owns the session)
         self.cfg = cfg
+        # task counts follow row counts, at most 8 tasks per cpu
+        self.max_tasks = 8 * int(ray.cluster_resources().get("CPU", 8))
         self.out = Path(cfg.out_dir)
         self.frontier_dir = self.out / "frontier"
         self.pages_dir = self.out / "pages"
@@ -450,7 +495,6 @@ class CrawlRun:
         """Kill this run's state hosts so back-to-back runs in one Ray
         session don't accumulate actor processes contending for CPU
         slots."""
-        import ray
         for actor in self.state_hosts:
             try:
                 ray.kill(actor)
@@ -505,27 +549,38 @@ class CrawlRun:
                 keep, metadata={"rollback_before_round": start_round})
         purge(self.images.data_dir, start_round)
 
+    def _per_group(self, fn, items: list, num_returns: int = 1) -> list:
+        """``fn(group)`` in one plain task per contiguous group of
+        ``items``; returns the tasks' refs."""
+        return [_task.options(num_returns=num_returns).remote(
+            fn, [items[j] for j, _, _ in span]) for span in
+            _spans([1] * len(items), min(len(items), self.max_tasks))]
+
+    def _page_files(self, upto_round: int) -> List[str]:
+        return [str(f) for r in range(upto_round)
+                for f in sorted(
+                    (self.pages_dir / f"round={r}").glob("*.parquet"))]
+
     def _reseed_host_errors(self, upto_round: int):
         """Rebuild the dead-host error counters from the committed
         page checkpoints (resume): the round's own per-block error
-        fold over a projection-pruned read — only the tiny (host, n)
-        rows reach the driver."""
-        import ray.data as rd
-        files = [str(f) for r in range(upto_round)
-                 for f in sorted(
-                     (self.pages_dir / f"round={r}").glob("*.parquet"))]
+        fold in tasks over groups of files, reading two columns — only
+        the tiny (host, n) rows reach the driver."""
+        def counts(group):
+            return pa.concat_tables([_host_error_counts(
+                pq.read_table(f, columns=["host", "status"]))
+                for f in group])
+        files = self._page_files(upto_round)
         if files:
-            self._absorb_host_errors(_collect(_apply(
-                _host_error_counts,
-                rd.read_parquet(files, columns=["host", "status"]))))
+            self._absorb_host_errors(pa.concat_tables(
+                ray.get(self._per_group(counts, files))))
 
-    def _absorb_host_errors(self, counts: Optional[pa.Table]):
+    def _absorb_host_errors(self, counts: pa.Table):
         """Fold per-host error counts into the dead-host counters
         (bans apply from the NEXT round's admission)."""
-        if counts is not None:
-            for host, n in zip(counts["host"].to_pylist(),
-                               counts["n"].to_pylist()):
-                self._host_errors[host] = self._host_errors.get(host, 0) + n
+        for host, n in zip(counts["host"].to_pylist(),
+                           counts["n"].to_pylist()):
+            self._host_errors[host] = self._host_errors.get(host, 0) + n
         budget = self.cfg.host_error_budget
         self._banned_hosts = frozenset(
             h for h, n in self._host_errors.items() if n >= budget)
@@ -533,125 +588,98 @@ class CrawlRun:
     def _reseed_filters(self, upto_round: int):
         """Rebuild seen state from committed checkpoints (resume).
 
-        ALL replayed state streams task-parallel: parquet fragments are
-        read in tasks and their hashes pushed to the state hosts in
-        batches (``SeenFilter.add_futures``: one RPC per host) — the
-        driver never materializes a column.  At 10^10-URL scale a
-        resume replays billions of page hashes and image URLs; any
+        ALL replayed state streams task-parallel: groups of parquet
+        files are read in tasks and their hashes pushed to the state
+        hosts in batches (``SeenFilter.add_futures``: one RPC per host)
+        — the driver never materializes a column.  At 10^10-URL scale
+        a resume replays billions of page hashes and image URLs; any
         ``to_table()`` here would be a driver OOM."""
-        import ray.data as rd
-
         def replay(files, columns, make_hashes, seen):
-            def push(t: pa.Table) -> pa.Table:
-                import ray as _ray
-                _slices, futs = seen.add_futures(make_hashes(t))
-                if futs:
-                    _ray.get(futs)
-                return pa.table({"n": pa.array([t.num_rows], pa.int64())})
+            def push(group):
+                for f in group:
+                    # checkpoint-format guard: pages written before the
+                    # redirect lane have no final_hash column — sniffed
+                    # per FILE, so a checkpoint upgraded mid-crawl
+                    # replays each file's own columns (missing finals
+                    # read as "none")
+                    names = pq.read_schema(f).names
+                    t = pq.read_table(
+                        f, columns=[c for c in columns if c in names])
+                    for off in range(0, t.num_rows, 16384):
+                        _slices, futs = seen.add_futures(
+                            make_hashes(t.slice(off, 16384)))
+                        if futs:
+                            ray.get(futs)
 
-            rd.read_parquet(files, columns=columns) \
-                .map_batches(push, batch_format="pyarrow",
-                             batch_size=16384).count()
+            ray.get(self._per_group(push, files))
 
-        page_dirs = [str(f) for r in range(upto_round)
-                     for f in sorted(
-                         (self.pages_dir / f"round={r}").glob("*.parquet"))
-                     if (self.pages_dir / f"round={r}").exists()]
-        if page_dirs:
-            # checkpoint-format guard: pages written before the
-            # redirect lane have no final_hash column — replay just
-            # the URL hashes for those (missing finals read as "none").
-            # Sniffed per FILE (metadata-only read) so a checkpoint
-            # upgraded mid-crawl — old rounds without the column, new
-            # rounds with it — splits into two replay passes instead
-            # of erroring or dropping the new rounds' finals.
-            with_final = [f for f in page_dirs
-                          if "final_hash" in pq.read_schema(f).names]
-            without_final = [f for f in page_dirs if f not in
-                             set(with_final)]
+        def page_hashes(t: pa.Table) -> np.ndarray:
+            uh = t["url_hash"].to_numpy(zero_copy_only=False) \
+                .astype(np.uint64)
+            if "final_hash" not in t.column_names:
+                return uh
+            # redirect finals were test-and-set during the fetch —
+            # replay the nonzero ones alongside the requested URLs
+            fh = t["final_hash"].to_numpy(zero_copy_only=False) \
+                .astype(np.uint64)
+            return np.concatenate([uh, fh[fh != 0]])
+        replay(self._page_files(upto_round), ["url_hash", "final_hash"],
+               page_hashes, self.seen)
 
-            def page_hashes(t: pa.Table) -> np.ndarray:
-                uh = t["url_hash"].to_numpy(zero_copy_only=False) \
-                    .astype(np.uint64)
-                if "final_hash" not in t.column_names:
-                    return uh
-                # redirect finals were test-and-set during the fetch —
-                # replay the nonzero ones alongside the requested URLs
-                fh = t["final_hash"].to_numpy(zero_copy_only=False) \
-                    .astype(np.uint64)
-                return np.concatenate([uh, fh[fh != 0]])
-            if with_final:
-                replay(with_final, ["url_hash", "final_hash"],
-                       page_hashes, self.seen)
-            if without_final:
-                replay(without_final, ["url_hash"], page_hashes,
-                       self.seen)
-        if self.images.exists():
-            frag_files = self.images.fragment_files()
-            if frag_files:
-                def img_hashes(t: pa.Table) -> np.ndarray:
-                    col = t.column("src_url").to_pylist()
-                    return np.fromiter(
-                        (url_hash64("img|" + u) for u in col),
-                        dtype=np.uint64, count=len(col))
-                replay(frag_files, ["src_url"], img_hashes, self.img_seen)
+        def img_hashes(t: pa.Table) -> np.ndarray:
+            col = t.column("src_url").to_pylist()
+            return np.fromiter((url_hash64("img|" + u) for u in col),
+                               dtype=np.uint64, count=len(col))
+        replay(self.images.fragment_files(), ["src_url"], img_hashes,
+               self.img_seen)
         # frontier seen_ok rows were already admitted
-        d = self.frontier_dir / f"round={upto_round}"
-        if d.exists():
-            def frontier_hashes(t: pa.Table) -> np.ndarray:
-                ok = t.column("seen_ok").to_numpy(zero_copy_only=False) \
-                    .astype(bool)
-                urls = [u for u, m
-                        in zip(t.column("url").to_pylist(), ok) if m]
-                return np.fromiter((url_hash64(u) for u in urls),
-                                   dtype=np.uint64, count=len(urls))
-            replay([str(f) for f in sorted(d.glob("*.parquet"))],
-                   ["url", "seen_ok"], frontier_hashes, self.seen)
+        def frontier_hashes(t: pa.Table) -> np.ndarray:
+            ok = t.column("seen_ok").to_numpy(zero_copy_only=False) \
+                .astype(bool)
+            urls = [u for u, m in zip(t.column("url").to_pylist(), ok) if m]
+            return np.fromiter((url_hash64(u) for u in urls),
+                               dtype=np.uint64, count=len(urls))
+        replay([f for f, _ in self._frontier_files(upto_round)],
+               ["url", "seen_ok"], frontier_hashes, self.seen)
 
     # -- frontier checkpoints ----------------------------------------------
     def _write_frontier(self, round_idx: int, parts: list) -> int:
-        """Write a frontier checkpoint from per-step outputs
-        (``FRONTIER_SCHEMA`` rows; ``None`` parts skipped): driver
-        tables as one compacted file, Datasets task-parallel (so URLs
-        of a distributed round never pass through the driver).
-        Returns the checkpoint's row count; an empty one is removed."""
+        """Write a frontier checkpoint from ``(ref, rows, view)`` parts
+        (``view`` maps the block to its ``FRONTIER_SCHEMA`` rows; None:
+        the block already is).  Writer tasks write row-balanced spans,
+        one file each of at least ``_MIN_FRONTIER_FILE_ROWS`` rows (a
+        small round is one file), so a round's URLs never pass through
+        the driver.  Returns the checkpoint's row count; an empty one
+        leaves no dir."""
         d = self.frontier_dir / f"round={round_idx}"
         if d.exists():  # stale partial write from a crashed run
             shutil.rmtree(d)
+        parts = [p for p in parts if p[1]]
+        n = sum(p[1] for p in parts)
+        if not n:
+            return 0
         d.mkdir(parents=True)
-        parts = [p for p in parts if p is not None]
-        tables = [p for p in parts if isinstance(p, pa.Table)]
-        if tables:
-            pq.write_table(pa.concat_tables(tables), d / "part-0.parquet")
-        for p in parts:
-            if not isinstance(p, pa.Table):
-                p.write_parquet(str(d),
-                                min_rows_per_file=_MIN_FRONTIER_FILE_ROWS)
-        n = 0
-        for f in list(d.glob("*.parquet")):
-            rows = pq.read_metadata(f).num_rows
-            if rows == 0:
-                f.unlink()
-            n += rows
-        if n == 0:
-            shutil.rmtree(d)
+        n_files = max(1, min(n // _MIN_FRONTIER_FILE_ROWS, self.max_tasks))
+        ray.get([_task.remote(
+            _write_block, str(d / f"part-{i}.parquet"),
+            [(parts[j][2], lo, hi) for j, lo, hi in span],
+            *[parts[j][0] for j, _, _ in span])
+            for i, span in enumerate(_spans([p[1] for p in parts],
+                                            n_files))])
         return n
 
     def _seed_round0(self) -> None:
         seeds = self.cfg.seeds
         n = len(seeds)
-        parts = [_frontier_table(seeds, [""] * n, [0] * n, [0.0] * n,
-                                 [0] * n)]
+        parts = [(ray.put(_frontier_table(seeds, [""] * n, [0] * n,
+                                          [0.0] * n, [0] * n)), n, None)]
         if self.cfg.sitemap_seeds:
-            parts.append(self._sitemap_rows(seeds))
+            parts += self._sitemap_rows(seeds)
         self._write_frontier(0, parts)
 
-    def _sitemap_rows(self, seeds: List[str]):
+    def _sitemap_rows(self, seeds: List[str]) -> list:
         """Distributed sitemap ingest of the seed hosts -> extra
-        round-0 frontier rows (a Dataset, one task per host batch)."""
-        import ray
-        import ray.data as rd
-
+        round-0 frontier parts (one task per group of hosts)."""
         from ..rulevm.request import get_host
         from ..rulevm.urlutil import canonicalize_url
         from .sitemap import make_ingest_stage, seed_priority
@@ -659,95 +687,85 @@ class CrawlRun:
         hosts = sorted({get_host(canonicalize_url(u), "")
                         for u in seeds} - {""})
         if not hosts:
-            return None
+            return []
         seed_canon_ref = ray.put(
             frozenset(canonicalize_url(u) for u in seeds))
         web_cfg = dict(self.cfg.web_config)
         ingest = make_ingest_stage(web_cfg)
 
-        def to_frontier(t: pa.Table) -> pa.Table:
+        def to_frontier(group):
             seed_canon = ray.get(seed_canon_ref)
             urls, parents, prios = [], [], []
-            for row in ingest(t).to_pylist():
+            for row in ingest(pa.table({"host": group})).to_pylist():
                 if canonicalize_url(row["url"]) in seed_canon:
                     continue
                 urls.append(row["url"])
                 parents.append(row["sitemap_url"])
                 prios.append(seed_priority(row["priority_bp"]))
             n = len(urls)
-            return _frontier_table(urls, parents, [0] * n, prios, [0] * n)
+            return (_frontier_table(urls, parents, [0] * n, prios, [0] * n),
+                    n)
 
-        return rd.from_items([{"host": h} for h in hosts],
-                             override_num_blocks=min(len(hosts), 16)) \
-            .map_batches(to_frontier, batch_format="pyarrow", batch_size=4)
+        refs = self._per_group(to_frontier, hosts, num_returns=2)
+        return [(t, n, None) for (t, _), n
+                in zip(refs, ray.get([n for _, n in refs]))]
 
-    def _read_frontier(self, round_idx: int):
-        """Round ``round_idx``'s frontier and its row count — the
-        round's one size decision: at most ``small_grant_threshold``
-        rows read as one driver table, more as a Dataset."""
-        import ray.data as rd
+    def _frontier_files(self, round_idx: int) -> list:
+        """Round ``round_idx``'s frontier files with their row counts
+        (footer reads only)."""
         fdir = self.frontier_dir / f"round={round_idx}"
-        files = sorted(fdir.glob("*.parquet"))
-        if not files:
-            return None, 0
-        n = sum(pq.read_metadata(f).num_rows for f in files)
-        if n <= self.cfg.small_grant_threshold:
-            return pa.concat_tables([pq.read_table(f) for f in files],
-                                    promote_options="default"), n
-        # a checkpoint file is one block; split at the READ so every
-        # stage of the round fans out across the pool (block splitting
-        # is free — measured 15% off the warm grant phase at 255k
-        # candidates vs a separate repartition)
-        n_blocks = max(1, min(4 * self.cfg.fetch_concurrency, (n + 63) // 64))
-        return rd.read_parquet(str(fdir), override_num_blocks=n_blocks), n
+        return [(str(f), pq.read_metadata(f).num_rows)
+                for f in sorted(fdir.glob("*.parquet"))]
 
-    def _grant(self, admitted):
-        """The politeness grant.  A host's pending rows must meet in one
-        call: a driver table already is one; a Dataset is clipped block
-        by block, then exchanged on host and the same grant runs once
-        per bucket.  The exchange materializes the clipped rows before
-        its split (so the RPC-blocking admit chain never overlaps it)
-        and returns materialized blocks, which the round's counts,
-        fetch input and backlog all read."""
-        from ..stages.combine import hash_bucket_combine
-        decided = _apply(self._grant_fn, admitted)
-        if isinstance(decided, pa.Table):
-            return decided
-        return hash_bucket_combine(decided, ["host"], None, num_buckets=64,
-                                   arrow_fn=self._grant_fn)
+    def _admit(self, files: list, admit, deferred) -> list:
+        """Admit tasks over row ranges of the frontier files, each at
+        least ``_ADMIT_BLOCK_ROWS`` rows; returns per task (clipped
+        ref, deferred ref, (rows, granted, deferred))."""
+        counts = [n for _, n in files]
+        n_tasks = max(1, min(sum(counts) // _ADMIT_BLOCK_ROWS,
+                             self.max_tasks))
+        tasks = [_task.options(num_returns=3).remote(
+            _admit_block, admit, self._grant_fn, deferred,
+            [(files[j][0], lo, hi) for j, lo, hi in span])
+            for span in _spans(counts, n_tasks)]
+        return [(b, d, c) for (b, d, _), c
+                in zip(tasks, ray.get([c for _, _, c in tasks]))]
 
-    def _fetch(self, granted, n_granted: int, round_idx: int,
-               fetch_kwargs: dict):
-        """Fetch + rule-VM parse in the warm-worker task pool (the
-        transport / compiled-pack state is cached per worker).  Each
-        task also writes its batch's page-checkpoint rows and its
-        pages' image fragments.  A driver-table round gets its pages
-        back as one table."""
-        import ray
-        import ray.data as rd
-        from ..stages.taskcache import cached_stage
-        if not n_granted:
-            return _PAGE_SCHEMA.empty_table()
-        # row-balanced fetch blocks, whatever the host skew the grant
-        # left: 8 tasks per cpu — at 4x a giant round ran as ~4 waves
+    def _grant(self, clipped: list) -> list:
+        """The politeness grant over the admit tasks' clipped blocks
+        ``(ref, rows, granted)``.  A host's pending rows must meet in one
+        call: a single block holds them all, so its clip is the grant;
+        more blocks are exchanged on host and the same grant runs once
+        per bucket.  Returns the grant's non-empty blocks in the same
+        form."""
+        from ..stages.combine import exchange_refs
+        if len(clipped) <= 1:
+            return clipped
+        outs = exchange_refs([[(b, n) for b, n, _ in clipped]], ["host"],
+                             self._grant_fn, count=_grant_counts)
+        return [(o, n, g) for o, (n, g) in outs if n]
+
+    def _fetch(self, decided: list, n_granted: int, round_idx: int,
+               stage, retry) -> list:
+        """Fetch + rule-VM parse in plain tasks over balanced spans of
+        the granted rows (the transport / compiled-pack state is
+        cached per worker process).  Each task also writes its pages'
+        checkpoint rows and image fragments.  Returns per task its
+        next-frontier ref and counters."""
+        # 8 tasks per cpu at most — at 4x a giant round ran as ~4 waves
         # of ~15s tasks and the straggler tail idled a measurable slice
-        # of the machine (A/B'd at 32 cpus)
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        n_blocks = max(1, min(-(-n_granted // self.cfg.fetch_batch_size),
-                              8 * cpus))
-        granted = _apply(_tag_round(round_idx), granted,
-                         zero_copy_batch=True)
-        if isinstance(granted, pa.Table):
-            cuts = np.linspace(0, n_granted, n_blocks + 1).astype(int)
-            blocks = rd.from_arrow([granted.slice(a, b - a)
-                                    for a, b in zip(cuts, cuts[1:]) if b > a])
-        else:
-            blocks = granted.repartition(n_blocks)
-        pages = blocks.map_batches(
-            cached_stage(FetchParseStage, **fetch_kwargs),
-            batch_format="pyarrow",
-            batch_size=self.cfg.fetch_batch_size).materialize()
-        return _collect(pages) if isinstance(granted, pa.Table) else pages
+        # of the machine (A/B'd at 32 cpus).  Spans hold whole batches:
+        # each stage call writes its own page file and image fragments
+        bs = self.cfg.fetch_batch_size
+        n_tasks = max(1, min(-(-n_granted // bs), self.max_tasks))
+        tasks = [_task.options(num_returns=2).remote(
+            _fetch_block, stage, bs, round_idx, retry,
+            [(lo, hi) for _, lo, hi in span],
+            *[decided[j][0] for j, _, _ in span])
+            for span in _spans([g for _, _, g in decided], n_tasks, bs)
+        ] if n_granted else []
+        return list(zip((t for t, _ in tasks),
+                        ray.get([c for _, c in tasks])))
 
     def _commit_images(self, round_idx: int) -> int:
         """Commit the round's image fragments (written by the fetch
@@ -766,7 +784,7 @@ class CrawlRun:
         return n_images
 
     def run(self, rule_pack: dict, resume: bool = True) -> dict:
-        import ray
+        from ..stages.taskcache import cached_stage
         cfg = self.cfg
         self.out.mkdir(parents=True, exist_ok=True)
         self.rule_pack_ref = ray.put(rule_pack)
@@ -797,14 +815,15 @@ class CrawlRun:
             cfg.host_budgets, cfg.per_host_budget, cfg.max_pending_per_host,
             round_seconds=(cfg.round_seconds if cfg.robots_delay_budget
                            else 0.0))
-        fetch_kwargs = dict(rule_pack_ref=self.rule_pack_ref,
-                            web_config=cfg.web_config,
-                            max_redirects=cfg.max_redirects,
-                            seen=self.seen, robots=self.robots,
-                            page_ckpt_dir=str(self.pages_dir),
-                            image_data_dir=str(self.images.data_dir),
-                            image_seen=self.img_seen,
-                            image_batch_size=cfg.image_batch_size)
+        stage = cached_stage(FetchParseStage,
+                             rule_pack_ref=self.rule_pack_ref,
+                             web_config=cfg.web_config,
+                             max_redirects=cfg.max_redirects,
+                             seen=self.seen, robots=self.robots,
+                             page_ckpt_dir=str(self.pages_dir),
+                             image_data_dir=str(self.images.data_dir),
+                             image_seen=self.img_seen,
+                             image_batch_size=cfg.image_batch_size)
         honor = cfg.honor_retry_after
 
         # the state hosts' start (a fresh worker process each) is paid
@@ -814,8 +833,9 @@ class CrawlRun:
         state_ramp_s = round(time.perf_counter() - t_ramp, 3)
 
         for r in range(start_round, cfg.max_rounds):
-            frontier, n_candidates = self._read_frontier(r)
-            if frontier is None:
+            files = self._frontier_files(r)
+            n_candidates = sum(n for _, n in files)
+            if not n_candidates:
                 break
             t0 = time.perf_counter()
             phase_t: Dict[str, float] = {}
@@ -832,24 +852,26 @@ class CrawlRun:
                 (_drop_hosts(self._banned_hosts)
                  if self._banned_hosts else None),
                 seen_stage)
-            deferred = _apply(_readiness(r, False), frontier) \
-                if honor else None
-            n_deferred = _count(deferred) if honor else 0
-            decided = self._grant(_apply(admit, frontier, batch_size=4096))
+            admitted = self._admit(files, admit,
+                                   _readiness(r, False) if honor else None)
+            decided = self._grant([(b, n, g) for b, _, (n, g, _)
+                                   in admitted if n])
+            n_deferred = sum(c[2] for _, _, c in admitted)
+            n_decided = sum(n for _, n, _ in decided)
+            n_granted = sum(g for _, _, g in decided)
             _mark('grant')
-            n_decided = _count(decided)
-            granted = _apply(_granted_rows, decided)
-            n_granted = _count(granted)
-            _mark('counts')
             if n_granted == 0 and not n_deferred:
                 break
 
             # -- fetch + parse; page checkpoint and images inside -------
-            pages = self._fetch(granted, n_granted, r, fetch_kwargs)
+            retry = (_make_retry(cfg.max_fetch_retries, r, cfg.round_seconds,
+                                 honor)
+                     if cfg.max_fetch_retries > 0 else None)
+            fetched = self._fetch(decided, n_granted, r, stage, retry)
             _mark('fetch_parse')
-            if cfg.host_error_budget > 0:
-                self._absorb_host_errors(
-                    _collect(_apply(_host_error_counts, pages)))
+            if cfg.host_error_budget > 0 and fetched:
+                self._absorb_host_errors(pa.concat_tables(
+                    [c["errors"] for _, c in fetched]))
             # the dir exists even for an all-empty round, so resume
             # replay and the round readers see a committed round
             (self.pages_dir / f"round={r}").mkdir(parents=True,
@@ -859,24 +881,18 @@ class CrawlRun:
             _mark('images')
 
             # -- next frontier: links + retries, backlog, deferred -------
-            retry = (_make_retry(cfg.max_fetch_retries, r, cfg.round_seconds,
-                                 honor)
-                     if cfg.max_fetch_retries > 0 else None)
-            parts = [_apply(_next_rows(retry), pages)]
-            if n_decided > n_granted:
-                parts.append(_apply(_backlog_rows, decided))
-            if n_deferred:
-                parts.append(deferred)
-            n_next = self._write_frontier(r + 1, parts)
-            n_retry = _count(_apply(retry, pages)) if retry else 0
+            n_next = self._write_frontier(r + 1, [
+                *((t, c["next"], None) for t, c in fetched),
+                *((b, n - g, _backlog_rows) for b, n, g in decided),
+                *((d, c[2], None) for _, d, c in admitted)])
             _mark('frontier_next')
             self.metrics.append({
                 "round": r,
                 "candidates": n_candidates,
                 "granted": n_granted,
                 "backlog": n_decided - n_granted,
-                "pages_ok": _count(_apply(_ok_rows, pages)),
-                "retried": n_retry,
+                "pages_ok": sum(c["ok"] for _, c in fetched),
+                "retried": sum(c["retried"] for _, c in fetched),
                 "deferred": n_deferred,
                 "images_written": n_images,
                 "next_frontier": n_next,

@@ -95,7 +95,7 @@ def _ensure_resumed_crawl(tag: str) -> str:
     out = f"/tmp/uniparser_ray_cache/crawl_resume_{tag}"
     shutil.rmtree(out, ignore_errors=True)
     base = dict(web_config=web_cfg, out_dir=out, seeds=web.seed_urls(),
-                per_host_budget=_CRAWL_BUDGET, fetch_concurrency=4,
+                per_host_budget=_CRAWL_BUDGET,
                 seen_shard_bits=3)
     run_crawl(CrawlConfig(max_rounds=_RESUME_INTERRUPT_ROUND, **base),
               web.rule_pack())
@@ -103,6 +103,30 @@ def _ensure_resumed_crawl(tag: str) -> str:
               web.rule_pack(), resume=True)
     _RESUME_RUNS[tag] = out
     return out
+
+
+_CRAWL_MEMO: dict = {}
+
+
+def _memo_crawl(name: str, tag: str, web_cfg: dict, **cfg) -> str:
+    """One crawl per (process, name, tag) over ``web_cfg`` with the
+    harness budget and rounds (``cfg`` adds CrawlConfig fields);
+    returns its out dir."""
+    if (name, tag) not in _CRAWL_MEMO:
+        from ..crawl.loop import CrawlConfig, run_crawl
+        from ..sources.synthweb import SynthWeb
+        from .images_q import _CRAWL_BUDGET, _CRAWL_ROUNDS
+
+        web = SynthWeb(**web_cfg)
+        out = f"/tmp/uniparser_ray_cache/crawl_{name}_{tag}"
+        shutil.rmtree(out, ignore_errors=True)
+        run_crawl(CrawlConfig(web_config=web_cfg, out_dir=out,
+                              seeds=web.seed_urls(),
+                              max_rounds=_CRAWL_ROUNDS,
+                              per_host_budget=_CRAWL_BUDGET,
+                              seen_shard_bits=3, **cfg), web.rule_pack())
+        _CRAWL_MEMO[name, tag] = out
+    return _CRAWL_MEMO[name, tag]
 
 
 def _read_pages_hashed(pages_dir: str):
@@ -153,7 +177,6 @@ def crawl_resume_roundtrip(sf_dir: str):
     return _read_pages_hashed(f"{out}/pages")
 
 
-_REDIRECT_RUNS: dict = {}
 # alias density for the redirect fixture web: high enough that single
 # hops, two-hop chains, RedirectDuplicates (sitemap-advertised
 # canonical vs legacy link), robots-blocked hops and the /loopx cycle
@@ -173,23 +196,8 @@ def _ensure_redirect_crawl(tag: str) -> str:
     (sources/synthweb.py redirect model) and sitemap seeding (the
     sitemaps advertise CANONICAL URLs while links use legacy forms —
     the alias-vs-direct RedirectDuplicate path needs both)."""
-    if tag in _REDIRECT_RUNS:
-        return _REDIRECT_RUNS[tag]
-    from ..crawl.loop import CrawlConfig, run_crawl
-    from ..sources.synthweb import SynthWeb
-    from .images_q import _CRAWL_BUDGET, _CRAWL_ROUNDS
-
-    web_cfg = _redirect_web_cfg(tag)
-    web = SynthWeb(**web_cfg)
-    out = f"/tmp/uniparser_ray_cache/crawl_redirect_{tag}"
-    shutil.rmtree(out, ignore_errors=True)
-    cfg = CrawlConfig(web_config=web_cfg, out_dir=out,
-                      seeds=web.seed_urls(), max_rounds=_CRAWL_ROUNDS,
-                      per_host_budget=_CRAWL_BUDGET, fetch_concurrency=4,
-                      seen_shard_bits=3, sitemap_seeds=True)
-    run_crawl(cfg, web.rule_pack())
-    _REDIRECT_RUNS[tag] = out
-    return out
+    return _memo_crawl("redirect", tag, _redirect_web_cfg(tag),
+                       sitemap_seeds=True)
 
 
 def crawl_redirects(sf_dir: str):
@@ -600,7 +608,6 @@ def _harness_oracle(tag: str):
     return _oracle_result(tag)
 
 
-_TRAP_RUNS: dict = {}
 _TRAP_GUARDS = dict(max_path_repeats=2, max_depth=0, max_url_len=0)
 
 
@@ -608,23 +615,9 @@ def _ensure_trap_crawl(tag: str) -> str:
     """One trap-web crawl per (process, tag): every root links an
     infinite /trap/x/x/... chain; the max_path_repeats guard must cut
     it at the bound while the rest of the crawl is untouched."""
-    if tag in _TRAP_RUNS:
-        return _TRAP_RUNS[tag]
-    from ..crawl.loop import CrawlConfig, run_crawl
-    from ..sources.synthweb import SynthWeb
-    from .images_q import _CRAWL_BUDGET, _CRAWL_ROUNDS
-
-    web_cfg = dict(_CRAWL_BY_SF_OF(tag), trap_links=True)
-    web = SynthWeb(**web_cfg)
-    out = f"/tmp/uniparser_ray_cache/crawl_trap_{tag}"
-    shutil.rmtree(out, ignore_errors=True)
-    cfg = CrawlConfig(web_config=web_cfg, out_dir=out,
-                      seeds=web.seed_urls(), max_rounds=_CRAWL_ROUNDS,
-                      per_host_budget=_CRAWL_BUDGET, fetch_concurrency=4,
-                      seen_shard_bits=3, **_TRAP_GUARDS)
-    run_crawl(cfg, web.rule_pack())
-    _TRAP_RUNS[tag] = out
-    return _TRAP_RUNS[tag]
+    return _memo_crawl("trap", tag,
+                       dict(_CRAWL_BY_SF_OF(tag), trap_links=True),
+                       **_TRAP_GUARDS)
 
 
 def crawl_trap_guard(sf_dir: str):
@@ -682,31 +675,13 @@ def expected_trap_guard(tag: str) -> pa.Table:
         ("depth", pa.int64()), ("status", pa.int64())]))
 
 
-_ROBOTS_RFC_RUNS: dict = {}
-
-
 def _ensure_robots_rfc_crawl(tag: str) -> str:
     """One RFC-9309-robots crawl per (process, tag) over the wildcard-
     robots web (``*`` globs, ``$`` anchors, Allow overrides, a
     specific-UA group behind a disallow-everything decoy group, a
     decoy group whose token is a prefix of ours)."""
-    if tag in _ROBOTS_RFC_RUNS:
-        return _ROBOTS_RFC_RUNS[tag]
-    from ..crawl.loop import CrawlConfig, run_crawl
-    from ..sources.synthweb import SynthWeb
-    from .images_q import _CRAWL_BUDGET, _CRAWL_ROUNDS
-
-    web_cfg = dict(_CRAWL_BY_SF_OF(tag), robots_wildcards=True)
-    web = SynthWeb(**web_cfg)
-    out = f"/tmp/uniparser_ray_cache/crawl_robots_rfc_{tag}"
-    shutil.rmtree(out, ignore_errors=True)
-    cfg = CrawlConfig(web_config=web_cfg, out_dir=out,
-                      seeds=web.seed_urls(), max_rounds=_CRAWL_ROUNDS,
-                      per_host_budget=_CRAWL_BUDGET, fetch_concurrency=4,
-                      seen_shard_bits=3)
-    run_crawl(cfg, web.rule_pack())
-    _ROBOTS_RFC_RUNS[tag] = out
-    return _ROBOTS_RFC_RUNS[tag]
+    return _memo_crawl("robots_rfc", tag,
+                       dict(_CRAWL_BY_SF_OF(tag), robots_wildcards=True))
 
 
 def crawl_robots_rfc(sf_dir: str):
@@ -761,7 +736,6 @@ def expected_robots_rfc(tag: str) -> pa.Table:
         ("status", pa.int64())]))
 
 
-_DEADHOST_RUNS: dict = {}
 _DEADHOST_BUDGET = 4
 _DEADHOST_FLAKY = dict(flaky_mod=3, flaky_attempts=99)
 
@@ -770,24 +744,9 @@ def _ensure_deadhost_crawl(tag: str) -> str:
     """One dead-host crawl per (process, tag): ~1/3 of pages serve
     permanent 503s, so hosts cross the error budget and get banned
     mid-crawl."""
-    if tag in _DEADHOST_RUNS:
-        return _DEADHOST_RUNS[tag]
-    from ..crawl.loop import CrawlConfig, run_crawl
-    from ..sources.synthweb import SynthWeb
-    from .images_q import _CRAWL_BUDGET, _CRAWL_ROUNDS
-
-    web_cfg = dict(_CRAWL_BY_SF_OF(tag), **_DEADHOST_FLAKY)
-    web = SynthWeb(**web_cfg)
-    out = f"/tmp/uniparser_ray_cache/crawl_deadhost_{tag}"
-    shutil.rmtree(out, ignore_errors=True)
-    cfg = CrawlConfig(web_config=web_cfg, out_dir=out,
-                      seeds=web.seed_urls(), max_rounds=_CRAWL_ROUNDS,
-                      per_host_budget=_CRAWL_BUDGET, fetch_concurrency=4,
-                      seen_shard_bits=3,
-                      host_error_budget=_DEADHOST_BUDGET)
-    run_crawl(cfg, web.rule_pack())
-    _DEADHOST_RUNS[tag] = out
-    return _DEADHOST_RUNS[tag]
+    return _memo_crawl("deadhost", tag,
+                       dict(_CRAWL_BY_SF_OF(tag), **_DEADHOST_FLAKY),
+                       host_error_budget=_DEADHOST_BUDGET)
 
 
 def crawl_host_ban(sf_dir: str):

@@ -232,7 +232,7 @@ def _ensure_crawl(tag: str):
     shutil.rmtree(out, ignore_errors=True)
     cfg = CrawlConfig(web_config=web_cfg, out_dir=out, seeds=web.seed_urls(),
                       max_rounds=_CRAWL_ROUNDS, per_host_budget=_CRAWL_BUDGET,
-                      fetch_concurrency=4, seen_shard_bits=3)
+                      seen_shard_bits=3)
     totals = run_crawl(cfg, web.rule_pack())
     _CRAWL_RUNS[tag] = (out, totals)
     return _CRAWL_RUNS[tag]

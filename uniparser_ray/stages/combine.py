@@ -1,9 +1,10 @@
 """One hash exchange on plain Ray tasks, and the grouped primitives
 built on it.
 
-``exchange(inputs, keys, fn)`` is the engine's shuffle.  Each input
-Dataset is materialized once and its blocks taken as object refs; the
-total row count (block metadata, no extra pass) picks the bucket count
+``exchange(inputs, keys, fn)`` is the engine's shuffle.  Each input is
+a list of block refs (a Dataset is materialized once and its blocks
+taken as refs); the total row count (block metadata, no extra pass)
+picks the bucket count
 ``B = min(num_buckets, ceil(rows / _ROWS_PER_BUCKET))``:
 
 * ``B == 1``: one reduce task receives every block of every input and
@@ -16,11 +17,15 @@ total row count (block metadata, no extra pass) picks the bucket count
   concatenates slice b of every block and calls ``fn`` — once per
   input, so a join's reduce gets its left and right bucket apart.
 
-The result is ``ray.data.from_arrow_refs`` over the reduce outputs.
-An empty bucket runs no ``fn`` and leaves no block, so a consumer never
-sees a schema-less empty block.  The exchange is a barrier: it
-materializes its inputs before the split and returns materialized
-blocks (there is no streaming backpressure across it).
+The core, ``exchange_refs``, works on block refs and returns the
+reduce outputs as refs with a per-output count, so a caller that runs
+on plain tasks (the crawl round's grant) never builds a Dataset.
+``exchange`` wraps it for Datasets: its result is
+``ray.data.from_arrow_refs`` over the reduce outputs.  An empty bucket
+runs no ``fn`` and leaves no block, so a consumer never sees a
+schema-less empty block.  The exchange is a barrier: it materializes
+its inputs before the split and returns materialized blocks (there is
+no streaming backpressure across it).
 
 On top of it:
 
@@ -36,7 +41,7 @@ On top of it:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Sequence
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 import pandas as pd
@@ -108,15 +113,40 @@ def _split(block, keys: Sequence[str], num_buckets: int):
 
 
 @ray.remote(num_returns=2)
-def _reduce(fn, counts: Sequence[int], skip_empty: bool, *blocks):
+def _reduce(fn, count, counts: Sequence[int], skip_empty: bool, *blocks):
     tables, i = [], 0
     for n in counts:
         tables.append(_concat(blocks[i:i + n]))
         i += n
     if skip_empty and not any(t.num_rows for t in tables):
-        return None, -1
+        return None, None
     out = fn(*tables)
-    return out, len(out)
+    return out, count(out)
+
+
+def exchange_refs(sides: Sequence[Sequence[tuple]], keys: Sequence[str],
+                  fn: Callable, num_buckets: int = 64,
+                  count: Callable = len) -> List[tuple]:
+    """The exchange over block refs: ``sides`` holds each input's
+    non-empty blocks as ``(ref, rows)`` pairs.  Returns ``(ref,
+    count(out))`` for every bucket that ran ``fn``, in bucket order."""
+    keys = list(keys)
+    rows = sum(n for side in sides for _, n in side)
+    refs = [[r for r, _ in side] for side in sides]
+    nb = max(1, min(num_buckets, -(-rows // _ROWS_PER_BUCKET)))
+    if nb == 1:
+        buckets = [refs]
+    else:
+        parts = [[_split.options(num_returns=nb).remote(r, keys, nb)
+                  for r in side] for side in refs]
+        buckets = [[[p[b] for p in side] for side in parts]
+                   for b in range(nb)]
+    outs, counts = zip(*(
+        _reduce.remote(fn, count, [len(s) for s in bucket], nb > 1,
+                       *[r for s in bucket for r in s])
+        for bucket in buckets))
+    return [(o, c) for o, c in zip(outs, ray.get(list(counts)))
+            if c is not None]
 
 
 def exchange(inputs: Sequence, keys: Sequence[str], fn: Callable,
@@ -127,33 +157,16 @@ def exchange(inputs: Sequence, keys: Sequence[str], fn: Callable,
     returns a ``pa.Table`` (or, for cells Arrow cannot type, a pandas
     DataFrame); the outputs come back as one materialized Dataset."""
     import ray.data
-    keys = list(keys)
-    sides, rows = [], 0
-    for ds in inputs:
-        # empty blocks carry nothing, and their schema can be stale:
-        # map_batches passes an empty input block through unmapped
-        blocks = [(r, m.num_rows) for b in ds.materialize()
-                  .iter_internal_ref_bundles()
-                  for r, m in zip(b.block_refs, b.metadata) if m.num_rows]
-        sides.append([r for r, _ in blocks])
-        rows += sum(n for _, n in blocks)
-    nb = max(1, min(num_buckets, -(-rows // _ROWS_PER_BUCKET)))
-    if nb == 1:
-        buckets = [sides]
-    else:
-        parts = [[_split.options(num_returns=nb).remote(r, keys, nb)
-                  for r in refs] for refs in sides]
-        buckets = [[[p[b] for p in side] for side in parts]
-                   for b in range(nb)]
-    outs, counts = zip(*(
-        _reduce.remote(fn, [len(s) for s in bucket], nb > 1,
-                       *[r for s in bucket for r in s])
-        for bucket in buckets))
+    # empty blocks carry nothing, and their schema can be stale:
+    # map_batches passes an empty input block through unmapped
+    sides = [[(r, m.num_rows) for b in ds.materialize()
+              .iter_internal_ref_bundles()
+              for r, m in zip(b.block_refs, b.metadata) if m.num_rows]
+             for ds in inputs]
+    outs = exchange_refs(sides, keys, fn, num_buckets)
     # keep the non-empty outputs; if every bucket came out empty, one
-    # typed empty output (a skipped bucket, -1, has no block at all)
-    ns = ray.get(list(counts))
-    kept = [o for o, n in zip(outs, ns) if n > 0] \
-        or [o for o, n in zip(outs, ns) if n == 0][:1]
+    # typed empty output
+    kept = [o for o, n in outs if n > 0] or [o for o, _ in outs][:1]
     return ray.data.from_arrow_refs(kept)
 
 

@@ -3,10 +3,12 @@
 Ray Data actor pools pay pool spin-up on every pipeline execution;
 for stages whose per-actor state is cheap to build but worth caching
 (compiled rules, hash params, selector engines), the idiomatic
-alternative is a plain *task* ``map_batches`` whose function pulls the
-stage instance from a per-worker-process cache — Ray reuses warm
-worker processes for tasks, so construction happens once per worker
-without any pool startup or min-actor wait.
+alternative is a plain task — a task ``map_batches``, or a plain
+``ray.remote`` task that calls the function itself (the crawl round's
+fetch tasks) — whose function pulls the stage instance from a
+per-worker-process cache.  Ray reuses warm worker processes for tasks,
+so construction happens once per worker without any pool startup or
+min-actor wait.
 
 Use actor pools (``concurrency=N``) only when construction is heavy
 enough to need explicit placement (models, sessions, big indexes).
@@ -21,8 +23,9 @@ _CACHE: Dict[str, object] = {}
 
 
 def cached_stage(stage_cls, **kwargs):
-    """Return a map_batches-able function that lazily builds (and
-    caches per worker process) ``stage_cls(**kwargs)``.
+    """Return a batch function (for ``map_batches`` or a plain task)
+    that lazily builds (and caches per worker process)
+    ``stage_cls(**kwargs)``.
 
     ``kwargs`` must be JSON-serializable — they key the cache.
     """
