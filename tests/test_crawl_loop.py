@@ -1372,3 +1372,69 @@ def test_crawl_differential_sweep(ray_session, tmp_path, combo, many):
         t = pq.read_table(f, columns=["url", "status"])
         statuses.update(zip(t["url"].to_pylist(), t["status"].to_pylist()))
     assert statuses == {u: s for u, (s, _b) in want["pages"].items()}
+
+
+def test_crawl_builds_fetch_stage_once_per_worker(ray_session, tmp_path,
+                                                  monkeypatch,
+                                                  oracle_result):
+    """The fetch tasks take their FetchParseStage (transport, compiled
+    rule pack, VM caches) from the per-worker stage cache: a crawl of
+    many small fetch tasks builds it at most once per worker process,
+    and still matches the oracle round for round."""
+    import os
+    import uuid
+    from pathlib import Path
+
+    from uniparser_ray.crawl import loop
+    from uniparser_ray.stages.crawl_stages import FetchParseStage
+
+    builds = tmp_path / "builds"
+    builds.mkdir()
+
+    class CountingFetch(FetchParseStage):
+        # a local class ships by value, with this attribute
+        record_dir = str(builds)
+
+        def __init__(self, **kwargs):
+            super().__init__(**kwargs)
+            (Path(self.record_dir)
+             / f"{os.getpid()}-{uuid.uuid4().hex}").touch()
+
+    monkeypatch.setattr(loop, "FetchParseStage", CountingFetch)
+    web = SynthWeb(**WEB_CFG)
+    cfg = CrawlConfig(web_config=WEB_CFG, out_dir=str(tmp_path / "c"),
+                      seeds=web.seed_urls(), max_rounds=30,
+                      per_host_budget=3, seen_shard_bits=2,
+                      fetch_batch_size=2)
+    totals = run_crawl(cfg, web.rule_pack())
+    pids = [p.name.split("-")[0] for p in builds.iterdir()]
+    assert pids and len(pids) == len(set(pids)), sorted(pids)
+    assert totals["rounds"] > 3
+    assert _ray_rounds(tmp_path / "c") == \
+        [r["fetched"] for r in oracle_result["rounds"]]
+
+
+def test_fetch_task_writes_one_page_file(tmp_path):
+    """A fetch task writes its pages' checkpoint rows as one file,
+    whatever its number of stage calls.  The name follows from the
+    task's rows (round, min url_hash, rows), so a rerun of the task,
+    as a retry would run it, overwrites that file."""
+    from uniparser_ray.crawl.loop import _fetch_block, _frontier_table
+    from uniparser_ray.stages.crawl_stages import (FetchParseStage,
+                                                   canonicalize_batch)
+
+    web = SynthWeb(**WEB_CFG)
+    urls = web.all_page_urls()[:7]
+    block = canonicalize_batch(_frontier_table(
+        urls, [""] * 7, [0] * 7, [1.0] * 7, [0] * 7))
+    block = block.append_column("granted", pa.array([1] * 7, pa.int8()))
+    stage = FetchParseStage(rule_pack=web.rule_pack(), web_config=WEB_CFG)
+    (tmp_path / "round=3").mkdir()
+    lo = min(block["url_hash"].to_pylist())
+    for _ in range(2):
+        _fetch_block(stage, 2, 3, None, str(tmp_path), [(0, 7)], block)
+        files = sorted((tmp_path / "round=3").iterdir())
+        assert [f.name for f in files] == [f"fused-3-{lo:016x}-7.parquet"]
+        pages = pq.read_table(files[0])
+        assert sorted(pages["url"].to_pylist()) == sorted(urls)
+        assert "links" not in pages.column_names

@@ -1774,3 +1774,46 @@ def test_q14_counts_orphan_lineitems_in_total(ray_session, tmp_path,
     got = relational.q14_promo_revenue(str(tmp_path)).to_pandas()
     # promo = 100 + 50; total = 100 + 100 + 400 (orphan) + 50
     assert got["promo_share"].tolist() == [round(100.0 * 150 / 650, 4)]
+
+
+def test_cached_stage_builds_once_per_worker_in_plain_tasks(ray_session):
+    """Plain tasks receive the cached_stage function as an argument,
+    unpickled anew in every call; the stage must still be built once
+    per worker process and key.  A new key for the same class replaces
+    the old stage, so an older key builds again."""
+    import ray
+
+    from uniparser_ray.crawl.loop import _task
+    from uniparser_ray.stages.taskcache import cached_stage
+
+    class _BuildProbeStage:
+        """Each build draws a fresh token, and every call reports
+        (worker pid, token): distinct tokens per pid count the builds
+        in that worker process.  A local class ships by value, so
+        workers need not import this test module."""
+
+        def __init__(self, tag):
+            import uuid
+            self.token = uuid.uuid4().hex
+
+        def __call__(self, batch):
+            import os
+            return os.getpid(), self.token
+
+    def builds(fn, n):
+        per_pid = {}
+        for pid, token in ray.get([_task.remote(fn, None)
+                                   for _ in range(n)]):
+            per_pid.setdefault(pid, set()).add(token)
+        return per_pid
+
+    fn_a = cached_stage(_BuildProbeStage, tag="a")
+    per_pid = builds(fn_a, 12)
+    assert all(len(t) == 1 for t in per_pid.values()), per_pid
+    per_pid_b = builds(cached_stage(_BuildProbeStage, tag="b"), 4)
+    tokens_a = set().union(*per_pid.values())
+    assert not tokens_a & set().union(*per_pid_b.values())
+    # a repeat of key "a" on a worker that moved on to "b" rebuilds
+    again = builds(fn_a, 12)
+    for pid in set(again) & set(per_pid_b):
+        assert not again[pid] & tokens_a

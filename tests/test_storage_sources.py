@@ -82,6 +82,80 @@ def test_average_hash_bit_identical_to_mean_loop():
     assert not bad, (len(bad), bad[:5])
 
 
+def test_gray_table_equals_channel_mean():
+    """average_hash64's grayscale table equals the float32 channel mean
+    for every channel sum 0..765."""
+    sums = np.arange(766)
+    px = np.stack([np.minimum(sums, 255), np.clip(sums - 255, 0, 255),
+                   np.clip(sums - 510, 0, 255)], axis=1).astype(np.uint8)
+    want = px[None].astype(np.float32).mean(axis=2)[0]
+    assert np.array_equal(codecs._GRAY_OF_SUM.view(np.uint32),
+                          want.view(np.uint32))
+
+
+def _png_filtered(pixels, filters):
+    """An 8-bit RGB PNG whose row y is written with filter type
+    ``filters[y]`` (0 None, 1 Sub, 2 Up, 3 Average, 4 Paeth), per the
+    PNG spec and independent of the codec's encoder; the IDAT stream
+    is split over two chunks."""
+    import struct
+    import zlib
+
+    h, w, _ = pixels.shape
+    rows = pixels.reshape(h, w * 3).astype(np.int64)
+    out = []
+    for y, f in enumerate(filters):
+        cur = rows[y]
+        up = rows[y - 1] if y else np.zeros_like(cur)
+        left = np.concatenate([np.zeros(3, np.int64), cur[:-3]])
+        upleft = np.concatenate([np.zeros(3, np.int64), up[:-3]])
+        if f == 0:
+            pred = np.zeros_like(cur)
+        elif f == 1:
+            pred = left
+        elif f == 2:
+            pred = up
+        elif f == 3:
+            pred = (left + up) // 2
+        else:
+            p = left + up - upleft
+            pa, pb, pc = abs(p - left), abs(p - up), abs(p - upleft)
+            pred = np.where((pa <= pb) & (pa <= pc), left,
+                            np.where(pb <= pc, up, upleft))
+        out.append(bytes([f]) + ((cur - pred) % 256).astype(np.uint8)
+                   .tobytes())
+    idat = zlib.compress(b"".join(out))
+
+    def chunk(tag, payload):
+        return (struct.pack(">I", len(payload)) + tag + payload
+                + struct.pack(">I", zlib.crc32(tag + payload)))
+
+    ihdr = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)
+    half = len(idat) // 2
+    return (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr)
+            + chunk(b"IDAT", idat[:half]) + chunk(b"IDAT", idat[half:])
+            + chunk(b"IEND", b""))
+
+
+def test_png_decode_every_filter_type():
+    """decode_png undoes each scanline filter: every row written with
+    one filter type, and mixes of all five types across rows."""
+    rng = np.random.default_rng(5)
+    for h, w in ((1, 1), (2, 1), (7, 5), (16, 33)):
+        for px in (rng.integers(0, 256, (h, w, 3), dtype=np.uint8),
+                   render_pixels(h * 100 + w)[:h, :w]):
+            for f in range(5):
+                data = _png_filtered(px, [f] * h)
+                assert np.array_equal(codecs.decode_png(data), px), (h, w, f)
+            for _ in range(3):
+                mix = rng.integers(0, 5, h).tolist()
+                data = _png_filtered(px, mix)
+                assert np.array_equal(codecs.decode_image(data), px), mix
+    with pytest.raises(ValueError, match="bad PNG filter"):
+        codecs.decode_png(_png_filtered(np.zeros((2, 2, 3), np.uint8),
+                                        [0, 5]))
+
+
 def test_images_table_deterministic():
     t1 = build_images_batch(0, 20)
     t2 = build_images_batch(0, 20)

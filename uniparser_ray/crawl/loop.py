@@ -435,22 +435,33 @@ def _admit_block(admit, grant, deferred, pieces):
     return decided, later, _grant_counts(decided) + (later.num_rows,)
 
 
-def _fetch_block(stage, batch_size: int, round_idx: int, retry, pieces,
-                 *blocks):
+def _fetch_block(stage, batch_size: int, round_idx: int, retry,
+                 pages_dir: str, pieces, *blocks):
     """One fetch task: its span of the granted rows through the fetch
-    stage, ``batch_size`` rows per call.  Returns the pages'
-    next-frontier rows and the counters the driver folds (next, ok,
-    retried, per-host error counts)."""
+    stage, ``batch_size`` rows per call, and its pages' checkpoint rows
+    as one file.  Returns the pages' next-frontier rows and the
+    counters the driver folds (next, ok, retried, per-host error
+    counts)."""
     rows = _tag_round(round_idx)(pa.concat_tables([
         _granted_rows(b).slice(lo, hi - lo)
         for (lo, hi), b in zip(pieces, blocks)]))
-    nxt, ok, retried, errors = [], 0, 0, []
+    nxt, ok, retried, errors, ckpt = [], 0, 0, [], []
     for off in range(0, rows.num_rows, batch_size):
         pages = stage(rows.slice(off, batch_size))
         nxt.append(_next_rows(retry)(pages))
         ok += _ok_rows(pages).num_rows
         retried += retry(pages).num_rows if retry is not None else 0
         errors.append(_host_error_counts(pages))
+        ckpt.append(pages.drop_columns(["links", "img_srcs",
+                                        "img_captions"]))
+    if rows.num_rows:
+        # the name follows from the task's rows alone, so a retried
+        # task overwrites its own file instead of duplicating rows
+        lo = pc.min(rows["url_hash"]).as_py()
+        pq.write_table(pa.concat_tables(ckpt), Path(pages_dir)
+                       / f"round={round_idx}"
+                       / f"fused-{round_idx}-{lo:016x}-{rows.num_rows}"
+                         ".parquet")
     nxt = pa.concat_tables(nxt)
     return nxt, {"next": nxt.num_rows, "ok": ok, "retried": retried,
                  "errors": pa.concat_tables(errors)}
@@ -750,16 +761,20 @@ class CrawlRun:
         """Fetch + rule-VM parse in plain tasks over balanced spans of
         the granted rows (the transport / compiled-pack state is
         cached per worker process).  Each task also writes its pages'
-        checkpoint rows and image fragments.  Returns per task its
+        checkpoint file and image fragments.  Returns per task its
         next-frontier ref and counters."""
+        # the dir exists even for an all-empty round, so resume replay
+        # and the round readers see a committed round
+        (self.pages_dir / f"round={round_idx}").mkdir(parents=True,
+                                                      exist_ok=True)
         # 8 tasks per cpu at most — at 4x a giant round ran as ~4 waves
         # of ~15s tasks and the straggler tail idled a measurable slice
         # of the machine (A/B'd at 32 cpus).  Spans hold whole batches:
-        # each stage call writes its own page file and image fragments
+        # each stage call writes its own image fragments
         bs = self.cfg.fetch_batch_size
         n_tasks = max(1, min(-(-n_granted // bs), self.max_tasks))
         tasks = [_task.options(num_returns=2).remote(
-            _fetch_block, stage, bs, round_idx, retry,
+            _fetch_block, stage, bs, round_idx, retry, str(self.pages_dir),
             [(lo, hi) for _, lo, hi in span],
             *[decided[j][0] for j, _, _ in span])
             for span in _spans([g for _, _, g in decided], n_tasks, bs)
@@ -820,7 +835,6 @@ class CrawlRun:
                              web_config=cfg.web_config,
                              max_redirects=cfg.max_redirects,
                              seen=self.seen, robots=self.robots,
-                             page_ckpt_dir=str(self.pages_dir),
                              image_data_dir=str(self.images.data_dir),
                              image_seen=self.img_seen,
                              image_batch_size=cfg.image_batch_size)
@@ -872,10 +886,7 @@ class CrawlRun:
             if cfg.host_error_budget > 0 and fetched:
                 self._absorb_host_errors(pa.concat_tables(
                     [c["errors"] for _, c in fetched]))
-            # the dir exists even for an all-empty round, so resume
-            # replay and the round readers see a committed round
-            (self.pages_dir / f"round={r}").mkdir(parents=True,
-                                                  exist_ok=True)
+            # the page checkpoint is written inside the fetch tasks
             _mark('pages_write')
             n_images = self._commit_images(r)
             _mark('images')

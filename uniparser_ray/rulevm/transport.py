@@ -159,6 +159,15 @@ class SyntheticWebAdapter(TransportAdapter):
             self._takes_headers = False
 
     def request(self, **request_args):
+        resp = self.fetch(**request_args)
+        if isinstance(resp, Exception):
+            return str(resp), resp
+        return resp.text, resp
+
+    def fetch(self, **request_args):
+        """The response alone, or the last error as a value: what
+        ``request`` returns without decoding the body to text (binary
+        bodies such as images never need it)."""
         url = request_args["url"]
         retry = request_args.pop("retry", 0)
         # crawl-loop requeue attempt number (frontier retries column);
@@ -176,11 +185,10 @@ class SyntheticWebAdapter(TransportAdapter):
                 if self._takes_headers and req_headers is not None:
                     kwargs["headers"] = req_headers
                 status, headers, body = self.web.get(url, **kwargs)
-                resp = SyntheticResponse(url, status, body, headers)
-                return resp.text, resp
+                return SyntheticResponse(url, status, body, headers)
             except Exception as err:
                 error = err
-        return str(error), error
+        return error
 
 
 # -- native async transport (reference: utils.py:258-516) ---------------

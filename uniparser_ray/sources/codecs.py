@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from functools import lru_cache
 
 import numpy as np
 
@@ -139,38 +140,38 @@ def decode_png(data: bytes) -> np.ndarray:
     if bit_depth != 8 or color_type != 2:
         raise ValueError("only 8-bit RGB PNG supported")
     raw = np.frombuffer(zlib.decompress(b"".join(idat)), np.uint8)
-    stride = 1 + w * 3
-    raw = raw.reshape(h, stride)
+    raw = raw.reshape(h, 1 + w * 3)
     filters = raw[:, 0]
-    out = np.zeros((h, w * 3), np.uint8)
+    if filters.max(initial=0) > 4:
+        raise ValueError(f"bad PNG filter {filters.max()}")
+    # filter-0 rows (all of them in files encode_png writes) are the raw
+    # bytes; the rest are undone top-down, each from its finished
+    # predecessor
+    out = raw[:, 1:].copy()
     bpp = 3
-    for y in range(h):
-        line = raw[y, 1:].astype(np.int32)
+    for y in np.flatnonzero(filters).tolist():
         f = filters[y]
+        line = raw[y, 1:].astype(np.int32)
         prev = out[y - 1].astype(np.int32) if y else np.zeros(w * 3, np.int32)
-        if f == 0:
-            cur = line
+        if f == 1:  # Sub: a running sum per channel
+            cur = np.cumsum(line.reshape(w, bpp), axis=0).reshape(-1)
         elif f == 2:  # Up
-            cur = (line + prev) & 0xFF
-        elif f in (1, 3, 4):
-            cur = np.empty(w * 3, np.int32)
+            cur = line + prev
+        else:
+            cur = line.copy()
             for x in range(w * 3):
                 a = cur[x - bpp] if x >= bpp else 0
                 b = prev[x]
-                if f == 1:
-                    cur[x] = (line[x] + a) & 0xFF
-                elif f == 3:
+                if f == 3:  # Average
                     cur[x] = (line[x] + ((a + b) >> 1)) & 0xFF
-                else:
+                else:  # Paeth
                     c = prev[x - bpp] if x >= bpp else 0
                     p = a + b - c
                     pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
                     pred = a if (pa <= pb and pa <= pc) else (b if pb <= pc else c)
                     cur[x] = (line[x] + pred) & 0xFF
-        else:
-            raise ValueError(f"bad PNG filter {f}")
-        out[y] = cur.astype(np.uint8)
-    return out.reshape(h, w, 3).copy()
+        out[y] = cur & 0xFF
+    return out.reshape(h, w, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -249,31 +250,69 @@ def decode_image(data: bytes, fmt: str = None) -> np.ndarray:
     raise ValueError("unknown image format")
 
 
+# grayscale of a uint8 RGB pixel by its channel sum: the mean of three
+# exact float32 integers is float32(sum) / 3, correctly rounded, so this
+# table equals ``astype(float32).mean(axis=2)`` for every sum 0..765
+_GRAY_OF_SUM = np.arange(766, dtype=np.float32) / np.float32(3)
+
+
+def _hash_side(n: int) -> list:
+    """The 8 block bands of one image side, grouped by width: per width,
+    (width, the bands' numbers, the indices that gather them band by
+    band).  Band edges are n*k//8, each band at least one index wide
+    and clipped to the side (a 1-px side leaves empty bands past it)."""
+    e = (np.arange(9) * n // 8).clip(1, n).tolist()
+    e[0] = 0
+    by_width: dict = {}
+    for i in range(8):
+        lo, hi = min(e[i], n), min(max(e[i + 1], e[i] + 1), n)
+        by_width.setdefault(hi - lo, []).append((i, lo))
+    return [(width, [i for i, _ in bands],
+             np.array([lo + k for _, lo in bands for k in range(width)],
+                      np.intp))
+            for width, bands in by_width.items()]
+
+
+@lru_cache(maxsize=256)
+def _hash_plan(h: int, w: int):
+    """Gather plan of the 64 average-hash blocks of an (h, w) image, one
+    entry per block size: the blocks' flat 8x8 positions, the row and
+    column indices that gather them, the gathered shape and the block
+    size.  Also the positions of empty blocks, or None."""
+    plan, empty = [], []
+    col_side = _hash_side(w)
+    for nr, rs, rows in _hash_side(h):
+        for nc, cs, cols in col_side:
+            pos = np.array([i * 8 + j for i in rs for j in cs], np.intp)
+            if nr * nc:
+                plan.append((pos, rows, cols, (len(rs), nr, len(cs), nc),
+                             np.intp(nr * nc)))
+            else:
+                empty.append(pos)
+    return plan, (np.concatenate(empty) if empty else None)
+
+
 def average_hash64(pixels: np.ndarray) -> int:
     """64-bit average-hash: grayscale -> 8x8 block means -> bits above
     the global mean, packed MSB-first.  Deterministic, documented; the
     signed-int64 twin of the table's ``phash`` column."""
-    gray = pixels.astype(np.float32).mean(axis=2)
-    h, w = gray.shape
-    # block-mean resize to 8x8 via integral-image-free bin splitting
-    ys = (np.arange(9) * h // 8).clip(1, h)
-    xs = (np.arange(9) * w // 8).clip(1, w)
-    ys[0] = 0
-    xs[0] = 0
-    ys, xs = ys.tolist(), xs.tolist()
-    small = np.empty((8, 8), np.float32)
-    # each block mean is np.mean's own kernel (pairwise float32
-    # add.reduce, then divide by an intp count) without its wrapper;
-    # a reshape-mean would sum in another order and flip exact ties.
-    # A 1-px side leaves empty blocks, NaN as np.mean gives them
-    for i in range(8):
-        rows = gray[ys[i]:max(ys[i + 1], ys[i] + 1)]
-        for j in range(8):
-            block = rows[:, xs[j]:max(xs[j + 1], xs[j] + 1)]
-            n = block.size
-            small[i, j] = (np.add.reduce(block, axis=None) / np.intp(n)
-                           if n else np.nan)
-    bits = (small > small.mean()).flatten()
+    gray = _GRAY_OF_SUM.take(pixels[..., 0].astype(np.uint16)
+                             + pixels[..., 1] + pixels[..., 2])
+    plan, empty = _hash_plan(*gray.shape)
+    small = np.empty(64, np.float32)
+    # each block is gathered into one contiguous row, and one float32
+    # add.reduce per block size sums every row in the same buffered
+    # pairwise order np.mean uses on a block view (a reshape-mean of
+    # the block would sum in another order and flip exact ties); the
+    # division by an intp count is np.mean's own.  A 1-px side leaves
+    # empty blocks, NaN as np.mean gives them
+    for pos, rows, cols, shape, n in plan:
+        blocks = gray.take(rows, axis=0).take(cols, axis=1).reshape(shape)
+        small[pos] = np.add.reduce(
+            blocks.transpose(0, 2, 1, 3).reshape(len(pos), -1), axis=1) / n
+    if empty is not None:
+        small[empty] = np.nan
+    bits = small > small.mean()
     # MSB-first pack (np.packbits default bitorder) — value-identical
     # to the shift-or loop it replaced, without 64 python iterations
     val = int.from_bytes(np.packbits(bits).tobytes(), "big")

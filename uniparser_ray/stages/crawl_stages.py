@@ -12,8 +12,8 @@ Stage contract (all ``batch_format="pyarrow"``):
   pack + RuleVM built once per worker; per batch it fetches pages and
   runs the rule VM, emitting parsed results + link/image candidates as
   list columns (links are exploded by the loop into next-round
-  frontier rows).  Inside the task it also writes the batch's page
-  checkpoint rows and runs the image side-channel.
+  frontier rows).  Inside the task it also runs the image
+  side-channel (the crawl's fetch task writes the page checkpoint).
 * :class:`ImageFetchStage` — fetch + decode + phash of image URLs,
   emitting rows in the Lance image+caption schema (called by
   FetchParseStage on its own pages' image candidates).
@@ -252,8 +252,7 @@ class FetchParseStage:
                  rule_pack: dict = None, politeness=None, sleep_fn=None,
                  image_data_dir: str = None, image_seen=None,
                  image_batch_size: int = 128, max_redirects: int = 5,
-                 seen=None, robots=None,
-                 page_ckpt_dir: str = None):
+                 seen=None, robots=None):
         import ray
         from ..crawl.storage import JSONRuleStorage
         from ..rulevm.transport import SyntheticWebAdapter
@@ -275,15 +274,6 @@ class FetchParseStage:
         # image work overlaps page fetching inside the same pool.
         self.image_data_dir = image_data_dir
         self.image_batch_size = image_batch_size
-        # page checkpoint: when a pages dir is given, each fetch task
-        # writes ITS OWN batch's checkpoint rows (minus the
-        # frontier-only list columns) straight into the round's
-        # partition dir, so parquet encode + disk I/O overlap fetching.
-        # File names are DETERMINISTIC — fused-{round}-{min
-        # url_hash}-{rows} — so a retried task overwrites its own file
-        # (idempotent) instead of duplicating rows the way a fresh-uuid
-        # name would.
-        self.page_ckpt_dir = page_ckpt_dir
         self._img_stage = (
             ImageFetchStage(web_config=web_config,
                             seen=image_seen)
@@ -519,29 +509,10 @@ class FetchParseStage:
             out["error"].append(err)
         page_tbl = self._page_table(urls, hashes, hosts, depths, priors,
                                     parents, retries, out)
-        if "_round" in batch.column_names and batch.num_rows:
-            round_no = int(batch["_round"][0].as_py())
-            if self._img_stage is not None:
-                self._fetch_images(page_tbl, round_no)
-            if self.page_ckpt_dir is not None:
-                self._write_page_ckpt(page_tbl, round_no)
+        if (self._img_stage is not None and "_round" in batch.column_names
+                and batch.num_rows):
+            self._fetch_images(page_tbl, int(batch["_round"][0].as_py()))
         return page_tbl
-
-    def _write_page_ckpt(self, page_tbl: pa.Table, round_no: int) -> None:
-        """Page-checkpoint write from inside the fetch task (see
-        __init__)."""
-        from pathlib import Path
-
-        import pyarrow.parquet as _pq
-        if page_tbl.num_rows == 0:
-            return
-        out_dir = Path(self.page_ckpt_dir) / f"round={round_no}"
-        out_dir.mkdir(parents=True, exist_ok=True)
-        lo = min(page_tbl["url_hash"].to_pylist())
-        _pq.write_table(
-            page_tbl.drop_columns(["links", "img_srcs", "img_captions"]),
-            out_dir / f"fused-{round_no}-{lo:016x}-"
-                      f"{page_tbl.num_rows}.parquet")
 
     def _fetch_images(self, page_tbl: pa.Table, round_no: int) -> None:
         """Image side-channel (see __init__): explode this page
@@ -645,8 +616,8 @@ class ImageFetchStage:
         captions = batch["caption"].to_pylist()
         ids, blobs, ws, hs, fmts, caps, hashes, srcs = [], [], [], [], [], [], [], []
         for url, caption in zip(urls, captions):
-            text, resp = self.adapter.request(url=url, method="get")
-            if isinstance(resp, Exception) or getattr(resp, "status_code", 0) != 200:
+            resp = self.adapter.fetch(url=url, method="get")
+            if isinstance(resp, Exception) or resp.status_code != 200:
                 continue
             blob = resp.content
             try:
