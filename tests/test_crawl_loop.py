@@ -155,7 +155,7 @@ def test_crawl_image_lineage_matches_oracle(ray_crawl, oracle_result):
 
 
 def test_result_tree_assembly_matches_oracle(ray_crawl, oracle_result):
-    """Distributed groupby(parent) __result__ reassembly over the flat
+    """Distributed per-parent __result__ reassembly over the flat
     page rows reproduces the reference-shaped nested trees the
     single-process oracle builds (crawler.py:174-189 semantics)."""
     from uniparser_ray.crawl.assemble import assemble_results_dict

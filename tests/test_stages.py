@@ -600,6 +600,113 @@ def test_hash_bucket_join_small_input_path_equals_shuffle(ray_session,
         pd.testing.assert_frame_equal(fast, slow)
 
 
+def test_grouped_map_one_key_per_call(ray_session, monkeypatch):
+    """Every ``fn`` call sees exactly one (a, b) key and all of its
+    rows, with groups spread over several input blocks, on the
+    exchange's one-bucket and many-bucket sides; an all-empty input
+    gives an empty result."""
+    import ray.data as rd
+
+    from uniparser_ray.stages import combine
+    from uniparser_ray.stages.combine import grouped_map
+
+    rng = np.random.RandomState(5)
+    df = pd.DataFrame({"a": rng.randint(0, 7, 400),
+                       "b": rng.choice(["x", "y"], 400),
+                       "i": np.arange(400)})
+    want = {k: sorted(g["i"]) for k, g in df.groupby(["a", "b"])}
+
+    def seen(g: pd.DataFrame) -> pd.DataFrame:
+        keys = g[["a", "b"]].drop_duplicates()
+        assert len(keys) == 1, keys
+        return pd.DataFrame({"a": keys["a"], "b": keys["b"],
+                             "ids": [sorted(g["i"])]})
+
+    for rpb, one in ((200_000, True), (40, False)):
+        monkeypatch.setattr(combine, "_ROWS_PER_BUCKET", rpb)
+        ds = grouped_map(rd.from_pandas(df).repartition(5), ["a", "b"], seen)
+        got = ds.to_pandas()
+        assert (ds.num_blocks() == 1) == one, ds.num_blocks()
+        assert len(got) == len(want)
+        assert {(a, b): list(ids) for a, b, ids
+                in got[["a", "b", "ids"]].itertuples(index=False)} == want
+
+        empty = grouped_map(rd.from_pandas(df.iloc[:0]), ["a", "b"], seen)
+        assert empty.count() == 0
+
+
+def _scan_replay(order_keys, value, how, part=None):
+    """Single-process exclusive scan: the rows of each ``part`` value
+    in global ``order_keys`` order (first key most significant), from
+    0.  Returns each row's scan, in input order."""
+    part = np.zeros(len(value), np.int64) if part is None else part
+    acc = np.cumsum if how == "sum" else np.maximum.accumulate
+    before = np.empty(len(value), np.int64)
+    for p in np.unique(part):
+        rows = np.flatnonzero(part == p)
+        rows = rows[np.lexsort([k[rows] for k in reversed(order_keys)])]
+        before[rows] = np.concatenate([[0], acc(value[rows])[:-1]])
+    return before
+
+
+def test_prefix_scan_matches_numpy_replay(ray_session, monkeypatch):
+    """``prefix_scan`` equals a single-process scan over the globally
+    sorted rows: sum and max, with and without a partition, 1, 3 and 32
+    ranges, on the exchange's one-bucket and many-bucket sides; order
+    ties on the range key break on the second order column."""
+    import ray.data as rd
+
+    from uniparser_ray.stages import combine
+    from uniparser_ray.stages.combine import prefix_scan
+
+    rng = np.random.RandomState(9)
+    n = 600
+    df = pd.DataFrame({"k": rng.randint(-50, 5000, n),
+                       "i": rng.permutation(n),
+                       "p": rng.choice(["u", "v", "w"], n),
+                       "v": rng.randint(0, 1000, n)})
+    ds = rd.from_pandas(df).repartition(4)
+
+    def keep(g: pd.DataFrame, before: np.ndarray) -> pd.DataFrame:
+        return pd.DataFrame({"i": g["i"], "before": before})
+
+    order = [df["k"].to_numpy(), df["i"].to_numpy()]
+    for rpb in (200_000, 50):
+        monkeypatch.setattr(combine, "_ROWS_PER_BUCKET", rpb)
+        for how in ("sum", "max"):
+            for partition in ((), ("p",)):
+                want = dict(zip(df["i"], _scan_replay(
+                    order, df["v"].to_numpy(), how,
+                    df["p"].to_numpy() if partition else None)))
+                for num_ranges in (1, 3, 32):
+                    out = prefix_scan(ds, ["k", "i"], "v", how, keep,
+                                      partition=partition,
+                                      num_ranges=num_ranges)
+                    got = out.to_pandas()
+                    assert dict(zip(got["i"], got["before"])) == want, \
+                        (rpb, how, partition, num_ranges)
+                    if rpb > n:
+                        assert out.num_blocks() == 1
+                    elif num_ranges == 32:
+                        assert out.num_blocks() > 1
+
+
+def test_no_sort_shuffle_group_map():
+    """Every group-wise map goes through ``stages.combine.grouped_map``
+    on the engine's exchange; Ray Data's sort-shuffle group map is not
+    used anywhere in the package."""
+    from pathlib import Path
+
+    import uniparser_ray
+
+    root = Path(uniparser_ray.__file__).parent
+    hits = [f"{p.relative_to(root)}:{i}"
+            for p in sorted(root.rglob("*.py"))
+            for i, line in enumerate(p.read_text().splitlines(), 1)
+            if "map_groups(" in line]
+    assert hits == []
+
+
 def test_doc_shard_assign_prefix_sum(ray_session):
     """Global ordered prefix sum: shard boundaries match a
     single-process cumsum regardless of range partitioning."""
@@ -1129,17 +1236,15 @@ def test_events_watermark_late_semantics(ray_session):
                         columns=["event_id", "ts"]).to_pandas()
     eid = src["event_id"].to_numpy()
     ts = src["ts"].astype("int64").to_numpy()
-    order = np.lexsort((eid, hash31(eid).astype(np.int64)))
-    run = np.maximum.accumulate(ts[order])
-    before = np.concatenate([[0], run[:-1]])
-    late = (ts[order] + WATERMARK_LATENESS_US < before).astype("int64")
-    replay = dict(zip(eid[order].tolist(), zip(before.tolist(),
-                                               late.tolist())))
+    arr = hash31(eid).astype(np.int64)
+    before = _scan_replay([arr, eid], ts, "max")
+    late = (ts + WATERMARK_LATENESS_US < before).astype("int64")
+    replay = dict(zip(eid.tolist(), zip(before.tolist(), late.tolist())))
     got = dict(zip(out32["event_id"],
                    zip(out32["max_before"], out32["late"])))
     assert got == replay
     assert set(out32["late"].unique()) == {0, 1}
-    first = eid[order][0]
+    first = eid[np.lexsort((eid, arr))][0]
     assert got[first][0] == 0
 
 

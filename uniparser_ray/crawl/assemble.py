@@ -4,11 +4,12 @@ The reference's recursive crawler nests every child crawl's result
 under its parent's ``__result__`` key (reference: crawler.py:174-189).
 The distributed engine instead emits FLAT page rows with ``parent``
 lineage (one row per fetched URL); this stage reassembles the nested
-trees as a bottom-up, depth-synchronous sequence of Ray Data shuffles:
+trees bottom-up, one depth at a time, on the engine's hash exchange
+(``stages.combine``):
 
     for depth d = max .. 0:
-        children(d+1) --groupby(parent)--> per-parent child maps
-        pages(d)  --hash-bucket left join--> attach, build tree json
+        children(d+1) --grouped_map(parent)--> per-parent child maps
+        pages(d)  --hash_bucket_join (left)--> attach, build tree json
 
 Partitioning assumption: one level is processed at a time (the tree
 is as deep as the crawl ran rounds), and each level's rows group by
@@ -74,7 +75,7 @@ def assemble_results(pages: Union[str, "object"], num_buckets: int = 16):
     checkpoint directory) -> Dataset of (url, tree_json) for the
     DEPTH-0 roots, each tree the reference-shaped nested dict."""
     import ray.data as rd
-    from ..stages.combine import hash_bucket_join
+    from ..stages.combine import grouped_map, hash_bucket_join
 
     if isinstance(pages, str):
         pages = rd.read_parquet(pages, columns=_COLS)
@@ -96,8 +97,7 @@ def assemble_results(pages: Union[str, "object"], num_buckets: int = 16):
             out = level.map_batches(_tree_builder(False),
                                     batch_format="pandas")
         else:
-            cmap = assembled.groupby("parent").map_groups(
-                _child_map, batch_format="pandas")
+            cmap = grouped_map(assembled, ["parent"], _child_map)
             joined = hash_bucket_join(level, cmap, "url", "_purl",
                                       how="left", num_buckets=num_buckets,
                                       left_cols=_COLS,
@@ -105,8 +105,7 @@ def assemble_results(pages: Union[str, "object"], num_buckets: int = 16):
             out = joined.map_batches(_tree_builder(True),
                                      batch_format="pandas")
         assembled = out.materialize()
-    return assembled.map_batches(
-        lambda df: df[["url", "tree_json"]], batch_format="pandas")
+    return assembled.select_columns(["url", "tree_json"])
 
 
 def assemble_results_dict(pages) -> dict:

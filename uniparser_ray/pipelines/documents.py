@@ -314,53 +314,19 @@ def doc_shard_assign(sf_dir: str, budget: int = 50_000,
     prefix sum: documents are packed (in doc_id order) into shards of
     ~``budget`` chars — ``shard = chars_before_me // budget``.
 
-    This is the distributed scan primitive: (1) range-partition the
-    key space (doc_id is int; boundaries from a min/max pass — for
-    skewed key spaces use sampled quantile boundaries); (2) one pass
-    computes per-range sums, the driver folds them into EXCLUSIVE
-    range offsets (num_ranges values, not rows); (3) a second pass
-    sorts within each range and adds offset + local exclusive cumsum.
-    No global sort, no driver materialization of rows; integer
-    arithmetic end-to-end (bit-exact vs the SQL window oracle)."""
-    import numpy as np
-    import pyarrow.compute as pc
+    The scan is ``stages.combine.prefix_scan`` over doc_id (range cut
+    from a min/max pass — for skewed key spaces use sampled quantile
+    boundaries): no global sort, no driver materialization of rows;
+    integer arithmetic end-to-end (bit-exact vs the SQL window
+    oracle)."""
+    from ..stages.combine import prefix_scan
 
-    ds = _read(sf_dir, ["doc_id", "n_chars"])
-    stats = ds.aggregate(*_min_max_aggs("doc_id"))
-    lo, hi = stats["min(doc_id)"], stats["max(doc_id)"]
-    bounds = np.linspace(lo, hi + 1, num_ranges + 1)[1:-1]
+    def assign(g: pd.DataFrame, before: np.ndarray) -> pd.DataFrame:
+        return pd.DataFrame({"doc_id": g["doc_id"], "n_chars": g["n_chars"],
+                             "shard": before // budget})
 
-    def with_range(t: pa.Table) -> pa.Table:
-        r = np.searchsorted(bounds, t["doc_id"].to_numpy(), side="right")
-        return t.append_column("_range", pa.array(r, pa.int64()))
-
-    ranged = ds.map_batches(with_range, batch_format="pyarrow")
-
-    # pass 1: per-range totals (tiny shuffle: num_ranges x blocks rows)
-    from ..stages.combine import grouped_aggregate
-    sums = grouped_aggregate(ranged, ["_range"],
-                             {"total": ("n_chars", "sum")}).to_pandas()
-    sums = sums.sort_values("_range")
-    totals = np.zeros(num_ranges, np.int64)
-    totals[sums["_range"].to_numpy()] = sums["total"].to_numpy()
-    offsets = np.concatenate([[0], np.cumsum(totals)[:-1]])
-
-    # pass 2: within-range ordered cumsum + offset
-    def assign(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("doc_id", kind="mergesort").copy()
-        r = int(g["_range"].iloc[0])
-        cum_before = (int(offsets[r])
-                      + g["n_chars"].cumsum().shift(fill_value=0))
-        g["shard"] = (cum_before // budget).astype("int64")
-        return g[["doc_id", "n_chars", "shard"]]
-
-    return ranged.groupby("_range") \
-        .map_groups(assign, batch_format="pandas")
-
-
-def _min_max_aggs(col: str):
-    from ray.data.aggregate import Max, Min
-    return Min(col), Max(col)
+    return prefix_scan(_read(sf_dir, ["doc_id", "n_chars"]), ["doc_id"],
+                       "n_chars", "sum", assign, num_ranges=num_ranges)
 
 
 def doc_dedup_clusters(sf_dir: str, threshold: float = 0.6):
@@ -796,15 +762,11 @@ def doc_seq_pack(sf_dir: str, seq_len: int = 512, num_ranges: int = 32):
     sequences spanned — the metadata a sequence-builder needs to emit
     packed token blocks shard-parallel.
 
-    Same two-pass ordered-prefix-sum primitive as ``doc_shard_assign``
-    (range-partition doc_id -> per-range token totals -> driver folds
-    num_ranges offsets -> in-range exclusive cumsum), over TOKEN
-    counts: no global sort, nothing driver-side but num_ranges ints,
-    integer arithmetic end-to-end (bit-exact vs the window-SUM SQL
-    oracle)."""
-    import pyarrow.compute as pc  # noqa: F401  (parity with shard_assign)
-
-    ds = _read(sf_dir, ["doc_id", "text"])
+    The same ``stages.combine.prefix_scan`` as ``doc_shard_assign``,
+    over TOKEN counts: no global sort, nothing driver-side but
+    num_ranges ints, integer arithmetic end-to-end (bit-exact vs the
+    window-SUM SQL oracle)."""
+    from ..stages.combine import prefix_scan
 
     def tok_count(t: pa.Table) -> pa.Table:
         n = [len(x.split()) for x in t["text"].to_pylist()]
@@ -812,32 +774,11 @@ def doc_seq_pack(sf_dir: str, seq_len: int = 512, num_ranges: int = 32):
             [t["doc_id"], pa.array(n, pa.int64())],
             names=["doc_id", "n_tokens"])
 
-    counted = ds.map_batches(tok_count, batch_format="pyarrow")
+    counted = _read(sf_dir, ["doc_id", "text"]) \
+        .map_batches(tok_count, batch_format="pyarrow")
 
-    stats = counted.aggregate(*_min_max_aggs("doc_id"))
-    lo, hi = stats["min(doc_id)"], stats["max(doc_id)"]
-    bounds = np.linspace(lo, hi + 1, num_ranges + 1)[1:-1]
-
-    def with_range(t: pa.Table) -> pa.Table:
-        r = np.searchsorted(bounds, t["doc_id"].to_numpy(), side="right")
-        return t.append_column("_range", pa.array(r, pa.int64()))
-
-    ranged = counted.map_batches(with_range, batch_format="pyarrow")
-
-    from ..stages.combine import grouped_aggregate
-    sums = grouped_aggregate(ranged, ["_range"],
-                             {"total": ("n_tokens", "sum")}).to_pandas()
-    sums = sums.sort_values("_range")
-    totals = np.zeros(num_ranges, np.int64)
-    totals[sums["_range"].to_numpy()] = sums["total"].to_numpy()
-    offsets = np.concatenate([[0], np.cumsum(totals)[:-1]])
-
-    def assign(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("doc_id", kind="mergesort").copy()
-        r = int(g["_range"].iloc[0])
+    def assign(g: pd.DataFrame, cb: np.ndarray) -> pd.DataFrame:
         n = g["n_tokens"].to_numpy(np.int64)
-        cb = (int(offsets[r])
-              + np.concatenate([[0], np.cumsum(n)[:-1]]))
         first = cb // seq_len
         last = np.where(n > 0, (cb + np.maximum(n, 1) - 1) // seq_len,
                         first)
@@ -848,11 +789,10 @@ def doc_seq_pack(sf_dir: str, seq_len: int = 512, num_ranges: int = 32):
             "off_first": cb % seq_len,
             "seq_last": last,
             "n_seqs": np.where(n > 0, last - first + 1, 0),
-        }).astype({"seq_first": "int64", "off_first": "int64",
-                   "seq_last": "int64", "n_seqs": "int64"})
+        })
 
-    return ranged.groupby("_range") \
-        .map_groups(assign, batch_format="pandas")
+    return prefix_scan(counted, ["doc_id"], "n_tokens", "sum", assign,
+                       num_ranges=num_ranges)
 
 
 def doc_bpe_pairs(sf_dir: str, k: int = 20):

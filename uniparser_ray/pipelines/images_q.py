@@ -721,15 +721,14 @@ def images_shard_pack(sf_dir: str, budget: int = 262_144,
     (in image_id order) into shards of ~``budget`` encoded bytes —
     ``shard = bytes_before_me // budget``.
 
-    Distributed global ordered prefix sum (same two-pass primitive as
-    documents.doc_shard_assign): bytes are read ONCE in a map_batches
-    that keeps only (image_id, key, nbytes) metadata rows (24B/row —
-    at 100 TB of images the meta is ~0.002% of the data); pass 1 folds
-    per-range sums into exclusive offsets on the driver (num_ranges
-    values, not rows); pass 2 adds offset + in-range ordered cumsum.
-    Integer arithmetic end-to-end — bit-exact vs the SQL window
-    oracle."""
+    Bytes are read ONCE in a map_batches that keeps only (image_id,
+    key, nbytes) metadata rows (24B/row — at 100 TB of images the meta
+    is ~0.002% of the data); ``stages.combine.prefix_scan`` (the same
+    scan as documents.doc_shard_assign) runs over those.  Integer
+    arithmetic end-to-end — bit-exact vs the SQL window oracle."""
     import pyarrow.compute as pc
+
+    from ..stages.combine import prefix_scan
 
     table = images_lance_for(sf_dir)
     ds = table.read_dataset(columns=["image_id", "bytes"])
@@ -741,35 +740,14 @@ def images_shard_pack(sf_dir: str, budget: int = 262_144,
                          "nbytes": pc.binary_length(t["bytes"])
                          .cast(pa.int64())})
 
+    def pack(g: pd.DataFrame, before: np.ndarray) -> pd.DataFrame:
+        return pd.DataFrame({"image_id": g["image_id"],
+                             "nbytes": g["nbytes"],
+                             "shard": before // budget})
+
     meta = ds.map_batches(to_meta, batch_format="pyarrow").materialize()
-
-    from ray.data.aggregate import Max, Min
-    stats = meta.aggregate(Min("_key"), Max("_key"))
-    lo, hi = stats["min(_key)"], stats["max(_key)"]
-    bounds = np.linspace(lo, hi + 1, num_ranges + 1)[1:-1]
-
-    def with_range(t: pa.Table) -> pa.Table:
-        r = np.searchsorted(bounds, t["_key"].to_numpy(), side="right")
-        return t.append_column("_range", pa.array(r, pa.int64()))
-
-    ranged = meta.map_batches(with_range, batch_format="pyarrow")
-
-    from ..stages.combine import grouped_aggregate
-    sums = grouped_aggregate(ranged, ["_range"],
-                             {"total": ("nbytes", "sum")}).to_pandas()
-    totals = np.zeros(num_ranges, np.int64)
-    totals[sums["_range"].to_numpy()] = sums["total"].to_numpy()
-    offsets = np.concatenate([[0], np.cumsum(totals)[:-1]])
-
-    def pack(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("_key", kind="mergesort").copy()
-        r = int(g["_range"].iloc[0])
-        before = (int(offsets[r])
-                  + g["nbytes"].cumsum().shift(fill_value=0))
-        g["shard"] = (before // budget).astype("int64")
-        return g[["image_id", "nbytes", "shard"]]
-
-    return ranged.groupby("_range").map_groups(pack, batch_format="pandas")
+    return prefix_scan(meta, ["_key"], "nbytes", "sum", pack,
+                       num_ranges=num_ranges)
 
 
 def expected_images_sizes(tag: str) -> pa.Table:
@@ -792,13 +770,13 @@ def images_bucket_shards(sf_dir: str, budget: int = 131_072,
     encoded bytes; shard numbering restarts per bucket, so a shard
     never mixes aspect ratios.
 
-    Same two-pass ordered-prefix-sum primitive as ``images_shard_pack``
-    with a composite (bucket, range) partition: pass 1 folds per-
-    (bucket, range) byte totals into per-bucket exclusive offsets on
-    the driver (#buckets × num_ranges values); pass 2 adds offset +
-    in-range cumsum.  Oracle: window SUM PARTITION BY bucket over the
+    ``images_shard_pack``'s scan with ``partition=["bucket"]``: the
+    driver folds #buckets x num_ranges byte totals into per-bucket
+    offsets.  Oracle: window SUM PARTITION BY bucket over the
     generator-side sizes joined to the bucket argmin."""
     import pyarrow.compute as pc
+
+    from ..stages.combine import prefix_scan
 
     table = images_lance_for(sf_dir)
     ds = table.read_dataset(columns=["image_id", "bytes", "w", "h"])
@@ -820,39 +798,14 @@ def images_bucket_shards(sf_dir: str, budget: int = 131_072,
             "nbytes": pc.binary_length(t["bytes"]).cast(pa.int64()),
         })
 
+    def pack(g: pd.DataFrame, before: np.ndarray) -> pd.DataFrame:
+        return pd.DataFrame({"image_id": g["image_id"],
+                             "bucket": g["bucket"], "nbytes": g["nbytes"],
+                             "shard": before // budget})
+
     meta = ds.map_batches(to_meta, batch_format="pyarrow").materialize()
-
-    from ray.data.aggregate import Max, Min
-    stats = meta.aggregate(Min("_key"), Max("_key"))
-    lo, hi = stats["min(_key)"], stats["max(_key)"]
-    bounds = np.linspace(lo, hi + 1, num_ranges + 1)[1:-1]
-
-    def with_range(t: pa.Table) -> pa.Table:
-        r = np.searchsorted(bounds, t["_key"].to_numpy(), side="right")
-        return t.append_column("_range", pa.array(r, pa.int64()))
-
-    ranged = meta.map_batches(with_range, batch_format="pyarrow")
-
-    from ..stages.combine import grouped_aggregate
-    sums = grouped_aggregate(ranged, ["bucket", "_range"],
-                             {"total": ("nbytes", "sum")}).to_pandas()
-    # per-bucket exclusive offsets over the range axis (tiny:
-    # #buckets x num_ranges values on the driver)
-    offsets: dict = {}
-    for bname, g in sums.groupby("bucket"):
-        t = np.zeros(num_ranges, np.int64)
-        t[g["_range"].to_numpy()] = g["total"].to_numpy()
-        offsets[bname] = np.concatenate([[0], np.cumsum(t)[:-1]])
-
-    def pack(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("_key", kind="mergesort").copy()
-        off = offsets[g["bucket"].iloc[0]][int(g["_range"].iloc[0])]
-        before = int(off) + g["nbytes"].cumsum().shift(fill_value=0)
-        g["shard"] = (before // budget).astype("int64")
-        return g[["image_id", "bucket", "nbytes", "shard"]]
-
-    return ranged.groupby(["bucket", "_range"]) \
-        .map_groups(pack, batch_format="pandas")
+    return prefix_scan(meta, ["_key"], "nbytes", "sum", pack,
+                       partition=["bucket"], num_ranges=num_ranges)
 
 
 ALIGN_MAX_HAMMING = 30

@@ -347,50 +347,31 @@ def events_watermark_late(sf_dir: str, lateness_us: int = None,
     modeled by the deterministic md5-residue permutation of event_id
     (the same device the hash sampler uses — reproducible across
     cluster sizes, retries, and in SQL).  The running max over that
-    order is the distributed ordered prefix-SCAN with max instead of
-    sum (doc_shard_assign's primitive): arrival hashes are uniform on
-    [0, 2^31), so the range partition needs no min/max pass; pass 1
-    computes per-range maxima, the driver folds num_ranges exclusive
-    prefix maxima, pass 2 re-sorts within ranges and cummaxes.  No
-    global sort; integer microseconds end-to-end."""
+    order is ``stages.combine.prefix_scan`` with max instead of sum;
+    arrival hashes are uniform on [0, 2^31), so the range cut needs
+    no min/max pass.  No global sort; integer microseconds
+    end-to-end."""
     import pyarrow as pa
 
-    from ..stages.combine import grouped_aggregate
+    from ..stages.combine import prefix_scan
     from ..stages.sketches import hash31
 
     L = WATERMARK_LATENESS_US if lateness_us is None else lateness_us
-    ds = _read(sf_dir, "events", ["event_id", "ts"])
-    bounds = np.linspace(0, _P31, num_ranges + 1)[1:-1]
 
-    def with_range(t: pa.Table) -> pa.Table:
-        eid = t["event_id"].to_numpy()
-        arr = hash31(eid).astype(np.int64)
-        r = np.searchsorted(bounds, arr, side="right")
+    def arrival(t: pa.Table) -> pa.Table:
+        arr = hash31(t["event_id"].to_numpy()).astype(np.int64)
         return pa.Table.from_arrays(
             [t["event_id"], t["ts"].cast(pa.int64()),
-             pa.array(arr, pa.int64()), pa.array(r, pa.int64())],
-            names=["event_id", "ts_us", "arr", "_range"])
+             pa.array(arr, pa.int64())],
+            names=["event_id", "ts_us", "arr"])
 
-    ranged = ds.map_batches(with_range, batch_format="pyarrow")
+    def flag(g: pd.DataFrame, before: np.ndarray) -> pd.DataFrame:
+        ts = g["ts_us"].to_numpy()
+        return pd.DataFrame({"event_id": g["event_id"], "ts_us": ts,
+                             "max_before": before,
+                             "late": (ts + L < before).astype("int64")})
 
-    sums = grouped_aggregate(ranged, ["_range"],
-                             {"mx": ("ts_us", "max")}).to_pandas()
-    sums = sums.sort_values("_range")
-    maxima = np.zeros(num_ranges, np.int64)
-    maxima[sums["_range"].to_numpy()] = sums["mx"].to_numpy()
-    # exclusive running max across ranges; 0 before the first event
-    prefix = np.concatenate(
-        [[0], np.maximum.accumulate(maxima)[:-1]])
-
-    def flag(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["arr", "event_id"], kind="mergesort").copy()
-        r = int(g["_range"].iloc[0])
-        run = np.maximum.accumulate(g["ts_us"].to_numpy())
-        before = np.maximum(
-            int(prefix[r]),
-            np.concatenate([[0], run[:-1]]))
-        g["max_before"] = before.astype("int64")
-        g["late"] = (g["ts_us"].to_numpy() + L < before).astype("int64")
-        return g[["event_id", "ts_us", "max_before", "late"]]
-
-    return ranged.groupby("_range").map_groups(flag, batch_format="pandas")
+    ds = _read(sf_dir, "events", ["event_id", "ts"]) \
+        .map_batches(arrival, batch_format="pyarrow")
+    return prefix_scan(ds, ["arr", "event_id"], "ts_us", "max", flag,
+                       num_ranges=num_ranges, key_range=(0, _P31))

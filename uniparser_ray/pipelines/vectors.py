@@ -475,14 +475,15 @@ def embedding_semdedup(sf_dir: str, k: int = 8, iters: int = 2,
 
     Scale note: cluster sizes bound the quadratic term; a production
     run sizes k so max-cluster fits a worker (SemDeDup's own design
-    assumption) and salts any skewed cluster.  The co-location uses
-    ``hash_bucket_combine`` on the cluster id rather than a sort-based
-    ``groupby``: with only k distinct keys a sort produces more output
-    partitions than keys, and Ray emits the surplus as schema-less
-    empty bundles that trip its schema-divergence warning."""
+    assumption) and salts any skewed cluster.  The co-location is
+    ``grouped_map`` on the cluster id (the hash exchange) rather than a
+    sort-based ``groupby``: with only k distinct keys a sort produces
+    more output partitions than keys, and Ray emits the surplus as
+    schema-less empty bundles that trip its schema-divergence
+    warning."""
     import ray
 
-    from ..stages.combine import hash_bucket_combine
+    from ..stages.combine import grouped_map
     from ..stages.kmeans import make_assign_fn, semdedup_group
 
     cents = _kmeans_centroids(sf_dir, k, iters)
@@ -490,15 +491,8 @@ def embedding_semdedup(sf_dir: str, k: int = 8, iters: int = 2,
     labeled = _read(sf_dir, ["vec_id", "embedding"]).map_batches(
         make_assign_fn(ref, keep_vec=True), batch_format="pyarrow")
 
-    def pairs_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"vec_a": pd.Series([], dtype="int64"),
-                              "vec_b": pd.Series([], dtype="int64"),
-                              "cluster": pd.Series([], dtype="int64")})
-        outs = [semdedup_group(g.reset_index(drop=True),
-                               threshold_bp2).to_pandas()
-                for _, g in df.groupby("cluster")]
-        return pd.concat([empty] + outs, ignore_index=True) \
-            if outs else empty
+    def pairs(g: pd.DataFrame) -> pd.DataFrame:
+        return semdedup_group(g.reset_index(drop=True),
+                              threshold_bp2).to_pandas()
 
-    return hash_bucket_combine(labeled, ["cluster"], pairs_in_bucket,
-                               num_buckets=max(k, 16))
+    return grouped_map(labeled, ["cluster"], pairs)

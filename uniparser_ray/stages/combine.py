@@ -32,6 +32,12 @@ On top of it:
 * ``hash_bucket_combine`` — a per-bucket combine, pandas (df -> df) or
   Arrow; combine functions may only assume "all rows of a key are in
   one call";
+* ``grouped_map`` — ``fn(group_df) -> df`` once per key, each bucket
+  split by key (the engine has no other group-wise map);
+* ``prefix_scan`` — a global ordered exclusive prefix sum or max
+  without a global sort: a range cut on the order key, one
+  ``grouped_aggregate`` of per-range partials folded into offsets on
+  the driver, then one ``grouped_map`` that scans each range in order;
 * ``grouped_aggregate`` — a per-batch Arrow partial aggregate, then the
   combine, so the heavy data never moves, only partials
   (``Dataset.groupby().aggregate()`` pays ms of Python per group);
@@ -198,6 +204,87 @@ def hash_bucket_combine(ds, keys: Sequence[str],
                 return out
 
     return exchange([ds], keys, per_bucket, num_buckets)
+
+
+def grouped_map(ds, keys: Sequence[str],
+                fn: Callable[[pd.DataFrame], pd.DataFrame]):
+    """``fn(group_df) -> df`` once per distinct ``keys`` value, with all
+    of that key's rows and nothing else (Ray Data's pandas group map,
+    without its sort shuffle): each bucket of ``hash_bucket_combine``
+    is split by ``keys`` in pandas.  A null key is a group of its
+    own."""
+    keys = list(keys)
+
+    def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.concat([fn(g) for _, g in df.groupby(keys, dropna=False)],
+                         ignore_index=True)
+
+    return hash_bucket_combine(ds, keys, per_bucket)
+
+
+def prefix_scan(ds, order: Sequence[str], value: str, how: str,
+                fn: Callable[[pd.DataFrame, np.ndarray], pd.DataFrame],
+                partition: Sequence[str] = (), num_ranges: int = 32,
+                key_range: tuple = None):
+    """Global ordered exclusive prefix scan (``how`` in sum|max) of the
+    integer column ``value`` over rows sorted by ``order``, restarting
+    at 0 for every ``partition`` value, without a global sort.
+
+    ``order[0]`` (an integer column) is cut into ``num_ranges`` equal
+    ranges over ``key_range = (lo, hi)``, hi exclusive (from a min/max
+    pass when not given).  Pass 1 aggregates ``value`` per
+    ``(partition..., range)``; the driver folds those partials into
+    each range's exclusive offset (#partitions x num_ranges values,
+    not rows).  Pass 2 sorts each range by ``order`` and calls
+    ``fn(group_df, before)`` once per range, where ``before[i]`` is the
+    scan of every row ahead of row i: the range's offset folded with
+    the exclusive in-range scan.  Integer arithmetic end to end, so
+    the result is bit-exact against a SQL window and independent of
+    ``num_ranges``.  ``ds`` runs once per pass: materialize it first
+    if its upstream is costly."""
+    order, partition = list(order), list(partition)
+    keys = partition + ["_range"]
+    k = order[0]
+    if key_range is None:
+        def min_max(t: pa.Table) -> pa.Table:
+            mm = pc.min_max(t[k])
+            return pa.table({"lo": [mm["min"].as_py()],
+                             "hi": [mm["max"].as_py()]})
+
+        mm = ds.map_batches(min_max, batch_format="pyarrow",
+                            batch_size=None).take_all()
+        key_range = (min(r["lo"] for r in mm), max(r["hi"] for r in mm) + 1)
+    bounds = np.linspace(*key_range, num_ranges + 1)[1:-1]
+
+    def with_range(t: pa.Table) -> pa.Table:
+        r = np.searchsorted(bounds, t[k].to_numpy(), side="right")
+        return t.append_column("_range", pa.array(r, pa.int64()))
+
+    ranged = ds.map_batches(with_range, batch_format="pyarrow")
+
+    # pass 1: one partial per (partition..., range), folded on the driver
+    parts = grouped_aggregate(ranged, keys, {"_v": (value, how)}) \
+        .to_pandas().sort_values(keys)
+    offsets, run, prev = {}, 0, None
+    for *key, v in parts[keys + ["_v"]].itertuples(index=False, name=None):
+        if key[:-1] != prev:
+            run, prev = 0, key[:-1]
+        offsets[tuple(key)] = run
+        run = run + v if how == "sum" else max(run, v)
+
+    # pass 2: the in-range scan after the range's offset
+    def per_range(g: pd.DataFrame) -> pd.DataFrame:
+        g = g.sort_values(order, kind="mergesort")
+        start = offsets[tuple(g[c].iloc[0] for c in keys)]
+        v = g[value].to_numpy(np.int64)
+        if how == "sum":
+            before = start + np.concatenate([[0], np.cumsum(v)[:-1]])
+        else:
+            before = np.maximum(
+                start, np.concatenate([[0], np.maximum.accumulate(v)[:-1]]))
+        return fn(g, before)
+
+    return grouped_map(ranged, keys, per_range)
 
 
 def _arrow_group_agg(t: pa.Table, keys: Sequence[str], items) -> pa.Table:

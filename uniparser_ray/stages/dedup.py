@@ -429,18 +429,10 @@ def embedding_neardup_pairs(ds, threshold: float = 0.95, num_planes: int = 8,
     cosine verify (the scale path for embedding dedup: the shuffle
     moves (bucket, id, vec) rows, buckets shrink candidate sets
     ~2^planes-fold)."""
-    rng = np.random.RandomState(seed)
-    planes = None
-
     def bucketize(batch: pa.Table) -> pa.Table:
-        nonlocal planes
         vecs = np.array(batch["embedding"].to_pylist(), dtype=np.float64)
-        if planes is None:
-            planes_local = np.random.RandomState(seed).randn(
-                vecs.shape[1], num_planes)
-        else:
-            planes_local = planes
-        signs = (vecs @ planes_local) > 0
+        planes = np.random.RandomState(seed).randn(vecs.shape[1], num_planes)
+        signs = (vecs @ planes) > 0
         buckets = (signs * (1 << np.arange(num_planes))).sum(axis=1)
         return pa.Table.from_arrays([
             batch["vec_id"], pa.array(buckets, pa.int64()),
@@ -461,9 +453,9 @@ def embedding_neardup_pairs(ds, threshold: float = 0.95, num_planes: int = 8,
         return pd.DataFrame({"vec_a": ids[ii], "vec_b": ids[jj],
                              "cosine_sim": np.round(sim[ii, jj], 6)})
 
-    from .combine import grouped_aggregate
-    bucketed = ds.map_batches(bucketize, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(pairs, batch_format="pandas")
+    from .combine import grouped_aggregate, grouped_map
+    bucketed = grouped_map(ds.map_batches(bucketize, batch_format="pyarrow"),
+                           ["bucket"], pairs)
     return grouped_aggregate(bucketed, ["vec_a", "vec_b"],
                              {"cosine_sim": ("cosine_sim", "max")})
 
