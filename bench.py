@@ -380,7 +380,8 @@ def politeness_fetch_rate(num_cpus: int) -> dict:
     from uniparser_ray.sources.synthweb import SynthWeb
     from uniparser_ray.stages.crawl_stages import FetchParseStage
     from uniparser_ray.stages.taskcache import cached_stage
-    from uniparser_ray.state.host import PolitenessClient, start_state_hosts
+    from uniparser_ray.state.host import (PolitenessClient, release_state_hosts,
+                                          start_state_hosts)
 
     class StampedFetch(FetchParseStage):
         """Adds each row's request start time as ``fetched_at``."""
@@ -423,8 +424,7 @@ def politeness_fetch_rate(num_cpus: int) -> dict:
         batch_format="pyarrow", batch_size=256) \
         .select_columns(["host", "fetched_at"]).take_all()
     sec = time.perf_counter() - t0
-    for h in hosts:
-        ray.kill(h)
+    release_state_hosts(hosts)
     by_host = defaultdict(list)
     for r in rows:
         by_host[r["host"]].append(r["fetched_at"])

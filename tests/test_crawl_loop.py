@@ -1203,41 +1203,168 @@ def test_crawl_all_deferred_round(ray_session, tmp_path, oracle_result):
     assert _ray_rounds(out) == [want[0], [], [], *want[1:]]
 
 
-def test_crawl_state_hosts_one_per_node_none_left(ray_session, tmp_path):
-    """A default crawl starts one state-host actor per alive node (the
-    seen, image-seen and robots shards all live on it) and leaves none
-    ALIVE after run_crawl returns; the seen totals still count
-    2^seen_shard_bits logical shards once each (71 URLs on this web,
-    as before the shards moved onto hosts, and as the oracle says)."""
-    import time
-
-    import ray
+def _state_host_actors():
+    """{actor id: state} of every StateHost actor of the session."""
     from ray._private import state as gcs
+    return {a["ActorID"]: a["State"] for a in gcs.actors().values()
+            if a["ActorClassName"] == "StateHost"}
 
-    def state_hosts():
-        return {a["ActorID"]: a["State"] for a in gcs.actors().values()
-                if a["ActorClassName"] == "StateHost"}
 
-    before = set(state_hosts())
-    web = SynthWeb(**WEB_CFG)
-    cfg = CrawlConfig(web_config=WEB_CFG, out_dir=str(tmp_path / "c"),
-                      seeds=web.seed_urls())
-    totals = run_crawl(cfg, web.rule_pack())
-    nodes = sum(1 for n in ray.nodes() if n["Alive"])
-    deadline = time.monotonic() + 30   # ray.kill is asynchronous
+def _await_state_hosts(done, timeout=30.0):
+    """Poll the StateHost actors until ``done(actors)`` (``ray.kill``
+    is asynchronous) or the timeout; returns the last poll."""
+    import time
+    deadline = time.monotonic() + timeout
     while True:
-        mine = {k: v for k, v in state_hosts().items() if k not in before}
-        if "ALIVE" not in mine.values() or time.monotonic() > deadline:
-            break
+        actors = _state_host_actors()
+        if done(actors) or time.monotonic() > deadline:
+            return actors
         time.sleep(0.2)
-    assert len(mine) == min(1 << cfg.seen_shard_bits, nodes)
-    assert "ALIVE" not in mine.values(), mine
-    assert totals["seen"]["shards"] == 1 << cfg.seen_shard_bits
-    want = BFSOracle(web, web.rule_pack()).run(web.seed_urls(),
-                                               max_rounds=cfg.max_rounds)
-    assert totals["seen"]["added"] == len(want["seen"]) == 71
-    assert totals["state_ramp_s"] >= 0
-    assert all("state_ramp" not in m["phases"] for m in totals["per_round"])
+
+
+def test_crawl_state_hosts_leased_one_per_node(ray_session, tmp_path):
+    """Back-to-back default crawls lease their state hosts from the
+    session's pool: after each of 3 runs at most one StateHost per
+    alive node is ALIVE (the seen, image-seen and robots shards all
+    live on it), the later runs start no actor and use the first run's
+    actors, and the seen totals still count 2^seen_shard_bits logical
+    shards once each (71 URLs on this web, as the oracle says) and
+    every run fetches the first run's pages round by round."""
+    import ray
+
+    web = SynthWeb(**WEB_CFG)
+    want = BFSOracle(web, web.rule_pack()).run(
+        web.seed_urls(), max_rounds=CrawlConfig.max_rounds)
+    nodes = sum(1 for n in ray.nodes() if n["Alive"])
+    first = None
+    for i in range(3):
+        cfg = CrawlConfig(web_config=WEB_CFG, out_dir=str(tmp_path / f"c{i}"),
+                          seeds=web.seed_urls())
+        totals = run_crawl(cfg, web.rule_pack())
+        hosts = min(1 << cfg.seen_shard_bits, nodes)
+        assert sum(totals["state_hosts"].values()) == hosts
+        actors = _await_state_hosts(
+            lambda a: list(a.values()).count("ALIVE") <= nodes)
+        alive = {k for k, v in actors.items() if v == "ALIVE"}
+        assert 0 < len(alive) <= nodes
+        rounds = _ray_rounds(tmp_path / f"c{i}")
+        if first is None:
+            first = (set(actors), alive, rounds)
+        else:
+            assert totals["state_hosts"] == {"started": 0, "reused": hosts}
+            assert (set(actors), alive, rounds) == first
+        assert totals["seen"]["shards"] == 1 << cfg.seen_shard_bits
+        assert totals["seen"]["added"] == len(want["seen"]) == 71
+        assert totals["state_ramp_s"] >= 0
+        assert all("state_ramp" not in m["phases"]
+                   for m in totals["per_round"])
+
+
+def test_crawl_second_run_starts_no_state_host(ray_session, tmp_path,
+                                               oracle_result):
+    """The second of two back-to-back runs in one session (here a
+    resume of the interrupted first) starts no state host: it resets
+    the pooled ones, and the resumed crawl still equals the BFS oracle
+    (``metrics.json`` reports the lease)."""
+    web = SynthWeb(**WEB_CFG)
+    out = tmp_path / "crawl_lease"
+    base = dict(web_config=WEB_CFG, out_dir=str(out), seeds=web.seed_urls(),
+                per_host_budget=3, seen_shard_bits=2)
+    run_crawl(CrawlConfig(max_rounds=2, **base), web.rule_pack())
+    totals = run_crawl(CrawlConfig(max_rounds=30, **base), web.rule_pack(),
+                       resume=True)
+    assert totals["state_hosts"]["started"] == 0
+    assert totals["state_hosts"]["reused"] >= 1
+    assert json.loads((out / "metrics.json").read_text())["state_hosts"] \
+        == totals["state_hosts"]
+    assert _ray_rounds(out) == [r["fetched"] for r in oracle_result["rounds"]]
+    assert totals["seen"]["added"] == len(oracle_result["seen"])
+    images = LanceLayoutTable(str(out / "images_lance")).to_table()
+    assert images.num_rows == len(oracle_result["images"])
+
+
+def test_crawl_replaces_killed_pooled_state_host(ray_session, tmp_path,
+                                                 oracle_result):
+    """A pooled state host that died while idle is replaced: the next
+    crawl's reset finds it dead, starts a new actor in its place, and
+    the crawl still equals the BFS oracle."""
+    import ray
+
+    from uniparser_ray.state import host
+
+    web = SynthWeb(**WEB_CFG)
+    base = dict(web_config=WEB_CFG, seeds=web.seed_urls(), max_rounds=30,
+                per_host_budget=3, seen_shard_bits=2)
+    run_crawl(CrawlConfig(out_dir=str(tmp_path / "warm"), **base),
+              web.rule_pack())
+    victim = host._idle_pool()[-1]
+    victim_id = victim._actor_id.hex()
+    ray.kill(victim)
+    assert _await_state_hosts(
+        lambda a: a.get(victim_id) == "DEAD")[victim_id] == "DEAD"
+    out = tmp_path / "crawl"
+    totals = run_crawl(CrawlConfig(out_dir=str(out), **base),
+                       web.rule_pack())
+    assert totals["state_hosts"]["started"] == 1
+    assert _ray_rounds(out) == [r["fetched"] for r in oracle_result["rounds"]]
+    assert totals["seen"]["added"] == len(oracle_result["seen"])
+    images = LanceLayoutTable(str(out / "images_lance")).to_table()
+    assert images.num_rows == len(oracle_result["images"])
+
+
+def test_failed_crawl_kills_its_state_hosts(ray_session, tmp_path,
+                                            monkeypatch):
+    """A run that raises kills its state hosts instead of returning
+    them to the pool (tasks it left running may still call them), so
+    the next run starts fresh ones."""
+    from uniparser_ray.crawl import loop
+
+    web = SynthWeb(**WEB_CFG)
+    base = dict(web_config=WEB_CFG, seeds=web.seed_urls(), max_rounds=2,
+                per_host_budget=3, seen_shard_bits=2)
+    run_crawl(CrawlConfig(out_dir=str(tmp_path / "warm"), **base),
+              web.rule_pack())
+    leased = []
+    real_init = loop.CrawlRun.__init__
+
+    def init(self, cfg):
+        real_init(self, cfg)
+        leased.extend(h._actor_id.hex() for h in self.state_hosts)
+
+    def crash(self):
+        raise RuntimeError("crash before round 0")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(loop.CrawlRun, "__init__", init)
+        mp.setattr(loop.CrawlRun, "_seed_round0", crash)
+        with pytest.raises(RuntimeError, match="crash before round 0"):
+            run_crawl(CrawlConfig(out_dir=str(tmp_path / "bad"), **base),
+                      web.rule_pack())
+    actors = _await_state_hosts(
+        lambda a: all(a.get(i) == "DEAD" for i in leased))
+    assert leased and all(actors.get(i) == "DEAD" for i in leased)
+    totals = run_crawl(CrawlConfig(out_dir=str(tmp_path / "next"), **base),
+                       web.rule_pack())
+    assert totals["state_hosts"] == {"started": len(leased), "reused": 0}
+
+
+def test_state_host_lease_renames_clients(ray_session, tmp_path):
+    """Fetch stages are cached per worker under their kwargs' reprs, so
+    two back-to-back runs on the same pooled actor must give clients
+    that never compare equal: the lease number is in the repr."""
+    from uniparser_ray.crawl.loop import CrawlRun
+
+    web = SynthWeb(**WEB_CFG)
+    reprs, actors = [], []
+    for i in range(2):
+        run = CrawlRun(CrawlConfig(web_config=WEB_CFG,
+                                   out_dir=str(tmp_path / f"c{i}"),
+                                   seeds=web.seed_urls()))
+        reprs.append(repr(run.seen))
+        actors.append([h._actor_id for h in run.state_hosts])
+        run.shutdown()
+    assert actors[0] == actors[1]
+    assert reprs[0] != reprs[1]
 
 
 def test_crawl_honors_retry_after(ray_session, tmp_path):
@@ -1438,3 +1565,44 @@ def test_fetch_task_writes_one_page_file(tmp_path):
         pages = pq.read_table(files[0])
         assert sorted(pages["url"].to_pylist()) == sorted(urls)
         assert "links" not in pages.column_names
+
+
+def test_fetch_images_fragment_names_pinned(tmp_path):
+    """A fetch batch's image fragments are named from the round, the
+    batch's minimum url_hash and the chunk index, so a rerun of the
+    fetch task, as a retry would run it, overwrites its own files."""
+    import re
+
+    from uniparser_ray.crawl.loop import _fetch_block, _frontier_table
+    from uniparser_ray.stages.crawl_stages import (FetchParseStage,
+                                                   canonicalize_batch)
+
+    web = SynthWeb(**WEB_CFG)
+    urls = web.all_page_urls()[:7]
+    block = canonicalize_batch(_frontier_table(
+        urls, [""] * 7, [0] * 7, [1.0] * 7, [0] * 7))
+    block = block.append_column("granted", pa.array([1] * 7, pa.int8()))
+    img_dir = tmp_path / "images"
+    stage = FetchParseStage(rule_pack=web.rule_pack(), web_config=WEB_CFG,
+                            image_data_dir=str(img_dir), image_batch_size=2)
+    (tmp_path / "pages" / "round=3").mkdir(parents=True)
+    hashes = block["url_hash"].to_pylist()
+    batch_lo = {min(hashes[off:off + 3]) for off in range(0, 7, 3)}
+    listings = []
+    for _ in range(2):
+        _fetch_block(stage, 3, 3, None, str(tmp_path / "pages"), [(0, 7)],
+                     block)
+        files = sorted((img_dir / "round=3").iterdir())
+        listings.append([(f.name, pq.read_table(f)) for f in files])
+    names = [n for n, _ in listings[0]]
+    assert names == [n for n, _ in listings[1]]
+    chunks = {}
+    for name in names:
+        m = re.fullmatch(r"fused-3-([0-9a-f]{16})-(\d+)\.parquet", name)
+        assert m, name
+        chunks.setdefault(int(m[1], 16), []).append(int(m[2]))
+    assert set(chunks) <= batch_lo and len(chunks) > 1
+    assert any(len(c) > 1 for c in chunks.values())
+    for c in chunks.values():
+        assert sorted(c) == list(range(len(c)))
+    assert all(a.equals(b) for (_, a), (_, b) in zip(*listings))

@@ -60,11 +60,12 @@ def test_fetch_stage_wall_clock_politeness(ray_session):
     the batch delay (sleep injected, so the test is instant and
     deterministic)."""
     import pyarrow as pa
-    import ray
 
     from uniparser_ray.sources.synthweb import SynthWeb
     from uniparser_ray.stages.crawl_stages import FetchParseStage
-    from uniparser_ray.state.host import PolitenessClient, start_state_hosts
+    from uniparser_ray.state.host import (PolitenessClient,
+                                          release_state_hosts,
+                                          start_state_hosts)
 
     web_cfg = dict(num_hosts=2, base_pages=4, fanout=2, hot_factor=2.0)
     web = SynthWeb(**web_cfg)
@@ -92,8 +93,7 @@ def test_fetch_stage_wall_clock_politeness(ray_session):
     # 6/8/10s on the shard's clock)
     stage(batch)
     assert len(slept) == 5 and slept[2] > 5.0 and slept[4] > slept[3]
-    for h in hosts:
-        ray.kill(h)
+    release_state_hosts(hosts)
 
 
 def test_fetch_stage_paces_hosts_in_slot_order(ray_session):
@@ -102,11 +102,12 @@ def test_fetch_stage_paces_hosts_in_slot_order(ray_session):
     host's requests do not fire back to back once the first host's
     schedule has run (clock and sleep injected)."""
     import pyarrow as pa
-    import ray
 
     from uniparser_ray.sources.synthweb import SynthWeb
     from uniparser_ray.stages.crawl_stages import FetchParseStage
-    from uniparser_ray.state.host import PolitenessClient, start_state_hosts
+    from uniparser_ray.state.host import (PolitenessClient,
+                                          release_state_hosts,
+                                          start_state_hosts)
 
     web_cfg = dict(num_hosts=2, base_pages=4, fanout=2, hot_factor=2.0)
     web = SynthWeb(**web_cfg)
@@ -134,8 +135,7 @@ def test_fetch_stage_paces_hosts_in_slot_order(ray_session):
     try:
         assert stage(batch).num_rows == 6
     finally:
-        for h in hosts:
-            ray.kill(h)
+        release_state_hosts(hosts)
     for h in range(2):
         ts = [t for host, t in sent if host == web.host_name(h)]
         assert len(ts) == 3
@@ -154,6 +154,7 @@ def test_state_host_routing_matches_in_process_shards(ray_session, n_hosts):
 
     from uniparser_ray.sources.synthweb import SynthWeb
     from uniparser_ray.state.host import (RobotsClient, SeenFilter,
+                                          release_state_hosts,
                                           start_state_hosts)
     from uniparser_ray.state.robots import RobotsShard
 
@@ -205,8 +206,49 @@ def test_state_host_routing_matches_in_process_shards(ray_session, n_hosts):
             assert delay.tolist() == exp_delay
             assert not all(exp_mask) and any(exp_delay)
         finally:
-            for h in hosts:
-                ray.kill(h)
+            release_state_hosts(hosts)
+
+
+def test_rpc_get_keeps_the_task_cpu(ray_session):
+    """A task that waits on an actor RPC through ``rpc_get`` keeps its
+    CPU: a queued task starts only after it ends.  A plain ``ray.get``
+    hands the CPU to the queued task, which on a busy session means a
+    new worker process for it."""
+    import time
+
+    import ray
+
+    from uniparser_ray.state.host import rpc_get
+
+    @ray.remote(num_cpus=0)
+    class Slow:
+        def answer(self):
+            time.sleep(1.0)
+            return 1
+
+    slow = Slow.remote()
+    ray.get(slow.answer.remote())
+
+    def wait(how):
+        fut = slow.answer.remote()
+        (rpc_get if how == "rpc_get" else ray.get)(fut)
+        return time.time()
+
+    def now():
+        return time.time()
+
+    cpus = ray.available_resources()["CPU"]
+    assert cpus >= 1
+    waiter = ray.remote(num_cpus=cpus)(wait)
+    queued = ray.remote(num_cpus=1)(now)
+    try:
+        for how in ("ray.get", "rpc_get"):
+            done = waiter.remote(how)
+            time.sleep(0.3)
+            end, start = ray.get([done, queued.remote()])
+            assert (start > end) == (how == "rpc_get"), how
+    finally:
+        ray.kill(slow)
 
 
 def test_canonicalize_url_rules():

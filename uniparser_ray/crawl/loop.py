@@ -63,7 +63,8 @@ import ray
 from ..rulevm.urlutil import url_hash64
 from ..stages.crawl_stages import (FetchParseStage, SeenRobotsStage,
                                    canonicalize_batch)
-from ..state.host import RobotsClient, SeenFilter, start_state_hosts
+from ..state.host import (RobotsClient, SeenFilter, release_state_hosts,
+                          rpc_get, start_state_hosts)
 from ..storage.lance_layout import LanceLayoutTable
 
 FRONTIER_SCHEMA = pa.schema([
@@ -487,7 +488,8 @@ class CrawlRun:
         self.pages_dir = self.out / "pages"
         self.images = LanceLayoutTable(str(self.out / "images_lance"))
         self.metrics: List[dict] = []
-        # every state family's logical shards on one actor per node
+        # every state family's logical shards on one actor per node,
+        # leased from the session's pool of warm hosts
         img_bits = max(cfg.seen_shard_bits - 1, 1)
         n_robots = _ROBOTS_SHARDS if cfg.use_robots else 0
         self.state_hosts = start_state_hosts(
@@ -502,15 +504,16 @@ class CrawlRun:
         self.robots_shards = self.robots.shards if n_robots else []
         self.rule_pack_ref = None
 
-    def shutdown(self):
-        """Kill this run's state hosts so back-to-back runs in one Ray
-        session don't accumulate actor processes contending for CPU
-        slots."""
-        for actor in self.state_hosts:
-            try:
+    def shutdown(self, release: bool = True):
+        """Return this run's state hosts to the session's pool, where
+        the next run leases and resets them instead of starting new
+        actor processes.  ``release=False`` kills them instead: after
+        a failed run, tasks it left running may still call them."""
+        if release:
+            release_state_hosts(self.state_hosts)
+        else:
+            for actor in self.state_hosts:
                 ray.kill(actor)
-            except Exception:
-                pass
         self.state_hosts = []
         self.robots_shards = []
 
@@ -620,7 +623,7 @@ class CrawlRun:
                         _slices, futs = seen.add_futures(
                             make_hashes(t.slice(off, 16384)))
                         if futs:
-                            ray.get(futs)
+                            rpc_get(futs)
 
             ray.get(self._per_group(push, files))
 
@@ -840,8 +843,8 @@ class CrawlRun:
                              image_batch_size=cfg.image_batch_size)
         honor = cfg.honor_retry_after
 
-        # the state hosts' start (a fresh worker process each) is paid
-        # once, here, outside every round's clock
+        # a started state host's start (a fresh worker process) is
+        # paid once, here, outside every round's clock
         t_ramp = time.perf_counter()
         ray.get(ramp)
         state_ramp_s = round(time.perf_counter() - t_ramp, 3)
@@ -921,6 +924,9 @@ class CrawlRun:
             "images": self.images.count_rows(),
             "seen": self.seen.stats(),
             "state_ramp_s": state_ramp_s,
+            "state_hosts": {
+                "started": self.state_hosts.started,
+                "reused": len(self.state_hosts) - self.state_hosts.started},
             "per_round": self.metrics,
         }
         (self.out / "metrics.json").write_text(json.dumps(totals, indent=1))
@@ -930,6 +936,9 @@ class CrawlRun:
 def run_crawl(cfg: CrawlConfig, rule_pack: dict, resume: bool = True) -> dict:
     run = CrawlRun(cfg)
     try:
-        return run.run(rule_pack, resume=resume)
-    finally:
-        run.shutdown()
+        totals = run.run(rule_pack, resume=resume)
+    except BaseException:
+        run.shutdown(release=False)
+        raise
+    run.shutdown()
+    return totals

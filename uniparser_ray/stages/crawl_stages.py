@@ -182,7 +182,7 @@ class SeenRobotsStage:
         self.robots = robots
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import ray
+        from ..state.host import rpc_get
         if batch.num_rows == 0:
             # keep the output schema identical to the non-empty path
             return batch.append_column(
@@ -195,17 +195,16 @@ class SeenRobotsStage:
         fresh = np.ones(len(hashes), dtype=bool)
         todo = ~bypass
         # launch the seen test-and-set AND the robots lookups, then
-        # wait ONCE: a single coalesced ray.get per batch instead of
-        # two sequential waves — halves the blocked-worker windows
-        # that make the raylet spawn replacement workers, and overlaps
-        # the two RPC families' latencies
+        # wait ONCE (off the task's main thread, see rpc_get): one
+        # coalesced wait per batch overlaps the two RPC families'
+        # latencies
         s_slices, s_futs = self.seen.add_futures(hashes[todo])
         r_slices, r_futs = ([], [])
         if self.robots is not None:
             r_slices, r_futs = self.robots.futures(
                 batch["host"].to_pylist(),
                 [_url_path(u) for u in batch["url"].to_pylist()])
-        results = ray.get(s_futs + r_futs)
+        results = rpc_get(s_futs + r_futs)
         sub = np.zeros(int(todo.sum()), dtype=bool)
         for idxs, res in zip(s_slices, results):
             sub[idxs] = res
@@ -519,10 +518,13 @@ class FetchParseStage:
         batch's candidates, dedup via the seen shards, fetch + decode,
         and write one fragment per ``image_batch_size`` chunk straight
         into the round's partition dir.  Chunking bounds task memory:
-        at most one chunk of decoded payloads is live at a time."""
-        import uuid
+        at most one chunk of decoded payloads is live at a time.  A
+        fragment is named from the round, the batch's minimum
+        ``url_hash`` and the chunk index, so a retried fetch task
+        overwrites its own files, as it does its page file."""
         from pathlib import Path
 
+        import pyarrow.compute as pc
         import pyarrow.parquet as _pq
 
         cand = explode_images(page_tbl)
@@ -530,13 +532,14 @@ class FetchParseStage:
             return
         out_dir = Path(self.image_data_dir) / f"round={round_no}"
         out_dir.mkdir(parents=True, exist_ok=True)
+        lo = pc.min(page_tbl["url_hash"]).as_py()
         step = max(1, int(self.image_batch_size))
         for off in range(0, cand.num_rows, step):
             rows = self._img_stage(cand.slice(off, step))
             if rows.num_rows == 0:
                 continue
-            _pq.write_table(
-                rows, out_dir / f"fused-{uuid.uuid4().hex}.parquet")
+            _pq.write_table(rows, out_dir / f"fused-{round_no}-{lo:016x}-"
+                                            f"{off // step}.parquet")
 
     @staticmethod
     def _page_table(urls, hashes, hosts, depths, priors, parents,

@@ -10,23 +10,31 @@ each a plain in-process object:
 
 Ray Data cannot express a streaming test-and-set, so the shards live in
 ``StateHost`` actors: logical shard ``i`` of every family sits on host
-``i % n_hosts``.  A crawl starts one host per alive node (never more
-than the logical shard count): a fresh actor is a fresh worker
-process, and starting one per logical shard (16 by default) costs
-more CPU than a small crawl spends crawling.
+``i % n_hosts``.  A crawl uses one host per alive node (never more
+than the logical shard count), leased from a driver-local pool of
+warm hosts: a fresh actor is a fresh worker process, whose start-up
+(and the idle worker Ray starts to replace it) costs more CPU than a
+small crawl spends crawling.  A lease resets each pooled host to the
+state a fresh one would have (:meth:`StateHost.reset`); an actor is
+started only when the pool runs dry or a pooled host has died.  The
+pooled actors belong to the driver and die with its Ray session.
 
 The family clients (:class:`SeenFilter`, :class:`RobotsClient`,
 :class:`PolitenessClient`) are picklable into map tasks.  Per batch
 they send ONE RPC per host, carrying the slices of every logical shard
 that host owns, and the host splits it by shard — the RPC count is
-O(hosts) per batch, not O(shards) or O(urls).  Logical shards, not
-hosts, keep the 10^10-URL sizing: ~256 seen shards of ~50 MB bloom
-each spread over however many nodes the cluster has.
+O(hosts) per batch, not O(shards) or O(urls).  Tasks wait on these
+RPCs through :func:`rpc_get`, which keeps the waiting task's CPU.
+Logical shards, not hosts, keep the 10^10-URL sizing: ~256 seen
+shards of ~50 MB bloom each spread over however many nodes the
+cluster has.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 from typing import Dict, List, Tuple
 
@@ -100,6 +108,13 @@ class StateHost:
         self.shards["politeness"] = {i: PolitenessShard()
                                      for i in owned(politeness_shards)}
 
+    def reset(self, index: int, n_hosts: int, **spec) -> int:
+        """Lease this host anew: exactly the state ``__init__`` builds
+        (new empty shards, the same robots web).  Returns the readiness
+        count."""
+        self.__init__(index, n_hosts, **spec)
+        return self.ready()
+
     def ready(self) -> int:
         """Readiness ping: the number of logical shards held."""
         return sum(len(s) for s in self.shards.values())
@@ -157,19 +172,95 @@ class StateHost:
 
 _StateHostActor = ray.remote(num_cpus=0.01)(StateHost)
 
+# idle leased-out-and-returned hosts of the current Ray session
+_POOL = {"session": None, "idle": []}
+_LEASES = itertools.count(1)
 
-def start_state_hosts(n_hosts: int = None, **spec) -> List:
-    """Start the state hosts of one run (``spec`` = :class:`StateHost`
+
+class StateHosts(list):
+    """The host handles of one lease.  ``lease`` numbers the lease in
+    this driver process (the family clients name it in their repr);
+    ``started`` counts the actors it had to start."""
+
+    def __init__(self, handles, lease: int, started: int):
+        super().__init__(handles)
+        self.lease = lease
+        self.started = started
+
+
+def _idle_pool() -> list:
+    """This Ray session's idle hosts.  The pool is keyed by the
+    driver's node and job ids, so no handle outlives ``ray.shutdown()``
+    (job ids alone repeat across local sessions in one process)."""
+    ctx = ray.get_runtime_context()
+    session = (ctx.get_node_id(), ctx.get_job_id())
+    if _POOL["session"] != session:
+        _POOL["session"], _POOL["idle"] = session, []
+    return _POOL["idle"]
+
+
+def _alive_nodes() -> int:
+    return sum(1 for n in ray.nodes() if n.get("Alive"))
+
+
+def start_state_hosts(n_hosts: int = None, **spec) -> StateHosts:
+    """Lease the state hosts of one run (``spec`` = :class:`StateHost`
     keywords).  By default one host per alive Ray node, capped at the
-    largest family's logical shard count."""
+    largest family's logical shard count.
+
+    Idle pooled hosts are reset first, and every reset is waited for:
+    the run's tasks call the hosts from other processes, with no
+    ordering against the driver's calls.  A host whose reset finds it
+    dead is replaced by a new actor, as is every host the pool lacks
+    (new actors are not waited for, so their start overlaps the
+    caller's work)."""
     if n_hosts is None:
         n_logical = max([1 << b for b in spec.get("seen", {}).values()]
                         + [spec.get("robots_shards", 0),
                            spec.get("politeness_shards", 0), 1])
-        nodes = sum(1 for n in ray.nodes() if n.get("Alive"))
-        n_hosts = max(1, min(n_logical, nodes))
-    return [_StateHostActor.options(scheduling_strategy="SPREAD")
-            .remote(i, n_hosts, **spec) for i in range(n_hosts)]
+        n_hosts = max(1, min(n_logical, _alive_nodes()))
+    idle = _idle_pool()
+    leased = [idle.pop() for _ in range(min(len(idle), n_hosts))]
+    resets = [h.reset.remote(i, n_hosts, **spec)
+              for i, h in enumerate(leased)]
+    alive = [_answers(fut) for fut in resets]
+    hosts = [leased[i] if i < len(alive) and alive[i] else
+             _StateHostActor.options(scheduling_strategy="SPREAD")
+             .remote(i, n_hosts, **spec) for i in range(n_hosts)]
+    return StateHosts(hosts, next(_LEASES), n_hosts - sum(alive))
+
+
+def _answers(fut) -> bool:
+    """Waits for a pooled host's reset: False if the host has died."""
+    try:
+        ray.get(fut)
+        return True
+    except ray.exceptions.RayActorError:
+        return False
+
+
+def release_state_hosts(hosts) -> None:
+    """Return a lease's hosts to this session's pool, which keeps at
+    most one idle host per alive node; the extra ones are killed."""
+    idle = _idle_pool()
+    idle.extend(hosts)
+    while len(idle) > _alive_nodes():
+        ray.kill(idle.pop(0))
+
+
+# starts its one thread at the first wait, not at import
+_WAITER = ThreadPoolExecutor(1, thread_name_prefix="rpc-wait")
+
+
+def rpc_get(futures):
+    """``ray.get`` of state-host RPC results.  A task that waits on its
+    main thread is counted as blocked: the raylet hands its CPU to a
+    queued task, starting a worker process for it when none is idle,
+    and trims that process again once it idles past the session's
+    soft limit (one worker per CPU), so the next burst starts it anew.
+    These RPCs answer in milliseconds, so the wait runs on a helper
+    thread, where Ray keeps the task's CPU."""
+    return _WAITER.submit(ray.get, futures).result()
 
 
 def _fan_out(hosts: List, n_rows: int, shard_ids, call):
@@ -200,14 +291,16 @@ class ShardRef:
 
 
 class _Client:
-    """A family's view of the state hosts.  The repr names the host
-    actors: fetch stages are cached per worker under their kwargs'
-    reprs, so a client of another run must never compare equal."""
+    """A family's view of one lease of the state hosts.  The repr names
+    the lease and the host actors: fetch stages are cached per worker
+    under their kwargs' reprs, so a client of another run must never
+    compare equal, even when its lease reuses the same actors."""
 
     family = ""
 
-    def __init__(self, hosts: List, num_shards: int):
+    def __init__(self, hosts: StateHosts, num_shards: int):
         self.hosts = list(hosts)
+        self.lease = hosts.lease
         self.num_shards = num_shards
 
     @property
@@ -217,13 +310,13 @@ class _Client:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.family}, " \
-               f"{self.num_shards}, {self.hosts!r})"
+               f"{self.num_shards}, lease {self.lease}, {self.hosts!r})"
 
 
 class SeenFilter(_Client):
     """Test-and-set client of one seen family (URL or image hashes)."""
 
-    def __init__(self, hosts: List, family: str, shard_bits: int):
+    def __init__(self, hosts: StateHosts, family: str, shard_bits: int):
         super().__init__(hosts, 1 << shard_bits)
         self.family = family
         self.shard_bits = shard_bits
@@ -241,7 +334,7 @@ class SeenFilter(_Client):
         """Blocking test-and-set: True = newly seen."""
         out = np.zeros(hashes.size, dtype=bool)
         slices, futures = self.add_futures(hashes)
-        for idx, res in zip(slices, ray.get(futures)):
+        for idx, res in zip(slices, rpc_get(futures)):
             out[idx] = res
         return out
 
@@ -274,7 +367,7 @@ class RobotsClient(_Client):
 
     def allowed(self, host: str, path: str) -> bool:
         _slices, (fut,) = self.futures([host], [path])
-        return bool(ray.get(fut)[0][0])
+        return bool(rpc_get(fut)[0][0])
 
 
 class PolitenessClient(_Client):
@@ -292,7 +385,7 @@ class PolitenessClient(_Client):
             lambda: host_shard_ids(hosts, self.num_shards),
             lambda h, idx: h.politeness_acquire.remote(
                 [hosts[i] for i in idx], [counts[i] for i in idx]))
-        for idx, res in zip(slices, ray.get(futures)):
+        for idx, res in zip(slices, rpc_get(futures)):
             for i, d in zip(idx, res):
                 out[i] = d
         return out
@@ -300,5 +393,5 @@ class PolitenessClient(_Client):
     def set_rule(self, host: str, n: float, interval: float = 1.0) -> None:
         """``Frequency(n, interval)`` for one host."""
         sid = url_hash64(host) % self.num_shards
-        ray.get(self.hosts[sid % len(self.hosts)]
+        rpc_get(self.hosts[sid % len(self.hosts)]
                 .politeness_set_rule.remote(host, n, interval))
