@@ -380,7 +380,8 @@ def politeness_fetch_rate(num_cpus: int) -> dict:
     from uniparser_ray.sources.synthweb import SynthWeb
     from uniparser_ray.stages.crawl_stages import FetchParseStage
     from uniparser_ray.stages.taskcache import cached_stage
-    from uniparser_ray.state.host import (PolitenessClient, release_state_hosts,
+    from uniparser_ray.state.host import (PolitenessClient,
+                                          release_state_hosts,
                                           start_state_hosts)
 
     class StampedFetch(FetchParseStage):

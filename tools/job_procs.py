@@ -73,8 +73,8 @@ def snapshot() -> dict:
 
 def job_rows(before: dict, after: dict) -> list:
     """Per process of either snapshot: (pid, cpu seconds in the job,
-    "new" / "gone" / "", name).  A process gone by the end counts the
-    CPU it had at the start as 0 (its last seconds are not visible)."""
+    "new" / "gone" / "", name).  A process gone by the end reads 0 s:
+    what it used before it exited is not visible in ``/proc``."""
     rows = []
     for key in sorted(before.keys() | after.keys()):
         if key in after:
