@@ -1348,6 +1348,73 @@ def test_failed_crawl_kills_its_state_hosts(ray_session, tmp_path,
     assert totals["state_hosts"] == {"started": len(leased), "reused": 0}
 
 
+def test_crawl_resume_on_fresh_state_hosts_with_busy_cpus(
+        ray_session, tmp_path, monkeypatch, oracle_result):
+    """A resume whose state host is started anew while every CPU of
+    the session is held: the new host is placed before the replay
+    tasks start (they wait on it keeping their CPU, so they could
+    otherwise hold every CPU ahead of it), and the resume equals the
+    BFS oracle."""
+    import threading
+    import time
+
+    import ray
+
+    from uniparser_ray.crawl import loop
+    from uniparser_ray.state import host
+
+    web = SynthWeb(**WEB_CFG)
+    out = tmp_path / "crawl_fresh"
+    base = dict(web_config=WEB_CFG, out_dir=str(out), seeds=web.seed_urls(),
+                per_host_budget=3, seen_shard_bits=2)
+    run_crawl(CrawlConfig(max_rounds=2, **base), web.rule_pack())
+    pool = host._idle_pool()
+    pooled = [h._actor_id.hex() for h in pool]
+    for h in pool:
+        ray.kill(h)
+    pool.clear()
+    _await_state_hosts(lambda a: all(a.get(i) == "DEAD" for i in pooled))
+
+    flag = tmp_path / "release"
+
+    @ray.remote(num_cpus=1)
+    def busy(path):
+        import os
+        import time
+        while not os.path.exists(path):
+            time.sleep(0.02)
+
+    states = []
+    reseed = loop.CrawlRun._reseed_filters
+
+    def look_and_reseed(self, upto_round):
+        actors = _state_host_actors()
+        states.extend(actors[h._actor_id.hex()] for h in self.state_hosts)
+        return reseed(self, upto_round)
+
+    cpus = int(ray.cluster_resources()["CPU"])
+    blockers = [busy.remote(str(flag)) for _ in range(cpus)]
+    release = threading.Timer(1.0, flag.touch)
+    try:
+        deadline = time.monotonic() + 60
+        while ray.available_resources().get("CPU", 0) >= 0.01:
+            assert time.monotonic() < deadline, "blockers never all ran"
+            time.sleep(0.05)
+        release.start()
+        with monkeypatch.context() as mp:
+            mp.setattr(loop.CrawlRun, "_reseed_filters", look_and_reseed)
+            totals = run_crawl(CrawlConfig(max_rounds=30, **base),
+                               web.rule_pack(), resume=True)
+    finally:
+        release.cancel()
+        flag.touch()
+        ray.get(blockers)
+    assert states and set(states) == {"ALIVE"}
+    assert totals["state_hosts"] == {"started": len(states), "reused": 0}
+    assert _ray_rounds(out) == [r["fetched"] for r in oracle_result["rounds"]]
+    assert totals["seen"]["added"] == len(oracle_result["seen"])
+
+
 def test_state_host_lease_renames_clients(ray_session, tmp_path):
     """Fetch stages are cached per worker under their kwargs' reprs, so
     two back-to-back runs on the same pooled actor must give clients

@@ -211,44 +211,59 @@ def test_state_host_routing_matches_in_process_shards(ray_session, n_hosts):
 
 def test_rpc_get_keeps_the_task_cpu(ray_session):
     """A task that waits on an actor RPC through ``rpc_get`` keeps its
-    CPU: a queued task starts only after it ends.  A plain ``ray.get``
-    hands the CPU to the queued task, which on a busy session means a
-    new worker process for it."""
+    CPU: a queued task that needs the same CPUs starts only after the
+    RPC has answered.  A plain ``ray.get`` hands the CPU to the queued
+    task, which on a busy session means a new worker process for it.
+    The order is recorded in the actor: its RPC answers when the queued
+    task starts, or after ``timeout`` seconds if that never happens."""
+    import threading
     import time
 
     import ray
 
     from uniparser_ray.state.host import rpc_get
 
-    @ray.remote(num_cpus=0)
-    class Slow:
-        def answer(self):
-            time.sleep(1.0)
+    @ray.remote(num_cpus=0, max_concurrency=4)
+    class Gate:
+        def __init__(self):
+            self.log, self.opened = [], threading.Event()
+
+        def hold(self, timeout):
+            self.log.append("rpc")
+            self.opened.wait(timeout)
+            self.log.append("answer")
             return 1
 
-    slow = Slow.remote()
-    ray.get(slow.answer.remote())
+        def mark(self):
+            self.log.append("queued")
+            self.opened.set()
 
-    def wait(how):
-        fut = slow.answer.remote()
-        (rpc_get if how == "rpc_get" else ray.get)(fut)
-        return time.time()
+        def events(self):
+            return list(self.log)
 
-    def now():
-        return time.time()
+    def wait(gate, how, timeout):
+        (rpc_get if how == "rpc_get" else ray.get)(
+            gate.hold.remote(timeout))
 
-    cpus = ray.available_resources()["CPU"]
-    assert cpus >= 1
-    waiter = ray.remote(num_cpus=cpus)(wait)
-    queued = ray.remote(num_cpus=1)(now)
-    try:
-        for how in ("ray.get", "rpc_get"):
-            done = waiter.remote(how)
-            time.sleep(0.3)
-            end, start = ray.get([done, queued.remote()])
-            assert (start > end) == (how == "rpc_get"), how
-    finally:
-        ray.kill(slow)
+    def start(gate):
+        ray.get(gate.mark.remote())
+
+    # the two tasks cannot hold their CPUs at once; each fits alone
+    # next to the 0.01 CPU of a pooled state host
+    cpus = int(ray.cluster_resources()["CPU"])
+    assert cpus >= 2
+    waiter = ray.remote(num_cpus=cpus // 2 + 1)(wait)
+    queued = ray.remote(num_cpus=cpus - cpus // 2)(start)
+    for how, timeout, first in (("ray.get", 60.0, "queued"),
+                                ("rpc_get", 2.0, "answer")):
+        gate = Gate.remote()
+        done = waiter.remote(gate, how, timeout)
+        while not ray.get(gate.events.remote()):
+            time.sleep(0.05)
+        ray.get([done, queued.remote(gate)])
+        log = ray.get(gate.events.remote())
+        assert log[:2] == ["rpc", first] and len(log) == 3, (how, log)
+        ray.kill(gate)
 
 
 def test_canonicalize_url_rules():

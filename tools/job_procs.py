@@ -3,15 +3,15 @@
     python3 tools/job_procs.py --workload crawl_discover --jobs 4
 
 Starts one local Ray session (the benchmark's CPU count), then runs
-``--jobs`` ``run_crawl`` jobs of a ``perfbench`` workload one after the
-other, each in a fresh output dir; the first is the warm-up.  Around
-every job it reads ``/proc`` for this process and its descendants
-(the session's GCS, raylet and worker processes, nothing else on the
-machine) and prints, per process, the CPU seconds the job used and
-whether the process is new: started during the job, or gone by its
-end.  Each job ends with one JSON summary line.  The workload
-definitions are imported from ``perfbench/workloads.py`` and not
-changed.
+``--jobs`` ``run_crawl`` jobs of a ``perfbench`` workload (web seed
+101) one after the other, each in a fresh output dir; the first is the
+warm-up.  Around every job it reads ``/proc`` for this process and its
+descendants (the session's GCS, raylet and worker processes, nothing
+else on the machine) and prints, per process, the CPU seconds the job
+used and whether the process is new: started during the job, or gone
+by its end (a process that is neither is listed from 0.01 CPU s up).
+Each job ends with one JSON summary line.  The workload definitions
+are imported from ``perfbench/workloads.py`` and not changed.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ sys.path.insert(0, str(ROOT))
 sys.path.insert(1, str(ROOT / "perfbench"))
 
 TICK = os.sysconf("SC_CLK_TCK")
+SEED = 101
+MIN_CPU_S = 0.01
 
 
 def _stat(pid: int):
@@ -91,11 +93,8 @@ def main() -> None:
 
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
-    ap.add_argument("--seed", type=int, default=101)
     ap.add_argument("--jobs", type=int, default=4,
                     help="jobs in the session, the warm-up included")
-    ap.add_argument("--min-cpu", type=float, default=0.01,
-                    help="list processes using at least this many CPU s")
     args = ap.parse_args()
 
     import ray
@@ -108,14 +107,14 @@ def main() -> None:
     ray.init(address="local", num_cpus=NUM_CPUS, include_dashboard=False,
              logging_level="ERROR", log_to_driver=False)
     w = WORKLOADS[args.workload]
-    web = w.make_web(args.seed)
+    web = w.make_web(SEED)
     rule_pack = web.rule_pack()
     work = Path(tempfile.mkdtemp(prefix="job_procs-"))
     try:
         for n in range(args.jobs):
             out = work / f"job{n}"
             before = snapshot()
-            totals = run_crawl(w.config(args.seed, str(out), w.seeds(web)),
+            totals = run_crawl(w.config(SEED, str(out), w.seeds(web)),
                                rule_pack)
             rows = job_rows(before, snapshot())
             shutil.rmtree(out, ignore_errors=True)
@@ -123,7 +122,7 @@ def main() -> None:
             print(f"# job {n} ({kind})")
             print(f"{'pid':>8} {'cpu_s':>7} {'':4}  name")
             for pid, cpu, tag, name in sorted(rows, key=lambda r: -r[1]):
-                if cpu >= args.min_cpu or tag:
+                if cpu >= MIN_CPU_S or tag:
                     print(f"{pid:>8} {cpu:7.3f} {tag:4}  {name}")
             print(json.dumps({
                 "job": n, "kind": kind,

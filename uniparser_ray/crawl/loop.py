@@ -806,9 +806,6 @@ class CrawlRun:
         cfg = self.cfg
         self.out.mkdir(parents=True, exist_ok=True)
         self.rule_pack_ref = ray.put(rule_pack)
-        # readiness pings, fired before the round-0 frontier is written
-        # so the hosts' start overlaps it
-        ramp = [h.ready.remote() for h in self.state_hosts]
         start_round = 0
         state = self._load_state() if resume else None
         self._host_errors: Dict[str, int] = {}
@@ -817,11 +814,19 @@ class CrawlRun:
             start_round = state["next_round"]
             self.metrics = state["metrics"]
             self._rollback_uncommitted(start_round)
+        else:
+            self._seed_round0()
+        # a started state host's start (a fresh worker process) overlaps
+        # the steps above and is paid here, outside every round's clock;
+        # it must be placed before the first task that calls it
+        # (start_state_hosts), and every step below starts such tasks
+        t_ramp = time.perf_counter()
+        ray.get(self.state_hosts.ready)
+        state_ramp_s = round(time.perf_counter() - t_ramp, 3)
+        if state:
             self._reseed_filters(start_round)
             if cfg.host_error_budget > 0:
                 self._reseed_host_errors(start_round)
-        else:
-            self._seed_round0()
 
         from ..stages.crawl_stages import make_trap_filter
         trap_filter = (make_trap_filter(cfg.max_depth, cfg.max_url_len,
@@ -842,12 +847,6 @@ class CrawlRun:
                              image_seen=self.img_seen,
                              image_batch_size=cfg.image_batch_size)
         honor = cfg.honor_retry_after
-
-        # a started state host's start (a fresh worker process) is
-        # paid once, here, outside every round's clock
-        t_ramp = time.perf_counter()
-        ray.get(ramp)
-        state_ramp_s = round(time.perf_counter() - t_ramp, 3)
 
         for r in range(start_round, cfg.max_rounds):
             files = self._frontier_files(r)

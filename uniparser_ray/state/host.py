@@ -180,12 +180,14 @@ _LEASES = itertools.count(1)
 class StateHosts(list):
     """The host handles of one lease.  ``lease`` numbers the lease in
     this driver process (the family clients name it in their repr);
-    ``started`` counts the actors it had to start."""
+    ``ready`` holds one readiness ping per actor it had to start, and
+    ``started`` counts them."""
 
-    def __init__(self, handles, lease: int, started: int):
+    def __init__(self, handles, lease: int, ready: list):
         super().__init__(handles)
         self.lease = lease
-        self.started = started
+        self.ready = ready
+        self.started = len(ready)
 
 
 def _idle_pool() -> list:
@@ -211,9 +213,13 @@ def start_state_hosts(n_hosts: int = None, **spec) -> StateHosts:
     Idle pooled hosts are reset first, and every reset is waited for:
     the run's tasks call the hosts from other processes, with no
     ordering against the driver's calls.  A host whose reset finds it
-    dead is replaced by a new actor, as is every host the pool lacks
-    (new actors are not waited for, so their start overlaps the
-    caller's work)."""
+    dead is replaced by a new actor, as is every host the pool lacks.
+    New actors are not waited for, so their start overlaps the
+    caller's work, but the caller must wait on the lease's ``ready``
+    pings before any task calls the hosts: tasks wait in
+    :func:`rpc_get`, which keeps their CPU, so on a busy session they
+    could hold every CPU ahead of a host still to be placed (it needs
+    0.01 CPU) and wait on it forever."""
     if n_hosts is None:
         n_logical = max([1 << b for b in spec.get("seen", {}).values()]
                         + [spec.get("robots_shards", 0),
@@ -223,11 +229,14 @@ def start_state_hosts(n_hosts: int = None, **spec) -> StateHosts:
     leased = [idle.pop() for _ in range(min(len(idle), n_hosts))]
     resets = [h.reset.remote(i, n_hosts, **spec)
               for i, h in enumerate(leased)]
-    alive = [_answers(fut) for fut in resets]
-    hosts = [leased[i] if i < len(alive) and alive[i] else
+    reused = ([_answers(fut) for fut in resets]
+              + [False] * (n_hosts - len(resets)))
+    hosts = [leased[i] if reused[i] else
              _StateHostActor.options(scheduling_strategy="SPREAD")
              .remote(i, n_hosts, **spec) for i in range(n_hosts)]
-    return StateHosts(hosts, next(_LEASES), n_hosts - sum(alive))
+    return StateHosts(hosts, next(_LEASES),
+                      [h.ready.remote() for h, r in zip(hosts, reused)
+                       if not r])
 
 
 def _answers(fut) -> bool:
@@ -259,7 +268,9 @@ def rpc_get(futures):
     and trims that process again once it idles past the session's
     soft limit (one worker per CPU), so the next burst starts it anew.
     These RPCs answer in milliseconds, so the wait runs on a helper
-    thread, where Ray keeps the task's CPU."""
+    thread, where Ray keeps the task's CPU.  The hosts must already be
+    placed (see :func:`start_state_hosts`): a wait that keeps its CPU
+    gives none to an actor still to be placed."""
     return _WAITER.submit(ray.get, futures).result()
 
 
