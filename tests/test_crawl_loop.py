@@ -1608,68 +1608,132 @@ def test_crawl_builds_fetch_stage_once_per_worker(ray_session, tmp_path,
         [r["fetched"] for r in oracle_result["rounds"]]
 
 
+def _run_fetch_task(tmp_path, n_pages, batch_size):
+    """One fetch task over the first ``n_pages`` pages of the web, as
+    round 3, in-process (no image-seen filter); returns its block."""
+    from uniparser_ray.crawl.loop import (_fetch_block, _frontier_table,
+                                          _make_retry)
+    from uniparser_ray.stages.crawl_stages import (FetchParseStage,
+                                                   ImageFetchStage,
+                                                   canonicalize_batch)
+
+    web = SynthWeb(**WEB_CFG)
+    urls = web.all_page_urls()[:n_pages]
+    n = len(urls)
+    block = canonicalize_batch(_frontier_table(
+        urls, [""] * n, [0] * n, [1.0] * n, [0] * n))
+    block = block.append_column("granted", pa.array([1] * n, pa.int8()))
+    (tmp_path / "pages" / "round=3").mkdir(parents=True, exist_ok=True)
+    _fetch_block(FetchParseStage(rule_pack=web.rule_pack(),
+                                 web_config=WEB_CFG),
+                 ImageFetchStage(web_config=WEB_CFG), batch_size, 3,
+                 _make_retry(0, 3, 60.0, False), str(tmp_path / "pages"),
+                 str(tmp_path / "images"), [(0, n)], block)
+    return block
+
+
+def _image_fragments(tmp_path):
+    """{chunk index: file} of the round-3 image fragments; asserts
+    every name is ``fused-3-{min url_hash}-{chunk}``."""
+    import re
+    out = {}
+    for f in (tmp_path / "images" / "round=3").iterdir():
+        m = re.fullmatch(r"fused-3-([0-9a-f]{16})-(\d+)\.parquet", f.name)
+        assert m, f.name
+        out[int(m[2])] = f
+    return out
+
+
 def test_fetch_task_writes_one_page_file(tmp_path):
     """A fetch task writes its pages' checkpoint rows as one file,
     whatever its number of stage calls.  The name follows from the
     task's rows (round, min url_hash, rows), so a rerun of the task,
     as a retry would run it, overwrites that file."""
-    from uniparser_ray.crawl.loop import _fetch_block, _frontier_table
-    from uniparser_ray.stages.crawl_stages import (FetchParseStage,
-                                                   canonicalize_batch)
-
-    web = SynthWeb(**WEB_CFG)
-    urls = web.all_page_urls()[:7]
-    block = canonicalize_batch(_frontier_table(
-        urls, [""] * 7, [0] * 7, [1.0] * 7, [0] * 7))
-    block = block.append_column("granted", pa.array([1] * 7, pa.int8()))
-    stage = FetchParseStage(rule_pack=web.rule_pack(), web_config=WEB_CFG)
-    (tmp_path / "round=3").mkdir()
-    lo = min(block["url_hash"].to_pylist())
     for _ in range(2):
-        _fetch_block(stage, 2, 3, None, str(tmp_path), [(0, 7)], block)
-        files = sorted((tmp_path / "round=3").iterdir())
+        block = _run_fetch_task(tmp_path, 7, 2)
+        lo = min(block["url_hash"].to_pylist())
+        files = sorted((tmp_path / "pages" / "round=3").iterdir())
         assert [f.name for f in files] == [f"fused-3-{lo:016x}-7.parquet"]
         pages = pq.read_table(files[0])
-        assert sorted(pages["url"].to_pylist()) == sorted(urls)
+        assert sorted(pages["url"].to_pylist()) == \
+            sorted(block["url"].to_pylist())
         assert "links" not in pages.column_names
 
 
-def test_fetch_images_fragment_names_pinned(tmp_path):
-    """A fetch batch's image fragments are named from the round, the
-    batch's minimum url_hash and the chunk index, so a rerun of the
-    fetch task, as a retry would run it, overwrites its own files."""
-    import re
-
-    from uniparser_ray.crawl.loop import _fetch_block, _frontier_table
-    from uniparser_ray.stages.crawl_stages import (FetchParseStage,
-                                                   canonicalize_batch)
-
-    web = SynthWeb(**WEB_CFG)
-    urls = web.all_page_urls()[:7]
-    block = canonicalize_batch(_frontier_table(
-        urls, [""] * 7, [0] * 7, [1.0] * 7, [0] * 7))
-    block = block.append_column("granted", pa.array([1] * 7, pa.int8()))
-    img_dir = tmp_path / "images"
-    stage = FetchParseStage(rule_pack=web.rule_pack(), web_config=WEB_CFG,
-                            image_data_dir=str(img_dir), image_batch_size=2)
-    (tmp_path / "pages" / "round=3").mkdir(parents=True)
-    hashes = block["url_hash"].to_pylist()
-    batch_lo = {min(hashes[off:off + 3]) for off in range(0, 7, 3)}
+def test_fetch_images_fragment_names_pinned(tmp_path, monkeypatch):
+    """A fetch task's image fragments are named from the round, the
+    task's minimum url_hash (the pair that names its page file) and
+    the chunk index, 0..n-1; a rerun of the task, as a retry would run
+    it, rewrites the same files with the same bytes."""
+    from uniparser_ray.crawl import loop
+    monkeypatch.setattr(loop, "_IMAGE_CHUNK_ROWS", 2)
     listings = []
     for _ in range(2):
-        _fetch_block(stage, 3, 3, None, str(tmp_path / "pages"), [(0, 7)],
-                     block)
-        files = sorted((img_dir / "round=3").iterdir())
-        listings.append([(f.name, pq.read_table(f)) for f in files])
-    names = [n for n, _ in listings[0]]
-    assert names == [n for n, _ in listings[1]]
-    chunks = {}
-    for name in names:
-        m = re.fullmatch(r"fused-3-([0-9a-f]{16})-(\d+)\.parquet", name)
-        assert m, name
-        chunks.setdefault(int(m[1], 16), []).append(int(m[2]))
-    assert set(chunks) <= batch_lo and len(chunks) > 1
-    assert any(len(c) > 1 for c in chunks.values())
-    for c in chunks.values():
-        assert sorted(c) == list(range(len(c)))
-    assert all(a.equals(b) for (_, a), (_, b) in zip(*listings))
+        block = _run_fetch_task(tmp_path, 7, 3)
+        frags = _image_fragments(tmp_path)
+        listings.append({k: f.read_bytes() for k, f in frags.items()})
+    lo = min(block["url_hash"].to_pylist())
+    assert len(listings[0]) > 1
+    assert sorted(listings[0]) == list(range(len(listings[0])))
+    assert all(f.name.startswith(f"fused-3-{lo:016x}-")
+               for f in frags.values())
+    assert listings[0] == listings[1]
+
+
+def test_fetch_task_writes_full_image_fragments(tmp_path, monkeypatch):
+    """A fetch task chunks the image candidates of all its pages, not
+    of each stage call: over 4 stage calls it writes ceil(images /
+    chunk) fragments, each but the last full."""
+    from uniparser_ray.crawl import loop
+    monkeypatch.setattr(loop, "_IMAGE_CHUNK_ROWS", 3)
+    _run_fetch_task(tmp_path, 7, 2)
+    frags = _image_fragments(tmp_path)
+    sizes = [pq.read_metadata(frags[k]).num_rows for k in sorted(frags)]
+    assert sum(sizes) > 3
+    assert len(sizes) == -(-sum(sizes) // 3), sizes
+    assert all(n == 3 for n in sizes[:-1]), sizes
+
+
+def test_read_rounds_matches_duckdb(ray_crawl, tmp_path):
+    """``read_rounds``, the one reader of the round-partitioned
+    checkpoints, returns the rows DuckDB's own hive-partitioned read
+    of the same files returns, for a pages dir (with an empty round
+    dir added) and for the Lance manifest's fragment list; strings
+    come back as string, integers but uint64 as int64."""
+    import shutil
+
+    import duckdb
+    import pandas.testing as pdt
+
+    from uniparser_ray.crawl.loop import read_rounds
+
+    out, _ = ray_crawl
+    pages = tmp_path / "pages"
+    shutil.copytree(out / "pages", pages)
+    (pages / "round=99").mkdir()
+    store = LanceLayoutTable(str(out / "images_lance"))
+    cases = [
+        (str(pages), pages, ["url", "round", "status", "depth", "parent",
+                             "url_hash", "priority"]),
+        (store.fragment_files(), store.data_dir, ["image_id", "phash"])]
+    for source, base, cols in cases:
+        ds = read_rounds(source, cols)
+        got = ds.to_pandas()
+        assert list(got.columns) == cols + ["round"] * ("round" not in cols)
+        types = dict(zip(ds.schema().names, ds.schema().types))
+        assert types["round"] == pa.int64()
+        for c in cols:
+            if c in ("url", "parent", "image_id"):
+                assert types[c] == pa.string(), c
+            elif c in ("status", "depth", "phash"):
+                assert types[c] == pa.int64(), c
+            elif c == "url_hash":
+                assert types[c] == pa.uint64(), c
+        want = duckdb.sql(
+            f"SELECT {', '.join(got.columns)} FROM read_parquet("
+            f"'{base}/round=*/*.parquet', hive_partitioning=true)").df()
+        key = cols[0]
+        assert len(got) > 0
+        pdt.assert_frame_equal(
+            got.sort_values(key).reset_index(drop=True),
+            want.sort_values(key).reset_index(drop=True), check_dtype=False)

@@ -10,10 +10,12 @@ each run as plain Ray tasks over Arrow blocks:
          filter [actor RPCs], then the block-local grant clip
       -> grant: per-host politeness top-k           [the one shuffle]
       -> fetch tasks (FetchParseStage) over row-balanced spans of the
-         granted rows: fetch + rule-VM parse; each task also writes its
-         pages' checkpoint rows, runs the image side-channel (explode
-         -> dedup -> fetch -> Lance fragments) and returns its pages'
-         next-frontier rows (links + retries) and small counters
+         granted rows: fetch + rule-VM parse; each task then writes
+         every file of its pages: their checkpoint rows, and the Lance
+         fragments of their new images (explode -> dedup -> fetch,
+         ImageFetchStage), all named from the round and the task's
+         minimum url_hash; it returns its pages' next-frontier rows
+         (links + retries) and small counters
       -> writer tasks: next rows + backlog + deferred -> frontier_{r+1}
 
 Every step is a function over one ``pa.Table`` block, written once,
@@ -43,6 +45,10 @@ Scale notes (the 10^10 design):
   one state-host actor per node (state/host.py; no shuffle);
 * image payloads are fetched in small chunks inside the fetch tasks,
   so multi-MB bodies never concentrate in one block.
+
+Every round-partitioned output (``round=R`` dirs) is written by the
+round's tasks here and read back by one function, :func:`read_rounds`,
+which the checkpoint queries share.
 """
 
 from __future__ import annotations
@@ -61,8 +67,9 @@ import pyarrow.parquet as pq
 import ray
 
 from ..rulevm.urlutil import url_hash64
-from ..stages.crawl_stages import (FetchParseStage, SeenRobotsStage,
-                                   canonicalize_batch)
+from ..stages.crawl_stages import (FetchParseStage, ImageFetchStage,
+                                   SeenRobotsStage, canonicalize_batch,
+                                   explode_images)
 from ..state.host import (RobotsClient, SeenFilter, release_state_hosts,
                           rpc_get, start_state_hosts)
 from ..storage.lance_layout import LanceLayoutTable
@@ -92,6 +99,11 @@ _MIN_FRONTIER_FILE_ROWS = 16384
 # a frontier below 2x this is one admit block
 _ADMIT_BLOCK_ROWS = 4096
 
+# an image fragment holds at most this many candidates' rows: a fetch
+# task fetches and decodes one chunk at a time, so at most one chunk
+# of (possibly multi-MB) payloads is live
+_IMAGE_CHUNK_ROWS = 128
+
 
 @dataclass
 class CrawlConfig:
@@ -102,7 +114,6 @@ class CrawlConfig:
     per_host_budget: int = 8          # fetches per host per round (politeness)
     max_pending_per_host: int = 1000  # backlog cap (frontier bound)
     fetch_batch_size: int = 128
-    image_batch_size: int = 128       # keep small when payloads are MBs
     seen_shard_bits: int = 3
     # bloom | tandem (bloom + an exact set that answers and counts
     # the bloom's divergences)
@@ -183,7 +194,8 @@ class CrawlConfig:
     # frontier with ready_round = round + max(1, ceil(S/round_seconds))
     # and rides the checkpoints UNTOUCHED (no seen/politeness cost)
     # until its round arrives — the polite server-requested backoff.
-    # Requires max_fetch_retries > 0 to matter.
+    # Requires max_fetch_retries > 0 to matter.  A stored ready_round
+    # is honoured whatever config resumes the run.
     honor_retry_after: bool = False
 
 
@@ -228,12 +240,11 @@ def _chain(*steps):
 
 
 def _readiness(round_idx: int, ready: bool):
-    """The Retry-After deferral lane: the frontier rows whose
-    ``ready_round`` has arrived (``ready=True``) or not yet.  Deferred
-    rows skip the round (no seen/politeness side effects) and ride
-    into the next checkpoint untouched."""
+    """The Retry-After deferral lane: the (normalized) frontier rows
+    whose ``ready_round`` has arrived (``ready=True``) or not yet.
+    Deferred rows skip the round (no seen/politeness side effects) and
+    ride into the next checkpoint untouched."""
     def split(t: pa.Table) -> pa.Table:
-        t = _normalize_frontier(t)
         mask = pc.less_equal(t["ready_round"],
                              pa.scalar(round_idx, pa.int32()))
         return t.filter(mask if ready else pc.invert(mask))
@@ -255,15 +266,6 @@ def _granted_rows(t: pa.Table) -> pa.Table:
 
 def _ok_rows(t: pa.Table) -> pa.Table:
     return t.filter(pc.equal(t["status"], 200))
-
-
-def _tag_round(round_idx: int):
-    """``_round`` rides the fetch batches so the warm-worker stage
-    cache stays keyed by constants."""
-    def tag(t: pa.Table) -> pa.Table:
-        return t.append_column("_round", pa.array(
-            np.full(t.num_rows, round_idx, dtype=np.int32), pa.int32()))
-    return tag
 
 
 def _transient(t: pa.Table) -> pa.Array:
@@ -299,7 +301,9 @@ def _make_retry(max_retries: int, round_idx: int, round_seconds: float,
                 honor_retry_after: bool):
     """Transient-failure requeue: -1 / 5xx pages re-enter the next
     frontier with retries+1 and seen_ok=1 (already in the seen set from
-    this round's admission).  404 / rule-miss stay permanent."""
+    this round's admission).  404 / rule-miss stay permanent.  At
+    ``max_retries`` 0 the requeue is empty, and without
+    ``honor_retry_after`` every requeued row has ``ready_round`` 0."""
     def retry(t: pa.Table) -> pa.Table:
         t = t.filter(pc.and_(_transient(t), pc.less(
             t["retries"], pa.scalar(max_retries, pa.int32()))))
@@ -386,16 +390,6 @@ def _explode_links(batch: pa.Table) -> pa.Table:
     ], schema=FRONTIER_SCHEMA)
 
 
-def _next_rows(retry):
-    """Page block -> its next-frontier rows: links, plus the transient
-    failures' requeues when retries are on."""
-    def rows(t: pa.Table) -> pa.Table:
-        if retry is None:
-            return _explode_links(t)
-        return pa.concat_tables([_explode_links(t), retry(t)])
-    return rows
-
-
 # -- plain-task dispatch ------------------------------------------------------
 
 @ray.remote
@@ -432,37 +426,49 @@ def _admit_block(admit, grant, deferred, pieces):
     t = pa.concat_tables([_normalize_frontier(
         pq.read_table(f).slice(lo, hi - lo)) for f, lo, hi in pieces])
     decided = grant(admit(t))
-    later = deferred(t) if deferred is not None else t.slice(0, 0)
+    later = deferred(t)
     return decided, later, _grant_counts(decided) + (later.num_rows,)
 
 
-def _fetch_block(stage, batch_size: int, round_idx: int, retry,
-                 pages_dir: str, pieces, *blocks):
+def _fetch_block(stage, images, batch_size: int, round_idx: int, retry,
+                 pages_dir: str, images_dir: str, pieces, *blocks):
     """One fetch task: its span of the granted rows through the fetch
-    stage, ``batch_size`` rows per call, and its pages' checkpoint rows
-    as one file.  Returns the pages' next-frontier rows and the
-    counters the driver folds (next, ok, retried, per-host error
-    counts)."""
-    rows = _tag_round(round_idx)(pa.concat_tables([
+    stage, ``batch_size`` rows per call; then every file of its pages:
+    their checkpoint rows as one file, and their new images as one
+    fragment per ``_IMAGE_CHUNK_ROWS`` candidates (``images`` dedups,
+    fetches and decodes one chunk per call).  Each name follows from
+    the round and the task's minimum url_hash alone, so a retried task
+    overwrites its own files instead of duplicating rows.  Returns the
+    pages' next-frontier rows and the counters the driver folds (next,
+    ok, retried, per-host error counts)."""
+    rows = pa.concat_tables([
         _granted_rows(b).slice(lo, hi - lo)
-        for (lo, hi), b in zip(pieces, blocks)]))
-    nxt, ok, retried, errors, ckpt = [], 0, 0, [], []
+        for (lo, hi), b in zip(pieces, blocks)])
+    nxt, ok, retried, errors, done = [], 0, 0, [], []
     for off in range(0, rows.num_rows, batch_size):
         pages = stage(rows.slice(off, batch_size))
-        nxt.append(_next_rows(retry)(pages))
+        requeue = retry(pages)
+        nxt += [_explode_links(pages), requeue]
         ok += _ok_rows(pages).num_rows
-        retried += retry(pages).num_rows if retry is not None else 0
+        retried += requeue.num_rows
         errors.append(_host_error_counts(pages))
-        ckpt.append(pages.drop_columns(["links", "img_srcs",
-                                        "img_captions"]))
+        done.append(pages)
     if rows.num_rows:
-        # the name follows from the task's rows alone, so a retried
-        # task overwrites its own file instead of duplicating rows
-        lo = pc.min(rows["url_hash"]).as_py()
-        pq.write_table(pa.concat_tables(ckpt), Path(pages_dir)
-                       / f"round={round_idx}"
-                       / f"fused-{round_idx}-{lo:016x}-{rows.num_rows}"
-                         ".parquet")
+        pages = pa.concat_tables(done)
+        part = f"fused-{round_idx}-{pc.min(rows['url_hash']).as_py():016x}"
+        pq.write_table(
+            pages.drop_columns(["links", "img_srcs", "img_captions"]),
+            Path(pages_dir, f"round={round_idx}",
+                 f"{part}-{rows.num_rows}.parquet"))
+        cand = explode_images(pages)
+        img_dir = Path(images_dir, f"round={round_idx}")
+        if cand.num_rows:
+            img_dir.mkdir(parents=True, exist_ok=True)
+        for off in range(0, cand.num_rows, _IMAGE_CHUNK_ROWS):
+            imgs = images(cand.slice(off, _IMAGE_CHUNK_ROWS))
+            if imgs.num_rows:
+                pq.write_table(imgs, img_dir / f"{part}-"
+                               f"{off // _IMAGE_CHUNK_ROWS}.parquet")
     nxt = pa.concat_tables(nxt)
     return nxt, {"next": nxt.num_rows, "ok": ok, "retried": retried,
                  "errors": pa.concat_tables(errors)}
@@ -474,6 +480,59 @@ def _write_block(path: str, pieces, *blocks) -> None:
     pq.write_table(pa.concat_tables([
         (view(b) if view is not None else b).slice(lo, hi - lo)
         for (view, lo, hi), b in zip(pieces, blocks)]), path)
+
+
+# -- round-partitioned checkpoints --------------------------------------------
+
+def _round_of(path) -> int:
+    """R of a ``round=R`` dir, or of the dir of a file in one."""
+    path = Path(path)
+    name = path.name if path.name.startswith("round=") else path.parent.name
+    return int(name.split("=", 1)[1])
+
+
+def round_files(base) -> List[str]:
+    """Every file of the ``round=R`` dirs under ``base``, in (R, name)
+    order."""
+    return [str(f) for d in sorted(Path(base).glob("round=*"), key=_round_of)
+            for f in sorted(d.glob("*.parquet"))]
+
+
+def _widen(col: pa.ChunkedArray) -> pa.ChunkedArray:
+    """Strings as ``string``; integers but uint64 as ``int64``."""
+    if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
+        return col.cast(pa.string())
+    if pa.types.is_integer(col.type) and col.type != pa.uint64():
+        return col.cast(pa.int64())
+    return col
+
+
+def read_rounds(source, columns: Sequence[str]):
+    """A Dataset of the crawl's round-partitioned files: ``columns`` of
+    every file plus ``round`` (int64, from the file's ``round=R`` dir),
+    placed where ``columns`` names it, else last.  Strings come back as
+    ``string``, integers but ``uint64`` as ``int64``.  ``source`` is a
+    round-partitioned dir or a list of its files (the Lance manifest's
+    fragments).  One task per 4 files, each reading only the named
+    columns."""
+    import ray.data as rd
+    files = (round_files(source) if isinstance(source, (str, Path))
+             else list(source))
+    names = list(columns) if "round" in columns else [*columns, "round"]
+    read = [c for c in names if c != "round"]
+
+    def read_files(batch: pa.Table) -> pa.Table:
+        parts = []
+        for f in batch["path"].to_pylist():
+            t = pq.read_table(f, columns=read)
+            cols = {c: _widen(t[c]) for c in read}
+            cols["round"] = pa.array(np.full(t.num_rows, _round_of(f),
+                                             np.int64))
+            parts.append(pa.table({c: cols[c] for c in names}))
+        return pa.concat_tables(parts)
+
+    return rd.from_items([{"path": f} for f in files]).map_batches(
+        read_files, batch_format="pyarrow", batch_size=4)
 
 
 class CrawlRun:
@@ -548,17 +607,15 @@ class CrawlRun:
         round ``start_round-1``) and is kept."""
         def purge(base: Path, min_round: int):
             for d in base.glob("round=*"):
-                if int(d.name.split("=")[1]) >= min_round:
+                if _round_of(d) >= min_round:
                     shutil.rmtree(d, ignore_errors=True)
 
         purge(self.pages_dir, start_round)
         purge(self.frontier_dir, start_round + 1)
         if self.images.exists():
             def keep(name: str) -> bool:
-                head = name.split("/", 1)[0]
-                if head.startswith("round="):
-                    return int(head.split("=")[1]) < start_round
-                return True
+                return (not name.startswith("round=")
+                        or _round_of(name) < start_round)
             self.images.rollback_fragments(
                 keep, metadata={"rollback_before_round": start_round})
         purge(self.images.data_dir, start_round)
@@ -571,9 +628,8 @@ class CrawlRun:
             _spans([1] * len(items), min(len(items), self.max_tasks))]
 
     def _page_files(self, upto_round: int) -> List[str]:
-        return [str(f) for r in range(upto_round)
-                for f in sorted(
-                    (self.pages_dir / f"round={r}").glob("*.parquet"))]
+        return [f for f in round_files(self.pages_dir)
+                if _round_of(f) < upto_round]
 
     def _reseed_host_errors(self, upto_round: int):
         """Rebuild the dead-host error counters from the committed
@@ -760,24 +816,24 @@ class CrawlRun:
         return [(o, n, g) for o, (n, g) in outs if n]
 
     def _fetch(self, decided: list, n_granted: int, round_idx: int,
-               stage, retry) -> list:
+               stage, images, retry) -> list:
         """Fetch + rule-VM parse in plain tasks over balanced spans of
-        the granted rows (the transport / compiled-pack state is
-        cached per worker process).  Each task also writes its pages'
-        checkpoint file and image fragments.  Returns per task its
-        next-frontier ref and counters."""
+        the granted rows (the fetch and image stages are cached per
+        worker process).  Each task also writes its pages' checkpoint
+        file and image fragments.  Returns per task its next-frontier
+        ref and counters."""
         # the dir exists even for an all-empty round, so resume replay
         # and the round readers see a committed round
         (self.pages_dir / f"round={round_idx}").mkdir(parents=True,
                                                       exist_ok=True)
         # 8 tasks per cpu at most — at 4x a giant round ran as ~4 waves
         # of ~15s tasks and the straggler tail idled a measurable slice
-        # of the machine (A/B'd at 32 cpus).  Spans hold whole batches:
-        # each stage call writes its own image fragments
+        # of the machine (A/B'd at 32 cpus).  Spans hold whole batches
         bs = self.cfg.fetch_batch_size
         n_tasks = max(1, min(-(-n_granted // bs), self.max_tasks))
         tasks = [_task.options(num_returns=2).remote(
-            _fetch_block, stage, bs, round_idx, retry, str(self.pages_dir),
+            _fetch_block, stage, images, bs, round_idx, retry,
+            str(self.pages_dir), str(self.images.data_dir),
             [(lo, hi) for _, lo, hi in span],
             *[decided[j][0] for j, _, _ in span])
             for span in _spans([g for _, _, g in decided], n_tasks, bs)
@@ -842,11 +898,9 @@ class CrawlRun:
                              rule_pack_ref=self.rule_pack_ref,
                              web_config=cfg.web_config,
                              max_redirects=cfg.max_redirects,
-                             seen=self.seen, robots=self.robots,
-                             image_data_dir=str(self.images.data_dir),
-                             image_seen=self.img_seen,
-                             image_batch_size=cfg.image_batch_size)
-        honor = cfg.honor_retry_after
+                             seen=self.seen, robots=self.robots)
+        images = cached_stage(ImageFetchStage, web_config=cfg.web_config,
+                              seen=self.img_seen)
 
         for r in range(start_round, cfg.max_rounds):
             files = self._frontier_files(r)
@@ -863,13 +917,11 @@ class CrawlRun:
 
             # -- admit + politeness grant --------------------------------
             admit = _chain(
-                _readiness(r, True) if honor else _normalize_frontier,
-                canonicalize_batch, trap_filter,
+                _readiness(r, True), canonicalize_batch, trap_filter,
                 (_drop_hosts(self._banned_hosts)
                  if self._banned_hosts else None),
                 seen_stage)
-            admitted = self._admit(files, admit,
-                                   _readiness(r, False) if honor else None)
+            admitted = self._admit(files, admit, _readiness(r, False))
             decided = self._grant([(b, n, g) for b, _, (n, g, _)
                                    in admitted if n])
             n_deferred = sum(c[2] for _, _, c in admitted)
@@ -880,10 +932,10 @@ class CrawlRun:
                 break
 
             # -- fetch + parse; page checkpoint and images inside -------
-            retry = (_make_retry(cfg.max_fetch_retries, r, cfg.round_seconds,
-                                 honor)
-                     if cfg.max_fetch_retries > 0 else None)
-            fetched = self._fetch(decided, n_granted, r, stage, retry)
+            retry = _make_retry(cfg.max_fetch_retries, r, cfg.round_seconds,
+                                cfg.honor_retry_after)
+            fetched = self._fetch(decided, n_granted, r, stage, images,
+                                  retry)
             _mark('fetch_parse')
             if cfg.host_error_budget > 0 and fetched:
                 self._absorb_host_errors(pa.concat_tables(

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from .images_q import _ensure_crawl, _sf_tag
 
@@ -131,31 +132,18 @@ def _memo_crawl(name: str, tag: str, web_cfg: dict, **cfg) -> str:
 
 def _read_pages_hashed(pages_dir: str):
     """Task-parallel pruned read of round-partitioned page checkpoints
-    -> (url, round, status, content_md5).  One task per small file
-    batch; result_json never reaches the driver (hashed where read)."""
-    import ray.data as rd
+    -> (url, round, status, content_md5); result_json never reaches
+    the driver (hashed where read)."""
+    from ..crawl.loop import read_rounds
 
-    rows = [{"path": str(f), "round": int(f.parent.name.split("=")[1])}
-            for f in sorted(Path(pages_dir).glob("round=*/*.parquet"))]
+    def hashed(t: pa.Table) -> pa.Table:
+        md5s = [hashlib.md5((s or "").encode()).hexdigest()
+                for s in t["result_json"].to_pylist()]
+        return t.drop_columns(["result_json"]).append_column(
+            "content_md5", pa.array(md5s, pa.string()))
 
-    def read_hashed(batch: pa.Table) -> pa.Table:
-        import pyarrow.parquet as pq
-        parts = []
-        for row in batch.to_pylist():
-            t = pq.read_table(row["path"],
-                              columns=["url", "status", "result_json"])
-            md5s = [hashlib.md5((s or "").encode()).hexdigest()
-                    for s in t["result_json"].to_pylist()]
-            parts.append(pa.table({
-                "url": t["url"].cast(pa.string()),
-                "round": pa.array([row["round"]] * t.num_rows, pa.int64()),
-                "status": t["status"].cast(pa.int64()),
-                "content_md5": pa.array(md5s, pa.string())}))
-        return pa.concat_tables(parts)
-
-    return rd.from_items(rows).map_batches(read_hashed,
-                                           batch_format="pyarrow",
-                                           batch_size=4)
+    return read_rounds(pages_dir, ["url", "round", "status", "result_json"]) \
+        .map_batches(hashed, batch_format="pyarrow")
 
 
 def crawl_resume_roundtrip(sf_dir: str):
@@ -210,35 +198,17 @@ def crawl_redirects(sf_dir: str):
     projection-pruned task-parallel read of the pages checkpoints; the
     round rides the compare so redirect handling that shifts WHEN a
     page is fetched goes red too."""
-    import ray.data as rd
+    from ..crawl.loop import read_rounds
 
-    tag = _sf_tag(sf_dir)
-    out = _ensure_redirect_crawl(tag)
-    rows = [{"path": str(f), "round": int(f.parent.name.split("=")[1])}
-            for f in sorted(Path(out, "pages").glob("round=*/*.parquet"))]
+    def dup(t: pa.Table) -> pa.Table:
+        is_dup = pc.equal(t["error"], "RedirectDuplicate")
+        return t.drop_columns(["error"]).append_column(
+            "is_dup", pc.fill_null(is_dup, False).cast(pa.int64()))
 
-    def read_pages(batch: pa.Table) -> pa.Table:
-        import pyarrow.parquet as pq
-        parts = []
-        for row in batch.to_pylist():
-            t = pq.read_table(row["path"],
-                              columns=["url", "status", "final_url",
-                                       "redirects", "error"])
-            err = t["error"].to_pylist()
-            parts.append(pa.table({
-                "url": t["url"].cast(pa.string()),
-                "round": pa.array([row["round"]] * t.num_rows, pa.int64()),
-                "status": t["status"].cast(pa.int64()),
-                "final_url": t["final_url"].cast(pa.string()),
-                "redirects": t["redirects"].cast(pa.int64()),
-                "is_dup": pa.array(
-                    [1 if e == "RedirectDuplicate" else 0 for e in err],
-                    pa.int64())}))
-        return pa.concat_tables(parts)
-
-    return rd.from_items(rows).map_batches(read_pages,
-                                           batch_format="pyarrow",
-                                           batch_size=4)
+    out = _ensure_redirect_crawl(_sf_tag(sf_dir))
+    return read_rounds(f"{out}/pages", [
+        "url", "round", "status", "final_url", "redirects", "error"]) \
+        .map_batches(dup, batch_format="pyarrow")
 
 
 def expected_crawl_redirects(tag: str) -> pa.Table:
@@ -493,7 +463,6 @@ def crawl_sitemap_recrawl(sf_dir: str):
     revision model exactly), and the RESULT CARDINALITY is the
     efficiency claim: fetches == changed-and-advertised pages only —
     unchanged pages cost nothing at all, not even a 304."""
-    import pyarrow.compute as pc
     import ray.data as rd
 
     from ..crawl.sitemap import make_ingest_stage
@@ -628,29 +597,9 @@ def crawl_trap_guard(sf_dir: str):
     same way — proving the guard cuts the trap at the bound (the trap
     IS entered up to it) without perturbing anything else.  One
     projection-pruned task-parallel read of the pages checkpoints."""
-    import ray.data as rd
-
-    tag = _sf_tag(sf_dir)
-    out = _ensure_trap_crawl(tag)
-    rows = [{"path": str(f), "round": int(f.parent.name.split("=")[1])}
-            for f in sorted(Path(out, "pages").glob("round=*/*.parquet"))]
-
-    def read_pages(batch: pa.Table) -> pa.Table:
-        import pyarrow.parquet as pq
-        parts = []
-        for row in batch.to_pylist():
-            t = pq.read_table(row["path"],
-                              columns=["url", "depth", "status"])
-            parts.append(pa.table({
-                "url": t["url"].cast(pa.string()),
-                "round": pa.array([row["round"]] * t.num_rows, pa.int64()),
-                "depth": t["depth"].cast(pa.int64()),
-                "status": t["status"].cast(pa.int64())}))
-        return pa.concat_tables(parts)
-
-    return rd.from_items(rows).map_batches(read_pages,
-                                           batch_format="pyarrow",
-                                           batch_size=4)
+    from ..crawl.loop import read_rounds
+    out = _ensure_trap_crawl(_sf_tag(sf_dir))
+    return read_rounds(f"{out}/pages", ["url", "round", "depth", "status"])
 
 
 def expected_trap_guard(tag: str) -> pa.Table:
@@ -694,27 +643,9 @@ def crawl_robots_rfc(sf_dir: str):
     files with its own naive RFC 9309 reader.  A page one side blocks
     and the other fetches shifts the whole schedule and goes red.  One
     projection-pruned task-parallel read of the pages checkpoints."""
-    import ray.data as rd
-
-    tag = _sf_tag(sf_dir)
-    out = _ensure_robots_rfc_crawl(tag)
-    rows = [{"path": str(f), "round": int(f.parent.name.split("=")[1])}
-            for f in sorted(Path(out, "pages").glob("round=*/*.parquet"))]
-
-    def read_pages(batch: pa.Table) -> pa.Table:
-        import pyarrow.parquet as pq
-        parts = []
-        for row in batch.to_pylist():
-            t = pq.read_table(row["path"], columns=["url", "status"])
-            parts.append(pa.table({
-                "url": t["url"].cast(pa.string()),
-                "round": pa.array([row["round"]] * t.num_rows, pa.int64()),
-                "status": t["status"].cast(pa.int64())}))
-        return pa.concat_tables(parts)
-
-    return rd.from_items(rows).map_batches(read_pages,
-                                           batch_format="pyarrow",
-                                           batch_size=4)
+    from ..crawl.loop import read_rounds
+    out = _ensure_robots_rfc_crawl(_sf_tag(sf_dir))
+    return read_rounds(f"{out}/pages", ["url", "round", "status"])
 
 
 def expected_robots_rfc(tag: str) -> pa.Table:
@@ -757,27 +688,9 @@ def crawl_host_ban(sf_dir: str):
     schedule must equal the budget-configured sequential oracle —
     proving bans fire at exactly the right round and prune exactly the
     right frontier rows."""
-    import ray.data as rd
-
-    tag = _sf_tag(sf_dir)
-    out = _ensure_deadhost_crawl(tag)
-    rows = [{"path": str(f), "round": int(f.parent.name.split("=")[1])}
-            for f in sorted(Path(out, "pages").glob("round=*/*.parquet"))]
-
-    def read_pages(batch: pa.Table) -> pa.Table:
-        import pyarrow.parquet as pq
-        parts = []
-        for row in batch.to_pylist():
-            t = pq.read_table(row["path"], columns=["url", "status"])
-            parts.append(pa.table({
-                "url": t["url"].cast(pa.string()),
-                "round": pa.array([row["round"]] * t.num_rows, pa.int64()),
-                "status": t["status"].cast(pa.int64())}))
-        return pa.concat_tables(parts)
-
-    return rd.from_items(rows).map_batches(read_pages,
-                                           batch_format="pyarrow",
-                                           batch_size=4)
+    from ..crawl.loop import read_rounds
+    out = _ensure_deadhost_crawl(_sf_tag(sf_dir))
+    return read_rounds(f"{out}/pages", ["url", "round", "status"])
 
 
 def expected_host_ban(tag: str) -> pa.Table:

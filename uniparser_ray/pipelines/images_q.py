@@ -978,32 +978,13 @@ def crawl_politeness_audit(sf_dir: str):
     pinned by a value compare, not asserted in prose.  The final fold
     runs on the (hosts x rounds) aggregate-of-aggregates — bounded by
     budget x rounds per host, never by page count."""
-    import ray.data as rd
-
+    from ..crawl.loop import read_rounds
     from .relational import partial_groupby
 
-    tag = _sf_tag(sf_dir)
-    out, _totals = _ensure_crawl(tag)
-    pages_dir = Path(out) / "pages"
-    rows = [{"path": str(f), "round": int(f.parent.name.split("=")[1])}
-            for f in sorted(pages_dir.glob("round=*/*.parquet"))]
-
-    def read_hosts(batch: pa.Table) -> pa.Table:
-        import pyarrow.parquet as pq
-        hosts, rnds = [], []
-        for row in batch.to_pylist():
-            t = pq.read_table(row["path"], columns=["host"])
-            hosts += t["host"].to_pylist()
-            rnds += [row["round"]] * t.num_rows
-        return pa.table({"host": pa.array(hosts, pa.string()),
-                         "round": pa.array(rnds, pa.int64())})
-
-    per_round = partial_groupby(
-        rd.from_items(rows).map_batches(read_hosts,
-                                        batch_format="pyarrow",
-                                        batch_size=4),
-        ["host", "round"], {"n": ("round", "count")})
-    cells = per_round.to_pandas()
+    out, _totals = _ensure_crawl(_sf_tag(sf_dir))
+    cells = partial_groupby(read_rounds(f"{out}/pages", ["host"]),
+                            ["host", "round"],
+                            {"n": ("round", "count")}).to_pandas()
     g = cells.groupby("host")["n"]
     audit = pd.DataFrame({"n_fetches": g.sum(), "n_rounds": g.size(),
                           "max_round_fetches": g.max()}).reset_index()
@@ -1055,31 +1036,10 @@ def crawl_page_lineage(sf_dir: str):
     (five scalar columns, never result_json); round rides the
     partition directory, exactly how a resumed run reconstructs
     state."""
-    import ray.data as rd
-
-    tag = _sf_tag(sf_dir)
-    out, _totals = _ensure_crawl(tag)
-    pages_dir = Path(out) / "pages"
-    rows = [{"path": str(f), "round": int(f.parent.name.split("=")[1])}
-            for f in sorted(pages_dir.glob("round=*/*.parquet"))]
-
-    def read_lineage(batch: pa.Table) -> pa.Table:
-        import pyarrow.parquet as pq
-        parts = []
-        for row in batch.to_pylist():
-            t = pq.read_table(row["path"],
-                              columns=["url", "parent", "depth", "status"])
-            parts.append(pa.table({
-                "url": t["url"].cast(pa.string()),
-                "round": pa.array([row["round"]] * t.num_rows, pa.int64()),
-                "parent": t["parent"].cast(pa.string()),
-                "depth": t["depth"].cast(pa.int64()),
-                "status": t["status"].cast(pa.int64())}))
-        return pa.concat_tables(parts)
-
-    return rd.from_items(rows).map_batches(read_lineage,
-                                           batch_format="pyarrow",
-                                           batch_size=4)
+    from ..crawl.loop import read_rounds
+    out, _totals = _ensure_crawl(_sf_tag(sf_dir))
+    return read_rounds(f"{out}/pages",
+                       ["url", "round", "parent", "depth", "status"])
 
 
 def crawl_image_lineage(sf_dir: str):
@@ -1090,30 +1050,10 @@ def crawl_image_lineage(sf_dir: str):
     each task reads ONLY its fragment's image_id column — bytes never
     move.  Oracle: the conformance crawler's first-seen round per
     image."""
-    import ray.data as rd
-
-    tag = _sf_tag(sf_dir)
-    out, _totals = _ensure_crawl(tag)
-    table = LanceLayoutTable(f"{out}/images_lance")
-    frags = table.manifest()["fragments"]
-    rows = [{"path": str(table.data_dir / f["file"]),
-             "round": int(f["file"].split("round=")[1].split("/")[0])}
-            for f in frags]
-
-    def read_ids(batch: pa.Table) -> pa.Table:
-        import pyarrow.parquet as pq
-        ids, rnds = [], []
-        for row in batch.to_pylist():
-            t = pq.read_table(row["path"], columns=["image_id"])
-            ids += t["image_id"].to_pylist()
-            rnds += [row["round"]] * t.num_rows
-        return pa.Table.from_arrays(
-            [pa.array(ids, pa.string()), pa.array(rnds, pa.int64())],
-            names=["image_id", "round"])
-
-    return rd.from_items(rows).map_batches(read_ids,
-                                           batch_format="pyarrow",
-                                           batch_size=4)
+    from ..crawl.loop import read_rounds
+    out, _totals = _ensure_crawl(_sf_tag(sf_dir))
+    return read_rounds(LanceLayoutTable(f"{out}/images_lance")
+                       .fragment_files(), ["image_id"])
 
 
 HARDNEG_ANCHOR_MOD = 8   # hash31(image_id) % 8 == 0 -> anchor sample

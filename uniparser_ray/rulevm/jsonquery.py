@@ -156,10 +156,6 @@ def jmes_compile(expression: str) -> JmesProgram:
     return JmesProgram(expression)
 
 
-def jmes_search(expression: str, data: Any) -> Any:
-    return JmesProgram(expression).search(data)
-
-
 # ---------------------------------------------------------------------------
 # ObjectPath subset
 # ---------------------------------------------------------------------------
@@ -258,7 +254,3 @@ class ObjectPathProgram:
 
 def objectpath_compile(expression: str) -> ObjectPathProgram:
     return ObjectPathProgram(expression)
-
-
-def objectpath_execute(expression: str, data: Any) -> Any:
-    return ObjectPathProgram(expression).execute(data)

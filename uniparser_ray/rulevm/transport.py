@@ -139,10 +139,6 @@ class SyntheticResponse:
         return f"<SyntheticResponse [{self.status_code}] {self.url}>"
 
 
-class FetchError(Exception):
-    pass
-
-
 class SyntheticWebAdapter(TransportAdapter):
     """Deterministic in-process web: pages come from a ``SynthWeb``
     (or any object with ``get(url) -> (status, headers, body_bytes)``)."""

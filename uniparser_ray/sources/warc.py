@@ -96,13 +96,13 @@ def export_wet(pages_dir: str, out_dir: str) -> List[str]:
     task-parallel.  Returns the WET paths (sorted)."""
     import ray.data as rd
 
-    files = sorted(str(f) for f in Path(pages_dir).glob(
-        "round=*/*.parquet"))
+    from ..crawl.loop import round_files
+
     rows = [{"src": f,
              "dst": str(Path(out_dir)
                         / (Path(f).parent.name + "-"
                            + Path(f).stem + ".warc"))}
-            for f in files]
+            for f in round_files(pages_dir)]
 
     def export_one(batch: pa.Table) -> pa.Table:
         import pyarrow.parquet as pq

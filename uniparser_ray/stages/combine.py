@@ -178,30 +178,23 @@ def exchange(inputs: Sequence, keys: Sequence[str], fn: Callable,
 
 def hash_bucket_combine(ds, keys: Sequence[str],
                         combine_fn: Callable[[pd.DataFrame], pd.DataFrame],
-                        num_buckets: int = 64,
-                        arrow_fn: Callable[[pa.Table], pa.Table] = None):
-    """Exchange rows by hash(keys) and run the combine once per bucket
-    (all rows of a key land in one bucket).  ``combine_fn`` keeps the
-    pandas contract (df -> df; the hop happens once per bucket, not per
-    key); pass ``arrow_fn`` instead for an Arrow combine (pa.Table ->
-    pa.Table, no pandas hop — ``grouped_aggregate`` and the crawl's
-    grant use this)."""
-    if arrow_fn is not None:
-        def per_bucket(t: pa.Table):
-            return arrow_fn(t.combine_chunks()) if t.num_columns else t
-    else:
-        def per_bucket(t: pa.Table):
-            if not t.num_columns:
-                return t
-            out = combine_fn(t.to_pandas())
-            try:
-                from ..blocks import table_from_pandas
-                return table_from_pandas(out, preserve_index=False)
-            except (pa.ArrowInvalid, pa.ArrowTypeError,
-                    pa.ArrowNotImplementedError):
-                # combine output holds cells Arrow can't type (rare:
-                # ragged ndarrays etc.) — Ray keeps a pandas block
-                return out
+                        num_buckets: int = 64):
+    """Exchange rows by hash(keys) and run the pandas combine once per
+    bucket (all rows of a key land in one bucket): df -> df, with the
+    hop once per bucket, not per key.  An Arrow combine calls
+    ``exchange`` directly."""
+    def per_bucket(t: pa.Table):
+        if not t.num_columns:
+            return t
+        out = combine_fn(t.to_pandas())
+        try:
+            from ..blocks import table_from_pandas
+            return table_from_pandas(out, preserve_index=False)
+        except (pa.ArrowInvalid, pa.ArrowTypeError,
+                pa.ArrowNotImplementedError):
+            # combine output holds cells Arrow can't type (rare:
+            # ragged ndarrays etc.) — Ray keeps a pandas block
+            return out
 
     return exchange([ds], keys, per_bucket, num_buckets)
 
@@ -347,12 +340,13 @@ def grouped_aggregate(ds, keys: Sequence[str], agg_spec: Dict[str, tuple],
         return _arrow_group_agg(t, keys, items)
 
     def combine(t: pa.Table) -> pa.Table:
-        return _arrow_group_agg(t, keys, combine_items)
+        if not t.num_columns:
+            return t
+        return _arrow_group_agg(t.combine_chunks(), keys, combine_items)
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               batch_size=batch_size)
-    return hash_bucket_combine(partials, keys, None, num_buckets,
-                               arrow_fn=combine)
+    return exchange([partials], keys, combine, num_buckets)
 
 
 _JOIN_TYPES = {"inner": "inner", "left": "left outer",

@@ -11,12 +11,12 @@ Stage contract (all ``batch_format="pyarrow"``):
 * :class:`FetchParseStage` — task pool: transport + compiled rule
   pack + RuleVM built once per worker; per batch it fetches pages and
   runs the rule VM, emitting parsed results + link/image candidates as
-  list columns (links are exploded by the loop into next-round
-  frontier rows).  Inside the task it also runs the image
-  side-channel (the crawl's fetch task writes the page checkpoint).
-* :class:`ImageFetchStage` — fetch + decode + phash of image URLs,
-  emitting rows in the Lance image+caption schema (called by
-  FetchParseStage on its own pages' image candidates).
+  list columns (the crawl's fetch task explodes the links into
+  next-round frontier rows and writes the page checkpoint).
+* :class:`ImageFetchStage` — image-seen test-and-set, then fetch +
+  decode + phash of the new image URLs, emitting rows in the Lance
+  image+caption schema (the crawl's fetch task runs it over its
+  pages' image candidates and writes the fragments).
 
 Reference trace being reproduced: Crawler.crawl -> find rule -> fetch
 -> parse -> recurse on __request__ (reference: crawler.py:156-189),
@@ -224,20 +224,6 @@ class SeenRobotsStage:
         return batch.filter(pa.array(keep))
 
 
-class HashSeenStage:
-    """Generic cross-batch dedup: keep rows whose ``url_hash`` is newly
-    added to the given seen filter (used for image-URL dedup)."""
-
-    def __init__(self, seen):
-        self.seen = seen
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch
-        hashes = batch["url_hash"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        return batch.filter(pa.array(self.seen.add_batch(hashes)))
-
-
 class FetchParseStage:
     """Fetch + rule-match + rule-VM parse, one actor per slot.
 
@@ -249,9 +235,7 @@ class FetchParseStage:
 
     def __init__(self, rule_pack_ref=None, web_config: dict = None,
                  rule_pack: dict = None, politeness=None, sleep_fn=None,
-                 image_data_dir: str = None, image_seen=None,
-                 image_batch_size: int = 128, max_redirects: int = 5,
-                 seen=None, robots=None):
+                 max_redirects: int = 5, seen=None, robots=None):
         import ray
         from ..crawl.storage import JSONRuleStorage
         from ..rulevm.transport import SyntheticWebAdapter
@@ -265,18 +249,6 @@ class FetchParseStage:
         self.adapter = SyntheticWebAdapter(self.web)
         self.vm = RuleVM()
         self._rule_cache: Dict[str, object] = {}
-        # image side-channel: when an image table dir is given, each
-        # fetch task explodes its own pages' <img> candidates,
-        # test-and-sets the image-seen shards, fetches + decodes the
-        # survivors, and writes Lance fragments DIRECTLY from the task
-        # (bytes never ride the page stream or touch the driver), so
-        # image work overlaps page fetching inside the same pool.
-        self.image_data_dir = image_data_dir
-        self.image_batch_size = image_batch_size
-        self._img_stage = (
-            ImageFetchStage(web_config=web_config,
-                            seen=image_seen)
-            if image_data_dir else None)
         # wall-clock politeness (real-web mode): with a politeness
         # client, each batch acquires per-host delay schedules before
         # fetching.  The round-based virtual-clock grant is the
@@ -506,40 +478,8 @@ class FetchParseStage:
             out["img_srcs"].append(srcs)
             out["img_captions"].append(caps)
             out["error"].append(err)
-        page_tbl = self._page_table(urls, hashes, hosts, depths, priors,
-                                    parents, retries, out)
-        if (self._img_stage is not None and "_round" in batch.column_names
-                and batch.num_rows):
-            self._fetch_images(page_tbl, int(batch["_round"][0].as_py()))
-        return page_tbl
-
-    def _fetch_images(self, page_tbl: pa.Table, round_no: int) -> None:
-        """Image side-channel (see __init__): explode this page
-        batch's candidates, dedup via the seen shards, fetch + decode,
-        and write one fragment per ``image_batch_size`` chunk straight
-        into the round's partition dir.  Chunking bounds task memory:
-        at most one chunk of decoded payloads is live at a time.  A
-        fragment is named from the round, the batch's minimum
-        ``url_hash`` and the chunk index, so a retried fetch task
-        overwrites its own files, as it does its page file."""
-        from pathlib import Path
-
-        import pyarrow.compute as pc
-        import pyarrow.parquet as _pq
-
-        cand = explode_images(page_tbl)
-        if cand.num_rows == 0:
-            return
-        out_dir = Path(self.image_data_dir) / f"round={round_no}"
-        out_dir.mkdir(parents=True, exist_ok=True)
-        lo = pc.min(page_tbl["url_hash"]).as_py()
-        step = max(1, int(self.image_batch_size))
-        for off in range(0, cand.num_rows, step):
-            rows = self._img_stage(cand.slice(off, step))
-            if rows.num_rows == 0:
-                continue
-            _pq.write_table(rows, out_dir / f"fused-{round_no}-{lo:016x}-"
-                                            f"{off // step}.parquet")
+        return self._page_table(urls, hashes, hosts, depths, priors,
+                                parents, retries, out)
 
     @staticmethod
     def _page_table(urls, hashes, hosts, depths, priors, parents,
@@ -598,9 +538,9 @@ _IMG_ID_RE = re.compile(r"/img/(\d+)\.(?:ppm|bmp|png|qpx)$")
 class ImageFetchStage:
     """Fetch + decode + phash image URLs -> Lance image+caption rows.
 
-    At 100 TB this is the byte-heavy stage: keep ``batch_size`` small
-    (payloads are MBs) and scale via ``concurrency``; decode is
-    numpy-vectorized per image.  image_id derives from the URL (the
+    At 100 TB this is the byte-heavy stage: the crawl's fetch task
+    calls it on small chunks of candidates (payloads are MBs); decode
+    is numpy-vectorized per image.  image_id derives from the URL (the
     synthetic web encodes the global image index; foreign URLs fall
     back to a hash id)."""
 
@@ -609,12 +549,15 @@ class ImageFetchStage:
         from ..sources.synthweb import SynthWeb
         self.adapter = SyntheticWebAdapter(SynthWeb(**web_config))
         # optional cross-batch dedup against the image-seen filter
-        self.seen = HashSeenStage(seen) if seen is not None else None
+        self.seen = seen
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from ..rulevm.parsers import md5 as _md5
-        if self.seen is not None:
-            batch = self.seen(batch)
+        if self.seen is not None and batch.num_rows:
+            # keep the rows whose url_hash is new to the filter
+            batch = batch.filter(pa.array(self.seen.add_batch(
+                batch["url_hash"].to_numpy(zero_copy_only=False)
+                .astype(np.uint64))))
         urls = batch["img_url"].to_pylist()
         captions = batch["caption"].to_pylist()
         ids, blobs, ws, hs, fmts, caps, hashes, srcs = [], [], [], [], [], [], [], []

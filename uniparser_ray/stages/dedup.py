@@ -45,11 +45,6 @@ def _md5_int(s: str) -> str:
     return hashlib.md5(s.encode("utf-8")).hexdigest()
 
 
-def add_text_hash(batch: pa.Table, column: str = "text") -> pa.Table:
-    hashes = [_md5_int(t) for t in batch[column].to_pylist()]
-    return batch.append_column("text_hash", pa.array(hashes, pa.string()))
-
-
 def exact_dedup_groups(ds, text_column: str = "text", id_column: str = "doc_id"):
     """(text_hash, keeper_id, dup_count): one row per distinct content.
     Only (hash, id) pairs shuffle — never the text."""
