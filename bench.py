@@ -110,14 +110,13 @@ def run_suite(sf_dir: str, num_cpus: int) -> dict:
     timed("embedding_neardup",
           lambda: consume(vectors.embedding_neardup(sf_dir)))
 
-    # -- wall-clock politeness mode (PolitenessShard acquire path):
-    # same fetch+parse stage, per-request pacing through the shard
-    # actors under a per-host rule; reported beside its paced ceiling
+    # -- paced crawl: one run_crawl round with every host under a rate
+    # rule; reported beside its paced ceiling
     pol = politeness_fetch_rate(num_cpus)
 
     # `value` keeps the round-1 composition (crawl + operator queries)
-    # so cross-round comparisons stay apples-to-apples; the politeness
-    # path reports separately below
+    # so cross-round comparisons stay apples-to-apples; the paced
+    # crawl reports separately below
     total = round(sum(timings.values()), 3)
     timings["politeness_fetch"] = pol["sec"]
 
@@ -362,91 +361,46 @@ def run_suite(sf_dir: str, num_cpus: int) -> dict:
 
 
 def politeness_fetch_rate(num_cpus: int) -> dict:
-    """Throughput of the CONTINUOUS-fetch path: FetchParseStage with
-    wall-clock politeness shards attached, every host ruled at ``rate``
-    requests per ``interval`` (per-request pacing via shard-clock
-    schedules, stages/crawl_stages.py).  Each host serves the same
-    ``per_host`` pages, so hosts * rate / interval is the paced
-    ceiling.  Every request is stamped on the node's monotonic clock;
-    the observed per-host gaps must honour the rule up to one request
-    of scheduling jitter."""
-    from collections import defaultdict
+    """Throughput of a paced crawl: one ``run_crawl`` round over 32
+    hosts x 28 seed pages, every host ruled at ``rate`` requests per
+    ``interval`` (``CrawlConfig.host_rates``; the fetch task that owns
+    a host's round paces it).  hosts * rate / interval is the paced
+    ceiling; pages/s is the round's ``fetch_parse`` phase.  The fetch
+    tasks report the smallest gap they left between two requests to a
+    host (end of one stage call to the start of the next: a lower
+    bound on the true gap), which must honour the rule."""
+    import shutil
 
-    import pyarrow as pa
-    import ray
-    import ray.data as rd
-
-    from uniparser_ray.rulevm.request import get_host
+    from uniparser_ray.crawl.loop import CrawlConfig, run_crawl
     from uniparser_ray.sources.synthweb import SynthWeb
-    from uniparser_ray.stages.crawl_stages import FetchParseStage
-    from uniparser_ray.stages.taskcache import cached_stage
-    from uniparser_ray.state.host import (PolitenessClient,
-                                          release_state_hosts,
-                                          start_state_hosts)
-
-    class StampedFetch(FetchParseStage):
-        """Adds each row's request start time as ``fetched_at``."""
-
-        def _follow_fetch(self, rule, url, attempt):
-            self.stamps[url] = time.monotonic()
-            return super()._follow_fetch(rule, url, attempt)
-
-        def __call__(self, batch):
-            self.stamps = {}
-            out = super().__call__(batch)
-            return out.append_column("fetched_at", pa.array(
-                [self.stamps.get(u) for u in out["url"].to_pylist()],
-                pa.float64()))
 
     per_host, rate, interval = 28, 25.0, 1.0
     web_cfg = dict(num_hosts=32, base_pages=160, fanout=4, hot_factor=4.0)
     web = SynthWeb(**web_cfg)
-    urls = [web.page_url(h, p) for h in range(web_cfg["num_hosts"])
-            for p in range(per_host)]
-    host_names = sorted({get_host(u, "") for u in urls})
-    hosts = start_state_hosts(seen={}, politeness_shards=4)
-    politeness = PolitenessClient(hosts, 4)
-    for h in host_names:
-        politeness.set_rule(h, rate, interval)
-    t = pa.table({
-        "url": pa.array(urls, pa.large_string()),
-        "url_hash": pa.array([0] * len(urls), pa.uint64()),
-        "host": pa.array([get_host(u, "") for u in urls], pa.string()),
-        "depth": pa.array([0] * len(urls), pa.int32()),
-        "priority": pa.array([0.0] * len(urls), pa.float32()),
-        "parent": pa.array([""] * len(urls), pa.large_string()),
-    })
-    ds = rd.from_arrow(t).repartition(max(4, num_cpus))
-    rule_pack_ref = ray.put(web.rule_pack())
-    t0 = time.perf_counter()
-    rows = ds.map_batches(
-        cached_stage(StampedFetch, rule_pack_ref=rule_pack_ref,
-                     web_config=web_cfg, politeness=politeness),
-        batch_format="pyarrow", batch_size=256) \
-        .select_columns(["host", "fetched_at"]).take_all()
-    sec = time.perf_counter() - t0
-    release_state_hosts(hosts)
-    by_host = defaultdict(list)
-    for r in rows:
-        by_host[r["host"]].append(r["fetched_at"])
-    # any k consecutive requests of a host span at least (k - 2) gaps:
-    # with u_i = t_i - i * gap, u_j - u_i >= -gap for every i < j
-    gap = interval / rate
-    slack = 0.0
-    for ts in by_host.values():
-        ts.sort()
-        peak = ts[0]
-        for i, ti in enumerate(ts):
-            u = ti - i * gap
-            slack = min(slack, u - peak)
-            peak = max(peak, u)
-    assert len(rows) == len(urls) and slack >= -gap, \
-        f"politeness rule broken: {len(rows)}/{len(urls)} rows, " \
-        f"a host ran {-slack:.3f}s ahead of its {gap:.3f}s gaps"
-    return {"sec": round(sec, 3), "pages": len(rows),
-            "pages_per_sec": round(len(rows) / sec, 1),
-            "ceiling_pages_per_sec": round(
-                len(host_names) * rate / interval, 1)}
+    n_hosts = web_cfg["num_hosts"]
+    out_dir = f"/tmp/uniparser_ray_bench/paced_{num_cpus}"
+    shutil.rmtree(out_dir, ignore_errors=True)
+    totals = run_crawl(CrawlConfig(
+        web_config=web_cfg, out_dir=out_dir,
+        seeds=[web.page_url(h, p) for h in range(n_hosts)
+               for p in range(per_host)],
+        max_rounds=1, per_host_budget=per_host, use_robots=False,
+        host_rates={web.host_name(h): (rate, interval)
+                    for h in range(n_hosts)}), web.rule_pack())
+    shutil.rmtree(out_dir, ignore_errors=True)
+    (m,) = totals["per_round"]
+    sec, pacing = m["phases"]["fetch_parse"], m["pacing"]
+    # every page is fetched under its host's rule; the web's own
+    # 404/500 pages are the ones not ok
+    n_ok = sum(web.page_status(h, p) == 200 for h in range(n_hosts)
+               for p in range(per_host))
+    assert pacing["requests"] == n_hosts * per_host and \
+        m["pages_ok"] == n_ok and pacing["min_gap_s"] >= interval / rate, \
+        f"politeness rule broken: {m['pages_ok']}/{n_ok} pages ok, {pacing}"
+    return {"sec": sec, "pages": pacing["requests"],
+            "pages_per_sec": round(pacing["requests"] / sec, 1),
+            "ceiling_pages_per_sec": round(n_hosts * rate / interval, 1),
+            "min_gap_s": round(pacing["min_gap_s"], 4)}
 
 
 def run_steady(num_cpus: int) -> dict:

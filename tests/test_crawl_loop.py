@@ -1529,6 +1529,14 @@ _SWEEP_COMBOS = [
          oracle=dict(per_host_budget=3,
                      robots_delay_budget=True),
          run=dict(sitemap_seeds=True)),
+    # per-host pacing: three of six hosts ruled at one request per
+    # 10 ms (``paced`` = their indices), the other hosts' rows cut in
+    # 2-row fetch batches; pacing moves requests in time only, so the
+    # schedule still equals the oracle's
+    dict(web=dict(num_hosts=6, base_pages=9, fanout=3, hot_factor=5.0,
+                  seed=53, redirect_rate=0.4),
+         cfg=dict(per_host_budget=3, fetch_batch_size=2),
+         oracle=dict(per_host_budget=3), paced=(0, 2, 3)),
 ]
 
 
@@ -1546,9 +1554,10 @@ def test_crawl_differential_sweep(ray_session, tmp_path, combo, many):
     (``-distributed``)."""
     web = SynthWeb(**combo["web"])
     out = tmp_path / "sweep"
+    ruled = {web.host_name(h): (1.0, 0.01) for h in combo.get("paced", ())}
     cfg = CrawlConfig(web_config=combo["web"], out_dir=str(out),
                       seeds=web.seed_urls(), max_rounds=25,
-                      seen_shard_bits=2, **combo["cfg"])
+                      seen_shard_bits=2, host_rates=ruled, **combo["cfg"])
     with (_many_blocks() if many else contextlib.nullcontext()) as grants:
         totals = run_crawl(cfg, web.rule_pack())
     if many:
@@ -1561,11 +1570,21 @@ def test_crawl_differential_sweep(ray_session, tmp_path, combo, many):
         [r["fetched"] for r in want["rounds"]]
     assert totals["pages_ok"] == sum(
         1 for s, _b in want["pages"].values() if s == 200)
-    statuses = {}
+    statuses, files_of = {}, {}
     for f in sorted((out / "pages").glob("round=*/*.parquet")):
-        t = pq.read_table(f, columns=["url", "status"])
+        t = pq.read_table(f, columns=["url", "host", "status"])
         statuses.update(zip(t["url"].to_pylist(), t["status"].to_pylist()))
+        for h in set(t["host"].to_pylist()) & set(ruled):
+            files_of.setdefault((f.parent.name, h), []).append(f.name)
     assert statuses == {u: s for u, (s, _b) in want["pages"].items()}
+    # one task owns a ruled host's round: its pages sit in one file
+    assert all(len(fs) == 1 for fs in files_of.values()), files_of
+    if ruled:
+        paced = [m["pacing"] for m in totals["per_round"]]
+        assert sum(p["requests"] for p in paced) == sum(
+            1 for u in want["pages"] if u.split("/")[2] in ruled)
+        assert min(p["min_gap_s"] for p in paced
+                   if p["min_gap_s"] is not None) >= 0.01
 
 
 def test_crawl_builds_fetch_stage_once_per_worker(ray_session, tmp_path,
@@ -1627,8 +1646,8 @@ def _run_fetch_task(tmp_path, n_pages, batch_size):
     _fetch_block(FetchParseStage(rule_pack=web.rule_pack(),
                                  web_config=WEB_CFG),
                  ImageFetchStage(web_config=WEB_CFG), batch_size, 3,
-                 _make_retry(0, 3, 60.0, False), str(tmp_path / "pages"),
-                 str(tmp_path / "images"), [(0, n)], block)
+                 _make_retry(0, 3, 60.0, False), {}, str(tmp_path / "pages"),
+                 str(tmp_path / "images"), [(None, 0, n)], block)
     return block
 
 
@@ -1706,6 +1725,8 @@ def test_read_rounds_matches_duckdb(ray_crawl, tmp_path):
     import pandas.testing as pdt
 
     from uniparser_ray.crawl.loop import read_rounds
+    from uniparser_ray.stages.crawl_stages import (IMAGE_ROW_SCHEMA,
+                                                   PAGE_SCHEMA)
 
     out, _ = ray_crawl
     pages = tmp_path / "pages"
@@ -1714,10 +1735,11 @@ def test_read_rounds_matches_duckdb(ray_crawl, tmp_path):
     store = LanceLayoutTable(str(out / "images_lance"))
     cases = [
         (str(pages), pages, ["url", "round", "status", "depth", "parent",
-                             "url_hash", "priority"]),
-        (store.fragment_files(), store.data_dir, ["image_id", "phash"])]
-    for source, base, cols in cases:
-        ds = read_rounds(source, cols)
+                             "url_hash", "priority"], PAGE_SCHEMA),
+        (store.fragment_files(), store.data_dir, ["image_id", "phash"],
+         IMAGE_ROW_SCHEMA)]
+    for source, base, cols, schema in cases:
+        ds = read_rounds(source, cols, schema)
         got = ds.to_pandas()
         assert list(got.columns) == cols + ["round"] * ("round" not in cols)
         types = dict(zip(ds.schema().names, ds.schema().types))
@@ -1737,3 +1759,96 @@ def test_read_rounds_matches_duckdb(ray_crawl, tmp_path):
         pdt.assert_frame_equal(
             got.sort_values(key).reset_index(drop=True),
             want.sort_values(key).reset_index(drop=True), check_dtype=False)
+
+
+def test_read_rounds_empty_is_typed(ray_session, tmp_path):
+    """With no file to read (a dir holding only an empty round), the
+    reader returns no rows but the requested columns plus ``round``,
+    typed as a read of the writer's files would type them."""
+    from uniparser_ray.crawl.loop import read_rounds
+    from uniparser_ray.stages.crawl_stages import PAGE_SCHEMA
+
+    (tmp_path / "round=0").mkdir()
+    ds = read_rounds(str(tmp_path), ["url", "status", "url_hash"],
+                     PAGE_SCHEMA)
+    schema = ds.schema()
+    assert schema.names == ["url", "status", "url_hash", "round"]
+    assert list(schema.types) == [pa.string(), pa.int64(), pa.uint64(),
+                                  pa.int64()]
+    assert ds.count() == 0
+
+
+def test_fetch_block_paces_ruled_hosts(tmp_path, monkeypatch):
+    """One fetch task paces the hosts it owns on its own clock (fake
+    here: a stage call costs 0.25 s, and sleeping advances the clock).
+    Two hosts ruled at 1 request / 2 s, 3 rows each, go out in slots
+    of one row per host: each host's requests start at least 2 s after
+    the end of the call carrying its previous one, the last slot
+    starts near 4.75 s (not near 10 s, as one host after the other
+    would), and the task returns only 2 s after its last call.  A host
+    without a rule never waits: its rows go out first, in one call,
+    before any sleep."""
+    from uniparser_ray.crawl import loop
+    from uniparser_ray.crawl.loop import (_fetch_block, _frontier_table,
+                                          _make_retry)
+    from uniparser_ray.stages.crawl_stages import (FetchParseStage,
+                                                   canonicalize_batch)
+
+    class Clock:
+        def __init__(self):
+            self.now, self.slept = 0.0, []
+
+        def monotonic(self):
+            return self.now
+
+        def sleep(self, sec):
+            assert sec > 0
+            self.slept.append((self.now, sec))
+            self.now += sec
+
+    clock = Clock()
+    monkeypatch.setattr(loop, "time", clock)
+    web = SynthWeb(**WEB_CFG)
+    real = FetchParseStage(rule_pack=web.rule_pack(), web_config=WEB_CFG)
+    calls = []
+
+    def stage(batch):
+        start = clock.now
+        clock.now += 0.25
+        calls.append((start, clock.now, batch["host"].to_pylist()))
+        return real(batch)
+
+    urls = [web.page_url(h, p) for h in range(3) for p in range(3)]
+    n = len(urls)
+    block = canonicalize_batch(_frontier_table(
+        urls, [""] * n, [0] * n, [1.0] * n, [0] * n))
+    block = block.append_column("granted", pa.array([1] * n, pa.int8()))
+    a, b, free = (web.host_name(h) for h in range(3))
+    (tmp_path / "pages" / "round=3").mkdir(parents=True)
+    _nxt, counters = _fetch_block(
+        stage, lambda cand: cand.slice(0, 0), 128, 3,
+        _make_retry(0, 3, 60.0, False), {a: (1, 2.0), b: (1, 2.0)},
+        str(tmp_path / "pages"), str(tmp_path / "images"),
+        [(None, 0, 3), ((a, b), 0, 6)], block, block)
+
+    assert calls[0][2] == [free] * 3 and calls[0][0] == 0.0
+    assert all(free not in hosts for _s, _e, hosts in calls[1:])
+    assert all(t >= calls[0][1] for t, _sec in clock.slept)
+    for h in (a, b):
+        mine = [(s, e) for s, e, hosts in calls if h in hosts]
+        assert len(mine) == 3
+        assert all(s - e_prev >= 2.0
+                   for (_s, e_prev), (s, _e) in zip(mine, mine[1:]))
+    assert [sorted(hosts) for _s, _e, hosts in calls[1:]] == [[a, b]] * 3
+    assert calls[-1][0] == 4.75
+    assert clock.now == calls[-1][1] + 2.0
+    assert counters["pacing"] == (2, 6, 2.0)
+    (page_file,) = (tmp_path / "pages" / "round=3").iterdir()
+    assert pq.read_metadata(page_file).num_rows == 9
+
+    # no rule for any host of the task: batches of 4 rows, no sleep
+    clock.now, clock.slept, calls[:] = 0.0, [], []
+    _fetch_block(stage, lambda cand: cand.slice(0, 0), 4, 3,
+                 _make_retry(0, 3, 60.0, False), {}, str(tmp_path / "pages"),
+                 str(tmp_path / "images"), [(None, 0, n)], block)
+    assert clock.slept == [] and [len(h) for _s, _e, h in calls] == [4, 4, 1]

@@ -707,6 +707,26 @@ def test_no_sort_shuffle_group_map():
     assert hits == []
 
 
+def test_one_politeness_model():
+    """Per-host pacing lives in the crawl's fetch task alone: the
+    wall-clock token-bucket shards, their client, their host family and
+    the fetch stage's sleep hook are used nowhere in the package or
+    the bench."""
+    import re
+    from pathlib import Path
+
+    import uniparser_ray
+
+    root = Path(uniparser_ray.__file__).parent
+    banned = re.compile(
+        r"PolitenessShard|PolitenessClient|politeness_shards|sleep_fn")
+    hits = [f"{p.name}:{i}"
+            for p in [*sorted(root.rglob("*.py")), root.parent / "bench.py"]
+            for i, line in enumerate(p.read_text().splitlines(), 1)
+            if banned.search(line)]
+    assert hits == []
+
+
 def test_doc_shard_assign_prefix_sum(ray_session):
     """Global ordered prefix sum: shard boundaries match a
     single-process cumsum regardless of range partitioning."""

@@ -1,10 +1,9 @@
-"""State-layer units: seen-shard modes, politeness, state-host routing."""
+"""State-layer units: seen-shard modes, state-host routing."""
 
 import numpy as np
 import pyarrow as pa
 import pytest
 
-from uniparser_ray.state.politeness import PolitenessShard
 from uniparser_ray.state.seen import SeenShard
 
 
@@ -38,108 +37,6 @@ def test_seen_shard_within_batch_duplicates():
         shard = SeenShard(mode=mode, capacity=1000)
         out = list(shard.add_batch([h, h, g, h]))
         assert out == [True, False, True, False], (mode, out)
-
-
-def test_politeness_wall_clock_delays():
-    shard = PolitenessShard()
-    shard.set_rule("a.test", 1, 2.0)  # 1 request / 2 s (the reference's
-    # Frequency(1, 2) timing pin: 3 downloads must span >= 4 s of
-    # scheduled time; reference test_parsers.py:1326-1383)
-    delays = shard.acquire_batch("a.test", 3, now=100.0)
-    assert delays == [0.0, 2.0, 4.0]
-    # next batch continues from the reserved schedule
-    delays2 = shard.acquire_batch("a.test", 1, now=100.0)
-    assert delays2 == [6.0]
-    # unlimited host never waits
-    assert shard.acquire_batch("b.test", 3, now=0.0) == [0.0, 0.0, 0.0]
-
-
-def test_fetch_stage_wall_clock_politeness(ray_session):
-    """FetchParseStage + politeness shards on a state host in
-    wall-clock mode: the stage acquires per-host schedules and sleeps
-    the batch delay (sleep injected, so the test is instant and
-    deterministic)."""
-    import pyarrow as pa
-
-    from uniparser_ray.sources.synthweb import SynthWeb
-    from uniparser_ray.stages.crawl_stages import FetchParseStage
-    from uniparser_ray.state.host import (PolitenessClient,
-                                          release_state_hosts,
-                                          start_state_hosts)
-
-    web_cfg = dict(num_hosts=2, base_pages=4, fanout=2, hot_factor=2.0)
-    web = SynthWeb(**web_cfg)
-    hosts = start_state_hosts(seen={}, politeness_shards=1)
-    politeness = PolitenessClient(hosts, 1)
-    politeness.set_rule("host-0000.test", 1, 2.0)  # 1 req / 2 s
-
-    slept = []
-    stage = FetchParseStage(rule_pack=web.rule_pack(), web_config=web_cfg,
-                            politeness=politeness, sleep_fn=slept.append)
-    urls = [web.page_url(0, p) for p in range(3)]
-    batch = pa.Table.from_pylist([
-        {"url": u, "url_hash": 0, "host": "host-0000.test", "depth": 0,
-         "priority": 0.0, "parent": ""} for u in urls])
-    out = stage(batch)
-    assert out.num_rows == 3
-    # PER-REQUEST pacing: request 1 fires immediately, requests 2 and 3
-    # each wait for their scheduled slot (2s apart) — NOT one bulk
-    # sleep followed by back-to-back requests.  The injected sleep_fn
-    # doesn't advance the clock, so the observed waits are the absolute
-    # schedule offsets 2s and 4s.
-    assert len(slept) == 2
-    assert abs(slept[0] - 2.0) < 0.25 and abs(slept[1] - 4.0) < 0.25
-    # a second batch continues the host's reserved schedule (slots at
-    # 6/8/10s on the shard's clock)
-    stage(batch)
-    assert len(slept) == 5 and slept[2] > 5.0 and slept[4] > slept[3]
-    release_state_hosts(hosts)
-
-
-def test_fetch_stage_paces_hosts_in_slot_order(ray_session):
-    """A batch holding two hosts' rows one host after the other still
-    paces each host: requests go out in slot order, so the second
-    host's requests do not fire back to back once the first host's
-    schedule has run (clock and sleep injected)."""
-    import pyarrow as pa
-
-    from uniparser_ray.sources.synthweb import SynthWeb
-    from uniparser_ray.stages.crawl_stages import FetchParseStage
-    from uniparser_ray.state.host import (PolitenessClient,
-                                          release_state_hosts,
-                                          start_state_hosts)
-
-    web_cfg = dict(num_hosts=2, base_pages=4, fanout=2, hot_factor=2.0)
-    web = SynthWeb(**web_cfg)
-    hosts = start_state_hosts(seen={}, politeness_shards=1)
-    politeness = PolitenessClient(hosts, 1)
-    for h in range(2):
-        politeness.set_rule(web.host_name(h), 1, 2.0)  # 1 req / 2 s
-    clock = [0.0]
-    stage = FetchParseStage(
-        rule_pack=web.rule_pack(), web_config=web_cfg,
-        politeness=politeness,
-        sleep_fn=lambda d: clock.__setitem__(0, clock[0] + d))
-    stage._now = lambda: clock[0]
-    fetch, sent = stage._follow_fetch, []
-
-    def stamped(rule, url, attempt):
-        sent.append((url.split("/")[2], clock[0]))
-        return fetch(rule, url, attempt)
-
-    stage._follow_fetch = stamped
-    batch = pa.Table.from_pylist([
-        {"url": web.page_url(h, p), "url_hash": 0,
-         "host": web.host_name(h), "depth": 0, "priority": 0.0,
-         "parent": ""} for h in range(2) for p in range(3)])
-    try:
-        assert stage(batch).num_rows == 6
-    finally:
-        release_state_hosts(hosts)
-    for h in range(2):
-        ts = [t for host, t in sent if host == web.host_name(h)]
-        assert len(ts) == 3
-        assert all(b - a > 1.75 for a, b in zip(ts, ts[1:])), (h, ts)
 
 
 @pytest.mark.parametrize("n_hosts", [1, 3])

@@ -7,8 +7,8 @@ JSONPath / JMESPath / ObjectPath / UDF / python / loader / time /
 context parsers) re-expressed as ``ray.data.Dataset`` pipelines of
 ``map_batches`` over Arrow batches, paired with a from-scratch
 10^10-URL frontier/fetch scheduler (sharded bloom URL-seen actors,
-per-host politeness token buckets, robots cache, priority frontier with
-explicit skew splitting) emitting Lance-layout rows of image+caption
+a per-host politeness grant with per-host request pacing, robots cache,
+priority frontier with explicit skew splitting) emitting Lance-layout rows of image+caption
 pairs.
 
 Everything here derives from public knowledge only: the Ray / Ray Data

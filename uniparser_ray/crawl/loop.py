@@ -10,7 +10,9 @@ each run as plain Ray tasks over Arrow blocks:
          filter [actor RPCs], then the block-local grant clip
       -> grant: per-host politeness top-k           [the one shuffle]
       -> fetch tasks (FetchParseStage) over row-balanced spans of the
-         granted rows: fetch + rule-VM parse; each task then writes
+         granted rows: fetch + rule-VM parse.  A host with a rate rule
+         (``host_rates``) is owned by one task, which paces its
+         requests in real time.  Each task then writes
          every file of its pages: their checkpoint rows, and the Lance
          fragments of their new images (explode -> dedup -> fetch,
          ImageFetchStage), all named from the round and the task's
@@ -53,12 +55,14 @@ which the checkpoint queries share.
 
 from __future__ import annotations
 
+import functools
 import json
 import shutil
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import ClassVar, Dict, List, Optional, Sequence
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import pyarrow as pa
@@ -127,6 +131,12 @@ class CrawlConfig:
     robots_matcher: ClassVar[str] = "rfc9309"
     robots_user_agent: str = "uniparser-ray"
     host_budgets: Dict[str, int] = field(default_factory=dict)
+    # per-host request pacing, the reference's Frequency(n, interval):
+    # host -> (n, interval), at most n requests per interval seconds.
+    # The grant still decides what a round fetches; the one fetch task
+    # that owns a ruled host's round spaces its requests (_paced).
+    # Empty = unpaced.
+    host_rates: Dict[str, Tuple[float, float]] = field(default_factory=dict)
     # transient-failure requeue: pages that fetch with a transport
     # error (status -1) or a 5xx are re-admitted to the NEXT round's
     # frontier (seen_ok=1 bypasses the seen anti-join) up to this many
@@ -414,45 +424,115 @@ def _spans(counts: Sequence[int], n: int,
             for a, b in zip(cuts, cuts[1:])]
 
 
-def _grant_counts(t: pa.Table) -> tuple:
-    """(rows, granted rows) of a grant output block."""
-    return t.num_rows, int(pc.sum(t["granted"]).as_py() or 0)
+def _is_ruled(ruled, hosts) -> pa.Array:
+    """Which ``hosts`` are among the ``ruled`` host names."""
+    return pc.is_in(hosts, value_set=pa.array(list(ruled), pa.string()))
 
 
-def _admit_block(admit, grant, deferred, pieces):
+def _grant_counts(rates: dict, t: pa.Table) -> tuple:
+    """(rows, granted rows, {ruled host: its granted rows}) of a grant
+    output block; the fetch spans are cut from these."""
+    hosts = t["host"].filter(pc.equal(t["granted"], 1))
+    vc = pc.value_counts(hosts.filter(_is_ruled(rates, hosts)))
+    return t.num_rows, len(hosts), dict(zip(
+        vc.field("values").to_pylist(), vc.field("counts").to_pylist()))
+
+
+def _admit_block(admit, grant, count, deferred, pieces):
     """One admit task: its row range of the frontier through the admit
     chain and the block-local grant clip, and the deferred rows apart.
-    Returns (clipped rows, deferred rows, (rows, granted, deferred))."""
+    Returns (clipped rows, deferred rows, (rows, granted, paced,
+    deferred))."""
     t = pa.concat_tables([_normalize_frontier(
         pq.read_table(f).slice(lo, hi - lo)) for f, lo, hi in pieces])
     decided = grant(admit(t))
     later = deferred(t)
-    return decided, later, _grant_counts(decided) + (later.num_rows,)
+    return decided, later, count(decided) + (later.num_rows,)
+
+
+def _piece_rows(rates: dict, piece, block: pa.Table) -> pa.Table:
+    """A fetch task's rows of one granted block: for ``(None, lo,
+    hi)``, rows lo..hi of the block's unruled granted rows; for
+    ``(hosts, 0, n)``, all n granted rows of those ruled hosts."""
+    hosts, lo, hi = piece
+    t = _granted_rows(block)
+    ruled = _is_ruled(hosts or rates, t["host"])
+    return t.filter(ruled if hosts else pc.invert(ruled)).slice(lo, hi - lo)
+
+
+def _paced(rows: pa.Table, rates: dict, call) -> tuple:
+    """``call`` over the rows of ruled hosts, in slots of one row per
+    free host.  A host is free ``interval / n`` after the end of the
+    call that carried its previous request, so a host's request starts
+    are at least that far apart; between slots the task sleeps until
+    the earliest host is free.  Before returning it waits until every
+    host is free again, so across the round barrier the next round's
+    first request to a host keeps the gap too.  Returns (hosts,
+    requests, smallest gap from the end of a call to the start of the
+    call carrying the host's next request, or None)."""
+    queue: Dict[str, deque] = {}
+    for i, h in enumerate(rows["host"].to_pylist()):
+        queue.setdefault(h, deque()).append(i)
+    free: Dict[str, float] = {}
+    ends: Dict[str, float] = {}
+    gaps = []
+    while queue:
+        now = time.monotonic()
+        ready = [h for h in queue if free.get(h, now) <= now]
+        if not ready:
+            time.sleep(min(free[h] for h in queue) - now)
+            continue
+        slot = rows.take([queue[h].popleft() for h in ready])
+        start = time.monotonic()
+        call(slot)
+        end = time.monotonic()
+        for h in ready:
+            if h in ends:
+                gaps.append(start - ends[h])
+            n, interval = rates[h]
+            ends[h], free[h] = end, end + interval / n
+            if not queue[h]:
+                del queue[h]
+    if free:
+        wait = max(free.values()) - time.monotonic()
+        if wait > 0:
+            time.sleep(wait)
+    return len(ends), rows.num_rows, min(gaps, default=None)
 
 
 def _fetch_block(stage, images, batch_size: int, round_idx: int, retry,
-                 pages_dir: str, images_dir: str, pieces, *blocks):
-    """One fetch task: its span of the granted rows through the fetch
-    stage, ``batch_size`` rows per call; then every file of its pages:
-    their checkpoint rows as one file, and their new images as one
-    fragment per ``_IMAGE_CHUNK_ROWS`` candidates (``images`` dedups,
-    fetches and decodes one chunk per call).  Each name follows from
-    the round and the task's minimum url_hash alone, so a retried task
-    overwrites its own files instead of duplicating rows.  Returns the
-    pages' next-frontier rows and the counters the driver folds (next,
-    ok, retried, per-host error counts)."""
-    rows = pa.concat_tables([
-        _granted_rows(b).slice(lo, hi - lo)
-        for (lo, hi), b in zip(pieces, blocks)])
+                 rates: dict, pages_dir: str, images_dir: str, pieces,
+                 *blocks):
+    """One fetch task: its rows of the granted blocks (``pieces``, see
+    :func:`_piece_rows`) through the fetch stage, unruled rows
+    ``batch_size`` per call and the rows of ruled hosts paced by
+    :func:`_paced`; then every file of its pages: their checkpoint
+    rows as one file, and their new images as one fragment per
+    ``_IMAGE_CHUNK_ROWS`` candidates (``images`` dedups, fetches and
+    decodes one chunk per call).  Each name follows from the round and
+    the task's minimum url_hash alone, so a retried task overwrites its
+    own files instead of duplicating rows.  Returns the pages'
+    next-frontier rows and the counters the driver folds (next, ok,
+    retried, per-host error counts, pacing)."""
+    rows = pa.concat_tables([_piece_rows(rates, p, b)
+                             for p, b in zip(pieces, blocks)])
     nxt, ok, retried, errors, done = [], 0, 0, [], []
-    for off in range(0, rows.num_rows, batch_size):
-        pages = stage(rows.slice(off, batch_size))
+
+    def fetch(batch: pa.Table) -> None:
+        nonlocal ok, retried
+        pages = stage(batch)
         requeue = retry(pages)
-        nxt += [_explode_links(pages), requeue]
+        nxt.extend([_explode_links(pages), requeue])
         ok += _ok_rows(pages).num_rows
         retried += requeue.num_rows
         errors.append(_host_error_counts(pages))
         done.append(pages)
+
+    ruled = _is_ruled(rates, rows["host"])
+    unruled = rows.filter(pc.invert(ruled))
+    for off in range(0, unruled.num_rows, batch_size):
+        fetch(unruled.slice(off, batch_size))
+    pacing = _paced(rows.filter(ruled), rates, fetch)
     if rows.num_rows:
         pages = pa.concat_tables(done)
         part = f"fused-{round_idx}-{pc.min(rows['url_hash']).as_py():016x}"
@@ -471,7 +551,7 @@ def _fetch_block(stage, images, batch_size: int, round_idx: int, retry,
                                f"{off // _IMAGE_CHUNK_ROWS}.parquet")
     nxt = pa.concat_tables(nxt)
     return nxt, {"next": nxt.num_rows, "ok": ok, "retried": retried,
-                 "errors": pa.concat_tables(errors)}
+                 "errors": pa.concat_tables(errors), "pacing": pacing}
 
 
 def _write_block(path: str, pieces, *blocks) -> None:
@@ -507,30 +587,33 @@ def _widen(col: pa.ChunkedArray) -> pa.ChunkedArray:
     return col
 
 
-def read_rounds(source, columns: Sequence[str]):
+def read_rounds(source, columns: Sequence[str], schema: pa.Schema):
     """A Dataset of the crawl's round-partitioned files: ``columns`` of
     every file plus ``round`` (int64, from the file's ``round=R`` dir),
     placed where ``columns`` names it, else last.  Strings come back as
     ``string``, integers but ``uint64`` as ``int64``.  ``source`` is a
     round-partitioned dir or a list of its files (the Lance manifest's
     fragments).  One task per 4 files, each reading only the named
-    columns."""
+    columns.  ``schema`` is the writer's: with no file to read, the
+    Dataset is empty but typed from it."""
     import ray.data as rd
     files = (round_files(source) if isinstance(source, (str, Path))
              else list(source))
     names = list(columns) if "round" in columns else [*columns, "round"]
     read = [c for c in names if c != "round"]
 
-    def read_files(batch: pa.Table) -> pa.Table:
-        parts = []
-        for f in batch["path"].to_pylist():
-            t = pq.read_table(f, columns=read)
-            cols = {c: _widen(t[c]) for c in read}
-            cols["round"] = pa.array(np.full(t.num_rows, _round_of(f),
-                                             np.int64))
-            parts.append(pa.table({c: cols[c] for c in names}))
-        return pa.concat_tables(parts)
+    def typed(t: pa.Table, round_idx: int) -> pa.Table:
+        cols = {c: _widen(t[c]) for c in read}
+        cols["round"] = pa.array(np.full(t.num_rows, round_idx, np.int64))
+        return pa.table({c: cols[c] for c in names})
 
+    def read_files(batch: pa.Table) -> pa.Table:
+        return pa.concat_tables([
+            typed(pq.read_table(f, columns=read), _round_of(f))
+            for f in batch["path"].to_pylist()])
+
+    if not files:
+        return rd.from_arrow(typed(schema.empty_table(), 0))
     return rd.from_items([{"path": f} for f in files]).map_batches(
         read_files, batch_format="pyarrow", batch_size=4)
 
@@ -790,12 +873,12 @@ class CrawlRun:
     def _admit(self, files: list, admit, deferred) -> list:
         """Admit tasks over row ranges of the frontier files, each at
         least ``_ADMIT_BLOCK_ROWS`` rows; returns per task (clipped
-        ref, deferred ref, (rows, granted, deferred))."""
+        ref, deferred ref, (rows, granted, paced, deferred))."""
         counts = [n for _, n in files]
         n_tasks = max(1, min(sum(counts) // _ADMIT_BLOCK_ROWS,
                              self.max_tasks))
         tasks = [_task.options(num_returns=3).remote(
-            _admit_block, admit, self._grant_fn, deferred,
+            _admit_block, admit, self._grant_fn, self._count_fn, deferred,
             [(files[j][0], lo, hi) for j, lo, hi in span])
             for span in _spans(counts, n_tasks)]
         return [(b, d, c) for (b, d, _), c
@@ -803,25 +886,26 @@ class CrawlRun:
 
     def _grant(self, clipped: list) -> list:
         """The politeness grant over the admit tasks' clipped blocks
-        ``(ref, rows, granted)``.  A host's pending rows must meet in one
-        call: a single block holds them all, so its clip is the grant;
-        more blocks are exchanged on host and the same grant runs once
-        per bucket.  Returns the grant's non-empty blocks in the same
+        ``(ref, rows, granted, paced)``.  A host's pending rows must
+        meet in one call: a single block holds them all, so its clip is
+        the grant; more blocks are exchanged on host and the same grant
+        runs once per bucket.  Returns the grant's non-empty blocks in the same
         form."""
         from ..stages.combine import exchange_refs
         if len(clipped) <= 1:
             return clipped
-        outs = exchange_refs([[(b, n) for b, n, _ in clipped]], ["host"],
-                             self._grant_fn, count=_grant_counts)
-        return [(o, n, g) for o, (n, g) in outs if n]
+        outs = exchange_refs([[(b, n) for b, n, _, _ in clipped]],
+                             ["host"], self._grant_fn, count=self._count_fn)
+        return [(o, *c) for o, c in outs if c[0]]
 
-    def _fetch(self, decided: list, n_granted: int, round_idx: int,
-               stage, images, retry) -> list:
-        """Fetch + rule-VM parse in plain tasks over balanced spans of
-        the granted rows (the fetch and image stages are cached per
-        worker process).  Each task also writes its pages' checkpoint
-        file and image fragments.  Returns per task its next-frontier
-        ref and counters."""
+    def _fetch(self, decided: list, round_idx: int, stage, images,
+               retry) -> list:
+        """Fetch + rule-VM parse in plain tasks (the fetch and image
+        stages are cached per worker process): unruled granted rows in
+        balanced spans, and each ruled host's rows whole in one task.
+        Each task also writes its pages' checkpoint file and image
+        fragments.  Returns per task its next-frontier ref and
+        counters."""
         # the dir exists even for an all-empty round, so resume replay
         # and the round readers see a committed round
         (self.pages_dir / f"round={round_idx}").mkdir(parents=True,
@@ -830,14 +914,28 @@ class CrawlRun:
         # of ~15s tasks and the straggler tail idled a measurable slice
         # of the machine (A/B'd at 32 cpus).  Spans hold whole batches
         bs = self.cfg.fetch_batch_size
-        n_tasks = max(1, min(-(-n_granted // bs), self.max_tasks))
+        unruled = [g - sum(p.values()) for _, _, g, p in decided]
+        n_tasks = max(1, min(-(-sum(unruled) // bs), self.max_tasks))
+        spans = [[(j, (None, lo, hi)) for j, lo, hi in span]
+                 for span in _spans(unruled, n_tasks, bs)
+                 ] if sum(unruled) else []
+        # ruled hosts, dealt whole over at most one task per cpu: a
+        # paced task mostly sleeps, and the hosts it holds share its
+        # sleeps, so fewer, fuller paced tasks all run at once
+        ruled = sorted((h, j, n) for j, (_, _, _, p) in enumerate(decided)
+                       for h, n in p.items())
+        n_paced = min(len(ruled), self.max_tasks // 8)
+        for i in range(n_paced):
+            pieces: Dict[int, tuple] = {}
+            for h, j, n in ruled[i::n_paced]:
+                hosts, _, rows = pieces.get(j, ((), 0, 0))
+                pieces[j] = (hosts + (h,), 0, rows + n)
+            spans.append(sorted(pieces.items()))
         tasks = [_task.options(num_returns=2).remote(
             _fetch_block, stage, images, bs, round_idx, retry,
-            str(self.pages_dir), str(self.images.data_dir),
-            [(lo, hi) for _, lo, hi in span],
-            *[decided[j][0] for j, _, _ in span])
-            for span in _spans([g for _, _, g in decided], n_tasks, bs)
-        ] if n_granted else []
+            self.cfg.host_rates, str(self.pages_dir),
+            str(self.images.data_dir), [p for _, p in span],
+            *[decided[j][0] for j, _ in span]) for span in spans]
         return list(zip((t for t, _ in tasks),
                         ray.get([c for _, c in tasks])))
 
@@ -894,6 +992,7 @@ class CrawlRun:
             cfg.host_budgets, cfg.per_host_budget, cfg.max_pending_per_host,
             round_seconds=(cfg.round_seconds if cfg.robots_delay_budget
                            else 0.0))
+        self._count_fn = functools.partial(_grant_counts, cfg.host_rates)
         stage = cached_stage(FetchParseStage,
                              rule_pack_ref=self.rule_pack_ref,
                              web_config=cfg.web_config,
@@ -922,11 +1021,11 @@ class CrawlRun:
                  if self._banned_hosts else None),
                 seen_stage)
             admitted = self._admit(files, admit, _readiness(r, False))
-            decided = self._grant([(b, n, g) for b, _, (n, g, _)
-                                   in admitted if n])
-            n_deferred = sum(c[2] for _, _, c in admitted)
-            n_decided = sum(n for _, n, _ in decided)
-            n_granted = sum(g for _, _, g in decided)
+            decided = self._grant([(b, *c[:3]) for b, _, c in admitted
+                                   if c[0]])
+            n_deferred = sum(c[3] for _, _, c in admitted)
+            n_decided = sum(d[1] for d in decided)
+            n_granted = sum(d[2] for d in decided)
             _mark('grant')
             if n_granted == 0 and not n_deferred:
                 break
@@ -934,8 +1033,7 @@ class CrawlRun:
             # -- fetch + parse; page checkpoint and images inside -------
             retry = _make_retry(cfg.max_fetch_retries, r, cfg.round_seconds,
                                 cfg.honor_retry_after)
-            fetched = self._fetch(decided, n_granted, r, stage, images,
-                                  retry)
+            fetched = self._fetch(decided, r, stage, images, retry)
             _mark('fetch_parse')
             if cfg.host_error_budget > 0 and fetched:
                 self._absorb_host_errors(pa.concat_tables(
@@ -948,8 +1046,8 @@ class CrawlRun:
             # -- next frontier: links + retries, backlog, deferred -------
             n_next = self._write_frontier(r + 1, [
                 *((t, c["next"], None) for t, c in fetched),
-                *((b, n - g, _backlog_rows) for b, n, g in decided),
-                *((d, c[2], None) for _, d, c in admitted)])
+                *((b, n - g, _backlog_rows) for b, n, g, _ in decided),
+                *((d, c[3], None) for _, d, c in admitted)])
             _mark('frontier_next')
             self.metrics.append({
                 "round": r,
@@ -964,6 +1062,13 @@ class CrawlRun:
                 "sec": round(time.perf_counter() - t0, 3),
                 "phases": phase_t,
             })
+            if cfg.host_rates:
+                hosts, requests, gaps = zip(
+                    (0, 0, None), *(c["pacing"] for _, c in fetched))
+                self.metrics[-1]["pacing"] = {
+                    "hosts": sum(hosts), "requests": sum(requests),
+                    "min_gap_s": min([g for g in gaps if g is not None],
+                                     default=None)}
             self._save_state(r + 1)
             if not n_next:
                 break

@@ -28,6 +28,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.crawl_stages import PAGE_SCHEMA
 from .images_q import _ensure_crawl, _sf_tag
 
 
@@ -142,8 +143,8 @@ def _read_pages_hashed(pages_dir: str):
         return t.drop_columns(["result_json"]).append_column(
             "content_md5", pa.array(md5s, pa.string()))
 
-    return read_rounds(pages_dir, ["url", "round", "status", "result_json"]) \
-        .map_batches(hashed, batch_format="pyarrow")
+    return read_rounds(pages_dir, ["url", "round", "status", "result_json"],
+                       PAGE_SCHEMA).map_batches(hashed, batch_format="pyarrow")
 
 
 def crawl_resume_roundtrip(sf_dir: str):
@@ -207,8 +208,8 @@ def crawl_redirects(sf_dir: str):
 
     out = _ensure_redirect_crawl(_sf_tag(sf_dir))
     return read_rounds(f"{out}/pages", [
-        "url", "round", "status", "final_url", "redirects", "error"]) \
-        .map_batches(dup, batch_format="pyarrow")
+        "url", "round", "status", "final_url", "redirects", "error"],
+        PAGE_SCHEMA).map_batches(dup, batch_format="pyarrow")
 
 
 def expected_crawl_redirects(tag: str) -> pa.Table:
@@ -599,7 +600,8 @@ def crawl_trap_guard(sf_dir: str):
     projection-pruned task-parallel read of the pages checkpoints."""
     from ..crawl.loop import read_rounds
     out = _ensure_trap_crawl(_sf_tag(sf_dir))
-    return read_rounds(f"{out}/pages", ["url", "round", "depth", "status"])
+    return read_rounds(f"{out}/pages", ["url", "round", "depth", "status"],
+                       PAGE_SCHEMA)
 
 
 def expected_trap_guard(tag: str) -> pa.Table:
@@ -645,7 +647,8 @@ def crawl_robots_rfc(sf_dir: str):
     projection-pruned task-parallel read of the pages checkpoints."""
     from ..crawl.loop import read_rounds
     out = _ensure_robots_rfc_crawl(_sf_tag(sf_dir))
-    return read_rounds(f"{out}/pages", ["url", "round", "status"])
+    return read_rounds(f"{out}/pages", ["url", "round", "status"],
+                       PAGE_SCHEMA)
 
 
 def expected_robots_rfc(tag: str) -> pa.Table:
@@ -690,7 +693,8 @@ def crawl_host_ban(sf_dir: str):
     right frontier rows."""
     from ..crawl.loop import read_rounds
     out = _ensure_deadhost_crawl(_sf_tag(sf_dir))
-    return read_rounds(f"{out}/pages", ["url", "round", "status"])
+    return read_rounds(f"{out}/pages", ["url", "round", "status"],
+                       PAGE_SCHEMA)
 
 
 def expected_host_ban(tag: str) -> pa.Table:

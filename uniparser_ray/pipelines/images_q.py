@@ -33,6 +33,7 @@ from ..blocks import table_from_pandas
 from ..sources.codecs import average_hash64, decode_image, encode_ppm
 from ..sources.images import (caption_for, generate_images_lance, image_spec,
                               render_pixels)
+from ..stages.crawl_stages import IMAGE_ROW_SCHEMA, PAGE_SCHEMA
 from ..storage.lance_layout import LanceLayoutTable
 
 _ROWS_BY_SF = {"sf0.001": 300, "sf0.01": 1000, "sf0.1": 4000}
@@ -982,7 +983,8 @@ def crawl_politeness_audit(sf_dir: str):
     from .relational import partial_groupby
 
     out, _totals = _ensure_crawl(_sf_tag(sf_dir))
-    cells = partial_groupby(read_rounds(f"{out}/pages", ["host"]),
+    cells = partial_groupby(read_rounds(f"{out}/pages", ["host"],
+                                        PAGE_SCHEMA),
                             ["host", "round"],
                             {"n": ("round", "count")}).to_pandas()
     g = cells.groupby("host")["n"]
@@ -1039,7 +1041,8 @@ def crawl_page_lineage(sf_dir: str):
     from ..crawl.loop import read_rounds
     out, _totals = _ensure_crawl(_sf_tag(sf_dir))
     return read_rounds(f"{out}/pages",
-                       ["url", "round", "parent", "depth", "status"])
+                       ["url", "round", "parent", "depth", "status"],
+                       PAGE_SCHEMA)
 
 
 def crawl_image_lineage(sf_dir: str):
@@ -1053,7 +1056,7 @@ def crawl_image_lineage(sf_dir: str):
     from ..crawl.loop import read_rounds
     out, _totals = _ensure_crawl(_sf_tag(sf_dir))
     return read_rounds(LanceLayoutTable(f"{out}/images_lance")
-                       .fragment_files(), ["image_id"])
+                       .fragment_files(), ["image_id"], IMAGE_ROW_SCHEMA)
 
 
 HARDNEG_ANCHOR_MOD = 8   # hash31(image_id) % 8 == 0 -> anchor sample

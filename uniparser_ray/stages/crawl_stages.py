@@ -37,7 +37,7 @@ from ..rulevm.urlutil import canonicalize_url, url_hash64
 from ..rulevm.request import get_host
 from ..sources.codecs import average_hash64, decode_image
 
-_PAGE_SCHEMA = pa.schema([
+PAGE_SCHEMA = pa.schema([
     ("url", pa.large_string()),
     ("url_hash", pa.uint64()),
     ("host", pa.string()),
@@ -225,17 +225,21 @@ class SeenRobotsStage:
 
 
 class FetchParseStage:
-    """Fetch + rule-match + rule-VM parse, one actor per slot.
+    """Fetch + rule-match + rule-VM parse of a batch of granted rows: a
+    pure function of its rows, with no clock and no sleep (the crawl's
+    fetch task paces ruled hosts around its calls, crawl/loop.py).
 
-    ``__init__`` does the once-per-actor work (reference analog: the
-    compiled-rule cache CompiledString + HTTP session,
-    parsers.py:980-1003 / utils.py:321-334): build the transport from
-    the web config, compile the broadcast rule pack, warm the VM.
+    ``__init__`` does the once-per-worker work (the crawl's fetch tasks
+    take the stage from the per-worker cache, stages/taskcache.py;
+    reference analog: the compiled-rule cache CompiledString + HTTP
+    session, parsers.py:980-1003 / utils.py:321-334): build the
+    transport from the web config, compile the broadcast rule pack,
+    warm the VM.
     """
 
     def __init__(self, rule_pack_ref=None, web_config: dict = None,
-                 rule_pack: dict = None, politeness=None, sleep_fn=None,
-                 max_redirects: int = 5, seen=None, robots=None):
+                 rule_pack: dict = None, max_redirects: int = 5,
+                 seen=None, robots=None):
         import ray
         from ..crawl.storage import JSONRuleStorage
         from ..rulevm.transport import SyntheticWebAdapter
@@ -249,15 +253,6 @@ class FetchParseStage:
         self.adapter = SyntheticWebAdapter(self.web)
         self.vm = RuleVM()
         self._rule_cache: Dict[str, object] = {}
-        # wall-clock politeness (real-web mode): with a politeness
-        # client, each batch acquires per-host delay schedules before
-        # fetching.  The round-based virtual-clock grant is the
-        # deterministic default; this path is for continuous
-        # (non-round) fetching.
-        self.politeness = politeness
-        import time as _time
-        self._sleep = sleep_fn or _time.sleep
-        self._now = _time.monotonic
         # 3xx handling: hops are followed INLINE (requests semantics —
         # the reference's transports follow redirects transparently,
         # so a granted URL costs one politeness token regardless of
@@ -281,33 +276,6 @@ class FetchParseStage:
         # the (resume-unreplayable) hash its rejected admission left in
         # the seen shards.  RPCs happen only on actual 3xx hops.
         self.robots = robots
-
-    def _politeness_targets(self, hosts: List[str]):
-        """Acquire wall-clock delay schedules host-by-host and return
-        (t0, per-url target offsets): before issuing request i the
-        fetcher sleeps until t0 + targets[i], so PACING WITHIN the
-        batch honors Frequency(n, interval) — requests are not fired
-        back-to-back after one bulk sleep.  Delays are computed on the
-        shard's own clock (one shard owns all of a host's schedule, so
-        timestamps never cross node clock domains); the RPC latency
-        between actor and fetcher only shifts the schedule later —
-        the polite direction."""
-        from collections import Counter, defaultdict
-        if self.politeness is None:
-            return None
-        # ONE RPC per state host per batch (not per URL host): a batch
-        # touches up to batch_size distinct hosts, and per-host calls
-        # queue-storm the state actors at high task concurrency
-        counts = Counter(hosts)
-        delays = dict(zip(counts, self.politeness.acquire(
-            list(counts), list(counts.values()))))
-        t0 = self._now()
-        nth: Dict[str, int] = defaultdict(int)
-        targets = []
-        for h in hosts:
-            targets.append(delays[h][nth[h]])
-            nth[h] += 1
-        return t0, targets
 
     def _find_rule(self, url: str):
         # host-level cache: single-rule hosts resolve without regex scans
@@ -377,29 +345,16 @@ class FetchParseStage:
         urls = batch["url"].to_pylist()
         hashes = batch["url_hash"].to_pylist()
         hosts = batch["host"].to_pylist()
-        pacing = self._politeness_targets(hosts)
         depths = batch["depth"].to_pylist()
         priors = batch["priority"].to_pylist()
         parents = batch["parent"].to_pylist()
         retries = (batch["retries"].to_pylist()
                    if "retries" in batch.column_names else [0] * len(urls))
-        # pass 1 — fetch (with pacing + redirect following); parse is
-        # deferred so redirected rows can be dedup-checked in ONE
-        # sharded RPC wave before any content is parsed
+        # pass 1 — fetch (with redirect following); parse is deferred
+        # so redirected rows can be dedup-checked in ONE sharded RPC
+        # wave before any content is parsed
         fetched = [None] * len(urls)
-        order = range(len(urls))
-        if pacing is not None:
-            # requests go out in slot order, not row order: a row
-            # reached after its slot has passed would fire back to back
-            # with the rest of its host's schedule
-            t0, targets = pacing
-            order = sorted(order, key=targets.__getitem__)
-        for i in order:
-            url = urls[i]
-            if pacing is not None:
-                wait = targets[i] - (self._now() - t0)
-                if wait > 0:
-                    self._sleep(wait)
+        for i, url in enumerate(urls):
             rule = self._find_rule(url)
             if rule is None:
                 fetched[i] = (None, "", None, 0, "", 0, "RuleNotFoundError")
@@ -504,7 +459,7 @@ class FetchParseStage:
             pa.array(out["redirects"], pa.int32()),
             pa.array(out["etag"], pa.string()),
             pa.array(out["retry_after"], pa.float32()),
-        ], schema=_PAGE_SCHEMA)
+        ], schema=PAGE_SCHEMA)
 
 
 def explode_images(batch: pa.Table) -> pa.Table:

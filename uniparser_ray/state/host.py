@@ -1,12 +1,11 @@
 """State hosts: the crawl's logical state shards on a few actors.
 
-The crawl's global mutable state is four families of logical shards,
+The crawl's global mutable state is three families of logical shards,
 each a plain in-process object:
 
 * ``seen`` / ``img_seen`` — :class:`SeenShard`, routed by the top
   ``shard_bits`` bits of the 64-bit canonical-URL hash;
-* ``robots`` — :class:`RobotsShard`, routed by ``url_hash64(host) % n``;
-* ``politeness`` — :class:`PolitenessShard`, routed the same way.
+* ``robots`` — :class:`RobotsShard`, routed by ``url_hash64(host) % n``.
 
 Ray Data cannot express a streaming test-and-set, so the shards live in
 ``StateHost`` actors: logical shard ``i`` of every family sits on host
@@ -19,15 +18,14 @@ state a fresh one would have (:meth:`StateHost.reset`); an actor is
 started only when the pool runs dry or a pooled host has died.  The
 pooled actors belong to the driver and die with its Ray session.
 
-The family clients (:class:`SeenFilter`, :class:`RobotsClient`,
-:class:`PolitenessClient`) are picklable into map tasks.  Per batch
-they send ONE RPC per host, carrying the slices of every logical shard
-that host owns, and the host splits it by shard — the RPC count is
-O(hosts) per batch, not O(shards) or O(urls).  Tasks wait on these
-RPCs through :func:`rpc_get`, which keeps the waiting task's CPU.
-Logical shards, not hosts, keep the 10^10-URL sizing: ~256 seen
-shards of ~50 MB bloom each spread over however many nodes the
-cluster has.
+The family clients (:class:`SeenFilter`, :class:`RobotsClient`) are
+picklable into map tasks.  Per batch they send ONE RPC per host,
+carrying the slices of every logical shard that host owns, and the
+host splits it by shard — the RPC count is O(hosts) per batch, not
+O(shards) or O(urls).  Tasks wait on these RPCs through
+:func:`rpc_get`, which keeps the waiting task's CPU.  Logical shards,
+not hosts, keep the 10^10-URL sizing: ~256 seen shards of ~50 MB bloom
+each spread over however many nodes the cluster has.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ import numpy as np
 import ray
 
 from ..rulevm.urlutil import url_hash64
-from .politeness import PolitenessShard
 from .robots import RobotsShard
 from .seen import SeenShard
 
@@ -66,7 +63,7 @@ def seen_shard_ids(hashes: np.ndarray, shard_bits: int) -> np.ndarray:
 
 
 def host_shard_ids(hosts: List[str], num_shards: int) -> np.ndarray:
-    """Logical robots / politeness shard of each row's host:
+    """Logical robots shard of each row's host:
     ``url_hash64(host) % num_shards``, hashed once per distinct host."""
     uniq, inv = np.unique(np.asarray(hosts, dtype=object),
                           return_inverse=True)
@@ -84,14 +81,12 @@ class StateHost:
     def __init__(self, index: int, n_hosts: int, seen: Dict[str, int],
                  seen_mode: str = "tandem", seen_capacity: int = 1_000_000,
                  robots_shards: int = 0, web_config: dict = None,
-                 robots_user_agent: str = "uniparser-ray",
-                 politeness_shards: int = 0):
+                 robots_user_agent: str = "uniparser-ray"):
         def owned(n: int) -> range:
             return range(index, n, n_hosts)
 
         self.seen_bits = dict(seen)
-        self.num_shards = {"robots": robots_shards,
-                           "politeness": politeness_shards}
+        self.num_robots = robots_shards
         self.shards: Dict[str, Dict[int, object]] = {
             family: {i: SeenShard(seen_mode, seen_capacity)
                      for i in owned(1 << bits)}
@@ -105,8 +100,6 @@ class StateHost:
                            if web is not None else None,
                            user_agent=robots_user_agent)
             for i in owned(robots_shards)}
-        self.shards["politeness"] = {i: PolitenessShard()
-                                     for i in owned(politeness_shards)}
 
     def reset(self, index: int, n_hosts: int, **spec) -> int:
         """Lease this host anew: exactly the state ``__init__`` builds
@@ -126,11 +119,6 @@ class StateHost:
         """``{logical shard id: stats}`` of this host's shards."""
         return {sid: s.stats() for sid, s in self.shards[family].items()}
 
-    def _by_host(self, family: str, hosts: List[str]):
-        shards = self.shards[family]
-        return [(shards[sid], idx) for sid, idx in
-                runs(host_shard_ids(hosts, self.num_shards[family]))]
-
     def seen_add(self, family: str, hashes: np.ndarray) -> np.ndarray:
         """Test-and-set of a batch over this host's shards of a seen
         family: True = newly seen."""
@@ -146,28 +134,13 @@ class StateHost:
         """(allow mask, host Crawl-delay) per (host, path) row."""
         mask = np.ones(len(hosts), dtype=bool)
         delays = np.zeros(len(hosts), dtype=np.float32)
-        for shard, idx in self._by_host("robots", hosts):
-            m, d = shard.allowed_delays_many(
+        shards = self.shards["robots"]
+        for sid, idx in runs(host_shard_ids(hosts, self.num_robots)):
+            m, d = shards[sid].allowed_delays_many(
                 [(hosts[i], paths[i]) for i in idx])
             mask[idx] = m
             delays[idx] = d
         return mask, delays
-
-    def politeness_acquire(self, hosts: List[str],
-                           counts: List[int]) -> List[List[float]]:
-        """Wall-clock delay schedules, one list per (host, count)."""
-        out: List[List[float]] = [[] for _ in hosts]
-        for shard, idx in self._by_host("politeness", hosts):
-            got = shard.acquire_batch_many([hosts[i] for i in idx],
-                                           [counts[i] for i in idx])
-            for i, d in zip(idx, got):
-                out[i] = d
-        return out
-
-    def politeness_set_rule(self, host: str, n: float,
-                            interval: float = 1.0) -> None:
-        sid = url_hash64(host) % self.num_shards["politeness"]
-        self.shards["politeness"][sid].set_rule(host, n, interval)
 
 
 _StateHostActor = ray.remote(num_cpus=0.01)(StateHost)
@@ -222,8 +195,7 @@ def start_state_hosts(n_hosts: int = None, **spec) -> StateHosts:
     0.01 CPU) and wait on it forever."""
     if n_hosts is None:
         n_logical = max([1 << b for b in spec.get("seen", {}).values()]
-                        + [spec.get("robots_shards", 0),
-                           spec.get("politeness_shards", 0), 1])
+                        + [spec.get("robots_shards", 0), 1])
         n_hosts = max(1, min(n_logical, _alive_nodes()))
     idle = _idle_pool()
     leased = [idle.pop() for _ in range(min(len(idle), n_hosts))]
@@ -379,30 +351,3 @@ class RobotsClient(_Client):
     def allowed(self, host: str, path: str) -> bool:
         _slices, (fut,) = self.futures([host], [path])
         return bool(rpc_get(fut)[0][0])
-
-
-class PolitenessClient(_Client):
-    """Wall-clock politeness client: per-host delay schedules computed
-    on the owning shard's clock (all of a host's schedule lives in one
-    shard, so timestamps never cross node clock domains)."""
-
-    family = "politeness"
-
-    def acquire(self, hosts: List[str],
-                counts: List[int]) -> List[List[float]]:
-        out: List[List[float]] = [[] for _ in hosts]
-        slices, futures = _fan_out(
-            self.hosts, len(hosts),
-            lambda: host_shard_ids(hosts, self.num_shards),
-            lambda h, idx: h.politeness_acquire.remote(
-                [hosts[i] for i in idx], [counts[i] for i in idx]))
-        for idx, res in zip(slices, rpc_get(futures)):
-            for i, d in zip(idx, res):
-                out[i] = d
-        return out
-
-    def set_rule(self, host: str, n: float, interval: float = 1.0) -> None:
-        """``Frequency(n, interval)`` for one host."""
-        sid = url_hash64(host) % self.num_shards
-        rpc_get(self.hosts[sid % len(self.hosts)]
-                .politeness_set_rule.remote(host, n, interval))
