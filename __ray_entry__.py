@@ -1410,8 +1410,8 @@ def _ALIGN_MAX_HAMMING() -> int:
 def _crawl_pages_glob(tag: str) -> str:
     """Ensure the shared harness crawl exists and return its pages
     checkpoint glob (the WET-roundtrip twin reads it directly)."""
-    from uniparser_ray.pipelines.images_q import _ensure_crawl
-    out, _ = _ensure_crawl(tag)
+    from uniparser_ray.pipelines.crawl_q import harness_crawl
+    out, _ = harness_crawl("base", tag)
     return f"{out}/pages/round=*/*.parquet"
 
 

@@ -252,8 +252,10 @@ def run_suite(sf_dir: str, num_cpus: int) -> dict:
     # queries, not the operator under test (the headline `crawl` entry
     # already times a full crawl) — warm it with its cost reported
     # under its own key so each audit op's timing is the op itself
+    from uniparser_ray.pipelines import crawl_q as crawl_qp
     timed5("crawl_fixture",
-           lambda: images_p._ensure_crawl(images_p._sf_tag(sf_dir))[0])
+           lambda: crawl_qp.harness_crawl("base",
+                                          crawl_qp._sf_tag(sf_dir))[0])
     timed5("crawl_politeness_audit",
            lambda: images_p.crawl_politeness_audit(sf_dir).num_rows)
     timed5("crawl_page_lineage",
@@ -287,7 +289,6 @@ def run_suite(sf_dir: str, num_cpus: int) -> dict:
            lambda: consume(images_p.crawl_wet_roundtrip(sf_dir)))
     timed5("images_wds_roundtrip",
            lambda: consume(images_p.images_wds_roundtrip(sf_dir)))
-    from uniparser_ray.pipelines import crawl_q as crawl_qp
     timed5("crawl_url_canon",
            lambda: consume(crawl_qp.crawl_url_canon(sf_dir)))
     # interrupt-at-round-2 + resume re-crawl; cost is the second crawl

@@ -53,9 +53,10 @@ def main():
 
     # 4. the durable artifacts: pages checkpoints (one dir per round)
     #    and a Lance-layout image+caption table (input_hint schema)
-    import ray.data as rd
-    pages = rd.read_parquet(str(out / "pages"),
-                            columns=["url", "status", "rule_name"])
+    from uniparser_ray.crawl.loop import read_rounds
+    from uniparser_ray.stages.crawl_stages import PAGE_SCHEMA
+    pages = read_rounds(out / "pages", ["url", "status", "rule_name"],
+                        PAGE_SCHEMA)
     print("pages checkpoint rows:", pages.count())
     from uniparser_ray.storage.lance_layout import LanceLayoutTable
     images = LanceLayoutTable(str(out / "images_lance")).to_table(
@@ -72,6 +73,7 @@ def main():
 
     # 6. one training-data query over the harvest: exact image dedup
     #    (hash-partitioned; only (hash, id) rows shuffle, never bytes)
+    import ray.data as rd
     from uniparser_ray.stages.dedup import hamming_block_pairs
     near = hamming_block_pairs(
         rd.from_arrow(images.select(["image_id", "phash"])),

@@ -521,9 +521,9 @@ def test_crawl_politeness_audit_invariant(ray_session):
     must (a) equal the conformance replay's audit exactly and (b) show
     every host within the per-round budget — the politeness guarantee
     as data, not prose."""
+    from uniparser_ray.pipelines.crawl_q import _CRAWL_BUDGET
     from uniparser_ray.pipelines.images_q import (
-        _CRAWL_BUDGET, crawl_politeness_audit,
-        expected_crawl_politeness_audit)
+        crawl_politeness_audit, expected_crawl_politeness_audit)
 
     got = crawl_politeness_audit("/root/testdata/sf0.001").to_pandas() \
         .reset_index(drop=True)

@@ -127,8 +127,7 @@ def test_doc_dedup_clusters_int_ids(ray_session):
                                                    doc_dedup_minhash)
     sf = "/root/testdata/sf0.001"
     out = doc_dedup_clusters(sf).to_pandas()
-    pairs = doc_dedup_minhash(sf)
-    pairs = pairs.to_pandas() if hasattr(pairs, "to_pandas") else pairs
+    pairs = doc_dedup_minhash(sf).to_pandas()
     rep = dict(zip(out["doc_id"], out["cluster"]))
     assert all(rep[a] == rep[b]
                for a, b in zip(pairs["doc_a"], pairs["doc_b"]))
@@ -186,15 +185,15 @@ def test_crawl_images_curation_composes(ray_session):
     exactly once, keep == (viol == 0), the three row-local bits equal
     a direct numpy recompute from the crawled metadata, and bit 3
     equals the BSP cluster keep on the crawl's own Lance table."""
-    from uniparser_ray.pipelines.images_q import (_ensure_crawl,
+    from uniparser_ray.pipelines.crawl_q import harness_crawl
+    from uniparser_ray.pipelines.images_q import (CurationBitsStage,
                                                   crawl_images_curation,
                                                   images_dedup_clusters_for)
-    from uniparser_ray.pipelines.images_q import CurationBitsStage
     from uniparser_ray.storage.lance_layout import LanceLayoutTable
 
     got = crawl_images_curation(SF).to_pandas() \
         .sort_values("image_id").reset_index(drop=True)
-    out, _ = _ensure_crawl(TAG)
+    out, _ = harness_crawl("base", TAG)
     table = LanceLayoutTable(f"{out}/images_lance")
     meta = table.read_dataset(
         columns=["image_id", "w", "h", "caption", "phash"]) \

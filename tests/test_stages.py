@@ -34,7 +34,7 @@ def test_rule_engine_stage(ray_session):
                                         ["udf", "int(obj)", ""]],
          "child_rules": []},
     ]
-    out = parse_dataset(ds, rules, concurrency=2, batch_size=4).to_pandas()
+    out = parse_dataset(ds, rules, batch_size=4).to_pandas()
     assert list(out["first"]) == ["hello"] * 10
     assert out["rev"][0] == "0 dlrow olleh"
     assert list(out["num"]) == list(range(10))
@@ -48,7 +48,7 @@ def test_rule_engine_error_column(ray_session):
     ds = rd.from_items([{"text": "abc"}, {"text": "12"}])
     rules = [{"name": "n", "chain_rules": [["udf", "int(obj)", ""]],
               "child_rules": []}]
-    out = parse_dataset(ds, rules, concurrency=2).to_pandas()
+    out = parse_dataset(ds, rules).to_pandas()
     byv = out.set_index("text")
     assert byv.loc["12", "n"] == 12
     assert byv.loc["abc", "error_type"] == "ValueError"
@@ -248,15 +248,15 @@ def test_text_stages(ray_session):
 
 def test_partial_groupby_matches_pandas(ray_session):
     import ray.data as rd
-    from uniparser_ray.pipelines.relational import partial_groupby
+    from uniparser_ray.stages.combine import grouped_aggregate
 
     rng = np.random.RandomState(3)
     df = pd.DataFrame({"k": rng.randint(0, 5, 1000),
                        "v": rng.rand(1000)})
     ds = rd.from_pandas(df)
-    out = partial_groupby(ds, ["k"], {"s": ("v", "sum"),
-                                      "n": ("v", "count")},
-                          batch_size=128).to_pandas().sort_values("k")
+    out = grouped_aggregate(ds, ["k"], {"s": ("v", "sum"),
+                                        "n": ("v", "count")},
+                            batch_size=128).to_pandas().sort_values("k")
     want = df.groupby("k").agg(s=("v", "sum"), n=("v", "count")).reset_index()
     assert np.allclose(out["s"].values, want["s"].values)
     assert list(out["n"]) == list(want["n"])
@@ -722,6 +722,31 @@ def test_one_politeness_model():
         r"PolitenessShard|PolitenessClient|politeness_shards|sleep_fn")
     hits = [f"{p.name}:{i}"
             for p in [*sorted(root.rglob("*.py")), root.parent / "bench.py"]
+            for i, line in enumerate(p.read_text().splitlines(), 1)
+            if banned.search(line)]
+    assert hits == []
+
+
+def test_one_crawl_output_reader():
+    """A crawl's round-partitioned outputs have one reader,
+    ``read_rounds``: Ray Data's parquet reader is called only by the
+    Lance layout and the single-file reader, and the harness's crawls,
+    oracle runs and stage builds keep no memo of their own."""
+    import re
+    from pathlib import Path
+
+    import uniparser_ray
+
+    root = Path(uniparser_ray.__file__).parent
+    files = sorted(root.rglob("*.py"))
+    readers = {str(p.relative_to(root)) for p in files
+               if re.search(r"\b(rd|ray\.data)\.read_parquet\(",
+                            p.read_text())}
+    assert readers == {"storage/lance_layout.py", "sources/parquet.py"}
+    banned = re.compile(r"_CRAWL_RUNS|_CRAWL_MEMO|_RESUME_RUNS|_ORACLE_RUNS"
+                        r"|_ENGINE_CACHE|partial_groupby")
+    hits = [f"{p.name}:{i}"
+            for p in [*files, root.parent / "bench.py"]
             for i, line in enumerate(p.read_text().splitlines(), 1)
             if banned.search(line)]
     assert hits == []

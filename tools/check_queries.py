@@ -3,10 +3,13 @@ oracle_sql() twin on the same sf dir; compare row count, column names,
 and order-insensitive values.
 
 Usage: python tools/check_queries.py [sf_dir] [query ...]
+
+Each query argument is a name or an fnmatch pattern ('crawl_*').
 """
 
 from __future__ import annotations
 
+import fnmatch
 import sys
 import time
 from pathlib import Path
@@ -46,7 +49,7 @@ def canon(df: pd.DataFrame) -> pd.DataFrame:
 def main():
     import os
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.001"
-    only = set(sys.argv[2:])
+    only = sys.argv[2:]
     # VALUES-embedded oracles (multimodal/crawl) are sf-scaled; tell
     # oracle_sql() which sf this check runs at (driver default sf0.01)
     os.environ["UNIPARSER_ORACLE_SF"] = Path(sf_dir).name or "sf0.01"
@@ -71,7 +74,7 @@ def main():
 
     failures = []
     for name, fn in qs.items():
-        if only and name not in only:
+        if only and not any(fnmatch.fnmatchcase(name, pat) for pat in only):
             continue
         t0 = time.perf_counter()
         try:

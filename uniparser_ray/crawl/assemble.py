@@ -78,7 +78,9 @@ def assemble_results(pages: Union[str, "object"], num_buckets: int = 16):
     from ..stages.combine import grouped_map, hash_bucket_join
 
     if isinstance(pages, str):
-        pages = rd.read_parquet(pages, columns=_COLS)
+        from ..stages.crawl_stages import PAGE_SCHEMA
+        from .loop import read_rounds
+        pages = read_rounds(pages, _COLS, PAGE_SCHEMA)
 
     def prep(t: pa.Table) -> pa.Table:
         return t.select(_COLS)

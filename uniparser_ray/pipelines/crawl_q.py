@@ -1,16 +1,24 @@
-"""Crawl-scheduler query surfaces beyond the loop itself.
+"""Crawl-scheduler query surfaces beyond the loop itself, and the
+harness's crawl fixture.
+
+The fixture: every crawl-backed harness query reads one of a few
+memoized crawls of the sf-scaled synthetic web, and every
+crawl-backed oracle reads the sequential BFSOracle run of the same
+variant.  ``HARNESS_VARIANTS`` holds each variant's inputs once (web
+override + the CrawlConfig override its oracle mirrors); the crawl
+and its oracle share those inputs and nothing else.
 
 The north rule keys the URL-seen set by *canonicalized-URL hash*
-(rulevm/urlutil.py — the crawl's AnnotateStage canonicalizes every
-frontier row before the seen anti-join).  ``crawl_url_canon`` puts
-that canonicalizer under a value-check: deterministic MESSY variants
-of every fetched URL (case-shifted scheme/host, default :80 port,
-unsorted query with a blank-value param, fragments, empty path) run
-through the production ``canonicalize_url`` distributed, and a DuckDB
-twin constructs the same variants plus the EXPECTED canonical form
-with independent SQL string arithmetic — if the canonicalizer drifts
-on any rule (port strip, query sort, blank-value keep, fragment drop,
-empty-path slash), the hash compare goes red.
+(rulevm/urlutil.py — the crawl's ``canonicalize_batch`` canonicalizes
+every frontier row before the seen anti-join).  ``crawl_url_canon``
+puts that canonicalizer under a value-check: deterministic MESSY
+variants of every fetched URL (case-shifted scheme/host, default :80
+port, unsorted query with a blank-value param, fragments, empty path)
+run through the production ``canonicalize_url`` distributed, and a
+DuckDB twin constructs the same variants plus the EXPECTED canonical
+form with independent SQL string arithmetic — if the canonicalizer
+drifts on any rule (port strip, query sort, blank-value keep,
+fragment drop, empty-path slash), the hash compare goes red.
 
 The Ray side deliberately does NOT dedup its input: page-checkpoint
 URLs are unique by the crawl's seen-set invariant, while the twin
@@ -21,6 +29,7 @@ SELECTs DISTINCT — so this check ALSO pins "no URL fetched twice"
 from __future__ import annotations
 
 import hashlib
+import re
 import shutil
 from pathlib import Path
 
@@ -29,7 +38,117 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..stages.crawl_stages import PAGE_SCHEMA
-from .images_q import _ensure_crawl, _sf_tag
+
+
+def _sf_tag(sf_dir: str) -> str:
+    return Path(sf_dir).name or "sf0.01"
+
+
+_CRAWL_BY_SF = {"sf0.001": dict(num_hosts=3, base_pages=8, fanout=2,
+                                hot_factor=3.0),
+                "sf0.01": dict(num_hosts=6, base_pages=12, fanout=3,
+                               hot_factor=5.0),
+                "sf0.1": dict(num_hosts=16, base_pages=40, fanout=3,
+                              hot_factor=10.0)}
+
+_CRAWL_BUDGET = 6
+_CRAWL_ROUNDS = 40
+_RESUME_INTERRUPT_ROUND = 2
+
+# variant -> (web override, CrawlConfig override its oracle mirrors).
+# "resume" is "base" in a fresh dir, interrupted after
+# _RESUME_INTERRUPT_ROUND rounds and resumed.  "redirect" turns on
+# legacy-URL aliases dense enough that single hops, two-hop chains,
+# RedirectDuplicates, robots-blocked hops and the /loopx cycle all
+# occur at every sf, with sitemap seeding (sitemaps advertise
+# CANONICAL URLs while links use legacy forms).  "trap" links an
+# infinite /trap/x/x/... chain from every root; "robots_rfc" serves
+# RFC 9309 wildcard robots files; "deadhost" serves permanent 503s on
+# ~1/3 of pages so hosts cross the error budget.
+HARNESS_VARIANTS = {
+    "base": ({}, {}),
+    "resume": ({}, {}),
+    "redirect": (dict(redirect_rate=0.4), dict(sitemap_seeds=True)),
+    "trap": (dict(trap_links=True),
+             dict(max_path_repeats=2, max_depth=0, max_url_len=0)),
+    "robots_rfc": (dict(robots_wildcards=True), {}),
+    "deadhost": (dict(flaky_mod=3, flaky_attempts=99),
+                 dict(host_error_budget=4)),
+}
+
+
+def _web_cfg(variant: str, tag: str, **over) -> dict:
+    return dict(_CRAWL_BY_SF.get(tag, _CRAWL_BY_SF["sf0.01"]),
+                **HARNESS_VARIANTS[variant][0], **over)
+
+
+def harness_crawl(variant: str, tag: str):
+    """The distributed crawl of ``variant`` at ``tag``, once per
+    process: (out_dir, totals)."""
+    from .sharedcache import memo
+    return memo(("harness_crawl", variant, tag),
+                lambda: _run_harness_crawl(variant, tag))
+
+
+def _run_harness_crawl(variant: str, tag: str):
+    from ..crawl.loop import CrawlConfig, run_crawl
+    from ..sources.synthweb import SynthWeb
+
+    web_cfg = _web_cfg(variant, tag)
+    web = SynthWeb(**web_cfg)
+    out = f"/tmp/uniparser_ray_cache/crawl_{variant}_{tag}"
+    shutil.rmtree(out, ignore_errors=True)
+    base = dict(web_config=web_cfg, out_dir=out, seeds=web.seed_urls(),
+                per_host_budget=_CRAWL_BUDGET, seen_shard_bits=3,
+                **HARNESS_VARIANTS[variant][1])
+    resume = variant == "resume"
+    if resume:
+        run_crawl(CrawlConfig(max_rounds=_RESUME_INTERRUPT_ROUND, **base),
+                  web.rule_pack())
+    totals = run_crawl(CrawlConfig(max_rounds=_CRAWL_ROUNDS, **base),
+                       web.rule_pack(), resume=resume)
+    return out, totals
+
+
+def harness_oracle(variant: str, tag: str) -> dict:
+    """The sequential BFSOracle run over ``variant``'s web and config,
+    once per process (``BFSOracle.run``'s result dict)."""
+    from .sharedcache import memo
+    return memo(("harness_oracle", variant, tag),
+                lambda: _run_harness_oracle(variant, tag))
+
+
+def _run_harness_oracle(variant: str, tag: str) -> dict:
+    from ..crawl.oracle import BFSOracle
+    from ..sources.synthweb import SynthWeb
+
+    web = SynthWeb(**_web_cfg(variant, tag))
+    cfg = dict(HARNESS_VARIANTS[variant][1])
+    sitemap_seeds = cfg.pop("sitemap_seeds", False)
+    oracle = BFSOracle(web, web.rule_pack(), per_host_budget=_CRAWL_BUDGET,
+                       **cfg)
+    return oracle.run(web.seed_urls(), max_rounds=_CRAWL_ROUNDS,
+                      sitemap_seeds=sitemap_seeds)
+
+
+def _schedule_rows(variant: str, tag: str, columns) -> pa.Table:
+    """The oracle run's fetch schedule: ``columns`` of one
+    (url, round, depth, status) row per fetched URL."""
+    res = harness_oracle(variant, tag)
+    fetched = [(u, r["round"]) for r in res["rounds"] for u in r["fetched"]]
+    cols = {"url": pa.array([u for u, _ in fetched], pa.string()),
+            "round": pa.array([r for _, r in fetched], pa.int64()),
+            "depth": pa.array([res["depths"][u] for u, _ in fetched],
+                              pa.int64()),
+            "status": pa.array([res["pages"][u][0] for u, _ in fetched],
+                               pa.int64())}
+    return pa.table({c: cols[c] for c in columns})
+
+
+def _read_pages(out: str, columns):
+    """``columns`` (and ``round``) of a crawl's page checkpoints."""
+    from ..crawl.loop import read_rounds
+    return read_rounds(f"{out}/pages", columns, PAGE_SCHEMA)
 
 
 def _variants(df: pd.DataFrame) -> pd.DataFrame:
@@ -64,87 +183,26 @@ def _variants(df: pd.DataFrame) -> pd.DataFrame:
 
 def _canon_stage(t: pa.Table) -> pa.Table:
     """Canonicalization — the same per-URL code the crawl's
-    AnnotateStage runs on every frontier row.  Stateless (the
+    ``canonicalize_batch`` runs on every frontier row.  Stateless (the
     canonicalizer is a pure function, no model/index to load), so a
-    plain task-based map_batches beats an actor pool: no actor ramp,
-    and no 'constructor arguments in the object store' restart hazard
-    the fused actor form warned about."""
+    plain task-based map_batches: no actor ramp."""
     from ..rulevm.urlutil import canonicalize_url
     canon = [canonicalize_url(m) for m in t["messy_url"].to_pylist()]
     return t.append_column("canon_url", pa.array(canon, pa.string()))
 
 
-_RESUME_RUNS: dict = {}
-_RESUME_INTERRUPT_ROUND = 2
-
-
-def _ensure_resumed_crawl(tag: str) -> str:
-    """Interrupted-then-resumed twin of the harness crawl: same web,
-    same config, FRESH out dir.  The first invocation stops after
-    ``_RESUME_INTERRUPT_ROUND`` rounds (a simulated driver death after
-    the round-N checkpoint commit); the second reloads ``_state.json``,
-    replays the committed page checkpoints into the seen shards
-    task-parallel, and continues to completion.  Memoized per
-    (process, tag) like the harness crawl itself."""
-    if tag in _RESUME_RUNS:
-        return _RESUME_RUNS[tag]
-    from ..crawl.loop import CrawlConfig, run_crawl
-    from ..sources.synthweb import SynthWeb
-    from .images_q import _CRAWL_BUDGET, _CRAWL_BY_SF, _CRAWL_ROUNDS
-
-    web_cfg = _CRAWL_BY_SF.get(tag, _CRAWL_BY_SF["sf0.01"])
-    web = SynthWeb(**web_cfg)
-    out = f"/tmp/uniparser_ray_cache/crawl_resume_{tag}"
-    shutil.rmtree(out, ignore_errors=True)
-    base = dict(web_config=web_cfg, out_dir=out, seeds=web.seed_urls(),
-                per_host_budget=_CRAWL_BUDGET,
-                seen_shard_bits=3)
-    run_crawl(CrawlConfig(max_rounds=_RESUME_INTERRUPT_ROUND, **base),
-              web.rule_pack())
-    run_crawl(CrawlConfig(max_rounds=_CRAWL_ROUNDS, **base),
-              web.rule_pack(), resume=True)
-    _RESUME_RUNS[tag] = out
-    return out
-
-
-_CRAWL_MEMO: dict = {}
-
-
-def _memo_crawl(name: str, tag: str, web_cfg: dict, **cfg) -> str:
-    """One crawl per (process, name, tag) over ``web_cfg`` with the
-    harness budget and rounds (``cfg`` adds CrawlConfig fields);
-    returns its out dir."""
-    if (name, tag) not in _CRAWL_MEMO:
-        from ..crawl.loop import CrawlConfig, run_crawl
-        from ..sources.synthweb import SynthWeb
-        from .images_q import _CRAWL_BUDGET, _CRAWL_ROUNDS
-
-        web = SynthWeb(**web_cfg)
-        out = f"/tmp/uniparser_ray_cache/crawl_{name}_{tag}"
-        shutil.rmtree(out, ignore_errors=True)
-        run_crawl(CrawlConfig(web_config=web_cfg, out_dir=out,
-                              seeds=web.seed_urls(),
-                              max_rounds=_CRAWL_ROUNDS,
-                              per_host_budget=_CRAWL_BUDGET,
-                              seen_shard_bits=3, **cfg), web.rule_pack())
-        _CRAWL_MEMO[name, tag] = out
-    return _CRAWL_MEMO[name, tag]
-
-
-def _read_pages_hashed(pages_dir: str):
+def _read_pages_hashed(out: str):
     """Task-parallel pruned read of round-partitioned page checkpoints
     -> (url, round, status, content_md5); result_json never reaches
     the driver (hashed where read)."""
-    from ..crawl.loop import read_rounds
-
     def hashed(t: pa.Table) -> pa.Table:
         md5s = [hashlib.md5((s or "").encode()).hexdigest()
                 for s in t["result_json"].to_pylist()]
         return t.drop_columns(["result_json"]).append_column(
             "content_md5", pa.array(md5s, pa.string()))
 
-    return read_rounds(pages_dir, ["url", "round", "status", "result_json"],
-                       PAGE_SCHEMA).map_batches(hashed, batch_format="pyarrow")
+    return _read_pages(out, ["url", "round", "status", "result_json"]) \
+        .map_batches(hashed, batch_format="pyarrow")
 
 
 def crawl_resume_roundtrip(sf_dir: str):
@@ -161,32 +219,9 @@ def crawl_resume_roundtrip(sf_dir: str):
     compare, so a resumed run that reshuffles work across rounds goes
     red even if the page set matches)."""
     tag = _sf_tag(sf_dir)
-    _ensure_crawl(tag)  # the twin's input: the uninterrupted run
-    out = _ensure_resumed_crawl(tag)
-    return _read_pages_hashed(f"{out}/pages")
-
-
-# alias density for the redirect fixture web: high enough that single
-# hops, two-hop chains, RedirectDuplicates (sitemap-advertised
-# canonical vs legacy link), robots-blocked hops and the /loopx cycle
-# ALL occur at every sf
-_REDIRECT_RATE = 0.4
-
-
-def _redirect_web_cfg(tag: str) -> dict:
-    from .images_q import _CRAWL_BY_SF
-    return dict(_CRAWL_BY_SF.get(tag, _CRAWL_BY_SF["sf0.01"]),
-                redirect_rate=_REDIRECT_RATE)
-
-
-def _ensure_redirect_crawl(tag: str) -> str:
-    """One redirect-enabled crawl per (process, tag): same sf-scaled
-    web as the harness crawl but with legacy-URL aliases on
-    (sources/synthweb.py redirect model) and sitemap seeding (the
-    sitemaps advertise CANONICAL URLs while links use legacy forms —
-    the alias-vs-direct RedirectDuplicate path needs both)."""
-    return _memo_crawl("redirect", tag, _redirect_web_cfg(tag),
-                       sitemap_seeds=True)
+    harness_crawl("base", tag)  # the twin's input: the uninterrupted run
+    out, _totals = harness_crawl("resume", tag)
+    return _read_pages_hashed(out)
 
 
 def crawl_redirects(sf_dir: str):
@@ -199,33 +234,22 @@ def crawl_redirects(sf_dir: str):
     projection-pruned task-parallel read of the pages checkpoints; the
     round rides the compare so redirect handling that shifts WHEN a
     page is fetched goes red too."""
-    from ..crawl.loop import read_rounds
-
     def dup(t: pa.Table) -> pa.Table:
         is_dup = pc.equal(t["error"], "RedirectDuplicate")
         return t.drop_columns(["error"]).append_column(
             "is_dup", pc.fill_null(is_dup, False).cast(pa.int64()))
 
-    out = _ensure_redirect_crawl(_sf_tag(sf_dir))
-    return read_rounds(f"{out}/pages", [
-        "url", "round", "status", "final_url", "redirects", "error"],
-        PAGE_SCHEMA).map_batches(dup, batch_format="pyarrow")
+    out, _totals = harness_crawl("redirect", _sf_tag(sf_dir))
+    return _read_pages(out, [
+        "url", "round", "status", "final_url", "redirects", "error"]) \
+        .map_batches(dup, batch_format="pyarrow")
 
 
 def expected_crawl_redirects(tag: str) -> pa.Table:
     """Generator-side twin: the single-process BFSOracle (an
     independent sequential implementation of the same crawl + redirect
     semantics) run over the identical web/config."""
-    from ..crawl.oracle import BFSOracle
-    from ..sources.synthweb import SynthWeb
-    from .images_q import _CRAWL_BUDGET, _CRAWL_ROUNDS
-
-    web_cfg = _redirect_web_cfg(tag)
-    web = SynthWeb(**web_cfg)
-    oracle = BFSOracle(SynthWeb(**web_cfg), web.rule_pack(),
-                       per_host_budget=_CRAWL_BUDGET)
-    res = oracle.run(web.seed_urls(), max_rounds=_CRAWL_ROUNDS,
-                     sitemap_seeds=True)
+    res = harness_oracle("redirect", tag)
     url_round = {u: r["round"] for r in res["rounds"] for u in r["fetched"]}
     rows = []
     for url, (status, _body) in res["pages"].items():
@@ -245,12 +269,9 @@ def crawl_url_canon(sf_dir: str):
     every fetched URL must canonicalize back to the SQL-predicted
     form.  One projection-pruned read of the pages checkpoints, no
     shuffle — variants and canonicalization are row-local."""
-    from ..sources.parquet import read_parquet_clean
-
-    tag = _sf_tag(sf_dir)
-    out, _totals = _ensure_crawl(tag)
-    ds = read_parquet_clean(f"{out}/pages", columns=["url"])
-    return (ds.map_batches(_variants, batch_format="pandas")
+    out, _totals = harness_crawl("base", _sf_tag(sf_dir))
+    return (_read_pages(out, ["url"]).drop_columns(["round"])
+              .map_batches(_variants, batch_format="pandas")
               .map_batches(_canon_stage, batch_format="pyarrow"))
 
 
@@ -266,36 +287,28 @@ def crawl_sitemap_ingest(sf_dir: str):
     compare proves the whole render -> robots-discovery -> chunked
     fetch -> parse chain, including lastmod/priority defaults for
     entries whose optional tags are omitted."""
+    return _sitemap_ingest(_web_cfg("base", _sf_tag(sf_dir)))
+
+
+def _sitemap_ingest(web_cfg: dict):
+    """Every host of ``web_cfg``'s web as a Dataset row, run through
+    the sitemap ingest stage."""
     import ray.data as rd
 
     from ..crawl.sitemap import make_ingest_stage
-    from .images_q import _CRAWL_BY_SF
-
     from ..sources.synthweb import SynthWeb
 
-    tag = _sf_tag(sf_dir)
-    web_cfg = _CRAWL_BY_SF.get(tag, _CRAWL_BY_SF["sf0.01"])
-    n_hosts = web_cfg["num_hosts"]
-    names = SynthWeb(**web_cfg)
-    hosts = rd.from_items([{"host": names.host_name(h)}
-                           for h in range(n_hosts)],
-                          override_num_blocks=min(n_hosts, 16))
+    web = SynthWeb(**web_cfg)
+    hosts = rd.from_items([{"host": web.host_name(h)}
+                           for h in range(web.num_hosts)],
+                          override_num_blocks=min(web.num_hosts, 16))
     return hosts.map_batches(make_ingest_stage(web_cfg),
                              batch_format="pyarrow", batch_size=4)
 
 
-def expected_sitemap_rows(tag: str):
-    """Generator-side twin for the crawl_sitemap_ingest oracle: the
-    same rows from sitemap_entries() directly (never rendered to XML),
-    with sitemap_url derived from the chunk layout arithmetic."""
-    import pyarrow as _pa
-
-    from ..sources.synthweb import SynthWeb
-    from .images_q import _CRAWL_BY_SF
-
-    web_cfg = _CRAWL_BY_SF.get(tag, _CRAWL_BY_SF["sf0.01"])
-    web = SynthWeb(**web_cfg)
-    rows = []
+def _sitemap_entries(web):
+    """(host, sitemap_url, url, lastmod, priority_bp) per advertised
+    entry of every host, sitemap_url from the chunk layout arithmetic."""
     for h in range(web.num_hosts):
         entries = web.sitemap_entries(h)
         host = web.host_name(h)
@@ -303,12 +316,23 @@ def expected_sitemap_rows(tag: str):
         for i, (url, lastmod, prio_bp) in enumerate(entries):
             sm = (f"http://{host}/sitemap-{i // web.SITEMAP_CHUNK}.xml"
                   if chunked else f"http://{host}/sitemap.xml")
-            rows.append({"host": host, "sitemap_url": sm, "url": url,
-                         "lastmod": lastmod, "priority_bp": prio_bp})
-    return _pa.Table.from_pylist(rows, schema=_pa.schema([
-        ("host", _pa.string()), ("sitemap_url", _pa.string()),
-        ("url", _pa.string()), ("lastmod", _pa.string()),
-        ("priority_bp", _pa.int64())]))
+            yield host, sm, url, lastmod, prio_bp
+
+
+def expected_sitemap_rows(tag: str):
+    """Generator-side twin for the crawl_sitemap_ingest oracle: the
+    same rows from sitemap_entries() directly (never rendered to XML),
+    with sitemap_url derived from the chunk layout arithmetic."""
+    from ..sources.synthweb import SynthWeb
+
+    web = SynthWeb(**_web_cfg("base", tag))
+    rows = [{"host": host, "sitemap_url": sm, "url": url,
+             "lastmod": lastmod, "priority_bp": prio_bp}
+            for host, sm, url, lastmod, prio_bp in _sitemap_entries(web)]
+    return pa.Table.from_pylist(rows, schema=pa.schema([
+        ("host", pa.string()), ("sitemap_url", pa.string()),
+        ("url", pa.string()), ("lastmod", pa.string()),
+        ("priority_bp", pa.int64())]))
 
 
 def crawl_sitemap_seed(sf_dir: str):
@@ -322,23 +346,18 @@ def crawl_sitemap_seed(sf_dir: str):
     (crawl/sitemap.seed_priority) at depth 0.  One projection-pruned
     read of the checkpoint files — seeding correctness is proven from
     the engine's own durable artifact, not from in-memory state."""
-    import ray.data as rd
+    from ..crawl.loop import FRONTIER_SCHEMA, read_rounds
 
-    tag = _sf_tag(sf_dir)
-    out = _ensure_redirect_crawl(tag)
+    out, _totals = harness_crawl("redirect", _sf_tag(sf_dir))
     files = [str(f) for f in
              sorted(Path(out, "frontier", "round=0").glob("*.parquet"))]
 
     def project(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "url": t["url"].cast(pa.string()),
-            "parent": t["parent"].cast(pa.string()),
-            "depth": t["depth"].cast(pa.int64()),
-            "priority": t["priority"].cast(pa.float64())})
+        return t.select(["url", "parent", "depth", "priority"]).set_column(
+            3, "priority", t["priority"].cast(pa.float64()))
 
-    return rd.read_parquet(files,
-                           columns=["url", "parent", "depth",
-                                    "priority"]) \
+    return read_rounds(files, ["url", "parent", "depth", "priority"],
+                       FRONTIER_SCHEMA) \
         .map_batches(project, batch_format="pyarrow")
 
 
@@ -353,23 +372,13 @@ def expected_sitemap_seed(tag: str) -> pa.Table:
     from ..rulevm.urlutil import canonicalize_url
     from ..sources.synthweb import SynthWeb
 
-    web_cfg = _redirect_web_cfg(tag)
-    web = SynthWeb(**web_cfg)
+    web = SynthWeb(**_web_cfg("redirect", tag))
     seeds = web.seed_urls()
     seed_canon = {canonicalize_url(u) for u in seeds}
     rows = [{"url": u, "parent": "", "depth": 0, "priority": 0.0}
             for u in seeds]
-    for h in range(web.num_hosts):
-        entries = web.sitemap_entries(h)
-        if not entries:
-            continue
-        host = web.host_name(h)
-        chunked = len(entries) > web.SITEMAP_CHUNK
-        for i, (url, _lastmod, prio_bp) in enumerate(entries):
-            if canonicalize_url(url) in seed_canon:
-                continue
-            sm = (f"http://{host}/sitemap-{i // web.SITEMAP_CHUNK}.xml"
-                  if chunked else f"http://{host}/sitemap.xml")
+    for _host, sm, url, _lastmod, prio_bp in _sitemap_entries(web):
+        if canonicalize_url(url) not in seed_canon:
             rows.append({"url": url, "parent": sm, "depth": 0,
                          "priority": seed_priority(prio_bp)})
     return pa.Table.from_pylist(rows, schema=pa.schema([
@@ -430,23 +439,16 @@ def crawl_recrawl_delta(sf_dir: str):
     validator and the new content hash.  One projection-pruned read of
     the pages checkpoints -> task-pool conditional fetches; no
     shuffle, bodies only exist inside tasks for the changed slice."""
-    from ..sources.parquet import read_parquet_clean
     from ..stages.taskcache import cached_stage
-    from .images_q import _ensure_crawl
 
     tag = _sf_tag(sf_dir)
-    out, _totals = _ensure_crawl(tag)
-    web_cfg = dict(_CRAWL_BY_SF_OF(tag), epoch=1)
-    ds = read_parquet_clean(f"{out}/pages", columns=["url", "status",
-                                                     "etag"])
-    return (ds.filter(expr="status == 200")
-              .map_batches(cached_stage(RecrawlStage, web_config=web_cfg),
+    out, _totals = harness_crawl("base", tag)
+    return (_read_pages(out, ["url", "status", "etag"])
+              .filter(expr="status == 200")
+              .map_batches(cached_stage(RecrawlStage,
+                                        web_config=_web_cfg("base", tag,
+                                                            epoch=1)),
                            batch_format="pyarrow", batch_size=512))
-
-
-def _CRAWL_BY_SF_OF(tag: str) -> dict:
-    from .images_q import _CRAWL_BY_SF
-    return dict(_CRAWL_BY_SF.get(tag, _CRAWL_BY_SF["sf0.01"]))
 
 
 def crawl_sitemap_recrawl(sf_dir: str):
@@ -464,35 +466,21 @@ def crawl_sitemap_recrawl(sf_dir: str):
     revision model exactly), and the RESULT CARDINALITY is the
     efficiency claim: fetches == changed-and-advertised pages only —
     unchanged pages cost nothing at all, not even a 304."""
-    import ray.data as rd
-
-    from ..crawl.sitemap import make_ingest_stage
-    from ..sources.parquet import read_parquet_clean
-    from ..sources.synthweb import SynthWeb
     from ..stages.combine import hash_bucket_join
     from ..stages.taskcache import cached_stage
-    from .images_q import _ensure_crawl
 
     tag = _sf_tag(sf_dir)
-    out, _totals = _ensure_crawl(tag)
-    web_cfg = dict(_CRAWL_BY_SF_OF(tag), epoch=1)
-
-    n_hosts = web_cfg["num_hosts"]
-    names = SynthWeb(**web_cfg)
-    hosts = rd.from_items([{"host": names.host_name(h)}
-                           for h in range(n_hosts)],
-                          override_num_blocks=min(n_hosts, 16))
-    advertised = hosts.map_batches(make_ingest_stage(web_cfg),
-                                   batch_format="pyarrow", batch_size=4)
+    out, _totals = harness_crawl("base", tag)
+    web_cfg = _web_cfg("base", tag, epoch=1)
 
     def updated_only(t: pa.Table) -> pa.Table:
         keep = pc.starts_with(t["lastmod"], "2027-")
         return t.filter(keep).select(["url"]) \
             .rename_columns(["sm_url"])
 
-    updated = advertised.map_batches(updated_only, batch_format="pyarrow")
-    crawled = read_parquet_clean(f"{out}/pages",
-                                 columns=["url", "status", "etag"]) \
+    updated = _sitemap_ingest(web_cfg).map_batches(updated_only,
+                                                   batch_format="pyarrow")
+    crawled = _read_pages(out, ["url", "status", "etag"]) \
         .filter(expr="status == 200")
     selected = hash_bucket_join(
         updated, crawled, "sm_url", "url",
@@ -504,37 +492,47 @@ def crawl_sitemap_recrawl(sf_dir: str):
         batch_format="pyarrow", batch_size=512)
 
 
+_PAGE_URL = re.compile(r"http://host-(\d{4})\.test(?:/page/(\d+))?/?")
+
+_RECRAWL_SCHEMA = pa.schema([
+    ("url", pa.string()), ("recrawl_status", pa.int64()),
+    ("changed", pa.int64()), ("new_etag", pa.string()),
+    ("content_md5", pa.string())])
+
+
+def _page_hp(url: str):
+    m = _PAGE_URL.fullmatch(url)
+    return int(m.group(1)), int(m.group(2) or 0)
+
+
+def _recrawl_row(web1, url: str, changed: bool) -> dict:
+    """The expected conditional re-fetch of ``url`` on the epoch-1
+    web: 200 with the new validator and the rendered page's hash when
+    it changed, else 304."""
+    h, p = _page_hp(url)
+    md5 = (hashlib.md5(web1.render_page(h, p).encode()).hexdigest()
+           if changed else "")
+    return {"url": url, "recrawl_status": 200 if changed else 304,
+            "changed": int(changed), "new_etag": web1.page_etag(h, p),
+            "content_md5": md5}
+
+
 def expected_sitemap_recrawl(tag: str) -> pa.Table:
     """Twin: pure arithmetic — {epoch-0-crawled 200 pages} INTERSECT
     {sitemap-advertised with revision bumped at epoch 1}; each row's
     status/validator/hash from the epoch-1 generator directly."""
-    import hashlib as _hl
-    import re as _re
-
     from ..sources.synthweb import SynthWeb
 
-    web1 = SynthWeb(**dict(_CRAWL_BY_SF_OF(tag), epoch=1))
-    res = _harness_oracle(tag)
+    web1 = SynthWeb(**_web_cfg("base", tag, epoch=1))
+    res = harness_oracle("base", tag)
     # lastmod startswith 2027 <=> revision bumped, by construction —
     # the same predicate the engine's vectorized filter applies
-    advertised = {u for h in range(web1.num_hosts)
-                  for (u, lm, _bp) in web1.sitemap_entries(h)
+    advertised = {url for _h, _sm, url, lm, _bp in _sitemap_entries(web1)
                   if lm.startswith("2027-")}
-    rows = []
-    for url, (status, _body) in res["pages"].items():
-        if status != 200 or url not in advertised:
-            continue
-        m = _re.fullmatch(r"http://host-(\d{4})\.test(?:/page/(\d+))?/?",
-                          url)
-        h, p = int(m.group(1)), int(m.group(2) or 0)
-        rows.append({"url": url, "recrawl_status": 200, "changed": 1,
-                     "new_etag": web1.page_etag(h, p),
-                     "content_md5": _hl.md5(
-                         web1.render_page(h, p).encode()).hexdigest()})
-    return pa.Table.from_pylist(rows, schema=pa.schema([
-        ("url", pa.string()), ("recrawl_status", pa.int64()),
-        ("changed", pa.int64()), ("new_etag", pa.string()),
-        ("content_md5", pa.string())]))
+    rows = [_recrawl_row(web1, url, True)
+            for url, (status, _body) in res["pages"].items()
+            if status == 200 and url in advertised]
+    return pa.Table.from_pylist(rows, schema=_RECRAWL_SCHEMA)
 
 
 def expected_recrawl_delta(tag: str) -> pa.Table:
@@ -543,51 +541,14 @@ def expected_recrawl_delta(tag: str) -> pa.Table:
     rev arithmetic, and the changed content hash comes from rendering
     the epoch-1 page directly — the conditional-GET chain (header
     send, 304 vs 200 branch, body decode) is what the compare tests."""
-    import hashlib as _hl
-    import re as _re
-
     from ..sources.synthweb import SynthWeb
 
-    web1 = SynthWeb(**dict(_CRAWL_BY_SF_OF(tag), epoch=1))
-    res = _harness_oracle(tag)
-    rows = []
-    for url, (status, _body) in res["pages"].items():
-        if status != 200:
-            continue
-        m = _re.fullmatch(r"http://host-(\d{4})\.test(?:/page/(\d+))?/?",
-                          url)
-        h, p = int(m.group(1)), int(m.group(2) or 0)
-        rev = web1.page_rev(h, p)
-        if rev:
-            rows.append({"url": url, "recrawl_status": 200, "changed": 1,
-                         "new_etag": web1.page_etag(h, p),
-                         "content_md5": _hl.md5(
-                             web1.render_page(h, p).encode()).hexdigest()})
-        else:
-            rows.append({"url": url, "recrawl_status": 304, "changed": 0,
-                         "new_etag": web1.page_etag(h, p),
-                         "content_md5": ""})
-    return pa.Table.from_pylist(rows, schema=pa.schema([
-        ("url", pa.string()), ("recrawl_status", pa.int64()),
-        ("changed", pa.int64()), ("new_etag", pa.string()),
-        ("content_md5", pa.string())]))
-
-
-def _harness_oracle(tag: str):
-    from .images_q import _oracle_result
-    return _oracle_result(tag)
-
-
-_TRAP_GUARDS = dict(max_path_repeats=2, max_depth=0, max_url_len=0)
-
-
-def _ensure_trap_crawl(tag: str) -> str:
-    """One trap-web crawl per (process, tag): every root links an
-    infinite /trap/x/x/... chain; the max_path_repeats guard must cut
-    it at the bound while the rest of the crawl is untouched."""
-    return _memo_crawl("trap", tag,
-                       dict(_CRAWL_BY_SF_OF(tag), trap_links=True),
-                       **_TRAP_GUARDS)
+    web1 = SynthWeb(**_web_cfg("base", tag, epoch=1))
+    res = harness_oracle("base", tag)
+    rows = [_recrawl_row(web1, url, bool(web1.page_rev(*_page_hp(url))))
+            for url, (status, _body) in res["pages"].items()
+            if status == 200]
+    return pa.Table.from_pylist(rows, schema=_RECRAWL_SCHEMA)
 
 
 def crawl_trap_guard(sf_dir: str):
@@ -598,41 +559,13 @@ def crawl_trap_guard(sf_dir: str):
     same way — proving the guard cuts the trap at the bound (the trap
     IS entered up to it) without perturbing anything else.  One
     projection-pruned task-parallel read of the pages checkpoints."""
-    from ..crawl.loop import read_rounds
-    out = _ensure_trap_crawl(_sf_tag(sf_dir))
-    return read_rounds(f"{out}/pages", ["url", "round", "depth", "status"],
-                       PAGE_SCHEMA)
+    out, _totals = harness_crawl("trap", _sf_tag(sf_dir))
+    return _read_pages(out, ["url", "round", "depth", "status"])
 
 
 def expected_trap_guard(tag: str) -> pa.Table:
     """Twin: the sequential BFSOracle with the same guards."""
-    from ..crawl.oracle import BFSOracle
-    from ..sources.synthweb import SynthWeb
-    from .images_q import _CRAWL_BUDGET, _CRAWL_ROUNDS
-
-    web_cfg = dict(_CRAWL_BY_SF_OF(tag), trap_links=True)
-    web = SynthWeb(**web_cfg)
-    oracle = BFSOracle(SynthWeb(**web_cfg), web.rule_pack(),
-                       per_host_budget=_CRAWL_BUDGET, **_TRAP_GUARDS)
-    res = oracle.run(web.seed_urls(), max_rounds=_CRAWL_ROUNDS)
-    rows = []
-    for r in res["rounds"]:
-        for u in r["fetched"]:
-            rows.append({"url": u, "round": r["round"],
-                         "depth": res["depths"][u],
-                         "status": res["pages"][u][0]})
-    return pa.Table.from_pylist(rows, schema=pa.schema([
-        ("url", pa.string()), ("round", pa.int64()),
-        ("depth", pa.int64()), ("status", pa.int64())]))
-
-
-def _ensure_robots_rfc_crawl(tag: str) -> str:
-    """One RFC-9309-robots crawl per (process, tag) over the wildcard-
-    robots web (``*`` globs, ``$`` anchors, Allow overrides, a
-    specific-UA group behind a disallow-everything decoy group, a
-    decoy group whose token is a prefix of ours)."""
-    return _memo_crawl("robots_rfc", tag,
-                       dict(_CRAWL_BY_SF_OF(tag), robots_wildcards=True))
+    return _schedule_rows("trap", tag, ["url", "round", "depth", "status"])
 
 
 def crawl_robots_rfc(sf_dir: str):
@@ -645,42 +578,13 @@ def crawl_robots_rfc(sf_dir: str):
     files with its own naive RFC 9309 reader.  A page one side blocks
     and the other fetches shifts the whole schedule and goes red.  One
     projection-pruned task-parallel read of the pages checkpoints."""
-    from ..crawl.loop import read_rounds
-    out = _ensure_robots_rfc_crawl(_sf_tag(sf_dir))
-    return read_rounds(f"{out}/pages", ["url", "round", "status"],
-                       PAGE_SCHEMA)
+    out, _totals = harness_crawl("robots_rfc", _sf_tag(sf_dir))
+    return _read_pages(out, ["url", "round", "status"])
 
 
 def expected_robots_rfc(tag: str) -> pa.Table:
     """Twin: the sequential BFSOracle and its own RFC 9309 reader."""
-    from ..crawl.oracle import BFSOracle
-    from ..sources.synthweb import SynthWeb
-    from .images_q import _CRAWL_BUDGET, _CRAWL_ROUNDS
-
-    web_cfg = dict(_CRAWL_BY_SF_OF(tag), robots_wildcards=True)
-    web = SynthWeb(**web_cfg)
-    oracle = BFSOracle(SynthWeb(**web_cfg), web.rule_pack(),
-                       per_host_budget=_CRAWL_BUDGET)
-    res = oracle.run(web.seed_urls(), max_rounds=_CRAWL_ROUNDS)
-    rows = [{"url": u, "round": r["round"],
-             "status": res["pages"][u][0]}
-            for r in res["rounds"] for u in r["fetched"]]
-    return pa.Table.from_pylist(rows, schema=pa.schema([
-        ("url", pa.string()), ("round", pa.int64()),
-        ("status", pa.int64())]))
-
-
-_DEADHOST_BUDGET = 4
-_DEADHOST_FLAKY = dict(flaky_mod=3, flaky_attempts=99)
-
-
-def _ensure_deadhost_crawl(tag: str) -> str:
-    """One dead-host crawl per (process, tag): ~1/3 of pages serve
-    permanent 503s, so hosts cross the error budget and get banned
-    mid-crawl."""
-    return _memo_crawl("deadhost", tag,
-                       dict(_CRAWL_BY_SF_OF(tag), **_DEADHOST_FLAKY),
-                       host_error_budget=_DEADHOST_BUDGET)
+    return _schedule_rows("robots_rfc", tag, ["url", "round", "status"])
 
 
 def crawl_host_ban(sf_dir: str):
@@ -691,27 +595,10 @@ def crawl_host_ban(sf_dir: str):
     schedule must equal the budget-configured sequential oracle —
     proving bans fire at exactly the right round and prune exactly the
     right frontier rows."""
-    from ..crawl.loop import read_rounds
-    out = _ensure_deadhost_crawl(_sf_tag(sf_dir))
-    return read_rounds(f"{out}/pages", ["url", "round", "status"],
-                       PAGE_SCHEMA)
+    out, _totals = harness_crawl("deadhost", _sf_tag(sf_dir))
+    return _read_pages(out, ["url", "round", "status"])
 
 
 def expected_host_ban(tag: str) -> pa.Table:
     """Twin: the sequential BFSOracle with the same error budget."""
-    from ..crawl.oracle import BFSOracle
-    from ..sources.synthweb import SynthWeb
-    from .images_q import _CRAWL_BUDGET, _CRAWL_ROUNDS
-
-    web_cfg = dict(_CRAWL_BY_SF_OF(tag), **_DEADHOST_FLAKY)
-    web = SynthWeb(**web_cfg)
-    oracle = BFSOracle(SynthWeb(**web_cfg), web.rule_pack(),
-                       per_host_budget=_CRAWL_BUDGET,
-                       host_error_budget=_DEADHOST_BUDGET)
-    res = oracle.run(web.seed_urls(), max_rounds=_CRAWL_ROUNDS)
-    rows = [{"url": u, "round": r["round"],
-             "status": res["pages"][u][0]}
-            for r in res["rounds"] for u in r["fetched"]]
-    return pa.Table.from_pylist(rows, schema=pa.schema([
-        ("url", pa.string()), ("round", pa.int64()),
-        ("status", pa.int64())]))
+    return _schedule_rows("deadhost", tag, ["url", "round", "status"])

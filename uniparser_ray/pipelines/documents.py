@@ -102,15 +102,8 @@ def doc_minhash_recall(sf_dir: str, threshold: float = 0.6):
 
     from ..stages.combine import grouped_aggregate
 
-    import ray.data as rd
-
-    def _as_ds(x):
-        # the minhash pipeline's small-corpus fast path returns a
-        # materialized arrow table
-        return rd.from_arrow(x) if isinstance(x, pa.Table) else x
-
-    exact = _as_ds(doc_dedup_jaccard(sf_dir, threshold=threshold))
-    lsh = _as_ds(doc_dedup_minhash(sf_dir, threshold=threshold))
+    exact = doc_dedup_jaccard(sf_dir, threshold=threshold)
+    lsh = doc_dedup_minhash(sf_dir, threshold=threshold)
 
     def mark(hit: int):
         def fn(t: pa.Table) -> pa.Table:
@@ -377,16 +370,7 @@ def _doc_dedup_clusters(sf_dir: str, threshold: float):
         return t.slice(0, 0)
 
     ids.map_batches(_ingest_nodes, batch_format="pyarrow").materialize()
-    if isinstance(pairs, pa.Table):
-        # the minhash pipeline's small-corpus fast path returns a
-        # materialized table — ingest it in one driver-side call
-        ray.get(graph_bsp.ingest_edge_batch(
-            shards,
-            pairs["doc_a"].to_numpy().astype("uint64"),
-            pairs["doc_b"].to_numpy().astype("uint64")))
-    else:
-        pairs.map_batches(_ingest_pairs,
-                          batch_format="pyarrow").materialize()
+    pairs.map_batches(_ingest_pairs, batch_format="pyarrow").materialize()
     ray.get([s.seal.remote() for s in shards])
     out = graph_bsp.component_assignments(shards).to_pandas()
     for s in shards:
@@ -1235,8 +1219,8 @@ def doc_source_lang_mix(sf_dir: str):
     shares computed on the folded cell table.  The DuckDB twin nests
     the langid twin, so the composed report value-checks end to
     end."""
+    from ..stages.combine import grouped_aggregate
     from ..stages.text import langid_batch
-    from .relational import partial_groupby
 
     ds = _read(sf_dir, ["doc_id", "text", "source"])
 
@@ -1251,7 +1235,7 @@ def doc_source_lang_mix(sf_dir: str):
             .sum().reset_index()
         return table_from_pandas(g, preserve_index=False)
 
-    cells = partial_groupby(
+    cells = grouped_aggregate(
         ds.map_batches(cell_rows, batch_format="pyarrow"),
         ["source", "lang_pred"],
         {"n_docs": ("n_docs", "sum"), "n_tokens": ("n_tokens", "sum")}).to_pandas()
@@ -1429,14 +1413,13 @@ def doc_rarity_buckets(sf_dir: str):
 
     from ..stages.combine import grouped_aggregate, hash_bucket_combine
     from ..stages.sketches import exact_quantiles
-    from .relational import partial_groupby
 
     ds = _read(sf_dir, ["doc_id", "text"])
     per_tok = ds.map_batches(_doc_token_count_rows,
                              batch_format="pyarrow").materialize()
 
     # distinct corpus-count values (tiny), sorted ascending
-    vocab = partial_groupby(per_tok, ["tid"], {"tot": ("cnt", "sum")})
+    vocab = grouped_aggregate(per_tok, ["tid"], {"tot": ("cnt", "sum")})
 
     def distinct_tots(df: pd.DataFrame) -> pd.DataFrame:
         real = df[df["tid"] >= 0]

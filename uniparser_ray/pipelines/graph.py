@@ -41,13 +41,10 @@ from ..blocks import table_from_pandas
 
 from ..rulevm.urlutil import url_hash64
 from ..stages import graph_bsp
+from .crawl_q import _sf_tag
 
 PR_ITERATIONS = 8
 PR_TOP_K = 50
-
-
-def _sf_tag(sf_dir: str) -> str:
-    return sf_dir.rstrip("/").rsplit("/", 1)[-1]
 
 
 # smaller than the crawl configs: the graph queries fetch the WHOLE

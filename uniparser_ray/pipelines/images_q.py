@@ -21,8 +21,6 @@ pinned by pytest.
 from __future__ import annotations
 
 import hashlib
-import shutil
-from pathlib import Path
 
 import numpy as np
 import pandas as pd
@@ -33,14 +31,12 @@ from ..blocks import table_from_pandas
 from ..sources.codecs import average_hash64, decode_image, encode_ppm
 from ..sources.images import (caption_for, generate_images_lance, image_spec,
                               render_pixels)
-from ..stages.crawl_stages import IMAGE_ROW_SCHEMA, PAGE_SCHEMA
+from ..stages.crawl_stages import IMAGE_ROW_SCHEMA
 from ..storage.lance_layout import LanceLayoutTable
+from .crawl_q import (_CRAWL_BUDGET, _read_pages, _sf_tag, harness_crawl,
+                      harness_oracle)
 
 _ROWS_BY_SF = {"sf0.001": 300, "sf0.01": 1000, "sf0.1": 4000}
-
-def _sf_tag(sf_dir: str) -> str:
-    return Path(sf_dir).name or "sf0.01"
-
 
 def _n_images(tag: str) -> int:
     return _ROWS_BY_SF.get(tag, 1000)
@@ -190,17 +186,6 @@ def caption_token_stats(sf_dir: str):
     return ds.map_batches(stats, batch_format="pyarrow")
 
 
-_CRAWL_BY_SF = {"sf0.001": dict(num_hosts=3, base_pages=8, fanout=2,
-                                hot_factor=3.0),
-                "sf0.01": dict(num_hosts=6, base_pages=12, fanout=3,
-                               hot_factor=5.0),
-                "sf0.1": dict(num_hosts=16, base_pages=40, fanout=3,
-                              hot_factor=10.0)}
-
-_CRAWL_BUDGET = 6
-_CRAWL_ROUNDS = 40
-
-
 def _image_row_from_blob(image_id: str, blob: bytes, caption: str) -> dict:
     """Shared row derivation (dims/fmt/phash from the bytes) used for
     the oracle's expected rows; fmt is sniffed from the magic."""
@@ -214,31 +199,6 @@ def _image_row_from_blob(image_id: str, blob: bytes, caption: str) -> dict:
             "bytes_md5": hashlib.md5(blob).hexdigest()}
 
 
-_CRAWL_RUNS: dict = {}
-
-
-def _ensure_crawl(tag: str):
-    """One distributed crawl per (process, tag), shared by every
-    crawl-backed query (images / round metrics / lineage): rerunning
-    the identical deterministic crawl three times would triple the
-    harness cost for no extra coverage.  Returns (out_dir, totals)."""
-    if tag in _CRAWL_RUNS:
-        return _CRAWL_RUNS[tag]
-    from ..crawl.loop import CrawlConfig, run_crawl
-    from ..sources.synthweb import SynthWeb
-
-    web_cfg = _CRAWL_BY_SF.get(tag, _CRAWL_BY_SF["sf0.01"])
-    web = SynthWeb(**web_cfg)
-    out = f"/tmp/uniparser_ray_cache/crawl_{tag}"
-    shutil.rmtree(out, ignore_errors=True)
-    cfg = CrawlConfig(web_config=web_cfg, out_dir=out, seeds=web.seed_urls(),
-                      max_rounds=_CRAWL_ROUNDS, per_host_budget=_CRAWL_BUDGET,
-                      seen_shard_bits=3)
-    totals = run_crawl(cfg, web.rule_pack())
-    _CRAWL_RUNS[tag] = (out, totals)
-    return _CRAWL_RUNS[tag]
-
-
 def crawl_images(sf_dir: str):
     """The flagship: full distributed crawl over the sf-scaled
     synthetic web; returns the input_hint-shaped image+caption table
@@ -247,7 +207,7 @@ def crawl_images(sf_dir: str):
     independent implementation of the same crawl semantics) produces
     the expected rows."""
     tag = _sf_tag(sf_dir)
-    out, _totals = _ensure_crawl(tag)
+    out, _totals = harness_crawl("base", tag)
     table = LanceLayoutTable(f"{out}/images_lance")
     # md5 the payloads WHERE THEY LIVE: a map_batches over the Lance
     # fragments hashes each block's bytes in parallel; the driver only
@@ -339,28 +299,8 @@ def expected_images_meta(tag: str) -> pa.Table:
     return _images_meta_table(tag)
 
 
-_ORACLE_RUNS: dict = {}
-
-
-def _oracle_result(tag: str) -> dict:
-    """One conformance-crawler replay per (process, tag), shared by
-    every expected_crawl_* helper (images / round metrics / lineage):
-    the BFS replay is deterministic, so rerunning it per oracle query
-    only multiplies harness cost."""
-    if tag not in _ORACLE_RUNS:
-        from ..crawl.oracle import BFSOracle
-        from ..sources.synthweb import SynthWeb
-        web_cfg = _CRAWL_BY_SF.get(tag, _CRAWL_BY_SF["sf0.01"])
-        web = SynthWeb(**web_cfg)
-        oracle = BFSOracle(SynthWeb(**web_cfg), web.rule_pack(),
-                           per_host_budget=_CRAWL_BUDGET)
-        _ORACLE_RUNS[tag] = oracle.run(web.seed_urls(),
-                                       max_rounds=_CRAWL_ROUNDS)
-    return _ORACLE_RUNS[tag]
-
-
 def expected_crawl_images(tag: str) -> pa.Table:
-    result = _oracle_result(tag)
+    result = harness_oracle("base", tag)
     rows = [_image_row_from_blob(iid, blob, cap)
             for iid, (blob, cap) in sorted(result["images"].items())]
     return pa.Table.from_pylist(rows)
@@ -370,7 +310,7 @@ def expected_crawl_image_lineage(tag: str) -> pa.Table:
     """Expected (image_id, round) lineage: the conformance crawler's
     first-seen round per image — the independent path for the Lance
     manifest's round=N partition provenance."""
-    result = _oracle_result(tag)
+    result = harness_oracle("base", tag)
     items = sorted(result["image_round"].items())
     return pa.table({
         "image_id": pa.array([i for i, _ in items], pa.string()),
@@ -581,7 +521,7 @@ def crawl_images_curation(sf_dir: str):
     the conformance crawler's expected rows, so the full
     crawl-then-curate composition value-checks."""
     tag = _sf_tag(sf_dir)
-    out, _totals = _ensure_crawl(tag)
+    out, _totals = harness_crawl("base", tag)
     return _curation_gate(LanceLayoutTable(f"{out}/images_lance"))
 
 
@@ -599,7 +539,7 @@ def crawl_wet_roundtrip(sf_dir: str):
     from ..sources.warc import export_wet, read_wet
 
     tag = _sf_tag(sf_dir)
-    out, _totals = _ensure_crawl(tag)
+    out, _totals = harness_crawl("base", tag)
     paths = export_wet(f"{out}/pages", f"{out}/wet")
 
     def digest(t: pa.Table) -> pa.Table:
@@ -655,7 +595,7 @@ def crawl_images_dedup_exact(sf_dir: str):
     from ..stages.combine import hash_bucket_combine
 
     tag = _sf_tag(sf_dir)
-    out, _totals = _ensure_crawl(tag)
+    out, _totals = harness_crawl("base", tag)
     return _bytes_dedup(LanceLayoutTable(f"{out}/images_lance"))
 
 
@@ -911,7 +851,7 @@ def expected_crawl_round_metrics(tag: str) -> pa.Table:
     crawler — the independent path for the distributed loop's own
     per-round accounting (the north rule's frontier/fetch/parse
     metrics as a value-checked surface, not just a JSON side file)."""
-    result = _oracle_result(tag)
+    result = harness_oracle("base", tag)
     return pa.table({
         "round": pa.array([r["round"] for r in result["rounds"]],
                           pa.int64()),
@@ -931,7 +871,7 @@ def crawl_round_metrics(sf_dir: str):
     just WHAT was crawled (crawl_images) but the round-by-round
     schedule the frontier/politeness/seen machinery produced."""
     tag = _sf_tag(sf_dir)
-    _out, totals = _ensure_crawl(tag)
+    _out, totals = harness_crawl("base", tag)
     rows = totals["per_round"]
     return pa.table({
         "round": pa.array([m["round"] for m in rows], pa.int64()),
@@ -948,7 +888,7 @@ def expected_crawl_politeness_audit(tag: str) -> pa.Table:
     whether that max stayed within the per-host budget."""
     from ..rulevm.request import get_host
 
-    result = _oracle_result(tag)
+    result = harness_oracle("base", tag)
     per: dict = {}
     for r in result["rounds"]:
         for u in r["fetched"]:
@@ -979,14 +919,11 @@ def crawl_politeness_audit(sf_dir: str):
     pinned by a value compare, not asserted in prose.  The final fold
     runs on the (hosts x rounds) aggregate-of-aggregates — bounded by
     budget x rounds per host, never by page count."""
-    from ..crawl.loop import read_rounds
-    from .relational import partial_groupby
+    from ..stages.combine import grouped_aggregate
 
-    out, _totals = _ensure_crawl(_sf_tag(sf_dir))
-    cells = partial_groupby(read_rounds(f"{out}/pages", ["host"],
-                                        PAGE_SCHEMA),
-                            ["host", "round"],
-                            {"n": ("round", "count")}).to_pandas()
+    out, _totals = harness_crawl("base", _sf_tag(sf_dir))
+    cells = grouped_aggregate(_read_pages(out, ["host"]), ["host", "round"],
+                              {"n": ("round", "count")}).to_pandas()
     g = cells.groupby("host")["n"]
     audit = pd.DataFrame({"n_fetches": g.sum(), "n_rounds": g.size(),
                           "max_round_fetches": g.max()}).reset_index()
@@ -1004,7 +941,7 @@ def expected_crawl_page_lineage(tag: str) -> pa.Table:
     """Expected per-page lineage from the conformance replay: fetch
     round (crawl ordering), fetching parent, BFS depth (parent-chain
     length), and fetch status for every URL the crawl touched."""
-    result = _oracle_result(tag)
+    result = harness_oracle("base", tag)
     rnd = {}
     for r in result["rounds"]:
         for u in r["fetched"]:
@@ -1038,11 +975,8 @@ def crawl_page_lineage(sf_dir: str):
     (five scalar columns, never result_json); round rides the
     partition directory, exactly how a resumed run reconstructs
     state."""
-    from ..crawl.loop import read_rounds
-    out, _totals = _ensure_crawl(_sf_tag(sf_dir))
-    return read_rounds(f"{out}/pages",
-                       ["url", "round", "parent", "depth", "status"],
-                       PAGE_SCHEMA)
+    out, _totals = harness_crawl("base", _sf_tag(sf_dir))
+    return _read_pages(out, ["url", "round", "parent", "depth", "status"])
 
 
 def crawl_image_lineage(sf_dir: str):
@@ -1054,7 +988,7 @@ def crawl_image_lineage(sf_dir: str):
     move.  Oracle: the conformance crawler's first-seen round per
     image."""
     from ..crawl.loop import read_rounds
-    out, _totals = _ensure_crawl(_sf_tag(sf_dir))
+    out, _totals = harness_crawl("base", _sf_tag(sf_dir))
     return read_rounds(LanceLayoutTable(f"{out}/images_lance")
                        .fragment_files(), ["image_id"], IMAGE_ROW_SCHEMA)
 

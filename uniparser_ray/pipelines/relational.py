@@ -24,6 +24,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..blocks import table_from_pandas
+from ..stages.combine import grouped_aggregate
 
 
 def _read(sf_dir: str, table: str, columns=None, **kwargs):
@@ -63,7 +64,7 @@ def orders_incremental_agg(sf_dir: str):
                              "n_orders": pa.array(
                                  np.ones(t.num_rows, np.int64)),
                              "sum_cents": cents})
-        return partial_groupby(
+        return grouped_aggregate(
             ds.map_batches(rows, batch_format="pyarrow"),
             ["o_custkey"],
             {"n_orders": ("n_orders", "sum"),
@@ -78,7 +79,7 @@ def orders_incremental_agg(sf_dir: str):
                        filter=pads.field("o_orderdate") >= cutoff))
 
     # the maintenance step: merge = sum of mergeable partials only
-    merged = partial_groupby(
+    merged = grouped_aggregate(
         base.union(delta), ["o_custkey"],
         {"n_orders": ("n_orders", "sum"),
          "sum_cents": ("sum_cents", "sum")})
@@ -89,17 +90,6 @@ def orders_incremental_agg(sf_dir: str):
         return df[["o_custkey", "n_orders", "sum_cents"]]
 
     return merged.map_batches(finish, batch_format="pandas")
-
-
-def partial_groupby(ds, keys, agg_spec, batch_size: int = 65536):
-    """Two-phase aggregate: per-batch partial aggregate -> hash-bucketed
-    vectorized combine (see stages.combine for why not
-    ``Dataset.groupby().aggregate()``).
-
-    agg_spec: {out_col: (in_col, 'sum'|'count')} — count uses any col.
-    """
-    from ..stages.combine import grouped_aggregate
-    return grouped_aggregate(ds, keys, agg_spec, batch_size=batch_size)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +109,7 @@ def q1_pricing_summary(sf_dir: str):
         return t.append_column("disc_price", disc_price) \
                 .append_column("charge", charge)
 
-    out = partial_groupby(
+    out = grouped_aggregate(
         ds.map_batches(derive, batch_format="pyarrow"),
         ["l_returnflag", "l_linestatus"],
         {"sum_qty": ("l_quantity", "sum"),
@@ -144,9 +134,9 @@ def top_customers(sf_dir: str, k: int = 10):
     import ray
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-    agg = partial_groupby(orders, ["o_custkey"],
-                          {"total_spent": ("o_totalprice", "sum"),
-                           "order_count": ("o_totalprice", "count")})
+    agg = grouped_aggregate(orders, ["o_custkey"],
+                            {"total_spent": ("o_totalprice", "sum"),
+                             "order_count": ("o_totalprice", "count")})
     df = agg.sort(["total_spent", "o_custkey"],
                   descending=[True, False]).limit(k).to_pandas()
     keys_ref = ray.put(pa.array(df["o_custkey"].tolist(), pa.int64()))
@@ -207,8 +197,8 @@ def q3_shipping_priority(sf_dir: str, segment: str = "BUILDING",
                               oc, "l_orderkey", "o_orderkey",
                               left_cols=["l_orderkey", "revenue"],
                               right_cols=["o_orderkey", "o_orderdate"])
-    agg = partial_groupby(joined, ["l_orderkey", "o_orderdate"],
-                          {"revenue": ("revenue", "sum")})
+    agg = grouped_aggregate(joined, ["l_orderkey", "o_orderdate"],
+                            {"revenue": ("revenue", "sum")})
     top = agg.sort(["revenue", "l_orderkey"],
                    descending=[True, False]).limit(k).to_pandas()
     top["revenue"] = top["revenue"].round(2)
@@ -238,9 +228,9 @@ def nation_revenue(sf_dir: str):
             "revenue": df["l_extendedprice"] * (1.0 - df["l_discount"]),
         })
 
-    out = partial_groupby(li.map_batches(probe, batch_format="pandas"),
-                          ["n_name"], {"revenue": ("revenue", "sum"),
-                                       "n_items": ("revenue", "count")})
+    out = grouped_aggregate(li.map_batches(probe, batch_format="pandas"),
+                            ["n_name"], {"revenue": ("revenue", "sum"),
+                                         "n_items": ("revenue", "count")})
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         df["revenue"] = df["revenue"].round(2)
@@ -282,10 +272,10 @@ def events_tumbling(sf_dir: str):
             "value": df["value"],
         })
 
-    out = partial_groupby(ds.map_batches(window, batch_format="pandas"),
-                          ["user_id", "window_us"],
-                          {"n_events": ("value", "count"),
-                           "sum_value": ("value", "sum")})
+    out = grouped_aggregate(ds.map_batches(window, batch_format="pandas"),
+                            ["user_id", "window_us"],
+                            {"n_events": ("value", "count"),
+                             "sum_value": ("value", "sum")})
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         df["window_start"] = pd.to_datetime(df.pop("window_us"), unit="us")
@@ -548,8 +538,8 @@ def q5_local_supplier_volume(sf_dir: str, region: str = "ASIA",
             "rev": out["rev"],
         })
 
-    agg = partial_groupby(joined.map_batches(probe, batch_format="pandas"),
-                          ["n_name"], {"revenue": ("rev", "sum")})
+    agg = grouped_aggregate(joined.map_batches(probe, batch_format="pandas"),
+                            ["n_name"], {"revenue": ("rev", "sum")})
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         df["revenue"] = df["revenue"].round(2)
@@ -617,10 +607,10 @@ def part_price_bands(sf_dir: str):
         return pd.DataFrame({"band_lo": edges[idx],
                              "p_retailprice": x})
 
-    out = partial_groupby(ds.map_batches(band, batch_format="pandas"),
-                          ["band_lo"],
-                          {"n_parts": ("p_retailprice", "count"),
-                           "sum_price": ("p_retailprice", "sum")})
+    out = grouped_aggregate(ds.map_batches(band, batch_format="pandas"),
+                            ["band_lo"],
+                            {"n_parts": ("p_retailprice", "count"),
+                             "sum_price": ("p_retailprice", "sum")})
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         df["n_parts"] = df["n_parts"].astype("int64")
@@ -650,10 +640,10 @@ def events_hopping(sf_dir: str, size_minutes: int = 60,
         vals = np.tile(df["value"].to_numpy(np.float64), fan)
         return pd.DataFrame({"window_us": keys, "value": vals})
 
-    out = partial_groupby(ds.map_batches(explode, batch_format="pandas"),
-                          ["window_us"],
-                          {"n_events": ("value", "count"),
-                           "sum_value": ("value", "sum")})
+    out = grouped_aggregate(ds.map_batches(explode, batch_format="pandas"),
+                            ["window_us"],
+                            {"n_events": ("value", "count"),
+                             "sum_value": ("value", "sum")})
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         df["window_start"] = pd.to_datetime(df.pop("window_us"),
@@ -693,7 +683,7 @@ def orders_rollup(sf_dir: str):
     computes the finest level; the coarser levels re-aggregate its
     (tiny) output — the standard distributed rollup plan: raw rows
     shuffle once, subtotals derive from subtotals."""
-    fine = partial_groupby(
+    fine = grouped_aggregate(
         _read(sf_dir, "orders",
               ["o_orderstatus", "o_orderpriority", "o_totalprice"]),
         ["o_orderstatus", "o_orderpriority"],
@@ -775,9 +765,9 @@ def segment_order_stats(sf_dir: str):
     joined = hash_bucket_join(orders, cust, "o_custkey", "c_custkey",
                               left_cols=["o_custkey", "o_totalprice"],
                               right_cols=["c_custkey", "c_mktsegment"])
-    out = partial_groupby(joined, ["c_mktsegment"],
-                          {"total_price": ("o_totalprice", "sum"),
-                           "n_orders": ("o_totalprice", "count")})
+    out = grouped_aggregate(joined, ["c_mktsegment"],
+                            {"total_price": ("o_totalprice", "sum"),
+                             "n_orders": ("o_totalprice", "count")})
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         df["total_price"] = df["total_price"].round(2)
@@ -916,8 +906,8 @@ def events_retention(sf_dir: str):
             "one": np.ones(len(cells), np.int64)})
 
     rows = hash_bucket_combine(ds, ["user_id"], per_user, num_buckets=64)
-    out = partial_groupby(rows, ["cohort_week", "week_offset"],
-                          {"n_users": ("one", "sum")})
+    out = grouped_aggregate(rows, ["cohort_week", "week_offset"],
+                            {"n_users": ("one", "sum")})
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         for c in ("cohort_week", "week_offset", "n_users"):
@@ -958,8 +948,8 @@ def events_markov(sf_dir: str):
         return g
 
     rows = hash_bucket_combine(ds, ["user_id"], per_user, num_buckets=64)
-    out = partial_groupby(rows, ["from_type", "to_type"],
-                          {"n_transitions": ("n", "sum")})
+    out = grouped_aggregate(rows, ["from_type", "to_type"],
+                            {"n_transitions": ("n", "sum")})
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         df["n_transitions"] = df["n_transitions"].astype("int64")
@@ -997,12 +987,12 @@ def events_window_anomaly(sf_dir: str, sigmas: int = 2):
             "window_us": df["ts"].dt.floor("h").astype("datetime64[us]")
                 .astype("int64")})
 
-    cells = partial_groupby(
+    cells = grouped_aggregate(
         ds.map_batches(window, batch_format="pandas"),
         ["event_type", "window_us"],
         {"n_events": ("window_us", "count")}).materialize()
 
-    moments_rows = partial_groupby(
+    moments_rows = grouped_aggregate(
         cells.map_batches(
             lambda df: pd.DataFrame({
                 "event_type": df["event_type"],
@@ -1049,9 +1039,9 @@ def q13_customer_distribution(sf_dir: str):
     low-cardinality fold (keys = max orders per customer)."""
     from ..stages.combine import hash_bucket_join
 
-    counts = partial_groupby(_read(sf_dir, "orders", ["o_custkey"]),
-                             ["o_custkey"],
-                             {"n_orders": ("o_custkey", "count")})
+    counts = grouped_aggregate(_read(sf_dir, "orders", ["o_custkey"]),
+                               ["o_custkey"],
+                               {"n_orders": ("o_custkey", "count")})
     cust = _read(sf_dir, "customer", ["c_custkey"])
     # both sides are bounded by CUSTOMER count (orders pre-folded)
     joined = hash_bucket_join(cust, counts, "c_custkey", "o_custkey",
@@ -1065,9 +1055,9 @@ def q13_customer_distribution(sf_dir: str):
         return pd.DataFrame(
             {"c_count": df["n_orders"].fillna(0).astype("int64")})
 
-    hist = partial_groupby(joined.map_batches(c_count,
-                                              batch_format="pandas"),
-                           ["c_count"], {"custdist": ("c_count", "count")})
+    hist = grouped_aggregate(joined.map_batches(c_count,
+                                                batch_format="pandas"),
+                             ["c_count"], {"custdist": ("c_count", "count")})
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         return df[["c_count", "custdist"]].astype("int64")
@@ -1122,8 +1112,8 @@ def q4_returned_order_priority(sf_dir: str):
         return out
 
     partials = hash_bucket_combine(u, ["o_orderkey"], semi_count)
-    out = partial_groupby(partials, ["o_orderpriority"],
-                          {"n_orders": ("n_orders", "sum")})
+    out = grouped_aggregate(partials, ["o_orderpriority"],
+                            {"n_orders": ("n_orders", "sum")})
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         df["n_orders"] = df["n_orders"].astype("int64")
@@ -1161,10 +1151,10 @@ def q6_forecast_revenue(sf_dir: str):
             "rev": [(sub["l_extendedprice"] * sub["l_discount"]).sum()],
             "n": [int(m.sum())]})
 
-    out = partial_groupby(ds.map_batches(fold, batch_format="pandas"),
-                          ["one"],
-                          {"revenue": ("rev", "sum"),
-                           "n_items": ("n", "sum")})
+    out = grouped_aggregate(ds.map_batches(fold, batch_format="pandas"),
+                            ["one"],
+                            {"revenue": ("rev", "sum"),
+                             "n_items": ("n", "sum")})
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         df["revenue"] = df["revenue"].round(2)
@@ -1261,9 +1251,9 @@ def q14_promo_revenue(sf_dir: str):
 
         folded = joined.map_batches(fold_joined, batch_format="pandas")
 
-    out = partial_groupby(folded, ["one"],
-                          {"promo": ("promo", "sum"),
-                           "total": ("total", "sum")})
+    out = grouped_aggregate(folded, ["one"],
+                            {"promo": ("promo", "sum"),
+                             "total": ("total", "sum")})
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -1287,8 +1277,8 @@ def q18_large_orders(sf_dir: str):
     from ..stages.combine import hash_bucket_combine, hash_bucket_join
 
     line = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
-    per_order = partial_groupby(line, ["l_orderkey"],
-                                {"sum_qty": ("l_quantity", "sum")})
+    per_order = grouped_aggregate(line, ["l_orderkey"],
+                                  {"sum_qty": ("l_quantity", "sum")})
     big = per_order.filter(expr=f"sum_qty > {Q18_QTY_THRESHOLD}")
 
     orders = _read(sf_dir, "orders",
@@ -1373,8 +1363,8 @@ def q10_returned_item_revenue(sf_dir: str):
         left_cols=["l_orderkey", "rev"],
         right_cols=["o_orderkey", "o_custkey", "o_orderdate"])
 
-    per_cust = partial_groupby(joined, ["o_custkey"],
-                               {"revenue": ("rev", "sum")})
+    per_cust = grouped_aggregate(joined, ["o_custkey"],
+                                 {"revenue": ("rev", "sum")})
 
     # partials prune on the SAME key the final rank uses — 2-dp
     # ROUNDED revenue with custkey tie-break — so the per-part top-4N

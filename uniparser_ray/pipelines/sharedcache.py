@@ -11,6 +11,10 @@ in a process computes and "persists", later consumers (e.g.
 ``doc_curation`` after ``doc_dedup_clusters``) reuse; any rewrite of
 the input invalidates the key.
 
+The harness's crawls and their oracle runs (``crawl_q.harness_crawl``
+/ ``harness_oracle``) are memoized here too, keyed by variant and sf
+tag alone: their synthetic web is a pure function of its config.
+
 Only bounded, driver-resident artifacts belong here (cluster
 assignment tables are one small row per doc/image — the same bound
 their direct callers already accept).  Unbounded artifacts should be

@@ -276,8 +276,8 @@ def events_countmin(sf_dir: str):
     both engines."""
     import pyarrow as pa
 
+    from ..stages.combine import grouped_aggregate
     from ..stages.tokenhash import P31, affine_params
-    from .relational import partial_groupby
 
     a, b = affine_params(CMS_DEPTH, CMS_SEED)
     P = np.uint64(P31)
@@ -296,15 +296,15 @@ def events_countmin(sf_dir: str):
         return pa.table({"cell": pa.array(nz, pa.int64()),
                          "c": pa.array(counts[nz], pa.int64())})
 
-    grid = partial_groupby(ds.map_batches(grid_rows,
-                                          batch_format="pyarrow"),
-                           ["cell"], {"c": ("c", "sum")}).to_pandas()
+    grid = grouped_aggregate(ds.map_batches(grid_rows,
+                                            batch_format="pyarrow"),
+                             ["cell"], {"c": ("c", "sum")}).to_pandas()
     cms = np.zeros(CMS_DEPTH * CMS_WIDTH, np.int64)
     cms[grid["cell"].to_numpy()] = grid["c"].to_numpy()
     cms = cms.reshape(CMS_DEPTH, CMS_WIDTH)
 
-    tru = partial_groupby(ds, ["user_id"],
-                          {"true_count": ("user_id", "count")}).to_pandas()
+    tru = grouped_aggregate(ds, ["user_id"],
+                            {"true_count": ("user_id", "count")}).to_pandas()
     uid = tru["user_id"].to_numpy().astype(np.int64).view(np.uint64) % P
     cols = (a[:, None] * uid[None, :] + b[:, None]) % P \
         % np.uint64(CMS_WIDTH)

@@ -1,4 +1,4 @@
-"""Metadata-clean parquet reads.
+"""Metadata-clean parquet reads of single files and file lists.
 
 pandas-written parquet files carry a ``pandas`` schema-metadata blob;
 pyarrow schemas WITH metadata are unhashable (``hash(schema)`` raises
@@ -7,51 +7,27 @@ deduplication and spams "Failed to hash the schemas" warnings in every
 operator that concatenates read blocks into batches — including the
 fused ``ReadParquet->SplitBlocks`` operator itself, which hashes
 schemas BEFORE any downstream map can strip them.  So the strip
-happens at the source: the file footer's schema is read once on the
-driver, stripped, and passed as ``read_parquet(schema=...)`` — every
-block the read emits is born with a clean, hashable schema.
+happens at the source: the first file's footer schema is read once on
+the driver, stripped, and passed as ``read_parquet(schema=...)`` —
+every block the read emits is born with a clean, hashable schema.
+
+A crawl's round-partitioned outputs are not read here:
+``crawl.loop.read_rounds`` is their one reader.
 """
 
 from __future__ import annotations
 
-import glob
-import os
-
 import pyarrow as pa
 
 
-def _strip_meta(t: pa.Table) -> pa.Table:
-    return t.replace_schema_metadata(None)
-
-
-def _clean_read_schema(path, columns):
-    """Stripped (and column-pruned, in ``columns`` order) footer schema
-    of the first file under ``path``; None when underivable."""
-    import pyarrow.parquet as pq
-    first = path[0] if isinstance(path, (list, tuple)) else path
-    first = str(first)
-    if os.path.isdir(first):
-        files = sorted(glob.glob(os.path.join(first, "*.parquet")))
-        if not files:
-            return None
-        first = files[0]
-    try:
-        full = pq.read_schema(first).remove_metadata()
-        if columns is None:
-            return full
-        return pa.schema([full.field(c) for c in columns])
-    except Exception:
-        return None
-
-
 def read_parquet_clean(path, columns=None, **kwargs):
+    """``path`` (a parquet file or a list of them) as a Dataset whose
+    schema is the first file's footer schema without metadata, pruned
+    to ``columns`` in their order."""
+    import pyarrow.parquet as pq
     import ray.data as rd
-    schema = _clean_read_schema(path, columns)
-    if schema is not None:
-        return rd.read_parquet(path, columns=columns, schema=schema,
-                               **kwargs)
-    # fallback: strip block-at-a-time after the read (batch_size=None
-    # => no concat, so the strip itself never hits the unify path)
-    ds = rd.read_parquet(path, columns=columns, **kwargs)
-    return ds.map_batches(_strip_meta, batch_format="pyarrow",
-                          batch_size=None, zero_copy_batch=True)
+    first = str(path[0] if isinstance(path, (list, tuple)) else path)
+    schema = pq.read_schema(first).remove_metadata()
+    if columns is not None:
+        schema = pa.schema([schema.field(c) for c in columns])
+    return rd.read_parquet(path, columns=columns, schema=schema, **kwargs)

@@ -76,8 +76,7 @@ class BruteTopKStage:
             names=["query_id", "vec_id", "cosine_sim"])
 
 
-def brute_topk(ds, query_ids, query_matrix: np.ndarray, k: int = 10,
-               concurrency: int = 4):
+def brute_topk(ds, query_ids, query_matrix: np.ndarray, k: int = 10):
     """Exact cosine top-k; returns (query_id, vec_id, cosine_sim, rank)."""
     import ray
 
@@ -326,8 +325,8 @@ class IVFIndex:
 
 def ivf_topk(ds, query_ids, query_matrix: np.ndarray, k: int = 10,
              num_centroids: int = 16, nprobe: int = 4,
-             sample_size: int = 2048, concurrency: int = 4,
-             seed: int = 42, index_dir: str = None, fingerprint: str = ""):
+             sample_size: int = 2048, seed: int = 42,
+             index_dir: str = None, fingerprint: str = ""):
     """IVF ANN via a persisted partitioned index + pruned read.
 
     Builds (or reuses, when ``index_dir`` holds a manifest with a

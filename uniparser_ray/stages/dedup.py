@@ -110,8 +110,8 @@ class MinHashStage:
 
 
 def minhash_candidate_pairs(ds, num_perm: int = 64, num_bands: int = 16,
-                            concurrency: int = 4, shingle_k: int = 3,
-                            seed: int = None, band_cap: int = None):
+                            shingle_k: int = 3, seed: int = None,
+                            band_cap: int = None):
     """documents -> candidate (doc_a, doc_b) pairs via banded LSH.
 
     Shuffles only (band, doc_id) rows, bucketed by band hash; pairs
@@ -215,8 +215,8 @@ def shingle_set_rows(ds, shingle_k: int = 3, id_column: str = "doc_id",
 
 
 def minhash_neardup_pairs(ds, threshold: float = 0.7, num_perm: int = 64,
-                          num_bands: int = 16, concurrency: int = 4,
-                          shingle_k: int = 3, df_cap: int = None,
+                          num_bands: int = 16, shingle_k: int = 3,
+                          df_cap: int = None,
                           broadcast_limit: int = 200_000,
                           band_cap: int = None):
     """Full near-dup pipeline: LSH candidates -> exact-Jaccard verify.
@@ -240,14 +240,14 @@ def minhash_neardup_pairs(ds, threshold: float = 0.7, num_perm: int = 64,
       the only driver materialization is the final thresholded result.
 
     Both paths compute identical values (pytest pins broadcast_limit=0
-    against the default); returns a Dataset-compatible result
-    (``.to_pandas()``-able) of (doc_a, doc_b, jaccard_sim)."""
+    against the default); both return a Dataset of
+    (doc_a, doc_b, jaccard_sim)."""
     import ray
     import ray.data
     from .combine import grouped_aggregate, hash_bucket_combine, \
         hash_bucket_join
 
-    cands = minhash_candidate_pairs(ds, num_perm, num_bands, concurrency,
+    cands = minhash_candidate_pairs(ds, num_perm, num_bands,
                                     shingle_k=shingle_k,
                                     band_cap=band_cap) \
         .materialize()
@@ -259,7 +259,7 @@ def minhash_neardup_pairs(ds, threshold: float = 0.7, num_perm: int = 64,
     # therefore collect at most broadcast_limit rows — never O(dups)
     n_cands = cands.count()
     if not n_cands:
-        return empty
+        return ray.data.from_arrow(empty)
 
     if n_cands <= broadcast_limit:
         cand_tbl = cands.to_pandas()[["doc_a", "doc_b"]] \
@@ -283,16 +283,16 @@ def minhash_neardup_pairs(ds, threshold: float = 0.7, num_perm: int = 64,
             sh, ["shingle_hash"],
             _pair_count_bucket(df_cap, allow_ref=allow_ref)).to_pandas()
         if not len(partial):
-            return empty
+            return ray.data.from_arrow(empty)
         # final combine on the driver: bounded by broadcast_limit
         pairs = partial.groupby(["doc_a", "doc_b"], sort=False) \
             .agg(n_shared=("n_shared", "sum"), ca=("ca", "min"),
                  cb=("cb", "min")).reset_index()
         out = _jaccard_finish(threshold)(pairs)
         if not len(out):
-            return empty
-        return table_from_pandas(out.sort_values(["doc_a", "doc_b"]),
-                                    preserve_index=False)
+            return ray.data.from_arrow(empty)
+        return ray.data.from_arrow(table_from_pandas(
+            out.sort_values(["doc_a", "doc_b"]), preserve_index=False))
 
     # ---- fully distributed verify (no driver candidate set) ----
     # distributed distinct: band-collision duplicates combine in the
@@ -404,7 +404,7 @@ def hamming_block_pairs(ds, id_col: str, hash_col: str, max_hamming: int,
                              {"hamming": ("hamming", "min")})
 
 
-def simhash_neardup_pairs(ds, max_hamming: int = 3, concurrency: int = 4):
+def simhash_neardup_pairs(ds, max_hamming: int = 3):
     """SimHash + 4-block bucketing (pigeonhole: any pair within Hamming
     distance 3 shares at least one of 4 16-bit blocks)."""
     from .text import simhash_batch

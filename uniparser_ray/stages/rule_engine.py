@@ -2,9 +2,10 @@
 
 The distributed form of ``Uniparser.parse`` (reference:
 parsers.py:1374-1393): a callable class for ``map_batches`` that
-compiles a CrawlerRule/ParseRule pack once per actor (the reference's
-``CompiledString`` cache, parsers.py:980-1003) and applies the chain
-per row of a text column, emitting one output column per parse rule.
+compiles a CrawlerRule/ParseRule pack once per worker process (the
+reference's ``CompiledString`` cache, parsers.py:980-1003) and applies
+the chain per row of a text column, emitting one output column per
+parse rule.
 
 Scalar results land in native Arrow columns; nested/dynamic results in
 a canonical-JSON ``large_string`` column; exceptions in ``error`` /
@@ -122,50 +123,14 @@ class RuleEngine:
         return out.replace_schema_metadata(None)
 
 
-# per-worker-process engine cache for the task-pool form: Ray reuses
-# warm worker processes for tasks, so the compile happens once per
-# worker per pack — the CompiledString cache without paying actor-pool
-# startup (which dominates for small/medium inputs)
-_ENGINE_CACHE: Dict[str, RuleEngine] = {}
-
-
-def _cached_engine(pack_json: str, input_column: str,
-                   kwargs_json: str) -> RuleEngine:
-    key = f"{input_column}|{kwargs_json}|{pack_json}"
-    eng = _ENGINE_CACHE.get(key)
-    if eng is None:
-        if len(_ENGINE_CACHE) > 64:  # runaway-pack backstop
-            _ENGINE_CACHE.clear()
-        eng = RuleEngine(json.loads(pack_json), input_column=input_column,
-                         **json.loads(kwargs_json))
-        _ENGINE_CACHE[key] = eng
-    return eng
-
-
 def parse_dataset(ds, rule_pack, input_column: str = "text",
-                  concurrency: int = None, batch_size: int = 1024, **kwargs):
-    """``parse_pages(ds, rulepack)`` — the public Dataset-level API.
-
-    Default (``concurrency=None``) runs as a task pool over warm
-    workers with a per-worker compiled-pack cache — no actor startup
-    cost, scales with the cluster.  Pass ``concurrency=N`` for the
-    actor-pool form when the pack is heavy enough (huge UDF closures,
-    external models) that construction must be explicit per-actor
-    state.
-    """
-    if concurrency is not None:
-        return ds.map_batches(
-            RuleEngine, batch_format="pyarrow",
-            fn_constructor_kwargs=dict(rule_pack=rule_pack,
-                                       input_column=input_column, **kwargs),
-            concurrency=concurrency, batch_size=batch_size)
-
-    pack_json = (rule_pack if isinstance(rule_pack, str)
-                 else json.dumps(rule_pack))
-    kwargs_json = json.dumps(kwargs, sort_keys=True)
-
-    def parse_batch(batch: pa.Table) -> pa.Table:
-        return _cached_engine(pack_json, input_column, kwargs_json)(batch)
-
-    return ds.map_batches(parse_batch, batch_format="pyarrow",
-                          batch_size=batch_size)
+                  batch_size: int = 1024, **kwargs):
+    """``parse_pages(ds, rulepack)`` — the public Dataset-level API: a
+    task pool over warm workers, each building its ``RuleEngine`` once
+    per pack on the per-worker stage cache (``stages.taskcache``) —
+    no actor startup cost, scales with the cluster."""
+    from .taskcache import cached_stage
+    return ds.map_batches(
+        cached_stage(RuleEngine, rule_pack=rule_pack,
+                     input_column=input_column, **kwargs),
+        batch_format="pyarrow", batch_size=batch_size)
