@@ -413,3 +413,126 @@ def test_fuzz_anomaly_cross_multiplication(counts, idx):
     if abs(lhs * lhs - rhs * rhs) > 1e-6 * max(1.0, rhs * rhs):
         assert int_flag == (lhs > 0 and lhs * lhs > rhs * rhs), \
             (counts, n, d, var_term)
+
+
+# Parse rules for the pruned-vs-full differential, each with whether
+# the projection analysis may prune a pack that holds it: descendant,
+# class, id and attribute selectors and subtree-local udf reads prune;
+# child/sibling combinators, structural pseudos, a bare '*', a udf
+# that walks to .parent and a udf that imports the engine to css-parse
+# the page string itself must fall back to the full build.
+PRUNE_POOL = [
+    ({"name": "desc", "chain_rules": [["css", "p a", "$text"]]}, True),
+    ({"name": "kid", "chain_rules": [["css", "p > a", "@href"]]}, False),
+    ({"name": "sib", "chain_rules": [["se", "li + li", "$text"]]}, False),
+    ({"name": "nth", "chain_rules": [["css1", ":nth-child(2)",
+                                      "$outerHTML"]]}, False),
+    ({"name": "star", "chain_rules": [["css", "*", "$text"]]}, False),
+    ({"name": "cls", "chain_rules": [["css", ".x", "$html"]]}, True),
+    ({"name": "id", "chain_rules": [["se1", "#i", "$self"]]}, True),
+    ({"name": "data", "chain_rules": [["css", "[data-i]", "@data-i"]]}, True),
+    ({"name": "__request__", "chain_rules": [["css", "a[href]", "@href"]]},
+     True),
+    ({"name": "up", "chain_rules": [["css", "a", "$self"]],
+      "iter_parse_child": True,
+      "child_rules": [{"name": "tag",
+                       "chain_rules": [["udf", "obj.parent.tag", ""]]}]},
+     False),
+    ({"name": "engine", "chain_rules": [[
+        "udf", "__import__('uniparser_ray.rulevm.parsers', fromlist=['x'])"
+               ".CSSParser().parse(obj, 'span', '$text')", ""]]}, False),
+    ({"name": "images", "chain_rules": [["css", "img, a.x", "$self"]],
+      "iter_parse_child": True,
+      "child_rules": [
+          {"name": "src", "chain_rules": [
+              ["udf", "obj.get('src') or obj.get('href')", ""]]},
+          {"name": "caption", "chain_rules": [
+              ["udf", "obj.get('alt')", ""]]}]}, True),
+]
+
+
+def test_fuzz_pruned_build_equals_full_build():
+    """FetchParseStage parses each page on the tree its rule's
+    projection keeps.  For random markup and random packs, its page
+    rows (result_json, links, images) must equal the rows of the same
+    stage on full trees, and the analysis must prune exactly the
+    packs it can prove."""
+    import copy
+    import json
+    import sys
+    from pathlib import Path
+    from unittest import mock
+
+    sys.path.insert(0, str(Path(__file__).parent))
+    from test_rulevm_parsers import _markup, _OnePageAdapter, _page_batch
+
+    from uniparser_ray.crawl.storage import JSONRuleStorage
+    from uniparser_ray.rulevm import projection as proj_mod
+    from uniparser_ray.rulevm.dom import _fast_build
+    from uniparser_ray.stages.crawl_stages import FetchParseStage
+
+    host = "host-0000.test"
+    pruned_pages = []
+
+    def rows(pack, markups, prune):
+        stage = FetchParseStage(rule_pack=pack, web_config={})
+        out = []
+        with mock.patch.object(proj_mod, "rule_projection",
+                               proj_mod.rule_projection if prune
+                               else (lambda rule: None)):
+            for markup in markups:
+                stage.adapter = _OnePageAdapter(markup)
+                out += stage(_page_batch([f"http://{host}/"])).to_pylist()
+        return out
+
+    def pack_of(picks):
+        return {host: {"host": host, "crawler_rules": {"page": {
+            "name": "page", "regex": "",
+            "request_args": {"method": "get", "url": f"http://{host}/"},
+            "parse_rules": [copy.deepcopy(PRUNE_POOL[i][0])
+                            for i in picks]}}}}
+
+    def projection_of(pack):
+        return proj_mod.rule_projection(JSONRuleStorage(
+            **copy.deepcopy(pack)).find_crawler_rule(f"http://{host}/"))
+
+    # each entry beside the prunable 'desc': the analysis decides every
+    # entry whatever packs Hypothesis happens to draw
+    for i, (_, prunable) in enumerate(PRUNE_POOL):
+        assert (projection_of(pack_of(sorted({0, i}))) is not None) \
+            == prunable, PRUNE_POOL[i][0]["name"]
+
+    # html.parser raises on an unknown marked section; css parses
+    # return that as their value, with pruning as without
+    hostile = ['<p><a href="u">x</a></p><![foo[ y ]]>']
+    got = rows(pack_of([0, 8]), hostile, prune=True)
+    assert "AssertionError" in got[0]["result_json"]
+    assert got == rows(pack_of([0, 8]), hostile, prune=False)
+
+    def picks_from(indexes):
+        return st.lists(st.sampled_from(indexes), min_size=1, max_size=4,
+                        unique=True)
+
+    # half the packs prunable throughout, so many pages take the
+    # pruned build
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        picks_from([i for i, (_, ok) in enumerate(PRUNE_POOL) if ok]),
+        picks_from(range(len(PRUNE_POOL)))),
+        st.lists(_markup(), min_size=1, max_size=3))
+    def prop(picks, markups):
+        pack = pack_of(picks)
+        projection = projection_of(pack)
+        assert (projection is not None) == all(
+            PRUNE_POOL[i][1] for i in picks), picks
+        if projection is not None:
+            pruned_pages.extend(m for m in markups
+                                if _fast_build(m, projection) is not None)
+        got = rows(pack, markups, prune=True)
+        want = rows(pack, markups, prune=False)
+        assert [r["status"] for r in got] == [200] * len(markups)
+        assert got == want, (picks, markups)
+        assert [json.loads(r["result_json"]) for r in got]
+
+    prop()
+    assert len(pruned_pages) >= 20

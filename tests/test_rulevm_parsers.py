@@ -319,9 +319,10 @@ def test_md5():
 
 def _markup():
     """Hypothesis strategy: markup mixing the one-pass builder's grammar
-    (nested tags, bare/valued attrs, self-close, voids, implied closes)
-    with hostile cases it must hand to html.parser (entities,
-    comments, doctype, script-with-'<', unquoted attrs, spaces around
+    (nested tags, bare/valued attrs, self-close, voids, implied closes,
+    character references and apostrophes in text and attr values)
+    with hostile cases it must hand to html.parser (comments, doctype,
+    script-with-'<', unquoted or single-quoted attrs, spaces around
     '=', '>' in text and attr values, uppercase, garbage)."""
     from hypothesis import strategies as st
 
@@ -330,9 +331,11 @@ def _markup():
     attr = st.sampled_from(['', ' class="x y"', ' href="/a?b=c"',
                             ' data-i="3"', ' checked', ' SRC="u" alt=""',
                             ' title="a>b"', " style='q'", ' a = "b"',
-                            ' id="i" class="x"'])
+                            ' id="i" class="x"', ' title="a&amp;b&#39;"',
+                            ' alt="it\'s &eacute"'])
     text = st.sampled_from(["", "hi", "a > b", "x & y", "5 < 6", "  ",
-                            "café", "&amp;"])
+                            "café", "&amp;", "&#39;", "&#x41;", "&eacute",
+                            "it's", "&eacute;t&eacute &lt;"])
 
     def elem(children):
         return st.builds(
@@ -460,11 +463,14 @@ def test_css_select_tag_index_equals_walk_fuzz():
 
 def test_fast_build_covers_benchmark_webs():
     """Every 200 page of both benchmark web shapes takes the one-pass
-    builder: a template change that sends pages to html.parser (one
-    '&', a comment, a <script>) would silently give the speed back."""
+    builder, and the pruned one: a template change that sends pages to
+    html.parser (a comment, a <script>), or a rule-pack change the
+    projection cannot prove, would silently give the speed back."""
     import importlib.util
 
+    from uniparser_ray.crawl.storage import JSONRuleStorage
     from uniparser_ray.rulevm.dom import _fast_build
+    from uniparser_ray.rulevm.projection import rule_projection
     from uniparser_ray.sources.synthweb import SynthWeb
 
     spec = importlib.util.spec_from_file_location(
@@ -474,10 +480,115 @@ def test_fast_build_covers_benchmark_webs():
     spec.loader.exec_module(workloads)
     for w in workloads.WORKLOADS.values():
         web = SynthWeb(**dict(w.web, num_hosts=6))
+        storage = JSONRuleStorage(**web.rule_pack())
         pages = 0
         for url in web.all_page_urls():
             status, _, body = web.get(url)
             if status == 200:
                 pages += 1
-                assert _fast_build(body.decode()) is not None, (w.name, url)
+                markup = body.decode()
+                full = _fast_build(markup)
+                assert full is not None, (w.name, url)
+                projection = rule_projection(storage.find_crawler_rule(url))
+                assert projection is not None, (w.name, url)
+                pruned = _fast_build(markup, projection)
+                assert pruned is not None, (w.name, url)
+                assert (len(list(pruned.iter_elements()))
+                        < len(list(full.iter_elements()))), (w.name, url)
         assert pages > 0
+
+
+class _OnePageAdapter:
+    """Transport stand-in that answers every request with one str
+    object, so a test can parse that very object after the stage."""
+
+    def __init__(self, page: str):
+        from uniparser_ray.rulevm.transport import SyntheticResponse
+        self.page = page
+        self.resp = SyntheticResponse("http://host-0000.test/", 200,
+                                      page.encode(), {})
+
+    def request(self, **request_args):
+        return self.page, self.resp
+
+
+def _page_batch(urls):
+    import pyarrow as pa
+
+    return pa.table({
+        "url": urls, "url_hash": pa.array(range(len(urls)), pa.uint64()),
+        "host": ["host-0000.test"] * len(urls),
+        "depth": pa.array([0] * len(urls), pa.int32()),
+        "priority": pa.array([0.0] * len(urls), pa.float32()),
+        "parent": [""] * len(urls)})
+
+
+def test_pruned_tree_stays_inside_its_page_parse():
+    """FetchParseStage parses a page on the tree its projection keeps,
+    and only there: afterwards a css parse of the SAME string object,
+    with a selector the projection dropped, gets the full answer, and
+    so does another thread meanwhile."""
+    import threading
+
+    from uniparser_ray.rulevm import parsers
+    from uniparser_ray.sources.synthweb import SynthWeb
+    from uniparser_ray.stages.crawl_stages import FetchParseStage
+
+    web_config = dict(num_hosts=1, base_pages=4, page_weight=3)
+    web = SynthWeb(**web_config)
+    url = web.page_url(0, 0)
+    page = web.get(url)[2].decode()
+    stage = FetchParseStage(rule_pack=web.rule_pack(), web_config=web_config)
+    stage.adapter = _OnePageAdapter(page)
+    memo = parsers._dom_memo
+    row = stage(_page_batch([url])).to_pylist()[0]
+    assert row["status"] == 200 and row["error"] is None
+    projection = stage._projections[id(stage._find_rule(url))]
+    assert projection is not None
+    assert parsers._dom_memo is memo
+    uni = Uniparser()
+    copy = "".join(list(page))
+    assert copy is not page
+    for sel in ("p.filler", "title", "body"):
+        want = uni.css.parse(copy, sel, "$text")
+        assert want and uni.css.parse(page, sel, "$text") == want, sel
+    want = uni.css.parse(copy, "p.filler", "$text")
+    with parsers.projected_dom(page, projection):
+        assert uni.css.parse(page, "p.filler", "$text") == []
+        other = []
+        t = threading.Thread(target=lambda: other.append(
+            uni.css.parse(page, "p.filler", "$text")))
+        t.start()
+        t.join(30)
+        assert not t.is_alive() and other == [want]
+
+
+def test_independent_checks_build_full_trees():
+    """BFSOracle and RuleEngine are checks on the pruned engine, so
+    they parse every page on the full tree."""
+    from unittest import mock
+
+    import pyarrow as pa
+
+    from uniparser_ray.crawl.oracle import BFSOracle
+    from uniparser_ray.rulevm import dom
+    from uniparser_ray.sources.synthweb import SynthWeb
+    from uniparser_ray.stages.rule_engine import RuleEngine
+
+    web = SynthWeb(num_hosts=2, base_pages=4)
+    builds = []
+    real = dom._fast_build
+
+    def spy(markup, projection=None):
+        builds.append(projection)
+        return real(markup, projection)
+
+    with mock.patch.object(dom, "_fast_build", spy):
+        BFSOracle(web, web.rule_pack(), per_host_budget=3).run(
+            web.seed_urls(), max_rounds=3)
+        oracle_builds = len(builds)
+        rule = next(iter(web.rule_pack().values()))["crawler_rules"]["page"]
+        pages = [web.get(u)[2].decode() for u in web.seed_urls()]
+        RuleEngine(rule)(pa.table({"text": pages}))
+    assert oracle_builds > 0 and len(builds) > oracle_builds
+    assert all(p is None for p in builds)

@@ -7,6 +7,12 @@ millions of pages per worker, so this module implements:
 * an HTML builder (void elements, implied ``</p>``-style closes,
   comments kept as nodes): one regex pass builds plain markup
   directly, anything else goes through stdlib ``html.parser``,
+* projection pushdown into that one pass: given the element compounds
+  a rule pack's selectors can match (``Projection``, derived by
+  rulevm/projection.py), it makes nodes only for matching elements
+  and everything under them, and keeps a bare tag stack for the rest
+  — the document projection of "Projecting XML Documents" (Marian &
+  Siméon, VLDB 2003) applied to HTML,
 * a lenient XML builder (regex tokenizer; CDATA merged into text,
   namespace prefixes stripped from tag names — behavior matching what
   the reference observed through BeautifulSoup(features='lxml-xml'),
@@ -26,6 +32,7 @@ preserved, comments round-trip.
 from __future__ import annotations
 
 import re
+from html import unescape as _html_unescape
 from html.parser import HTMLParser as _StdHTMLParser
 from typing import Iterator, List, Optional, Tuple
 
@@ -192,30 +199,35 @@ class Node:
 # ---------------------------------------------------------------------------
 
 
-def _implied_close(stack: List[Node], tag: str) -> None:
-    """Pop the elements that opening ``tag`` closes implicitly."""
-    cur = stack[-1]
-    if cur.kind != ELEMENT:
-        return
-    if tag in _P_CLOSERS and cur.tag == "p":
-        stack.pop()
-    elif tag == "li" and cur.tag == "li":
-        stack.pop()
-    elif tag in _CELL_TAGS and cur.tag in _CELL_TAGS:
-        stack.pop()
-    elif tag == "tr" and cur.tag in (_CELL_TAGS | {"tr"}):
-        while stack[-1].kind == ELEMENT and stack[-1].tag in _CELL_TAGS:
-            stack.pop()
-        if stack[-1].kind == ELEMENT and stack[-1].tag == "tr":
-            stack.pop()
+# the open tags _implied_close can pop: under any other, opening a tag
+# closes nothing
+_IMPLIED_CLOSE_TOPS = frozenset(("p", "li", "tr")) | _CELL_TAGS
 
 
-def _close_tag(stack: List[Node], tag: str) -> None:
+def _implied_close(tags: List[str], tag: str) -> None:
+    """Pop the open elements that opening ``tag`` closes implicitly.
+    ``tags`` is a builder's stack of open tags, the document's "" first;
+    the builder cuts its node stack to the same depth."""
+    cur = tags[-1]
+    if tag in _P_CLOSERS and cur == "p":
+        tags.pop()
+    elif tag == "li" and cur == "li":
+        tags.pop()
+    elif tag in _CELL_TAGS and cur in _CELL_TAGS:
+        tags.pop()
+    elif tag == "tr" and (cur in _CELL_TAGS or cur == "tr"):
+        while tags[-1] in _CELL_TAGS:
+            tags.pop()
+        if tags[-1] == "tr":
+            tags.pop()
+
+
+def _close_tag(tags: List[str], tag: str) -> None:
     """Pop through the innermost open ``tag``; an unmatched end tag is
     ignored."""
-    for i in range(len(stack) - 1, 0, -1):
-        if stack[i].kind == ELEMENT and stack[i].tag == tag:
-            del stack[i:]
+    for i in range(len(tags) - 1, 0, -1):
+        if tags[i] == tag:
+            del tags[i:]
             return
 
 
@@ -223,13 +235,16 @@ class _HtmlTreeBuilder(_StdHTMLParser):
     def __init__(self):
         super().__init__(convert_charrefs=True)
         self.root = Node(DOCUMENT)
+        self.tags: List[str] = [""]
         self.stack: List[Node] = [self.root]
 
     def handle_starttag(self, tag, attrs):
-        _implied_close(self.stack, tag)
+        _implied_close(self.tags, tag)
+        del self.stack[len(self.tags):]
         node = Node(ELEMENT, tag, {k: (v if v is not None else "") for k, v in attrs})
         self.stack[-1].append(node)
         if tag not in _VOID_TAGS:
+            self.tags.append(tag)
             self.stack.append(node)
 
     def handle_startendtag(self, tag, attrs):
@@ -237,7 +252,8 @@ class _HtmlTreeBuilder(_StdHTMLParser):
         self.stack[-1].append(node)
 
     def handle_endtag(self, tag):
-        _close_tag(self.stack, tag)
+        _close_tag(self.tags, tag)
+        del self.stack[len(self.tags):]
 
     def handle_data(self, data):
         if data:
@@ -247,22 +263,76 @@ class _HtmlTreeBuilder(_StdHTMLParser):
         self.stack[-1].append(Node(COMMENT, data=data))
 
 
+class Projection:
+    """The element compounds a rule pack's selectors can match, by tag:
+    what the one-pass builder keeps of a page (see _fast_build).
+    ``by_tag[t]`` holds the compounds an element ``t`` can match;
+    ``loose`` those that name no tag, which every tag can match."""
+
+    __slots__ = ("by_tag", "loose")
+
+    def __init__(self, compounds: List[_Compound]):
+        self.loose = tuple(c for c in compounds if c.tag in (None, "*"))
+        by_tag: dict = {}
+        for c in compounds:
+            if c.tag not in (None, "*"):
+                by_tag.setdefault(c.tag, []).append(c)
+        self.by_tag = {t: tuple(cs) + self.loose for t, cs in by_tag.items()}
+
+    @classmethod
+    def of_selectors(cls, selectors: List[str]) -> Optional["Projection"]:
+        """The projection of selector groups, or None where a selector
+        could look at what the pruned tree drops: a ``>``, ``+`` or
+        ``~`` combinator (the pruned tree keeps no unmatched parent or
+        sibling), a pseudo-class (all of them count siblings or
+        children), a bare ``*`` (it keeps everything anyway) or
+        syntax css_select rejects.  A descendant combinator is safe:
+        every compound of the selector joins the projection, so every
+        ancestor that could match one is kept."""
+        compounds: List[_Compound] = []
+        for selector in selectors:
+            try:
+                group = _parse_group(selector)
+            except ValueError:
+                return None
+            for ps in group:
+                for comb, c in ps.parts:
+                    if comb not in ("", " ") or c.pseudos or (
+                            c.tag in (None, "*") and c.id is None
+                            and not c.classes and not c.attrs):
+                        return None
+                    compounds.append(c)
+        return cls(compounds)
+
+
 # One-pass builder for PLAIN html.  The stdlib tokenizer's
 # goahead/parse_starttag machinery costs about twice this builder per
 # ~8 KB page, so markup the builder can read with EXACTLY html.parser's
 # semantics skips it: tags of the strict form <name attr="v" bare>,
-# </name>, <name/>; no entities (&), no single quotes, no
-# comments/doctype/PI (any '<'/'>' left in a text gap means the tag
-# regex failed to consume something), and no CDATA mode (an opened
-# <script>/<style> — stdlib reads their content as raw text).  Rawtext
-# elements, spaces around '=', unquoted values, '>' inside attr values
-# etc. make it return None, and parse_html throws the partial tree
-# away and runs the stdlib builder.  Tag/attr names are lowercased
+# </name>, <name/>; no comments/doctype/PI (any '<'/'>' left in a text
+# gap means the tag regex failed to consume something), and no CDATA
+# mode (an opened <script>/<style> — stdlib reads their content as raw
+# text).  Character references in text gaps and attribute values are
+# resolved with html.unescape, as html.parser(convert_charrefs=True)
+# does.  Rawtext elements, single-quoted or unquoted values, spaces
+# around '=', '>' inside attr values etc. make it return None, and
+# parse_html throws the partial tree away and runs the stdlib builder,
+# which always builds the full tree.  Tag/attr names are lowercased
 # exactly like html.parser, duplicate attrs keep the last occurrence,
 # <x/> is a startendtag (no implied close, never pushed), and both
-# builders share _implied_close and _close_tag.
+# builders run _implied_close and _close_tag on one stack of open tags.
 # Differential fuzz (tests/test_rulevm_parsers.py) pins the fast tree,
 # parent links included, to the stdlib tree.
+#
+# With a Projection the same pass prunes.  Outside every kept element
+# it keeps only the tag stack (implied closes need every open tag) and
+# drops text; an element becomes a node only where a projected
+# compound matches it, and then everything under it does too, with
+# its real parent links, so $text/$html/$self and scoped selects see
+# whole subtrees.  A kept element outside every other kept element
+# hangs off the document root, its nearest kept ancestor.  Selections
+# that the projection's selectors make come out the same nodes, in
+# document order, as on the full tree (tests/test_fuzz_parity.py).
 _FAST_TAG = re.compile(
     r'<(/?)([a-zA-Z][a-zA-Z0-9-]*)'
     r'((?:\s+[a-zA-Z_:][-a-zA-Z0-9_:.]*(?:="[^"<>]*")?)*)\s*(/?)>')
@@ -272,13 +342,18 @@ _FAST_ATTR = re.compile(
 _CDATA_CONTENT = frozenset(("script", "style"))
 
 
-def _fast_build(markup: str) -> Optional[Node]:
-    """The tree of plain ``markup``, or None where only html.parser
-    can read it."""
-    if "&" in markup or "'" in markup:
-        return None
+def _fast_build(markup: str,
+                projection: Optional[Projection] = None) -> Optional[Node]:
+    """The tree of plain ``markup`` — with a ``projection``, only the
+    elements it matches and everything under them — or None where
+    only html.parser can read it."""
     root = Node(DOCUMENT)
-    stack = [root]
+    tags = [""]
+    # nodes[i]: the node of open element tags[i], None where pruned;
+    # content lands in nodes[-1] and is dropped when that is None
+    nodes: List[Optional[Node]] = [root if projection is None else None]
+    if projection is not None:
+        by_tag, loose = projection.by_tag, projection.loose
     pos = 0
     for m in _FAST_TAG.finditer(markup):
         start = m.start()
@@ -286,32 +361,60 @@ def _fast_build(markup: str) -> Optional[Node]:
             gap = markup[pos:start]
             if "<" in gap or ">" in gap:
                 return None
-            stack[-1].append(Node(TEXT, "", None, gap))
+            if nodes[-1] is not None:
+                if "&" in gap:
+                    gap = _html_unescape(gap)
+                nodes[-1].append(Node(TEXT, "", None, gap))
         pos = m.end()
         closing, tag, rawattrs, selfclose = m.groups()
         tag = tag.lower()
         if closing:
             if rawattrs or selfclose:   # </a b> / </a/> — let stdlib rule
                 return None
-            _close_tag(stack, tag)
+            if tags[-1] == tag:       # the innermost open element
+                tags.pop()
+                nodes.pop()
+            else:
+                _close_tag(tags, tag)
+                del nodes[len(tags):]
             continue
-        attrs = ({a.lower(): v for a, v in _FAST_ATTR.findall(rawattrs)}
-                 if rawattrs else {})
+        if not selfclose:
+            if tag in _CDATA_CONTENT:
+                return None
+            if tags[-1] in _IMPLIED_CLOSE_TOPS:
+                _implied_close(tags, tag)
+                del nodes[len(tags):]
+        parent = nodes[-1]
+        if parent is None:
+            # outside every kept element: only an element the
+            # projection matches becomes a node, a child of the root
+            compounds = by_tag.get(tag, loose)
+            if not compounds:
+                if not selfclose and tag not in _VOID_TAGS:
+                    tags.append(tag)
+                    nodes.append(None)
+                continue
+        if rawattrs:
+            attrs = {a.lower(): v for a, v in _FAST_ATTR.findall(rawattrs)}
+            if "&" in rawattrs:
+                attrs = {a: _html_unescape(v) for a, v in attrs.items()}
+        else:
+            attrs = {}
         node = Node(ELEMENT, tag, attrs)
-        if selfclose:
-            stack[-1].append(node)
-            continue
-        if tag in _CDATA_CONTENT:
-            return None
-        _implied_close(stack, tag)
-        stack[-1].append(node)
-        if tag not in _VOID_TAGS:
-            stack.append(node)
+        if parent is None:
+            parent = root
+            if not any(_match_compound(node, c) for c in compounds):
+                node = None
+        if node is not None:
+            parent.append(node)
+        if not selfclose and tag not in _VOID_TAGS:
+            tags.append(tag)
+            nodes.append(node)
     tail = markup[pos:]
     if "<" in tail or ">" in tail:
         return None
-    if tail:
-        stack[-1].append(Node(TEXT, "", None, tail))
+    if tail and nodes[-1] is not None:
+        nodes[-1].append(Node(TEXT, "", None, _html_unescape(tail)))
     return root
 
 

@@ -19,8 +19,10 @@ compiled rule pack per actor, applied row-wise over Arrow batches.
 from __future__ import annotations
 
 import re as _re
+import threading
 from base64 import (b16decode, b16encode, b32decode, b32encode, b64decode,
                     b64encode, b85decode, b85encode)
+from contextlib import contextmanager
 from hashlib import md5 as _hashlib_md5
 from itertools import chain as _chain
 from string import Template
@@ -125,9 +127,9 @@ class BaseParser:
 
 # One-slot DOM memo: a crawler rule runs SEVERAL parse rules over the
 # SAME page HTML back to back (3 css rules per page in the synthetic
-# web's rule pack), and building the DOM is still the largest share of
-# the fetch stage (~60% of its in-process CPU on ~8 KB pages with the
-# one-pass builder; CSS selection ~5%).  The memo keeps that to one
+# web's rule pack), and building the DOM is the largest share of
+# RuleVM.parse (about three quarters of it on ~8 KB pages with the
+# one-pass builder and a full tree).  The memo keeps that to one
 # build per page, which also lets css_select reuse the tree's tag
 # index across the rules.  Key by string
 # IDENTITY and keep a reference to the key, so a recycled id() can
@@ -140,12 +142,19 @@ class BaseParser:
 # could tear under threaded use (async UDF helper threads) and pair one
 # page's string with another page's tree.
 _dom_memo = (None, None)
+# projected_dom's (markup, tree) pair, per thread: a pruned tree serves
+# only the parse of its page in the thread that built it, and never
+# enters the shared memo, which another thread could read meanwhile
+_pinned = threading.local()
 
 
 def _ensure_html_node(input_object):
     global _dom_memo
     if isinstance(input_object, dom.Node):
         return input_object
+    pinned = getattr(_pinned, "pair", None)
+    if pinned is not None and input_object is pinned[0]:
+        return pinned[1]
     memo_str, memo_node = _dom_memo
     if input_object is memo_str:
         return memo_node
@@ -153,6 +162,28 @@ def _ensure_html_node(input_object):
     if isinstance(input_object, str):
         _dom_memo = (input_object, node)
     return node
+
+
+@contextmanager
+def projected_dom(markup, projection):
+    """Within the block, css-family parses of ``markup`` (this string
+    object, not an equal one) read only the tree ``projection`` keeps
+    of it (rulevm/projection.py).  Only this thread sees that tree,
+    and only until the block exits.  A None projection, or markup the
+    one-pass builder cannot read, changes nothing: the parsers build
+    the full tree as always, and an html.parser failure stays their
+    error value."""
+    root = (dom._fast_build(markup, projection)
+            if projection is not None and isinstance(markup, str) else None)
+    if root is None:
+        yield
+        return
+    saved = getattr(_pinned, "pair", None)
+    _pinned.pair = (markup, root)
+    try:
+        yield
+    finally:
+        _pinned.pair = saved
 
 
 def _bs4_style_attr(el: dom.Node, name: str):
@@ -460,7 +491,6 @@ class UDFParser(BaseParser):
             asyncio.get_running_loop()
         except RuntimeError:
             return asyncio.run(result)
-        import threading
         box = {}
 
         def _drive():

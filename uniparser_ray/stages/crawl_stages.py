@@ -253,6 +253,9 @@ class FetchParseStage:
         self.adapter = SyntheticWebAdapter(self.web)
         self.vm = RuleVM()
         self._rule_cache: Dict[str, object] = {}
+        # id(rule) -> its DOM projection (rulevm/projection.py), derived
+        # with the host's _rule_cache entry; the rules stay alive there
+        self._projections: Dict[int, object] = {}
         # 3xx handling: hops are followed INLINE (requests semantics —
         # the reference's transports follow redirects transparently,
         # so a granted URL costs one politeness token regardless of
@@ -284,10 +287,13 @@ class FetchParseStage:
         if cached is not None:
             rules, single = cached
         else:
+            from ..rulevm.projection import rule_projection
             host_rule = self.storage.get(host)
             rules = list(host_rule["crawler_rules"].values()) if host_rule else []
             single = len(rules) == 1 and not rules[0]["regex"]
             self._rule_cache[host] = (rules, single)
+            for rule in rules:
+                self._projections[id(rule)] = rule_projection(rule)
         if single:
             return rules[0]
         for rule in rules:
@@ -342,6 +348,7 @@ class FetchParseStage:
             return text, resp, status, final, hops, None
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        from ..rulevm.parsers import projected_dom
         urls = batch["url"].to_pylist()
         hashes = batch["url_hash"].to_pylist()
         hosts = batch["host"].to_pylist()
@@ -411,7 +418,11 @@ class FetchParseStage:
                 context = {"resp": resp,
                            "request_args": {"url": urls[i], "method": "get"}}
                 try:
-                    result = self.vm.parse(text, rule, context)
+                    # the rule's css selectors read only the elements
+                    # its projection keeps: build just those for this
+                    # page's parse
+                    with projected_dom(text, self._projections[id(rule)]):
+                        result = self.vm.parse(text, rule, context)
                     body = result.get(name, {})
                     raw_links = body.get(EngineConfig.__request__) or []
                     if isinstance(raw_links, (list, tuple)):
