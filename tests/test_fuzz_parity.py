@@ -419,8 +419,9 @@ def test_fuzz_anomaly_cross_multiplication(counts, idx):
 # the projection analysis may prune a pack that holds it: descendant,
 # class, id and attribute selectors and subtree-local udf reads prune;
 # child/sibling combinators, structural pseudos, a bare '*', a udf
-# that walks to .parent and a udf that imports the engine to css-parse
-# the page string itself must fall back to the full build.
+# that walks to .parent and a udf that imports the engine, or reaches
+# it through a helper module's attributes, to css-parse the page
+# string itself must fall back to the full build.
 PRUNE_POOL = [
     ({"name": "desc", "chain_rules": [["css", "p a", "$text"]]}, True),
     ({"name": "kid", "chain_rules": [["css", "p > a", "@href"]]}, False),
@@ -448,6 +449,11 @@ PRUNE_POOL = [
               ["udf", "obj.get('src') or obj.get('href')", ""]]},
           {"name": "caption", "chain_rules": [
               ["udf", "obj.get('alt')", ""]]}]}, True),
+    ({"name": "reach", "chain_rules": [[
+        "udf", "re.enum.sys.modules['uniparser_ray.rulevm.parsers']"
+               ".CSSParser().parse(obj, 'span', '$text')", ""]]}, False),
+    ({"name": "px", "chain_rules": [["css", "p.x", "$outerHTML"]]}, True),
+    ({"name": "cell", "chain_rules": [["se", "td", "$html"]]}, True),
 ]
 
 
@@ -536,3 +542,90 @@ def test_fuzz_pruned_build_equals_full_build():
 
     prop()
     assert len(pruned_pages) >= 20
+
+    # A pack whose selectors all name tags: the builder jumps between
+    # candidate start tags and runs the per-tag loop only inside kept
+    # elements.  Markup the one-pass builder rejects sits before,
+    # between and after the candidates; there are uppercase candidates,
+    # entity-bearing attributes, kept elements closed by an implied
+    # close, and an end tag closing an element outside the kept one,
+    # which makes the builder build the page again tag by tag.
+    from test_rulevm_parsers import _std_tree
+
+    from uniparser_ray.rulevm import dom
+
+    jump_pack = pack_of([i for i, (r, _) in enumerate(PRUNE_POOL)
+                         if r["name"] in ("desc", "__request__", "images",
+                                          "px", "cell")])
+    jump_projection = projection_of(jump_pack)
+    assert jump_projection.scan is not None
+    candidates = [
+        '<p><a href="/u1">one</a></p>',
+        '<A CLASS="x" HREF="/u?a=1&amp;b=2">Up</A>',
+        '<IMG SRC="/i&amp;j.png" alt="it&#39;s"/>',
+        '<p class="x">kept<b>bold</b><div>closes it</div>',
+        '<table><tr><td>c1<tr><td>c2</td></tr></table>',
+    ]
+    rerun = '<div><p class="x">in<a href="/u3">x</a></div>out</p>'
+    # html.parser reads these, the one-pass builder does not; none
+    # holds a candidate tag, so after the last candidate none is read
+    unread = ["<!-- c -->", "<script>if (a<b) f()</script>",
+              "<span title='q'>s</span>", "5 < 6", "a > b", "</b c>"]
+    hostile = unread + [
+        '<!-- <a href="/c">c</a> -->',
+        '<script>f("<a href=/s>s</a>")</script>',
+        '<SCRIPT><a href="/s">s</a></SCRIPT>',
+        "<a href='/q'>q</a>", "</a b>", "<![foo[ y ]]>",
+        '<a\x0bhref="/v">v</a>',
+    ]
+
+    def kept_roots(root):
+        """outer_html of the elements the projection keeps whole: each
+        matching element that no matching element encloses."""
+        out = []
+        for el in root.children:
+            if el.kind != dom.ELEMENT:
+                continue
+            if any(dom._match_compound(el, c)
+                   for c in jump_projection.by_tag.get(el.tag, ())):
+                out.append(el.outer_html())
+            else:
+                out += kept_roots(el)
+        return out
+
+    def same_tree(page):
+        """The pruned tree holds html.parser's kept subtrees, or the
+        page gets none (and its parses build the full tree)."""
+        pruned = dom._fast_build(page, jump_projection)
+        try:
+            std = _std_tree(page)
+        except AssertionError:    # html.parser raises: no pruned tree
+            assert pruned is None, page
+            return False
+        assert dom.parse_html(page).outer_html() == std.outer_html(), page
+        if pruned is not None:
+            assert [c.outer_html() for c in pruned.children] \
+                == kept_roots(std), page
+        return pruned is not None
+
+    sweep = [rerun] + ["".join(candidates[:k] + [h] + candidates[k:])
+                       for h in hostile
+                       for k in (0, len(candidates) // 2, len(candidates))]
+    pruned = [page for page in sweep if same_tree(page)]
+    assert all("".join(candidates) + h in pruned for h in unread)
+    assert rows(jump_pack, sweep, prune=True) \
+        == rows(jump_pack, sweep, prune=False)
+    with mock.patch.object(dom, "_tag_loop", wraps=dom._tag_loop) as loop:
+        assert dom._fast_build(rerun, jump_projection) is not None
+    assert [c.args[1] for c in loop.call_args_list][-1] == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(candidates + [rerun]),
+                              st.sampled_from(hostile), _markup()),
+                    min_size=1, max_size=6).map("".join))
+    def jumps(page):
+        same_tree(page)
+        assert rows(jump_pack, [page], prune=True) \
+            == rows(jump_pack, [page], prune=False), page
+
+    jumps()

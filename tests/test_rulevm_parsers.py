@@ -461,14 +461,39 @@ def test_css_select_tag_index_equals_walk_fuzz():
     prop()
 
 
+class _TagRecorder:
+    """Stands in for dom._FAST_TAG and records where each tag it
+    tokenizes starts."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.starts = []
+
+    def match(self, string, pos=0):
+        m = self.pattern.match(string, pos)
+        if m is not None:
+            self.starts.append(m.start())
+        return m
+
+    def finditer(self, string, pos=0):
+        for m in self.pattern.finditer(string, pos):
+            self.starts.append(m.start())
+            yield m
+
+
 def test_fast_build_covers_benchmark_webs():
     """Every 200 page of both benchmark web shapes takes the one-pass
     builder, and the pruned one: a template change that sends pages to
     html.parser (a comment, a <script>), or a rule-pack change the
-    projection cannot prove, would silently give the speed back."""
+    projection cannot prove, would silently give the speed back.  The
+    pruned build jumps between candidate tags: it tokenizes fewer tags
+    than the page holds, never one twice (a build again tag by tag
+    would), and on extract_heavy none after the last a.nav closes."""
     import importlib.util
+    from unittest import mock
 
     from uniparser_ray.crawl.storage import JSONRuleStorage
+    from uniparser_ray.rulevm import dom
     from uniparser_ray.rulevm.dom import _fast_build
     from uniparser_ray.rulevm.projection import rule_projection
     from uniparser_ray.sources.synthweb import SynthWeb
@@ -479,7 +504,7 @@ def test_fast_build_covers_benchmark_webs():
     workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     for w in workloads.WORKLOADS.values():
-        web = SynthWeb(**dict(w.web, num_hosts=6))
+        web = SynthWeb(**dict(w.web, num_hosts=6, seed=101))
         storage = JSONRuleStorage(**web.rule_pack())
         pages = 0
         for url in web.all_page_urls():
@@ -491,11 +516,42 @@ def test_fast_build_covers_benchmark_webs():
                 assert full is not None, (w.name, url)
                 projection = rule_projection(storage.find_crawler_rule(url))
                 assert projection is not None, (w.name, url)
-                pruned = _fast_build(markup, projection)
+                recorder = _TagRecorder(dom._FAST_TAG)
+                with mock.patch.object(dom, "_FAST_TAG", recorder):
+                    pruned = _fast_build(markup, projection)
                 assert pruned is not None, (w.name, url)
                 assert (len(list(pruned.iter_elements()))
                         < len(list(full.iter_elements()))), (w.name, url)
+                starts = recorder.starts
+                assert starts == sorted(set(starts)), (w.name, url)
+                assert (len(starts)
+                        < len(dom._FAST_TAG.findall(markup))), (w.name, url)
+                if w.name == "extract_heavy":
+                    last_nav = markup.rindex('<a class="nav"')
+                    nav_end = markup.index("</a>", last_nav)
+                    assert starts[-1] == nav_end, (w.name, url)
         assert pages > 0
+
+
+def test_projection_refuses_udf_module_reach():
+    """A udf reaching a module through a helper global's attributes
+    (``re.enum`` leads to ``sys.modules``, and so to this engine's css
+    parser) could read the page string past any projection, so its
+    pack is not pruned; calling a helper function is still fine."""
+    from uniparser_ray import CrawlerRule
+    from uniparser_ray.rulevm.projection import rule_projection
+
+    def projection(udf):
+        return rule_projection(CrawlerRule(
+            "r", {"url": "http://h.test/", "method": "get"},
+            [{"name": "links", "chain_rules": [["css", "a", "$text"]]},
+             {"name": "u", "chain_rules": [["udf", udf, ""]]}]))
+
+    assert projection("re.findall('[0-9]+', obj)") is not None
+    for udf in ("re.enum.sys.modules['uniparser_ray.rulevm.parsers']"
+                ".CSSParser().parse(obj, 'span', '$text')",
+                "re.functools", "[re][0].enum", "(lambda m: m)(re)"):
+        assert projection(udf) is None, udf
 
 
 class _OnePageAdapter:

@@ -403,6 +403,45 @@ def test_json_rule_storage(tmp_path):
     assert reloaded.find_crawler_rule("http://other.test/") is None
 
 
+def test_rule_pack_compiles_each_source_once():
+    """A rule pack repeats a few udf sources on every host: each
+    distinct source compiles once per process, and building the pack
+    leaves the caller's dict holding its plain strings."""
+    import copy
+    import uuid
+    from unittest import mock
+
+    from uniparser_ray.rulevm import rules as rules_mod
+
+    # a source no other test compiled yet in this process
+    src = f"obj.upper()  # {uuid.uuid4().hex}"
+    pack = {f"h{i}.test": {"host": f"h{i}.test", "crawler_rules": {"r": {
+        "name": "r", "regex": "",
+        "request_args": {"method": "get", "url": f"http://h{i}.test/"},
+        "parse_rules": [
+            {"name": "up", "chain_rules": [["udf", src, ""]]},
+            {"name": "ab", "chain_rules": [["jmespath", "a.b", ""]]}]}}}
+        for i in range(8)}
+    before = copy.deepcopy(pack)
+    with mock.patch.object(rules_mod, "compile", create=True,
+                           wraps=compile) as compiled:
+        storage = JSONRuleStorage(**pack)
+    assert [c.args[0] for c in compiled.call_args_list].count(src) == 1
+    codes = {id(storage.find_crawler_rule(f"http://h{i}.test/")
+                ["parse_rules"][0]["chain_rules"][0][1].code)
+             for i in range(8)}
+    assert len(codes) == 1
+    assert pack == before
+    assert all(type(c[1]) is str
+               for host in pack.values()
+               for pr in host["crawler_rules"]["r"]["parse_rules"]
+               for c in pr["chain_rules"])
+    page = '{"a": {"b": "x"}}'
+    result = Uniparser().parse(page, storage.find_crawler_rule(
+        "http://h3.test/"), {})["r"]
+    assert result == {"up": page.upper(), "ab": "x"}
+
+
 def test_oracle_crawler_recursive():
     """Recursive __request__/__result__ crawl over an in-process web —
     structure mirrors the reference's PEP test

@@ -222,13 +222,14 @@ def _implied_close(tags: List[str], tag: str) -> None:
             tags.pop()
 
 
-def _close_tag(tags: List[str], tag: str) -> None:
+def _close_tag(tags: List[str], tag: str) -> bool:
     """Pop through the innermost open ``tag``; an unmatched end tag is
-    ignored."""
+    ignored.  Whether one was open."""
     for i in range(len(tags) - 1, 0, -1):
         if tags[i] == tag:
             del tags[i:]
-            return
+            return True
+    return False
 
 
 class _HtmlTreeBuilder(_StdHTMLParser):
@@ -267,9 +268,12 @@ class Projection:
     """The element compounds a rule pack's selectors can match, by tag:
     what the one-pass builder keeps of a page (see _fast_build).
     ``by_tag[t]`` holds the compounds an element ``t`` can match;
-    ``loose`` those that name no tag, which every tag can match."""
+    ``loose`` those that name no tag, which every tag can match.
+    ``scan`` finds the start tags whose names ``by_tag`` holds, the
+    only ones a kept element can begin with; None where a loose
+    compound makes every tag a candidate."""
 
-    __slots__ = ("by_tag", "loose")
+    __slots__ = ("by_tag", "loose", "scan")
 
     def __init__(self, compounds: List[_Compound]):
         self.loose = tuple(c for c in compounds if c.tag in (None, "*"))
@@ -278,6 +282,12 @@ class Projection:
             if c.tag not in (None, "*"):
                 by_tag.setdefault(c.tag, []).append(c)
         self.by_tag = {t: tuple(cs) + self.loose for t, cs in by_tag.items()}
+        # case-blind, as html.parser lowercases names; the lookahead
+        # only rules out longer names, so every start tag html.parser
+        # names with a projected tag matches
+        self.scan = None if self.loose or not by_tag else re.compile(
+            "<(?:%s)(?![a-zA-Z0-9-])" % "|".join(
+                re.escape(t) for t in sorted(by_tag)), re.I | re.A)
 
     @classmethod
     def of_selectors(cls, selectors: List[str]) -> Optional["Projection"]:
@@ -309,37 +319,81 @@ class Projection:
 # goahead/parse_starttag machinery costs about twice this builder per
 # ~8 KB page, so markup the builder can read with EXACTLY html.parser's
 # semantics skips it: tags of the strict form <name attr="v" bare>,
-# </name>, <name/>; no comments/doctype/PI (any '<'/'>' left in a text
-# gap means the tag regex failed to consume something), and no CDATA
-# mode (an opened <script>/<style> — stdlib reads their content as raw
-# text).  Character references in text gaps and attribute values are
-# resolved with html.unescape, as html.parser(convert_charrefs=True)
-# does.  Rawtext elements, single-quoted or unquoted values, spaces
-# around '=', '>' inside attr values etc. make it return None, and
-# parse_html throws the partial tree away and runs the stdlib builder,
-# which always builds the full tree.  Tag/attr names are lowercased
-# exactly like html.parser, duplicate attrs keep the last occurrence,
-# <x/> is a startendtag (no implied close, never pushed), and both
-# builders run _implied_close and _close_tag on one stack of open tags.
-# Differential fuzz (tests/test_rulevm_parsers.py) pins the fast tree,
-# parent links included, to the stdlib tree.
+# </name>, <name/>, with only the ASCII spaces that end an html.parser
+# tag name around names; no comments/doctype/PI (any '<'/'>' left in
+# a text gap means the tag regex failed to consume something), and no
+# CDATA mode (an opened <script>/<style> — stdlib reads their content
+# as raw text).  Character references in text gaps and attribute
+# values are resolved with html.unescape, as
+# html.parser(convert_charrefs=True) does.  Rawtext elements,
+# single-quoted or unquoted values, spaces around '=', '>' inside attr
+# values etc. make it return None, and parse_html throws the partial
+# tree away and runs the stdlib builder, which always builds the full
+# tree.  Tag/attr names are lowercased exactly like html.parser,
+# duplicate attrs keep the last occurrence, <x/> is a startendtag (no
+# implied close, never pushed), and both builders run _implied_close
+# and _close_tag on one stack of open tags.  Differential fuzz
+# (tests/test_rulevm_parsers.py) pins the fast tree, parent links
+# included, to the stdlib tree.
 #
-# With a Projection the same pass prunes.  Outside every kept element
-# it keeps only the tag stack (implied closes need every open tag) and
-# drops text; an element becomes a node only where a projected
-# compound matches it, and then everything under it does too, with
-# its real parent links, so $text/$html/$self and scoped selects see
-# whole subtrees.  A kept element outside every other kept element
-# hangs off the document root, its nearest kept ancestor.  Selections
-# that the projection's selectors make come out the same nodes, in
-# document order, as on the full tree (tests/test_fuzz_parity.py).
+# With a Projection the builder prunes: an element becomes a node only
+# where a projected compound matches it, and then everything under it
+# does too, with its real parent links, so $text/$html/$self and
+# scoped selects see whole subtrees.  A kept element outside every
+# other kept element hangs off the document root, its nearest kept
+# ancestor.  Selections that the projection's selectors make come out
+# the same nodes, in document order, as on the full tree
+# (tests/test_fuzz_parity.py).
+#
+# Outside every kept element nothing but a candidate — a start tag the
+# projection's ``scan`` finds — can begin one, so the builder jumps
+# from candidate to candidate at C speed (the "skip what the query
+# cannot read" of Mison, Li et al., VLDB 2017).  Each skipped span
+# passes one anchored match of _SKIPPED, which accepts exactly the
+# spans the per-tag loop reads without bailing; a span it rejects
+# gives None, the per-tag loop's verdict too.  The per-tag loop runs
+# only inside a kept element, on a stack whose bottom "" stands for
+# everything outside, so _implied_close/_close_tag see only what is
+# open inside it: an implied close that pops the kept element ends the
+# run at that tag, where the jumps resume.  An end tag that matches
+# nothing open inside may close an element outside, which the stack
+# does not hold; then the page is built again with the per-tag loop
+# throughout, as full builds and loose projections always are.  After
+# the last candidate nothing is tokenized: html.parser reads left to
+# right, so the tail can neither hold a kept node nor change one
+# before it, and a comment or <script> there leaves the tree pruned.
+# The tail's one check is a search for "<![": html.parser raises on a
+# marked section, which makes the whole page a parse error.
+_TAG_SPACE = "[ \t\n\r\f]"
+_TAG_NAME = "[a-zA-Z][a-zA-Z0-9-]*"
+_TAG_ATTRS = (f'(?:{_TAG_SPACE}+[a-zA-Z_:][-a-zA-Z0-9_:.]*'
+              f'(?:="[^"<>]*")?)*')
 _FAST_TAG = re.compile(
-    r'<(/?)([a-zA-Z][a-zA-Z0-9-]*)'
-    r'((?:\s+[a-zA-Z_:][-a-zA-Z0-9_:.]*(?:="[^"<>]*")?)*)\s*(/?)>')
+    f"<(/?)({_TAG_NAME})({_TAG_ATTRS}){_TAG_SPACE}*(/?)>")
 _FAST_ATTR = re.compile(
     r'([a-zA-Z_:][-a-zA-Z0-9_:.]*)(?:="([^"<>]*)")?')
+# text without '<'/'>', a bare end tag, or a start tag; one that
+# opens <script>/<style> raw text only self-closed
+_SKIPPED = re.compile(
+    f"(?:[^<>]++"
+    f"|</{_TAG_NAME}{_TAG_SPACE}*>"
+    f"|<(?!(?i:script|style)(?![a-zA-Z0-9-])){_TAG_NAME}{_TAG_ATTRS}"
+    f"{_TAG_SPACE}*/?>"
+    f"|<{_TAG_NAME}{_TAG_ATTRS}{_TAG_SPACE}*/>)*+")
 # html.parser.HTMLParser.CDATA_CONTENT_ELEMENTS
 _CDATA_CONTENT = frozenset(("script", "style"))
+# _tag_loop's verdicts besides a position
+_BAIL = -1    # only html.parser can read the markup
+_RERUN = -2   # an end tag may close an element outside the kept one
+
+
+def _tag_attrs(rawattrs: str) -> dict:
+    if not rawattrs:
+        return {}
+    attrs = {a.lower(): v for a, v in _FAST_ATTR.findall(rawattrs)}
+    if "&" in rawattrs:
+        attrs = {a: _html_unescape(v) for a, v in attrs.items()}
+    return attrs
 
 
 def _fast_build(markup: str,
@@ -348,19 +402,72 @@ def _fast_build(markup: str,
     elements it matches and everything under them — or None where
     only html.parser can read it."""
     root = Node(DOCUMENT)
-    tags = [""]
-    # nodes[i]: the node of open element tags[i], None where pruned;
-    # content lands in nodes[-1] and is dropped when that is None
-    nodes: List[Optional[Node]] = [root if projection is None else None]
+    if projection is None:
+        end = _tag_loop(markup, 0, [""], [root], root, None)
+    else:
+        end = _RERUN
+        if projection.scan is not None:
+            end = _candidate_jumps(markup, root, projection)
+        if end == _RERUN:
+            root = Node(DOCUMENT)
+            end = _tag_loop(markup, 0, [""], [None], root, projection)
+    return None if end < 0 else root
+
+
+def _candidate_jumps(markup: str, root: Node, projection: Projection) -> int:
+    """Hang the kept elements of ``markup`` off ``root``, tokenizing
+    only candidates and what is inside kept ones.  Returns a position
+    when done, else _BAIL or _RERUN."""
+    by_tag, scan = projection.by_tag, projection.scan
+    pos = 0
+    while True:
+        m = scan.search(markup, pos)
+        if m is None:
+            # the unread tail; a marked section there makes
+            # html.parser raise (_markupbase.parse_marked_section)
+            return _BAIL if markup.find("<![", pos) >= 0 else pos
+        start = m.start()
+        if start > pos and _SKIPPED.fullmatch(markup, pos, start) is None:
+            return _BAIL
+        m = _FAST_TAG.match(markup, start)
+        if m is None:
+            return _BAIL
+        _, tag, rawattrs, selfclose = m.groups()
+        tag = tag.lower()
+        if not selfclose and tag in _CDATA_CONTENT:
+            return _BAIL
+        pos = m.end()
+        node = Node(ELEMENT, tag, _tag_attrs(rawattrs))
+        if not any(_match_compound(node, c) for c in by_tag.get(tag, ())):
+            continue
+        root.append(node)
+        if not selfclose and tag not in _VOID_TAGS:
+            pos = _tag_loop(markup, pos, ["", tag], [None, node], root,
+                            projection)
+            if pos < 0:
+                return pos
+
+
+def _tag_loop(markup: str, pos: int, tags: List[str],
+              nodes: List[Optional[Node]], root: Node,
+              projection: Optional[Projection]) -> int:
+    """Tokenize ``markup`` tag by tag from ``pos``.  ``tags`` holds the
+    open tags, the document's "" first; ``nodes[i]`` is the node of
+    open element ``tags[i]``, None where pruned, and content lands in
+    ``nodes[-1]`` or is dropped when that is None.  A run that starts
+    inside a kept element (``tags`` is ["", its tag]) returns where that
+    element closes; any run returns len(markup) at the end, _BAIL or
+    _RERUN."""
+    # 1 in a kept element's run, which ends when the stack is down to ""
+    floor = len(tags) - 1
     if projection is not None:
         by_tag, loose = projection.by_tag, projection.loose
-    pos = 0
-    for m in _FAST_TAG.finditer(markup):
+    for m in _FAST_TAG.finditer(markup, pos):
         start = m.start()
         if start > pos:
             gap = markup[pos:start]
             if "<" in gap or ">" in gap:
-                return None
+                return _BAIL
             if nodes[-1] is not None:
                 if "&" in gap:
                     gap = _html_unescape(gap)
@@ -370,20 +477,25 @@ def _fast_build(markup: str,
         tag = tag.lower()
         if closing:
             if rawattrs or selfclose:   # </a b> / </a/> — let stdlib rule
-                return None
+                return _BAIL
             if tags[-1] == tag:       # the innermost open element
                 tags.pop()
                 nodes.pop()
-            else:
-                _close_tag(tags, tag)
+            elif _close_tag(tags, tag):
                 del nodes[len(tags):]
+            elif floor:
+                return _RERUN
+            if len(tags) == floor:
+                return pos
             continue
         if not selfclose:
             if tag in _CDATA_CONTENT:
-                return None
+                return _BAIL
             if tags[-1] in _IMPLIED_CLOSE_TOPS:
                 _implied_close(tags, tag)
                 del nodes[len(tags):]
+                if len(tags) == floor:
+                    return start
         parent = nodes[-1]
         if parent is None:
             # outside every kept element: only an element the
@@ -394,13 +506,7 @@ def _fast_build(markup: str,
                     tags.append(tag)
                     nodes.append(None)
                 continue
-        if rawattrs:
-            attrs = {a.lower(): v for a, v in _FAST_ATTR.findall(rawattrs)}
-            if "&" in rawattrs:
-                attrs = {a: _html_unescape(v) for a, v in attrs.items()}
-        else:
-            attrs = {}
-        node = Node(ELEMENT, tag, attrs)
+        node = Node(ELEMENT, tag, _tag_attrs(rawattrs))
         if parent is None:
             parent = root
             if not any(_match_compound(node, c) for c in compounds):
@@ -412,10 +518,10 @@ def _fast_build(markup: str,
             nodes.append(node)
     tail = markup[pos:]
     if "<" in tail or ">" in tail:
-        return None
+        return _BAIL
     if tail and nodes[-1] is not None:
         nodes[-1].append(Node(TEXT, "", None, _html_unescape(tail)))
-    return root
+    return len(markup)
 
 
 def parse_html(markup: str) -> Node:

@@ -23,9 +23,10 @@ prove gives None, and the page gets the full tree:
   bare name.  A scoped ``select`` in a udf must name its selector as a
   string literal, which joins the projection like any other: a ``>``
   chain could climb out of the scope's subtree;
-* a ``udf`` that imports or introspects, even one no node reaches:
-  it could load this engine and css-parse the page string itself,
-  which inside the page's parse reads the pruned tree.
+* a ``udf`` that imports or introspects, or reaches a module through
+  a helper global's attributes (``re.enum``), even one no node
+  reaches: it could load this engine and css-parse the page string
+  itself, which inside the page's parse reads the pruned tree.
 
 Nodes reach user code two ways: as the chain value, and through
 ``context['parse_result']``, which holds every earlier top-level
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import ast
 from functools import lru_cache
+from types import ModuleType
 from typing import List, Optional, Tuple
 
 from ..config import EngineConfig
@@ -155,8 +157,9 @@ def _udf_selects(src: str, exec_mode: bool,
                  names: frozenset) -> Optional[Tuple[str, ...]]:
     """The selectors of the scoped selects in a udf's source, or None
     where it may read a value bound to ``names`` other than through
-    _SUBTREE_READS, or imports or introspects.  Cached: a rule pack repeats its udfs on every
-    host, and each fetch task derives the projection per host."""
+    _SUBTREE_READS, or imports, introspects or reaches a module.
+    Cached: a rule pack repeats its udfs on every host, and each fetch
+    task derives the projection per host."""
     try:
         tree = ast.parse(src, mode="exec" if exec_mode else "eval")
     except (SyntaxError, ValueError):
@@ -177,7 +180,8 @@ def _udf_selects(src: str, exec_mode: bool,
             return None
         if isinstance(node, ast.Attribute):
             if (node.attr == "parent"
-                    or node.attr.startswith(_UNSAFE_ATTR_PREFIXES)):
+                    or node.attr.startswith(_UNSAFE_ATTR_PREFIXES)
+                    or isinstance(_helper_value(node), ModuleType)):
                 return None
             if node.attr in _NODE_RESULTS:
                 call = parents.get(node)
@@ -190,9 +194,33 @@ def _udf_selects(src: str, exec_mode: bool,
         elif isinstance(node, ast.Name):
             if node.id in _INTROSPECTION or node.id.startswith("_"):
                 return None
+            if isinstance(UDFParser._GLOBALS_ARGS.get(node.id), ModuleType):
+                # a helper module is read only through attribute
+                # chains, which the Attribute branch resolves
+                up = parents.get(node)
+                if not (isinstance(up, ast.Attribute) and up.value is node):
+                    return None
             if node.id in names and isinstance(node.ctx, ast.Load):
                 up = parents.get(node)
                 if not (isinstance(up, ast.Attribute)
                         and up.attr in _SUBTREE_READS):
                     return None
     return tuple(selects)
+
+
+def _helper_value(node: ast.Attribute):
+    """What an attribute chain rooted at one of UDFParser's helper
+    globals resolves to, or None: ``re.findall`` is a function, but
+    ``re.enum`` is a module, and ``re.enum.sys.modules`` holds every
+    loaded one, this engine's too."""
+    attrs = []
+    while isinstance(node, ast.Attribute):
+        attrs.append(node.attr)
+        node = node.value
+    helpers = UDFParser._GLOBALS_ARGS
+    if not isinstance(node, ast.Name) or node.id not in helpers:
+        return None
+    value = helpers[node.id]
+    for attr in reversed(attrs):
+        value = getattr(value, attr, None)
+    return value

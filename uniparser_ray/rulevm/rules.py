@@ -4,14 +4,15 @@ JSON-round-trippable dict subclasses with the exact key ordering and
 compile-on-construction behavior of the reference
 (reference: uniparser/parsers.py:1006-1237).  Rule packs built from
 these are broadcast read-only to Ray workers; ``CompiledString``
-carries the per-rule compiled jmespath/jsonpath/udf program so compile
-cost is paid once per rule, not once per row.
+carries the compiled jmespath/jsonpath/udf program, compiled once per
+distinct source in a process, not once per rule or row.
 """
 
 from __future__ import annotations
 
 import re
 from copy import deepcopy
+from functools import lru_cache
 from typing import Dict, List, Union
 
 from ..config import EngineConfig
@@ -25,6 +26,22 @@ except ImportError:  # pragma: no cover
     _jsonpath_parse = None
 
 
+@lru_cache(maxsize=4096)
+def _program(mode: str, string: str):
+    """(operator, code) of a param: compiled once per distinct source
+    in a process.  Every fetch worker compiles its run's whole rule
+    pack, whose hosts repeat a few sources; the programs are never
+    mutated, so the rules share them."""
+    if mode in ("jmespath", "json"):
+        return None, jmes_compile(
+            string[5:] if string.startswith("JSON.") else string)
+    if mode == "jsonpath":
+        return None, _jsonpath_parse(
+            "$%s" % string[4:] if string.startswith("JSON.") else string)
+    operator = UDFParser.get_code_mode(string)
+    return operator, compile(string, "<udf>", operator.__name__)
+
+
 class CompiledString(str):
     """str subclass carrying a precompiled program for jmespath /
     jsonpath / udf params (reference: parsers.py:980-1003)."""
@@ -36,14 +53,8 @@ class CompiledString(str):
         if isinstance(string, cls):
             return string
         obj = str.__new__(cls, string)
-        if mode in ("jmespath", "json"):
-            obj.code = jmes_compile(string[5:] if string.startswith("JSON.") else string)
-        elif mode == "jsonpath":
-            src = "$%s" % string[4:] if string.startswith("JSON.") else string
-            obj.code = _jsonpath_parse(src)
-        elif mode == "udf":
-            obj.operator = UDFParser.get_code_mode(str(string))
-            obj.code = compile(string, "<udf>", obj.operator.__name__)
+        if mode in cls.__support__:
+            obj.operator, obj.code = _program(mode, str(string))
         return obj
 
 
@@ -99,8 +110,9 @@ class ParseRule(JsonSerializable):
 
     @staticmethod
     def compile_rule(chain_rule):
-        if isinstance(chain_rule[1], CompiledString):
-            return chain_rule
+        """The chain rule with its param compiled, as a new list: the
+        caller's rule pack keeps its plain strings."""
+        chain_rule = list(chain_rule)
         if chain_rule[0] in CompiledString.__support__:
             chain_rule[1] = CompiledString(chain_rule[1], mode=chain_rule[0])
         return chain_rule
