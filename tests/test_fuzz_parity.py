@@ -549,7 +549,8 @@ def test_fuzz_pruned_build_equals_full_build():
     # between and after the candidates; there are uppercase candidates,
     # entity-bearing attributes, kept elements closed by an implied
     # close, and an end tag closing an element outside the kept one,
-    # which makes the builder build the page again tag by tag.
+    # which gives the page no pruned tree.  A pack of tagless
+    # selectors makes every start tag a candidate, and jumps too.
     from test_rulevm_parsers import _std_tree
 
     from uniparser_ray.rulevm import dom
@@ -559,12 +560,17 @@ def test_fuzz_pruned_build_equals_full_build():
                                           "px", "cell")])
     jump_projection = projection_of(jump_pack)
     assert jump_projection.scan is not None
+    loose_pack = pack_of([i for i, (r, _) in enumerate(PRUNE_POOL)
+                          if r["name"] in ("desc", "cls", "id", "data")])
+    loose_projection = projection_of(loose_pack)
+    assert loose_projection.loose and loose_projection.scan is not None
     candidates = [
         '<p><a href="/u1">one</a></p>',
         '<A CLASS="x" HREF="/u?a=1&amp;b=2">Up</A>',
         '<IMG SRC="/i&amp;j.png" alt="it&#39;s"/>',
         '<p class="x">kept<b>bold</b><div>closes it</div>',
         '<table><tr><td>c1<tr><td>c2</td></tr></table>',
+        '<div id="i"><span data-i="7">d</span></div><I data-i="8"/>',
     ]
     rerun = '<div><p class="x">in<a href="/u3">x</a></div>out</p>'
     # html.parser reads these, the one-pass builder does not; none
@@ -579,24 +585,24 @@ def test_fuzz_pruned_build_equals_full_build():
         '<a\x0bhref="/v">v</a>',
     ]
 
-    def kept_roots(root):
+    def kept_roots(root, projection):
         """outer_html of the elements the projection keeps whole: each
         matching element that no matching element encloses."""
         out = []
         for el in root.children:
             if el.kind != dom.ELEMENT:
                 continue
-            if any(dom._match_compound(el, c)
-                   for c in jump_projection.by_tag.get(el.tag, ())):
+            if any(dom._match_compound(el, c) for c in
+                   projection.by_tag.get(el.tag, projection.loose)):
                 out.append(el.outer_html())
             else:
-                out += kept_roots(el)
+                out += kept_roots(el, projection)
         return out
 
-    def same_tree(page):
+    def same_tree(page, projection=jump_projection):
         """The pruned tree holds html.parser's kept subtrees, or the
         page gets none (and its parses build the full tree)."""
-        pruned = dom._fast_build(page, jump_projection)
+        pruned = dom._fast_build(page, projection)
         try:
             std = _std_tree(page)
         except AssertionError:    # html.parser raises: no pruned tree
@@ -605,7 +611,7 @@ def test_fuzz_pruned_build_equals_full_build():
         assert dom.parse_html(page).outer_html() == std.outer_html(), page
         if pruned is not None:
             assert [c.outer_html() for c in pruned.children] \
-                == kept_roots(std), page
+                == kept_roots(std, projection), page
         return pruned is not None
 
     sweep = [rerun] + ["".join(candidates[:k] + [h] + candidates[k:])
@@ -615,17 +621,25 @@ def test_fuzz_pruned_build_equals_full_build():
     assert all("".join(candidates) + h in pruned for h in unread)
     assert rows(jump_pack, sweep, prune=True) \
         == rows(jump_pack, sweep, prune=False)
-    with mock.patch.object(dom, "_tag_loop", wraps=dom._tag_loop) as loop:
-        assert dom._fast_build(rerun, jump_projection) is not None
-    assert [c.args[1] for c in loop.call_args_list][-1] == 0
+    assert dom._fast_build(rerun, jump_projection) is None
+    # every start tag is a loose candidate, so only the hostile pieces
+    # without one are left unread after the last candidate
+    loose_pruned = [page for page in sweep
+                    if same_tree(page, loose_projection)]
+    assert all("".join(candidates) + h in loose_pruned
+               for h in ("<!-- c -->", "5 < 6", "a > b", "</b c>"))
+    assert rows(loose_pack, sweep, prune=True) \
+        == rows(loose_pack, sweep, prune=False)
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.one_of(st.sampled_from(candidates + [rerun]),
                               st.sampled_from(hostile), _markup()),
                     min_size=1, max_size=6).map("".join))
     def jumps(page):
-        same_tree(page)
-        assert rows(jump_pack, [page], prune=True) \
-            == rows(jump_pack, [page], prune=False), page
+        for pack, projection in ((jump_pack, jump_projection),
+                                 (loose_pack, loose_projection)):
+            same_tree(page, projection)
+            assert rows(pack, [page], prune=True) \
+                == rows(pack, [page], prune=False), page
 
     jumps()

@@ -53,6 +53,16 @@ def test_css_parser():
     assert uni.css1.parse(one, "a.url", "$outerHTML") == one
     assert uni.css1.parse(one, "a.url", "$string") == one
     assert isinstance(uni.css1.parse(one, "a.url", "$self"), Node)
+    # bs4 reads class as a list of names; a miss is None; no input, []
+    assert uni.css.parse(HTML, "a", "@class") == [["a"], ["a"], ["a"]]
+    two = '<b class="x  y" id="b">t</b>'
+    assert uni.css.parse(two, "b", "@class") == [["x", "y"]]
+    assert uni.css1.parse(two, "b", "@class") == ["x", "y"]
+    assert uni.css1.parse(two, "b", "@id") == "b"
+    assert uni.css1.parse(two, "i", "@class") is None
+    assert uni.css1.parse(two, "i", "$text") is None
+    assert uni.css.parse("", "b", "$text") == []
+    assert uni.css1.parse("", "b", "$text") == []
 
 
 def test_selectolax_parser():
@@ -83,6 +93,15 @@ def test_selectolax_parser():
     assert isinstance(uni.se1.parse(one, "a.url", "$self"), Node)
     assert uni.se1.parse(one, "a.url", "$html") == "title"
     assert uni.se1.parse(one, "a.url", "$innerHTML") == "title"
+    # selectolax reads class as one string; a miss is ""; no input, []
+    assert uni.se.parse(HTML, "a", "@class") == ["a", "a", "a"]
+    two = '<b class="x  y" id="b">t</b>'
+    assert uni.se.parse(two, "b", "@class") == ["x  y"]
+    assert uni.se1.parse(two, "b", "@class") == "x  y"
+    assert uni.se1.parse(two, "i", "@class") == ""
+    assert uni.se1.parse(two, "i", "$text") == ""
+    assert uni.se.parse("", "b", "$text") == []
+    assert uni.se1.parse("", "b", "$text") == []
     # selectolax div $html golden (reference: parsers.py:256-257)
     assert uni.se.parse("<div>a <b>b</b> c</div>", "div", "$html") == ["a <b>b</b> c"]
 
@@ -596,12 +615,12 @@ def test_pruned_tree_stays_inside_its_page_parse():
     page = web.get(url)[2].decode()
     stage = FetchParseStage(rule_pack=web.rule_pack(), web_config=web_config)
     stage.adapter = _OnePageAdapter(page)
-    memo = parsers._dom_memo
+    slot = parsers._slot.pair
     row = stage(_page_batch([url])).to_pylist()[0]
     assert row["status"] == 200 and row["error"] is None
     projection = stage._projections[id(stage._find_rule(url))]
     assert projection is not None
-    assert parsers._dom_memo is memo
+    assert parsers._slot.pair is slot
     uni = Uniparser()
     copy = "".join(list(page))
     assert copy is not page

@@ -34,7 +34,10 @@ def test_rule_engine_stage(ray_session):
                                         ["udf", "int(obj)", ""]],
          "child_rules": []},
     ]
-    out = parse_dataset(ds, rules, batch_size=4).to_pandas()
+    # Ray Data does not keep row order across batches
+    out = parse_dataset(ds, rules, batch_size=4).to_pandas() \
+        .sort_values("doc_id", ignore_index=True)
+    assert list(out["doc_id"]) == list(range(10))
     assert list(out["first"]) == ["hello"] * 10
     assert out["rev"][0] == "0 dlrow olleh"
     assert list(out["num"]) == list(range(10))

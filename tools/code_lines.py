@@ -1,8 +1,9 @@
 """Code lines of the engine package: per subdir of ``uniparser_ray/``
 (top-level modules count as ``.``), the non-blank lines that are not
-comments or docstrings, then the total.
+comments or docstrings, then the total.  Given ``.py`` files instead,
+the same count for each file, then their total.
 
-Usage: python tools/code_lines.py [repo_root]
+Usage: python tools/code_lines.py [repo_root | file.py ...]
 """
 
 from __future__ import annotations
@@ -41,15 +42,21 @@ def code_lines(source: str) -> int:
 
 
 def main() -> None:
-    pkg = Path(sys.argv[1] if len(sys.argv) > 1 else
-               Path(__file__).resolve().parent.parent) / "uniparser_ray"
-    counts: Counter = Counter()
-    for f in sorted(pkg.rglob("*.py")):
-        sub = f.parent.relative_to(pkg).parts
-        counts[sub[0] if sub else "."] += code_lines(f.read_text())
-    for name, n in sorted(counts.items()):
-        print(f"{name:10s} {n:6d}")
-    print(f"{'total':10s} {sum(counts.values()):6d}")
+    files = [a for a in sys.argv[1:] if a.endswith(".py")]
+    if files:
+        counts = {f: code_lines(Path(f).read_text()) for f in files}
+    else:
+        pkg = Path(sys.argv[1] if len(sys.argv) > 1 else
+                   Path(__file__).resolve().parent.parent) / "uniparser_ray"
+        subs: Counter = Counter()
+        for f in sorted(pkg.rglob("*.py")):
+            sub = f.parent.relative_to(pkg).parts
+            subs[sub[0] if sub else "."] += code_lines(f.read_text())
+        counts = dict(sorted(subs.items()))
+    width = max([10, *map(len, counts)])
+    for name, n in counts.items():
+        print(f"{name:{width}s} {n:6d}")
+    print(f"{'total':{width}s} {sum(counts.values()):6d}")
 
 
 if __name__ == "__main__":

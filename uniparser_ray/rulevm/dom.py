@@ -9,10 +9,10 @@ millions of pages per worker, so this module implements:
   directly, anything else goes through stdlib ``html.parser``,
 * projection pushdown into that one pass: given the element compounds
   a rule pack's selectors can match (``Projection``, derived by
-  rulevm/projection.py), it makes nodes only for matching elements
-  and everything under them, and keeps a bare tag stack for the rest
-  — the document projection of "Projecting XML Documents" (Marian &
-  Siméon, VLDB 2003) applied to HTML,
+  rulevm/projection.py), it jumps from one candidate start tag to the
+  next and makes nodes only for matching elements and everything
+  under them — the document projection of "Projecting XML Documents"
+  (Marian & Siméon, VLDB 2003) applied to HTML,
 * a lenient XML builder (regex tokenizer; CDATA merged into text,
   namespace prefixes stripped from tag names — behavior matching what
   the reference observed through BeautifulSoup(features='lxml-xml'),
@@ -269,9 +269,9 @@ class Projection:
     what the one-pass builder keeps of a page (see _fast_build).
     ``by_tag[t]`` holds the compounds an element ``t`` can match;
     ``loose`` those that name no tag, which every tag can match.
-    ``scan`` finds the start tags whose names ``by_tag`` holds, the
-    only ones a kept element can begin with; None where a loose
-    compound makes every tag a candidate."""
+    ``scan`` finds the candidates, the only start tags a kept element
+    can begin with: those whose names ``by_tag`` holds, or every start
+    tag where a loose compound can match any tag."""
 
     __slots__ = ("by_tag", "loose", "scan")
 
@@ -284,10 +284,12 @@ class Projection:
         self.by_tag = {t: tuple(cs) + self.loose for t, cs in by_tag.items()}
         # case-blind, as html.parser lowercases names; the lookahead
         # only rules out longer names, so every start tag html.parser
-        # names with a projected tag matches
-        self.scan = None if self.loose or not by_tag else re.compile(
-            "<(?:%s)(?![a-zA-Z0-9-])" % "|".join(
-                re.escape(t) for t in sorted(by_tag)), re.I | re.A)
+        # names with a projected tag matches; '<[a-zA-Z]' is how
+        # html.parser finds any start tag, and a projection of no
+        # compound has no candidate ('(?!)' matches nothing)
+        names = "|".join(re.escape(t) for t in sorted(by_tag)) or "(?!)"
+        self.scan = re.compile("<[a-zA-Z]" if self.loose else
+                               f"<(?:{names})(?![a-zA-Z0-9-])", re.I | re.A)
 
     @classmethod
     def of_selectors(cls, selectors: List[str]) -> Optional["Projection"]:
@@ -346,24 +348,25 @@ class Projection:
 # (tests/test_fuzz_parity.py).
 #
 # Outside every kept element nothing but a candidate — a start tag the
-# projection's ``scan`` finds — can begin one, so the builder jumps
-# from candidate to candidate at C speed (the "skip what the query
-# cannot read" of Mison, Li et al., VLDB 2017).  Each skipped span
-# passes one anchored match of _SKIPPED, which accepts exactly the
-# spans the per-tag loop reads without bailing; a span it rejects
-# gives None, the per-tag loop's verdict too.  The per-tag loop runs
-# only inside a kept element, on a stack whose bottom "" stands for
-# everything outside, so _implied_close/_close_tag see only what is
-# open inside it: an implied close that pops the kept element ends the
-# run at that tag, where the jumps resume.  An end tag that matches
-# nothing open inside may close an element outside, which the stack
-# does not hold; then the page is built again with the per-tag loop
-# throughout, as full builds and loose projections always are.  After
-# the last candidate nothing is tokenized: html.parser reads left to
-# right, so the tail can neither hold a kept node nor change one
-# before it, and a comment or <script> there leaves the tree pruned.
-# The tail's one check is a search for "<![": html.parser raises on a
-# marked section, which makes the whole page a parse error.
+# projection's ``scan`` finds, every start tag where a loose compound
+# can match any tag — can begin one, so the builder jumps from
+# candidate to candidate at C speed (the "skip what the query cannot
+# read" of Mison, Li et al., VLDB 2017).  Each skipped span passes one
+# anchored match of _SKIPPED, which accepts exactly the spans the
+# per-tag loop reads without bailing; a span it rejects gives None,
+# the per-tag loop's verdict too.  Inside a kept element the per-tag
+# loop runs on a stack whose bottom "" stands for everything outside,
+# so _implied_close/_close_tag see only what is open inside it: an
+# implied close that pops the kept element ends the run at that tag,
+# where the jumps resume.  An end tag that matches nothing open inside
+# may close an element outside, which the stack does not hold; then
+# the page gets no pruned tree, and its parses build the full one.
+# After the last candidate nothing is tokenized: html.parser reads
+# left to right, so the tail can neither hold a kept node nor change
+# one before it, and a comment or <script> there leaves the tree
+# pruned.  The tail's one check is a search for "<![": html.parser
+# raises on a marked section, which makes the whole page a parse
+# error.
 _TAG_SPACE = "[ \t\n\r\f]"
 _TAG_NAME = "[a-zA-Z][a-zA-Z0-9-]*"
 _TAG_ATTRS = (f'(?:{_TAG_SPACE}+[a-zA-Z_:][-a-zA-Z0-9_:.]*'
@@ -382,9 +385,9 @@ _SKIPPED = re.compile(
     f"|<{_TAG_NAME}{_TAG_ATTRS}{_TAG_SPACE}*/>)*+")
 # html.parser.HTMLParser.CDATA_CONTENT_ELEMENTS
 _CDATA_CONTENT = frozenset(("script", "style"))
-# _tag_loop's verdicts besides a position
-_BAIL = -1    # only html.parser can read the markup
-_RERUN = -2   # an end tag may close an element outside the kept one
+# the one-pass verdict besides a position: only html.parser can read
+# the markup
+_BAIL = -1
 
 
 def _tag_attrs(rawattrs: str) -> dict:
@@ -402,23 +405,16 @@ def _fast_build(markup: str,
     elements it matches and everything under them — or None where
     only html.parser can read it."""
     root = Node(DOCUMENT)
-    if projection is None:
-        end = _tag_loop(markup, 0, [""], [root], root, None)
-    else:
-        end = _RERUN
-        if projection.scan is not None:
-            end = _candidate_jumps(markup, root, projection)
-        if end == _RERUN:
-            root = Node(DOCUMENT)
-            end = _tag_loop(markup, 0, [""], [None], root, projection)
+    end = (_tag_loop(markup, 0, [""], [root]) if projection is None
+           else _candidate_jumps(markup, root, projection))
     return None if end < 0 else root
 
 
 def _candidate_jumps(markup: str, root: Node, projection: Projection) -> int:
     """Hang the kept elements of ``markup`` off ``root``, tokenizing
     only candidates and what is inside kept ones.  Returns a position
-    when done, else _BAIL or _RERUN."""
-    by_tag, scan = projection.by_tag, projection.scan
+    when done, else _BAIL."""
+    by_tag, loose, scan = projection.by_tag, projection.loose, projection.scan
     pos = 0
     while True:
         m = scan.search(markup, pos)
@@ -438,40 +434,36 @@ def _candidate_jumps(markup: str, root: Node, projection: Projection) -> int:
             return _BAIL
         pos = m.end()
         node = Node(ELEMENT, tag, _tag_attrs(rawattrs))
-        if not any(_match_compound(node, c) for c in by_tag.get(tag, ())):
+        if not any(_match_compound(node, c)
+                   for c in by_tag.get(tag, loose)):
             continue
         root.append(node)
         if not selfclose and tag not in _VOID_TAGS:
-            pos = _tag_loop(markup, pos, ["", tag], [None, node], root,
-                            projection)
+            pos = _tag_loop(markup, pos, ["", tag], [root, node])
             if pos < 0:
                 return pos
 
 
 def _tag_loop(markup: str, pos: int, tags: List[str],
-              nodes: List[Optional[Node]], root: Node,
-              projection: Optional[Projection]) -> int:
+              nodes: List[Node]) -> int:
     """Tokenize ``markup`` tag by tag from ``pos``.  ``tags`` holds the
     open tags, the document's "" first; ``nodes[i]`` is the node of
-    open element ``tags[i]``, None where pruned, and content lands in
-    ``nodes[-1]`` or is dropped when that is None.  A run that starts
-    inside a kept element (``tags`` is ["", its tag]) returns where that
-    element closes; any run returns len(markup) at the end, _BAIL or
-    _RERUN."""
+    open element ``tags[i]``, and content lands in ``nodes[-1]``.  A
+    run inside a kept element (``tags`` is ["", its tag]) returns where
+    that element closes, or _BAIL at an end tag that may close an
+    element outside it; any run returns len(markup) at the end, or
+    _BAIL."""
     # 1 in a kept element's run, which ends when the stack is down to ""
     floor = len(tags) - 1
-    if projection is not None:
-        by_tag, loose = projection.by_tag, projection.loose
     for m in _FAST_TAG.finditer(markup, pos):
         start = m.start()
         if start > pos:
             gap = markup[pos:start]
             if "<" in gap or ">" in gap:
                 return _BAIL
-            if nodes[-1] is not None:
-                if "&" in gap:
-                    gap = _html_unescape(gap)
-                nodes[-1].append(Node(TEXT, "", None, gap))
+            if "&" in gap:
+                gap = _html_unescape(gap)
+            nodes[-1].append(Node(TEXT, "", None, gap))
         pos = m.end()
         closing, tag, rawattrs, selfclose = m.groups()
         tag = tag.lower()
@@ -484,7 +476,7 @@ def _tag_loop(markup: str, pos: int, tags: List[str],
             elif _close_tag(tags, tag):
                 del nodes[len(tags):]
             elif floor:
-                return _RERUN
+                return _BAIL
             if len(tags) == floor:
                 return pos
             continue
@@ -496,30 +488,15 @@ def _tag_loop(markup: str, pos: int, tags: List[str],
                 del nodes[len(tags):]
                 if len(tags) == floor:
                     return start
-        parent = nodes[-1]
-        if parent is None:
-            # outside every kept element: only an element the
-            # projection matches becomes a node, a child of the root
-            compounds = by_tag.get(tag, loose)
-            if not compounds:
-                if not selfclose and tag not in _VOID_TAGS:
-                    tags.append(tag)
-                    nodes.append(None)
-                continue
         node = Node(ELEMENT, tag, _tag_attrs(rawattrs))
-        if parent is None:
-            parent = root
-            if not any(_match_compound(node, c) for c in compounds):
-                node = None
-        if node is not None:
-            parent.append(node)
+        nodes[-1].append(node)
         if not selfclose and tag not in _VOID_TAGS:
             tags.append(tag)
             nodes.append(node)
     tail = markup[pos:]
     if "<" in tail or ">" in tail:
         return _BAIL
-    if tail and nodes[-1] is not None:
+    if tail:
         nodes[-1].append(Node(TEXT, "", None, _html_unescape(tail)))
     return len(markup)
 

@@ -125,42 +125,32 @@ class BaseParser:
 # ---------------------------------------------------------------------------
 
 
-# One-slot DOM memo: a crawler rule runs SEVERAL parse rules over the
-# SAME page HTML back to back (3 css rules per page in the synthetic
-# web's rule pack), and building the DOM is the largest share of
-# RuleVM.parse (about three quarters of it on ~8 KB pages with the
-# one-pass builder and a full tree).  The memo keeps that to one
-# build per page, which also lets css_select reuse the tree's tag
-# index across the rules.  Key by string
-# IDENTITY and keep a reference to the key, so a recycled id() can
-# never alias (the memoized string stays alive while memoized) and
-# equal-but-distinct strings just miss — a miss is only the old cost.
-# The DOM is read-only under select (its lazily built tag index comes
-# out the same whichever thread builds it), so sharing the tree is safe.
-# The (markup, node) pair lives in ONE global so both read and publish
-# are single atomic reference ops under the GIL — two separate globals
-# could tear under threaded use (async UDF helper threads) and pair one
-# page's string with another page's tree.
-_dom_memo = (None, None)
-# projected_dom's (markup, tree) pair, per thread: a pruned tree serves
-# only the parse of its page in the thread that built it, and never
-# enters the shared memo, which another thread could read meanwhile
-_pinned = threading.local()
+# One (markup, tree) slot per thread: a crawler rule runs SEVERAL
+# parse rules over the SAME page HTML back to back (3 css rules per
+# page in the synthetic web's rule pack), and building the DOM is the
+# largest share of RuleVM.parse (about three quarters of it on ~8 KB
+# pages with the one-pass builder and a full tree).  The slot keeps
+# that to one build per page, which also lets css_select reuse the
+# tree's tag index across the rules.  Keyed by string IDENTITY, and
+# it holds the key, so a recycled id() can never alias and an
+# equal-but-distinct string just misses — a miss is only the old
+# cost.  projected_dom puts a pruned tree in the slot for the length
+# of its page's parse; no other thread can read the slot.
+class _Slot(threading.local):
+    pair = (None, None)
+
+
+_slot = _Slot()
 
 
 def _ensure_html_node(input_object):
-    global _dom_memo
     if isinstance(input_object, dom.Node):
         return input_object
-    pinned = getattr(_pinned, "pair", None)
-    if pinned is not None and input_object is pinned[0]:
-        return pinned[1]
-    memo_str, memo_node = _dom_memo
-    if input_object is memo_str:
-        return memo_node
-    node = dom.parse_html(input_object)
-    if isinstance(input_object, str):
-        _dom_memo = (input_object, node)
+    markup, node = _slot.pair
+    if input_object is not markup:
+        node = dom.parse_html(input_object)
+        if isinstance(input_object, str):
+            _slot.pair = (input_object, node)
     return node
 
 
@@ -178,28 +168,24 @@ def projected_dom(markup, projection):
     if root is None:
         yield
         return
-    saved = getattr(_pinned, "pair", None)
-    _pinned.pair = (markup, root)
+    saved = _slot.pair
+    _slot.pair = (markup, root)
     try:
         yield
     finally:
-        _pinned.pair = saved
-
-
-def _bs4_style_attr(el: dom.Node, name: str):
-    # bs4 treats ``class`` as a multi-valued attribute
-    val = el.get(name)
-    if name == "class" and val is not None:
-        return val.split()
-    return val
+        _slot.pair = saved
 
 
 class CSSParser(BaseParser):
     """``css``: CSS select over HTML; value ops ``@attr`` / ``$text`` /
     ``$innerHTML`` / ``$html`` / ``$outerHTML`` / ``$string`` / ``$self``
-    (reference: parsers.py:116-188)."""
+    (reference: parsers.py:116-188).  The other css-family parsers
+    share this body and differ only in ``split_class`` and, for the
+    first-match names, ``miss``."""
 
     name = "css"
+    # bs4 reads ``class`` as a list of names, selectolax as one string
+    split_class = True
 
     operations = {
         "$text": lambda el: el.text,
@@ -210,76 +196,51 @@ class CSSParser(BaseParser):
         "$self": _return_self,
     }
 
+    def _read(self, item: dom.Node, value):
+        if not value.startswith("@"):
+            return self.operations.get(value, _return_self)(item)
+        val = item.get(value[1:])
+        if value == "@class" and self.split_class and val is not None:
+            return val.split()
+        return val
+
     def _parse(self, input_object, param, value):
         if not input_object:
             return []
-        node = _ensure_html_node(input_object)
-        if value.startswith("@"):
-            return [_bs4_style_attr(item, value[1:]) for item in node.select(param)]
-        operate = self.operations.get(value, _return_self)
-        return [operate(item) for item in node.select(param)]
+        return [self._read(item, value)
+                for item in _ensure_html_node(input_object).select(param)]
 
 
 class CSSSingleParser(CSSParser):
     """``css1``: first match only; miss -> None (reference: parsers.py:191-222)."""
 
     name = "css1"
+    miss = None
 
     def _parse(self, input_object, param, value):
         if not input_object:
             return []
-        node = _ensure_html_node(input_object)
-        item = node.select_one(param)
-        if item is None:
-            return None
-        if value.startswith("@"):
-            return _bs4_style_attr(item, value[1:])
-        return self.operations.get(value, _return_self)(item)
+        item = _ensure_html_node(input_object).select_one(param)
+        return self.miss if item is None else self._read(item, value)
 
 
-class SelectolaxParser(BaseParser):
+class SelectolaxParser(CSSParser):
     """``se`` / ``selectolax``: same CSS engine, selectolax-flavored ops —
     attributes are plain strings, ``$html``/``$innerHTML`` concatenate
     child markup (reference: parsers.py:225-301)."""
 
     name = "selectolax"
     aliases = ("se",)
-
-    operations = {
-        "$text": lambda el: el.text,
-        "$html": lambda el: el.inner_html(),
-        "$innerHTML": lambda el: el.inner_html(),
-        "$string": lambda el: el.outer_html(),
-        "$outerHTML": lambda el: el.outer_html(),
-        "$self": _return_self,
-    }
-
-    def _parse(self, input_object, param, value):
-        if not input_object:
-            return []
-        node = _ensure_html_node(input_object)
-        if value.startswith("@"):
-            return [item.get(value[1:]) for item in node.select(param)]
-        operate = self.operations.get(value, _return_self)
-        return [operate(item) for item in node.select(param)]
+    split_class = False
 
 
-class SelectolaxSingleParser(SelectolaxParser):
+class SelectolaxSingleParser(CSSSingleParser):
     """``se1``: first match; miss -> '' (reference: parsers.py:304-332)."""
 
     name = "selectolax1"
     aliases = ("se1",)
-
-    def _parse(self, input_object, param, value):
-        if not input_object:
-            return []
-        node = _ensure_html_node(input_object)
-        item = node.select_one(param)
-        if item is None:
-            return ""
-        if value.startswith("@"):
-            return item.get(value[1:])
-        return self.operations.get(value, _return_self)(item)
+    split_class = False
+    miss = ""
 
 
 class XMLParser(BaseParser):
