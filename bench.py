@@ -522,11 +522,11 @@ def run_graph(num_cpus: int, n_nodes: int = 200_000, degree: int = 8,
     n_edges = sum(i["fwd_edges"] for i in infos)
     # warm-up superstep (first touch pays numpy paging), then timed
     ray.get([s.pr_init.remote() for s in shards])
-    ray.get(graph_bsp._exchange(shards, "pr_messages", "pr_apply"))
+    graph_bsp._superstep(shards, "pagerank")
     t0 = time.perf_counter()
     ray.get([s.pr_init.remote() for s in shards])
     for _ in range(iters):
-        ray.get(graph_bsp._exchange(shards, "pr_messages", "pr_apply"))
+        graph_bsp._superstep(shards, "pagerank")
     sec = time.perf_counter() - t0
     # components leg on the same sealed shards (propagation + adaptive
     # pointer jumping to convergence)

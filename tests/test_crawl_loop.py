@@ -204,42 +204,6 @@ def test_crawl_resume(ray_session, tmp_path, oracle_result):
         1 for s, _ in oracle_result["pages"].values() if s == 200)
 
 
-def test_crawl_resume_from_legacy_checkpoint(ray_session, tmp_path,
-                                             oracle_result):
-    """Checkpoint-format migration: a checkpoint written by the
-    pre-round-4 code has no final_hash/final_url/redirects/etag/
-    retry_after page columns and no ready_round/retries frontier
-    columns.  Resume must read those as zeros (not KeyError) and
-    finish with exactly the clean run's schedule."""
-    web = SynthWeb(**WEB_CFG)
-    out = tmp_path / "crawl_legacy"
-    cfg_partial = CrawlConfig(web_config=WEB_CFG, out_dir=str(out),
-                              seeds=web.seed_urls(), max_rounds=2,
-                              per_host_budget=3,
-                              seen_shard_bits=2)
-    run_crawl(cfg_partial, web.rule_pack())
-    # rewrite the checkpoints in the legacy schema
-    for f in (out / "pages").glob("round=*/*.parquet"):
-        t = pq.read_table(f)
-        drop = [c for c in ("final_url", "final_hash", "redirects",
-                            "etag", "retry_after")
-                if c in t.column_names]
-        pq.write_table(t.drop_columns(drop), f)
-    for f in (out / "frontier").glob("round=*/*.parquet"):
-        t = pq.read_table(f)
-        drop = [c for c in ("ready_round", "retries")
-                if c in t.column_names]
-        pq.write_table(t.drop_columns(drop), f)
-    cfg_full = CrawlConfig(web_config=WEB_CFG, out_dir=str(out),
-                           seeds=web.seed_urls(), max_rounds=30,
-                           per_host_budget=3,
-                           seen_shard_bits=2)
-    totals = run_crawl(cfg_full, web.rule_pack(), resume=True)
-    assert totals["pages_ok"] > 0
-    assert _ray_rounds(out) == [r["fetched"]
-                                for r in oracle_result["rounds"]]
-
-
 def test_crawl_distributed_grant_tight_backlog_identical(ray_session,
                                                          tmp_path,
                                                          oracle_result):

@@ -84,10 +84,15 @@ def test_hits_matches_expected(ray_session):
 
 def test_pagerank_shard_count_invariant(ray_session):
     """Result independent of shard count (the partition-determinism
-    claim the 100 TB design rests on)."""
+    claim the 100 TB design rests on): pagerank, components, seed hops
+    and the dedup clusters' per-node assignments."""
     from uniparser_ray.pipelines.graph import (_SHARD_CACHE, _sealed_shards,
-                                               expected_pagerank)
-    from uniparser_ray.stages.graph_bsp import connected_components, pagerank
+                                               _web_for, expected_pagerank,
+                                               expected_seed_hops)
+    from uniparser_ray.rulevm.urlutil import url_hash64
+    from uniparser_ray.stages.graph_bsp import (component_assignments,
+                                                connected_components,
+                                                pagerank, seed_hops)
     shards1 = _sealed_shards(SF, num_shards=1)
     got1 = pagerank(shards1)
     assert got1.equals(expected_pagerank(TAG))
@@ -95,6 +100,65 @@ def test_pagerank_shard_count_invariant(ray_session):
     shards3 = _sealed_shards(SF, num_shards=3)
     assert pagerank(shards3).equals(got1)
     assert connected_components(shards3).equals(cc1)
+    seeds = np.array([url_hash64(u) for u in _web_for(TAG).seed_urls()],
+                     np.uint64)
+    hops1 = seed_hops(shards1, seeds)
+    assert hops1.equals(expected_seed_hops(TAG))
+    assert seed_hops(shards3, seeds).equals(hops1)
+    assign1 = component_assignments(shards1).sort_by("id")
+    assert assign1.num_rows == sum(cc1["n_pages"].to_pylist())
+    assert component_assignments(shards3).sort_by("id").equals(assign1)
+
+
+def test_plan_cache_shared_across_algorithms(ray_session):
+    """One structure cache per edge plan: seal leaves every plan unsent
+    with no receive plan, pagerank fills the out plan only, and seed
+    hops, which sends on the same plan, ships values without hashes."""
+    import ray
+
+    from uniparser_ray.stages import graph_bsp
+
+    n = 12
+    hashes = np.arange(1, n + 1, dtype=np.uint64) \
+        * np.uint64(0x9E3779B97F4A7C15)
+    nodes = ray.data.from_arrow(pa.table({
+        "hash": hashes, "id": [f"n{i}" for i in range(n)]}))
+    edges = ray.data.from_arrow(pa.table({"src": hashes[:-1],
+                                          "dst": hashes[1:]}))
+    shards = graph_bsp.load(nodes, edges, 2)
+
+    def caches():
+        return ray.get([s.__ray_call__.remote(lambda shard: {
+            k: (p.sent, p.recv is not None)
+            for k, p in shard.plans.items()}) for s in shards])
+
+    fresh = {"out": (False, False), "in": (False, False),
+             "both": (False, False)}
+    assert caches() == [fresh, fresh]
+    graph_bsp.pagerank(shards)
+    assert caches() == [dict(fresh, out=(True, True))] * 2
+    ray.get([s.sp_init.remote(hashes[:1]) for s in shards])
+    for row in graph_bsp._send(shards, "send", "seed_hops"):
+        payloads = ray.get(row)
+        assert len(payloads) == 2
+        assert all(h is None for h, _ in payloads)
+    assert caches() == [dict(fresh, out=(True, True))] * 2
+    graph_bsp.release(shards)
+
+
+def test_doc_dedup_clusters_without_pairs(ray_session):
+    """A pairs result with no pair is a 0-row Dataset: every document
+    is loaded, is its own cluster and is kept."""
+    import pyarrow.parquet as pq
+
+    from uniparser_ray.pipelines.documents import (doc_dedup_clusters,
+                                                   doc_dedup_minhash)
+    assert doc_dedup_minhash(SF, threshold=1.01).count() == 0
+    out = doc_dedup_clusters(SF, threshold=1.01).to_pandas()
+    ids = pq.read_table(f"{SF}/documents.parquet", columns=["doc_id"])
+    assert sorted(out["doc_id"]) == sorted(ids["doc_id"].to_pylist())
+    assert (out["cluster"] == out["doc_id"]).all()
+    assert out["keep"].all()
 
 
 def test_images_dedup_clusters_transitive(ray_session):

@@ -224,18 +224,6 @@ def _frontier_table(urls: List[str], parents: List[str], depths: List[int],
     ], schema=FRONTIER_SCHEMA)
 
 
-def _normalize_frontier(t: pa.Table) -> pa.Table:
-    """Checkpoint-format migration: frontier files written before the
-    retry lane (no ``retries``) or the Retry-After deferral lane (no
-    ``ready_round``) read as zeros — a resume of an old-out-dir crawl
-    proceeds instead of KeyErroring on the new columns."""
-    for name in ("retries", "ready_round"):
-        if name not in t.column_names:
-            t = t.append_column(
-                name, pa.array(np.zeros(t.num_rows, np.int32), pa.int32()))
-    return t.select([f.name for f in FRONTIER_SCHEMA]).cast(FRONTIER_SCHEMA)
-
-
 # -- per-block round steps ----------------------------------------------------
 
 def _chain(*steps):
@@ -250,8 +238,8 @@ def _chain(*steps):
 
 
 def _readiness(round_idx: int, ready: bool):
-    """The Retry-After deferral lane: the (normalized) frontier rows
-    whose ``ready_round`` has arrived (``ready=True``) or not yet.
+    """The Retry-After deferral lane: the frontier rows whose
+    ``ready_round`` has arrived (``ready=True``) or not yet.
     Deferred rows skip the round (no seen/politeness side effects) and
     ride into the next checkpoint untouched."""
     def split(t: pa.Table) -> pa.Table:
@@ -443,8 +431,8 @@ def _admit_block(admit, grant, count, deferred, pieces):
     chain and the block-local grant clip, and the deferred rows apart.
     Returns (clipped rows, deferred rows, (rows, granted, paced,
     deferred))."""
-    t = pa.concat_tables([_normalize_frontier(
-        pq.read_table(f).slice(lo, hi - lo)) for f, lo, hi in pieces])
+    t = pa.concat_tables([pq.read_table(f).slice(lo, hi - lo)
+                          for f, lo, hi in pieces])
     decided = grant(admit(t))
     later = deferred(t)
     return decided, later, count(decided) + (later.num_rows,)
@@ -750,14 +738,7 @@ class CrawlRun:
         def replay(files, columns, make_hashes, seen):
             def push(group):
                 for f in group:
-                    # checkpoint-format guard: pages written before the
-                    # redirect lane have no final_hash column — sniffed
-                    # per FILE, so a checkpoint upgraded mid-crawl
-                    # replays each file's own columns (missing finals
-                    # read as "none")
-                    names = pq.read_schema(f).names
-                    t = pq.read_table(
-                        f, columns=[c for c in columns if c in names])
+                    t = pq.read_table(f, columns=columns)
                     for off in range(0, t.num_rows, 16384):
                         _slices, futs = seen.add_futures(
                             make_hashes(t.slice(off, 16384)))
@@ -769,8 +750,6 @@ class CrawlRun:
         def page_hashes(t: pa.Table) -> np.ndarray:
             uh = t["url_hash"].to_numpy(zero_copy_only=False) \
                 .astype(np.uint64)
-            if "final_hash" not in t.column_names:
-                return uh
             # redirect finals were test-and-set during the fetch —
             # replay the nonzero ones alongside the requested URLs
             fh = t["final_hash"].to_numpy(zero_copy_only=False) \

@@ -16,7 +16,3 @@ class InvalidSchemaError(UniparserRayError):
 class RuleNotFoundError(UniparserRayError):
     """No CrawlerRule matched a given URL."""
 
-
-class NotArrowEncodableError(UniparserRayError):
-    """A chain-final value holds a DOM node / non-serializable object
-    that cannot cross Ray block boundaries."""

@@ -345,36 +345,25 @@ def doc_dedup_clusters(sf_dir: str, threshold: float = 0.6):
 
 
 def _doc_dedup_clusters(sf_dir: str, threshold: float):
-    import numpy as np
-    import ray
-
     from ..stages import graph_bsp
 
-    pairs = doc_dedup_minhash(sf_dir, threshold=threshold)
-    ids = _read(sf_dir, ["doc_id"])
+    def nodes(t: pa.Table) -> pa.Table:
+        return pa.table({"hash": t["doc_id"].cast(pa.uint64()),
+                         "id": t["doc_id"]})
 
-    num_shards = max(2, min(8, int(ray.cluster_resources()
-                                   .get("CPU", 4)) // 2))
-    shards = graph_bsp.build_shards(num_shards)
+    def edges(t: pa.Table) -> pa.Table:
+        return pa.table({"src": t["doc_a"].cast(pa.uint64()),
+                         "dst": t["doc_b"].cast(pa.uint64())})
 
-    def _ingest_nodes(t: pa.Table) -> pa.Table:
-        v = t["doc_id"].to_numpy().astype(np.uint64)
-        ray.get(graph_bsp.ingest_nodes(
-            shards, v, [int(x) for x in v]))
-        return t.slice(0, 0)
-
-    def _ingest_pairs(t: pa.Table) -> pa.Table:
-        a = t["doc_a"].to_numpy().astype(np.uint64)
-        b = t["doc_b"].to_numpy().astype(np.uint64)
-        ray.get(graph_bsp.ingest_edge_batch(shards, a, b))
-        return t.slice(0, 0)
-
-    ids.map_batches(_ingest_nodes, batch_format="pyarrow").materialize()
-    pairs.map_batches(_ingest_pairs, batch_format="pyarrow").materialize()
-    ray.get([s.seal.remote() for s in shards])
-    out = graph_bsp.component_assignments(shards).to_pandas()
-    for s in shards:
-        ray.kill(s, no_restart=True)
+    shards = graph_bsp.load(
+        _read(sf_dir, ["doc_id"]).map_batches(nodes, batch_format="pyarrow"),
+        doc_dedup_minhash(sf_dir, threshold=threshold)
+        .map_batches(edges, batch_format="pyarrow"),
+        graph_bsp.shard_count())
+    try:
+        out = graph_bsp.component_assignments(shards).to_pandas()
+    finally:
+        graph_bsp.release(shards)
     out = out.rename(columns={"id": "doc_id"})
     out = out.astype({"doc_id": "int64", "cluster": "int64"})
     out["keep"] = out["doc_id"] == out["cluster"]

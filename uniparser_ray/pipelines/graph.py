@@ -148,43 +148,28 @@ _SHARD_CACHE: dict = {}
 
 
 def _sealed_shards(sf_dir: str, num_shards: int = None):
-    """Build (or reuse) the sealed BSP shards for this sf: ingest the
-    node table and the extracted edges once; pagerank and components
-    both run on the same pinned partitions."""
-    import ray
+    """Load (or reuse) the sealed BSP shards for this sf: the node table
+    and the extracted edges go in once; every link-graph query runs on
+    the same pinned partitions."""
+    import ray.data as rd
 
     tag = _sf_tag(sf_dir)
-    if num_shards is None:
-        num_shards = max(2, min(8, int(ray.cluster_resources()
-                                       .get("CPU", 4)) // 2))
+    num_shards = num_shards or graph_bsp.shard_count()
     key = (tag, num_shards)
-    cached = _SHARD_CACHE.get(key)
-    if cached is not None:
-        return cached
-    shards = graph_bsp.build_shards(num_shards)
-    web = _web_for(tag)
-    uni = _universe_table(web)
-    ray.get(graph_bsp.ingest_nodes(
-        shards, uni["url_hash"].to_numpy(), uni["url"].to_pylist()))
-
-    def _ingest(t: pa.Table) -> pa.Table:
-        import ray as _ray
-        _ray.get(graph_bsp.ingest_edge_batch(
-            shards, t["src_hash"].to_numpy(), t["dst_hash"].to_numpy()))
-        return t.slice(0, 0)
-
-    extract_edges(sf_dir).map_batches(
-        _ingest, batch_format="pyarrow").materialize()
-    ray.get([s.seal.remote() for s in shards])
-    _SHARD_CACHE[key] = shards
-    return shards
+    if key not in _SHARD_CACHE:
+        uni = _universe_table(_web_for(tag))
+        nodes = rd.from_arrow(pa.table({"hash": uni["url_hash"],
+                                        "id": uni["url"]}))
+        edges = extract_edges(sf_dir) \
+            .select_columns(["src_hash", "dst_hash"]) \
+            .rename_columns(["src", "dst"])
+        _SHARD_CACHE[key] = graph_bsp.load(nodes, edges, num_shards)
+    return _SHARD_CACHE[key]
 
 
 def reset_shard_cache():
-    import ray
     for shards in _SHARD_CACHE.values():
-        for s in shards:
-            ray.kill(s, no_restart=True)
+        graph_bsp.release(shards)
     _SHARD_CACHE.clear()
 
 

@@ -348,9 +348,6 @@ def images_dedup_clusters_for(table, max_hamming: int = 8):
 
 
 def _images_dedup_clusters(table, max_hamming: int):
-    import numpy as np
-    import ray
-
     from ..rulevm.urlutil import url_hash64
     from ..stages import graph_bsp
     from ..stages.dedup import hamming_block_pairs
@@ -358,33 +355,27 @@ def _images_dedup_clusters(table, max_hamming: int):
     pairs = hamming_block_pairs(ds, "image_id", "phash", max_hamming,
                                 out_prefix="image")
 
-    num_shards = max(2, min(8, int(ray.cluster_resources()
-                                   .get("CPU", 4)) // 2))
-    shards = graph_bsp.build_shards(num_shards)
+    def hashed(ids) -> pa.Array:
+        return pa.array([url_hash64(v) for v in ids.to_pylist()],
+                        pa.uint64())
 
-    def _hash_ids(vals) -> np.ndarray:
-        return np.fromiter((url_hash64(v) for v in vals),
-                           dtype=np.uint64, count=len(vals))
+    def nodes(t: pa.Table) -> pa.Table:
+        return pa.table({"hash": hashed(t["image_id"]),
+                         "id": t["image_id"]})
 
-    def _ingest_nodes(t: pa.Table) -> pa.Table:
-        ids = t["image_id"].to_pylist()
-        ray.get(graph_bsp.ingest_nodes(shards, _hash_ids(ids), ids))
-        return t.slice(0, 0)
+    def edges(t: pa.Table) -> pa.Table:
+        return pa.table({"src": hashed(t["image_a"]),
+                         "dst": hashed(t["image_b"])})
 
-    def _ingest_pairs(t: pa.Table) -> pa.Table:
-        a = t["image_a"].to_pylist()
-        b = t["image_b"].to_pylist()
-        ray.get(graph_bsp.ingest_edge_batch(
-            shards, _hash_ids(a), _hash_ids(b)))
-        return t.slice(0, 0)
-
-    ds.select_columns(["image_id"]).map_batches(
-        _ingest_nodes, batch_format="pyarrow").materialize()
-    pairs.map_batches(_ingest_pairs, batch_format="pyarrow").materialize()
-    ray.get([s.seal.remote() for s in shards])
-    out = graph_bsp.component_assignments(shards).to_pandas()
-    for s in shards:
-        ray.kill(s, no_restart=True)
+    shards = graph_bsp.load(
+        ds.select_columns(["image_id"])
+        .map_batches(nodes, batch_format="pyarrow"),
+        pairs.map_batches(edges, batch_format="pyarrow"),
+        graph_bsp.shard_count())
+    try:
+        out = graph_bsp.component_assignments(shards).to_pandas()
+    finally:
+        graph_bsp.release(shards)
     out = out.rename(columns={"id": "image_id"})
     out["keep"] = out["image_id"] == out["cluster"]
     return table_from_pandas(

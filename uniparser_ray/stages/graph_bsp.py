@@ -20,11 +20,12 @@ Scale notes:
 * per-superstep traffic is O(distinct destinations), pre-aggregated
   on the sender with ``np.add.reduceat``/``minimum.reduceat`` over a
   seal-time fixed edge order (zero per-superstep sorting);
-* message routing is actor->actor by ObjectRef (``num_returns=B``) —
-  the driver only forwards refs;
-* connected components converge in graph-diameter rounds (min-label
-  propagation); the docs note the large-star/small-star contraction
-  as the O(log n) upgrade when diameters get adversarial.
+* message routing is actor->actor by ObjectRef (one return per
+  receiving shard) — the driver only forwards refs;
+* connected components alternate min-label propagation with pointer
+  jumping (label[u] <- label[label[u]]) once few labels still change,
+  so the long label chains left at the end settle in O(log diameter)
+  rounds instead of O(diameter).
 """
 
 from __future__ import annotations
@@ -58,32 +59,81 @@ def _dedup_pairs(src: np.ndarray, dst: np.ndarray):
     return src[fresh], dst[fresh]
 
 
-def _segment_plan(dst: np.ndarray, num_shards: int):
-    """Seal-time message plan: a fixed edge order grouped by
-    (owner(dst), dst), plus ``reduceat`` boundaries and the per-shard
-    slice of distinct destinations.  Per superstep the sender only
-    permutes the per-edge values into this order and reduces."""
-    shard_of = (dst % np.uint64(num_shards)).astype(np.int64)
-    order = np.lexsort((dst, shard_of))
-    dst_sorted = dst[order]
-    shard_sorted = shard_of[order]
-    if len(dst_sorted):
-        seg_starts = np.flatnonzero(
-            np.r_[True, dst_sorted[1:] != dst_sorted[:-1]])
-        uniq_dst = dst_sorted[seg_starts]
-        uniq_shard = shard_sorted[seg_starts]
-    else:
-        seg_starts = np.empty(0, np.int64)
-        uniq_dst = dst_sorted
-        uniq_shard = shard_sorted
-    # per-shard slices over the distinct-destination arrays
-    slices = []
-    lo = 0
-    for s in range(num_shards):
-        hi = lo + int((uniq_shard == s).sum())
-        slices.append((lo, hi))
-        lo = hi
-    return order, seg_starts, uniq_dst, slices
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """Start index of every run of equal values in ``a``."""
+    return np.flatnonzero(np.r_[True, a[1:] != a[:-1]][:len(a)])
+
+
+def _owner(h: np.ndarray, num_shards: int) -> np.ndarray:
+    return (h % np.uint64(num_shards)).astype(np.int64)
+
+
+class _Plan:
+    """Seal-time message plan along one edge direction.  The edges sit
+    in one fixed order grouped by (owner(dst), dst): ``src`` is each
+    edge's owned source index, ``segs`` the ``reduceat`` boundaries,
+    ``dst`` the distinct destinations and ``slices`` each receiving
+    shard's range of them.  Per superstep a sender only gathers its
+    per-vertex values into this order and reduces.
+
+    The (sender, receiver) structure is seal-fixed as well, so the
+    plan's first send ships ``(dst_hashes, values)`` and every later
+    one values only (``sent``), halving payload bytes; the receiver
+    keeps the matching receive plan (``recv``: concat -> permute ->
+    reduceat) instead of re-running searchsorted per superstep.  Every
+    algorithm on the plan shares both."""
+
+    def __init__(self, nodes: np.ndarray, src: np.ndarray, dst: np.ndarray,
+                 num_shards: int):
+        shard = _owner(dst, num_shards)
+        order = np.lexsort((dst, shard))
+        dst = dst[order]
+        self.src = np.searchsorted(nodes, src[order])
+        self.segs = _run_starts(dst)
+        self.dst = dst[self.segs]
+        bounds = np.r_[0, np.cumsum(np.bincount(shard[order][self.segs],
+                                                minlength=num_shards))]
+        self.slices = list(zip(bounds[:-1], bounds[1:]))
+        self.sent = False
+        self.recv = None
+
+
+def _damp(s, mass: np.ndarray):
+    s.rank = PR_BASE + PR_DAMP_NUM * mass // 100
+
+
+def _lower(attr: str):
+    """Min-update of the state ``attr``; returns how many owned
+    vertices changed (a global 0 = converged)."""
+    def update(s, incoming: np.ndarray) -> int:
+        old = getattr(s, attr)
+        new = np.minimum(old, incoming)
+        setattr(s, attr, new)
+        return int((new != old).sum())
+    return update
+
+
+# Propagation algorithms: name -> (edge plan, combiner, the value each
+# vertex sends along its plan edges, the update that folds the combined
+# incoming value into the state).  ``out`` edges run u -> v from
+# owner(u), ``in`` edges v -> u back from owner(v), ``both`` is their
+# undirected union.  Exact-integer HITS has no per-iteration
+# normalization: scores stay int64 sums (bounded by (max_deg^2)^T —
+# fine at small fixed T; a deeper T would renormalize by a power-of-two
+# shift, keeping exactness).  Seed hops clamp at SP_INF so unreached
+# vertices stay unreached.
+_ALGOS = {
+    "pagerank": ("out", np.add,
+                 lambda s: s.rank // np.maximum(s.outdeg, 1), _damp),
+    "authority": ("out", np.add, lambda s: s.hub,
+                  lambda s, m: setattr(s, "auth", m)),
+    "hub": ("in", np.add, lambda s: s.auth,
+            lambda s, m: setattr(s, "hub", m)),
+    "components": ("both", np.minimum, lambda s: s.label,
+                   _lower("label")),
+    "seed_hops": ("out", np.minimum,
+                  lambda s: np.minimum(s.dist + 1, SP_INF), _lower("dist")),
+}
 
 
 @ray.remote
@@ -97,7 +147,6 @@ class GraphShard:
         self._node_chunks: List[Tuple[np.ndarray, np.ndarray]] = []
         self._fwd_chunks: List[Tuple[np.ndarray, np.ndarray]] = []
         self._rev_chunks: List[Tuple[np.ndarray, np.ndarray]] = []
-        self.sealed = False
 
     # -- ingest (before seal) ---------------------------------------------
     def add_nodes(self, hashes: np.ndarray, urls: List[str]) -> int:
@@ -112,7 +161,7 @@ class GraphShard:
         return len(src)
 
     def seal(self) -> dict:
-        """Freeze ingested chunks into the superstep-ready arrays."""
+        """Freeze ingested chunks into the three message plans."""
         if self._node_chunks:
             h = np.concatenate([c[0] for c in self._node_chunks])
             u = np.concatenate([c[1] for c in self._node_chunks])
@@ -129,120 +178,80 @@ class GraphShard:
                     np.concatenate([c[1] for c in chunks]))
 
         fsrc, fdst = _dedup_pairs(*_concat(self._fwd_chunks))
-        # pagerank plan: out-degree per owned src, fixed message order
-        self.pr_src_idx = np.searchsorted(self.nodes, fsrc)
-        outdeg = np.zeros(len(self.nodes), np.int64)
-        np.add.at(outdeg, self.pr_src_idx, 1)
-        self.outdeg = outdeg
-        (self.pr_order, self.pr_segs, self.pr_uniq_dst,
-         self.pr_slices) = _segment_plan(fdst, self.B)
-
-        # components plan: undirected adjacency = fwd U reversed-rev
+        # rev pairs are (dst v, src u), routed to owner(v) at ingest.
+        # All three plans are built here; at extreme scale an
+        # algorithm-on-demand build would cut resident plan memory.
         rsrc, rdst = _dedup_pairs(*_concat(self._rev_chunks))
-        # HITS hub plan: owned v sends auth(v) back along its IN-edges
-        # (rev pairs are (dst v, src u) routed to owner(v) at ingest).
-        # Built at seal like the pr/cc plans — at extreme scale an
-        # algorithm-on-demand build would halve resident plan memory.
-        self.ht_src_idx = np.searchsorted(self.nodes, rsrc)
-        (self.ht_order, self.ht_segs, self.ht_uniq_dst,
-         self.ht_slices) = _segment_plan(rdst, self.B)
-        csrc = np.concatenate([fsrc, rsrc])
-        cdst = np.concatenate([fdst, rdst])
-        csrc, cdst = _dedup_pairs(csrc, cdst)
-        self.cc_src_idx = np.searchsorted(self.nodes, csrc)
-        (self.cc_order, self.cc_segs, self.cc_uniq_dst,
-         self.cc_slices) = _segment_plan(cdst, self.B)
-
+        csrc, cdst = _dedup_pairs(np.concatenate([fsrc, rsrc]),
+                                  np.concatenate([fdst, rdst]))
+        self.plans = {"out": _Plan(self.nodes, fsrc, fdst, self.B),
+                      "in": _Plan(self.nodes, rsrc, rdst, self.B),
+                      "both": _Plan(self.nodes, csrc, cdst, self.B)}
+        self.outdeg = np.bincount(self.plans["out"].src,
+                                  minlength=len(self.nodes))
         self._node_chunks = self._fwd_chunks = self._rev_chunks = None
-        # exchange-structure caches are seal-derived: invalidate
-        self._pr_plan = self._cc_plan = self._ht_plan = None
-        self._pr_structure_sent = self._cc_structure_sent = False
-        self._ht_structure_sent = False
-        self.sealed = True
         return {"nodes": len(self.nodes), "fwd_edges": len(fsrc),
                 "cc_edges": len(csrc)}
 
-    # -- structure-cached exchange ------------------------------------------
-    # The (sender, receiver) message STRUCTURE — which distinct
-    # destination vertices each sender aggregates for — is fixed at
-    # seal time.  So the first superstep ships (dst_hashes, values);
-    # every later superstep ships values ONLY (hashes=None), halving
-    # payload bytes, and the receiver replays a one-time plan
-    # (concat -> permute -> reduceat) instead of re-running
-    # searchsorted + scattered np.add.at per superstep.
+    # -- one superstep -------------------------------------------------------
+    def send(self, algo: str) -> list:
+        """Send half: every owned vertex's value for ``algo``, combined
+        per distinct destination in the plan's fixed order.  Returns one
+        ``(dst_hashes or None, values)`` payload per receiving shard
+        (and the trailing None every send returns, see ``_send``)."""
+        plan_name, combine, values, _ = _ALGOS[algo]
+        plan = self.plans[plan_name]
+        out = combine.reduceat(values(self)[plan.src], plan.segs)
+        first = not plan.sent
+        plan.sent = True
+        return [((plan.dst[lo:hi] if first else None), out[lo:hi])
+                for lo, hi in plan.slices] + [None]
 
-    def _recv_plan(self, payloads, cache_attr: str):
-        plan = getattr(self, cache_attr, None)
-        if plan is not None:
-            return plan
-        idx_parts = []
-        for p in payloads:
-            if p is None:
-                idx_parts.append(np.empty(0, np.int64))
-                continue
-            hashes = p[0]
-            idx_parts.append(np.searchsorted(self.nodes, hashes)
-                             .astype(np.int64))
-        idx = np.concatenate(idx_parts) if idx_parts \
-            else np.empty(0, np.int64)
-        order = np.argsort(idx, kind="stable")
-        idx_sorted = idx[order]
-        if len(idx_sorted):
-            segs = np.flatnonzero(
-                np.r_[True, idx_sorted[1:] != idx_sorted[:-1]])
-            uniq_idx = idx_sorted[segs]
-        else:
-            segs = np.empty(0, np.int64)
-            uniq_idx = idx_sorted
-        plan = (order, segs, uniq_idx)
-        setattr(self, cache_attr, plan)
-        return plan
+    def receive(self, algo: str, *payloads):
+        """Receive half: combine the incoming values per owned vertex
+        (the combiner's identity where none came) and return what
+        ``algo``'s update returns.  The plan's first receive builds the
+        receive plan from the shipped hashes."""
+        plan_name, combine, _, update = _ALGOS[algo]
+        plan = self.plans[plan_name]
+        if plan.recv is None:
+            idx = np.concatenate([np.searchsorted(self.nodes, p[0])
+                                  for p in payloads])
+            order = np.argsort(idx, kind="stable")
+            segs = _run_starts(idx[order])
+            plan.recv = (order, segs, idx[order][segs])
+        order, segs, uniq = plan.recv
+        m = np.concatenate([p[1] for p in payloads])
+        incoming = np.full(len(self.nodes), 0 if combine is np.add
+                           else np.iinfo(m.dtype).max, m.dtype)
+        incoming[uniq] = combine.reduceat(m[order], segs)
+        return update(self, incoming)
+
+    # -- owner lookups (pointer jumping, triangle neighbour degrees) -------
+    def request(self, keys: str) -> list:
+        """Per owner shard, the distinct vertex ids of the state ``keys``
+        that it owns (labels are vertex ids, so they share the hash
+        space); a send, so a trailing None follows."""
+        uniq = np.unique(getattr(self, keys))
+        shard = _owner(uniq, self.B)
+        return [uniq[shard == s] for s in range(self.B)] + [None]
+
+    def answer(self, values: str, wanted: np.ndarray):
+        """The state ``values`` of each requested (owned) vertex."""
+        idx = np.searchsorted(self.nodes, wanted)
+        return wanted, getattr(self, values)[idx]
 
     @staticmethod
-    def _payload_values(payloads, empty_dtype):
-        vals = [np.empty(0, empty_dtype) if p is None else p[1]
-                for p in payloads]
-        return np.concatenate(vals) if vals else np.empty(0, empty_dtype)
+    def _answered(answers, keys: np.ndarray) -> np.ndarray:
+        """The answered value of every vertex id in ``keys``."""
+        k = np.concatenate([a[0] for a in answers])
+        v = np.concatenate([a[1] for a in answers])
+        order = np.argsort(k)
+        return v[order][np.searchsorted(k[order], keys)]
 
-    # -- PageRank ----------------------------------------------------------
+    # -- per-algorithm state and results ------------------------------------
     def pr_init(self):
         self.rank = np.full(len(self.nodes), PR_SCALE, np.int64)
-
-    def pr_messages(self):
-        """Superstep send half: per-edge mass rank//outdeg, aggregated
-        per distinct destination in the seal-time order.  Returns B
-        payloads — one (dst_hashes, masses) pair per receiving shard
-        (object-store routed; the driver forwards refs only); after
-        the first superstep dst_hashes is None (structure cached by
-        the receiver)."""
-        deg = self.outdeg[self.pr_src_idx]
-        per_edge = self.rank[self.pr_src_idx] // np.maximum(deg, 1)
-        ordered = per_edge[self.pr_order]
-        if len(self.pr_segs):
-            masses = np.add.reduceat(ordered, self.pr_segs)
-        else:
-            masses = np.empty(0, np.int64)
-        first = not getattr(self, "_pr_structure_sent", False)
-        self._pr_structure_sent = True
-        out = []
-        for lo, hi in self.pr_slices:
-            out.append((self.pr_uniq_dst[lo:hi] if first else None,
-                        masses[lo:hi]))
-        return tuple(out) if self.B > 1 else out[0]
-
-    def pr_apply(self, *payloads):
-        """Superstep receive half: sum incoming mass into owned
-        vertices, damp, rebase.  First call builds the receive plan
-        from the shipped hashes; later calls replay it (values-only
-        payloads)."""
-        order, segs, uniq_idx = self._recv_plan(payloads, "_pr_plan")
-        m = self._payload_values(payloads, np.int64)
-        mass = np.zeros(len(self.nodes), np.int64)
-        if len(m):
-            sums = np.add.reduceat(m[order], segs)
-            mass[uniq_idx] = sums
-        self.rank = PR_BASE + PR_DAMP_NUM * mass // 100
-        return True
 
     def pr_top(self, k: int) -> pd.DataFrame:
         """Per-shard partial top-k by (rank desc, url asc)."""
@@ -250,65 +259,9 @@ class GraphShard:
         return df.sort_values(["pr_score", "url"],
                               ascending=[False, True]).head(k)
 
-    # -- HITS hubs & authorities --------------------------------------------
-    # Exact-integer HITS, no per-iteration normalization: scores stay
-    # int64 sums (bounded by (max_deg^2)^T — fine at small fixed T;
-    # a production run at deeper T renormalizes by a power-of-two
-    # shift, preserving exactness).  The authority half-step reuses
-    # pagerank's seal-time forward message plan AND its structure
-    # cache (identical (sender, receiver) structure — only the values
-    # differ), so mixing pagerank and HITS on the same sealed shards
-    # ships the structure exactly once between them.
-
     def hits_init(self):
         self.hub = np.ones(len(self.nodes), np.int64)
         self.auth = np.zeros(len(self.nodes), np.int64)
-
-    def ht_auth_messages(self):
-        """a(v) <- sum of h(u) over in-edges u->v: per-edge hub at the
-        owned src, aggregated per distinct destination (pagerank's
-        plan, hub values instead of rank/outdeg masses)."""
-        per_edge = self.hub[self.pr_src_idx]
-        ordered = per_edge[self.pr_order]
-        masses = np.add.reduceat(ordered, self.pr_segs) \
-            if len(self.pr_segs) else np.empty(0, np.int64)
-        first = not getattr(self, "_pr_structure_sent", False)
-        self._pr_structure_sent = True
-        out = [(self.pr_uniq_dst[lo:hi] if first else None,
-                masses[lo:hi]) for lo, hi in self.pr_slices]
-        return tuple(out) if self.B > 1 else out[0]
-
-    def ht_auth_apply(self, *payloads):
-        order, segs, uniq_idx = self._recv_plan(payloads, "_pr_plan")
-        m = self._payload_values(payloads, np.int64)
-        auth = np.zeros(len(self.nodes), np.int64)
-        if len(m):
-            auth[uniq_idx] = np.add.reduceat(m[order], segs)
-        self.auth = auth
-        return True
-
-    def ht_hub_messages(self):
-        """h(u) <- sum of a(v) over out-edges u->v: owner(v) sends
-        auth(v) BACK along the in-edge plan built at seal from the
-        reverse pairs."""
-        per_edge = self.auth[self.ht_src_idx]
-        ordered = per_edge[self.ht_order]
-        masses = np.add.reduceat(ordered, self.ht_segs) \
-            if len(self.ht_segs) else np.empty(0, np.int64)
-        first = not getattr(self, "_ht_structure_sent", False)
-        self._ht_structure_sent = True
-        out = [(self.ht_uniq_dst[lo:hi] if first else None,
-                masses[lo:hi]) for lo, hi in self.ht_slices]
-        return tuple(out) if self.B > 1 else out[0]
-
-    def ht_hub_apply(self, *payloads):
-        order, segs, uniq_idx = self._recv_plan(payloads, "_ht_plan")
-        m = self._payload_values(payloads, np.int64)
-        hub = np.zeros(len(self.nodes), np.int64)
-        if len(m):
-            hub[uniq_idx] = np.add.reduceat(m[order], segs)
-        self.hub = hub
-        return True
 
     def ht_top(self, k: int) -> pd.DataFrame:
         """Per-shard partial top-k by (auth desc, url asc)."""
@@ -317,38 +270,14 @@ class GraphShard:
         return df.sort_values(["auth", "url"],
                               ascending=[False, True]).head(k)
 
-    # -- connected components ---------------------------------------------
     def cc_init(self):
         self.label = self.nodes.copy()
 
-    def cc_messages(self):
-        lab = self.label[self.cc_src_idx]
-        ordered = lab[self.cc_order]
-        if len(self.cc_segs):
-            mins = np.minimum.reduceat(ordered, self.cc_segs)
-        else:
-            mins = np.empty(0, np.uint64)
-        first = not getattr(self, "_cc_structure_sent", False)
-        self._cc_structure_sent = True
-        out = []
-        for lo, hi in self.cc_slices:
-            out.append((self.cc_uniq_dst[lo:hi] if first else None,
-                        mins[lo:hi]))
-        return tuple(out) if self.B > 1 else out[0]
-
-    def cc_apply(self, *payloads) -> int:
-        """Min-combine incoming labels; returns #owned vertices whose
-        label changed (global sum 0 = converged).  Receive plan cached
-        as in ``pr_apply`` (message structure is seal-fixed)."""
-        order, segs, uniq_idx = self._recv_plan(payloads, "_cc_plan")
-        new = self.label.copy()
-        m = self._payload_values(payloads, np.uint64)
-        if len(m):
-            mins = np.minimum.reduceat(m[order], segs)
-            new[uniq_idx] = np.minimum(new[uniq_idx], mins)
-        changed = int((new != self.label).sum())
-        self.label = new
-        return changed
+    def cc_jump(self, *answers) -> int:
+        """label[u] <- min(label[u], label[label[u]]) — halves label
+        chains every round, turning convergence from O(diameter) into
+        O(log) rounds on path-shaped components."""
+        return _lower("label")(self, self._answered(answers, self.label))
 
     def cc_assignments(self, rep_map) -> pa.Table:
         """Per-owned-node cluster assignment: label -> representative
@@ -361,214 +290,6 @@ class GraphShard:
             "cluster": pa.array(list(reps)),
         })
 
-    def owned_count(self) -> int:
-        return len(self.nodes)
-
-    # -- seed-hop distances (directed BFS / min-plus) ----------------------
-    def sp_init(self, seed_hashes: np.ndarray):
-        """Distance state: 0 for owned seeds, +inf sentinel otherwise.
-        Reuses the DIRECTED (pagerank) seal-time message plan — BFS
-        follows parsed links forward, unlike components' undirected
-        adjacency."""
-        self.dist = np.full(len(self.nodes), SP_INF, np.int64)
-        sh = np.asarray(seed_hashes, np.uint64)
-        if len(self.nodes) and len(sh):
-            idx = np.searchsorted(self.nodes, sh)
-            ok = idx < len(self.nodes)
-            own = np.zeros(len(sh), bool)
-            own[ok] = self.nodes[idx[ok]] == sh[ok]
-            self.dist[idx[own]] = 0
-
-    def sp_messages(self):
-        d = self.dist[self.pr_src_idx] + 1  # SP_INF+1 stays > SP_INF-min
-        ordered = d[self.pr_order]
-        if len(self.pr_segs):
-            mins = np.minimum.reduceat(ordered, self.pr_segs)
-        else:
-            mins = np.empty(0, np.int64)
-        first = not getattr(self, "_sp_structure_sent", False)
-        self._sp_structure_sent = True
-        out = []
-        for lo, hi in self.pr_slices:
-            out.append((self.pr_uniq_dst[lo:hi] if first else None,
-                        mins[lo:hi]))
-        return tuple(out) if self.B > 1 else out[0]
-
-    def sp_apply(self, *payloads) -> int:
-        order, segs, uniq_idx = self._recv_plan(payloads, "_sp_plan")
-        new = self.dist.copy()
-        m = self._payload_values(payloads, np.int64)
-        if len(m):
-            mins = np.minimum.reduceat(m[order], segs)
-            new[uniq_idx] = np.minimum(new[uniq_idx],
-                                       np.minimum(mins, SP_INF))
-        changed = int((new != self.dist).sum())
-        self.dist = new
-        return changed
-
-    def sp_partials(self) -> pd.DataFrame:
-        """Per-shard (hops, n_pages) histogram; unreachable -> -1."""
-        hops = np.where(self.dist >= SP_INF, np.int64(-1), self.dist)
-        return pd.DataFrame({"hops": hops}).groupby("hops").size() \
-            .reset_index(name="n_pages")
-
-    # -- pointer jumping (label[u] <- label[label[u]]) -------------------
-    def cc_jump_requests(self):
-        """Distinct labels of owned nodes, routed to the shard owning
-        each label vertex (labels ARE vertex ids, so ownership is the
-        same hash space).  Returns B uint64 arrays."""
-        uniq = np.unique(self.label)
-        shard_of = (uniq % np.uint64(self.B)).astype(np.int64)
-        out = []
-        for s in range(self.B):
-            out.append(uniq[shard_of == s])
-        return tuple(out) if self.B > 1 else out[0]
-
-    def cc_jump_answer(self, wanted: np.ndarray):
-        """label[L] for each requested vertex L (all owned here)."""
-        idx = np.searchsorted(self.nodes, wanted)
-        return wanted, self.label[idx]
-
-    def cc_jump_apply(self, *answers) -> int:
-        """label[u] <- min(label[u], label[label[u]]) — halves label
-        chains every round, turning convergence from O(diameter) into
-        O(log) rounds on path-shaped components."""
-        lut_keys = []
-        lut_vals = []
-        for a in answers:
-            if a is None:
-                continue
-            keys, vals = a
-            lut_keys.append(keys)
-            lut_vals.append(vals)
-        if not lut_keys:
-            return 0
-        keys = np.concatenate(lut_keys)
-        vals = np.concatenate(lut_vals)
-        order = np.argsort(keys)
-        keys, vals = keys[order], vals[order]
-        idx = np.searchsorted(keys, self.label)
-        new = np.minimum(self.label, vals[idx])
-        changed = int((new != self.label).sum())
-        self.label = new
-        return changed
-
-    # -- triangle counting (degree-oriented wedge check) --------------------
-    def _cc_undirected_pairs(self):
-        """Reconstruct the distinct undirected (owned_idx, neighbor)
-        pairs from the sealed components plan — the seal keeps only the
-        permuted message plan, so invert it: dst per ordered edge is
-        ``repeat(uniq_dst, segment_lengths)`` scattered back through
-        ``cc_order``.  No extra seal-time memory for shards that never
-        run triangles."""
-        n = len(self.cc_order)
-        if not n:
-            return np.empty(0, np.int64), np.empty(0, np.uint64)
-        seg_len = np.diff(np.r_[self.cc_segs, n])
-        dst = np.empty(n, np.uint64)
-        dst[self.cc_order] = np.repeat(self.cc_uniq_dst, seg_len)
-        return self.cc_src_idx, dst
-
-    def tri_degrees(self):
-        """Phase 1: undirected degree of every owned vertex; returns
-        the shard's (half_edge_count, wedge_count) partials — wedges =
-        sum C(deg, 2) over owned vertices (each undirected edge is
-        counted once per endpoint owner, so edges = global sum / 2)."""
-        src_idx, dst = self._cc_undirected_pairs()
-        deg = np.zeros(len(self.nodes), np.int64)
-        np.add.at(deg, src_idx, 1)
-        self.tri_deg = deg
-        self._tri_pairs = (src_idx, dst)
-        return len(src_idx), int((deg * (deg - 1) // 2).sum())
-
-    def tri_deg_requests(self):
-        """Distinct neighbor hashes routed to their owner shards."""
-        uniq = np.unique(self._tri_pairs[1])
-        shard_of = (uniq % np.uint64(self.B)).astype(np.int64)
-        out = [uniq[shard_of == s] for s in range(self.B)]
-        return tuple(out) if self.B > 1 else out[0]
-
-    def tri_deg_answer(self, wanted: np.ndarray):
-        idx = np.searchsorted(self.nodes, wanted)
-        return wanted, self.tri_deg[idx]
-
-    def tri_orient(self, *answers) -> int:
-        """Phase 2: orient each undirected edge from lower to higher
-        (deg, hash) rank — the classic degree orientation, so every
-        out-list is O(sqrt(m)) and total wedge work is O(m^1.5) even
-        on hub-skewed graphs.  Out-lists are stored rank-sorted within
-        each owned source."""
-        keys = [a[0] for a in answers if a is not None and len(a[0])]
-        vals = [a[1] for a in answers if a is not None and len(a[0])]
-        src_idx, dst = self._tri_pairs
-        if not keys or not len(src_idx):
-            self._tri_osrc = np.empty(0, np.int64)
-            self._tri_odst = np.empty(0, np.uint64)
-            return 0
-        keys, vals = np.concatenate(keys), np.concatenate(vals)
-        order = np.argsort(keys)
-        keys, vals = keys[order], vals[order]
-        ddeg = vals[np.searchsorted(keys, dst)]
-        sdeg = self.tri_deg[src_idx]
-        shash = self.nodes[src_idx]
-        keep = (ddeg > sdeg) | ((ddeg == sdeg) & (dst > shash))
-        src_idx, dst, ddeg = src_idx[keep], dst[keep], ddeg[keep]
-        order = np.lexsort((dst, ddeg, src_idx))
-        self._tri_osrc = src_idx[order]
-        self._tri_odst = dst[order]
-        return len(src_idx)
-
-    def tri_wedges(self):
-        """Phase 3 send: every rank-ordered pair (v, w) within an owned
-        out-list is a wedge; the closing-edge existence query (v, w)
-        routes to owner(v).  Vectorized all-pairs-within-segments via
-        the concatenated-arange construction.  Partitioning assumption:
-        a shard materializes its own wedge set at once — at extreme
-        scale this send would batch over source-index ranges (the
-        construction is embarrassingly sliceable by owned u)."""
-        src, dst = self._tri_osrc, self._tri_odst
-        n = len(src)
-        empty = (np.empty(0, np.uint64), np.empty(0, np.uint64))
-        if not n:
-            out = [empty for _ in range(self.B)]
-            return tuple(out) if self.B > 1 else out[0]
-        new_seg = np.r_[True, src[1:] != src[:-1]]
-        seg_starts = np.flatnonzero(new_seg)
-        seg_id = np.cumsum(new_seg) - 1
-        pos = np.arange(n) - seg_starts[seg_id]       # local index in out-list
-        j_idx = np.repeat(np.arange(n), pos)          # later element of pair
-        csum = np.r_[0, np.cumsum(pos)]
-        i_idx = (np.arange(csum[-1]) - np.repeat(csum[:-1], pos)
-                 + np.repeat(seg_starts[seg_id], pos))
-        v, w = dst[i_idx], dst[j_idx]
-        shard_of = (v % np.uint64(self.B)).astype(np.int64)
-        out = []
-        for s in range(self.B):
-            m = shard_of == s
-            out.append((v[m], w[m]))
-        return tuple(out) if self.B > 1 else out[0]
-
-    def tri_count(self, *payloads) -> int:
-        """Phase 3 receive: how many queried wedges (v, w) close — i.e.
-        exist in this shard's oriented out-edges of owned v.  Exact
-        membership via 32-bit co-domain codes packed with the owned
-        index into one uint64 key (no hash collisions: codes come from
-        np.unique over both sides' actual values)."""
-        qs = [p for p in payloads if p is not None and len(p[0])]
-        if not qs:
-            return 0
-        qv = np.concatenate([p[0] for p in qs])
-        qw = np.concatenate([p[1] for p in qs])
-        ne = len(self._tri_odst)
-        combined = np.concatenate([self._tri_odst, qw])
-        _, inv = np.unique(combined, return_inverse=True)
-        inv = inv.astype(np.uint64)
-        ekeys = ((self._tri_osrc.astype(np.uint64) << np.uint64(32))
-                 | inv[:ne])
-        v_idx = np.searchsorted(self.nodes, qv).astype(np.uint64)
-        qkeys = (v_idx << np.uint64(32)) | inv[ne:]
-        return int(np.isin(qkeys, ekeys).sum())
-
     def cc_partials(self) -> pd.DataFrame:
         """Per-shard partial per-component aggregate: (label, n owned
         members, lexicographic min member url).  Component count <<
@@ -580,9 +301,108 @@ class GraphShard:
         out.columns = ["label", "n", "min_url"]
         return out
 
+    def owned_count(self) -> int:
+        return len(self.nodes)
+
+    def sp_init(self, seed_hashes: np.ndarray):
+        """Distance state: 0 for owned seeds, +inf sentinel otherwise
+        (BFS follows parsed links forward: the ``out`` plan)."""
+        self.dist = np.full(len(self.nodes), SP_INF, np.int64)
+        sh = np.asarray(seed_hashes, np.uint64)
+        if len(self.nodes) and len(sh):
+            idx = np.searchsorted(self.nodes, sh)
+            ok = idx < len(self.nodes)
+            own = np.zeros(len(sh), bool)
+            own[ok] = self.nodes[idx[ok]] == sh[ok]
+            self.dist[idx[own]] = 0
+
+    def sp_partials(self) -> pd.DataFrame:
+        """Per-shard (hops, n_pages) histogram; unreachable -> -1."""
+        hops = np.where(self.dist >= SP_INF, np.int64(-1), self.dist)
+        return pd.DataFrame({"hops": hops}).groupby("hops").size() \
+            .reset_index(name="n_pages")
+
+    # -- triangle counting (degree-oriented wedge check) --------------------
+    def tri_degrees(self):
+        """Phase 1: the distinct undirected (owned_idx, neighbour) pairs
+        of the ``both`` plan (each edge's neighbour is its segment's
+        destination) and every owned vertex's undirected degree; returns
+        the shard's (half_edge_count, wedge_count) partials — wedges =
+        sum C(deg, 2) over owned vertices (each undirected edge is
+        counted once per endpoint owner, so edges = global sum / 2)."""
+        plan = self.plans["both"]
+        self.tri_src = plan.src
+        self.tri_nbr = np.repeat(plan.dst,
+                                 np.diff(np.r_[plan.segs, len(plan.src)]))
+        deg = self.tri_deg = np.bincount(plan.src,
+                                         minlength=len(self.nodes))
+        return len(plan.src), int((deg * (deg - 1) // 2).sum())
+
+    def tri_orient(self, *answers) -> int:
+        """Phase 2: orient each undirected edge from lower to higher
+        (deg, hash) rank — the classic degree orientation, so every
+        out-list is O(sqrt(m)) and total wedge work is O(m^1.5) even
+        on hub-skewed graphs.  Out-lists are stored rank-sorted within
+        each owned source."""
+        src, dst = self.tri_src, self.tri_nbr
+        ddeg = self._answered(answers, dst)
+        sdeg = self.tri_deg[src]
+        keep = (ddeg > sdeg) | ((ddeg == sdeg) & (dst > self.nodes[src]))
+        src, dst, ddeg = src[keep], dst[keep], ddeg[keep]
+        order = np.lexsort((dst, ddeg, src))
+        self._tri_osrc = src[order]
+        self._tri_odst = dst[order]
+        return len(src)
+
+    def tri_wedges(self):
+        """Phase 3 send: every rank-ordered pair (v, w) within an owned
+        out-list is a wedge; the closing-edge existence query (v, w)
+        routes to owner(v).  Vectorized all-pairs-within-segments via
+        the concatenated-arange construction.  Partitioning assumption:
+        a shard materializes its own wedge set at once — at extreme
+        scale this send would batch over source-index ranges (the
+        construction is embarrassingly sliceable by owned u)."""
+        src, dst = self._tri_osrc, self._tri_odst
+        n = len(src)
+        new_seg = np.r_[True, src[1:] != src[:-1]][:n]
+        seg_starts = np.flatnonzero(new_seg)
+        seg_id = np.cumsum(new_seg) - 1
+        pos = np.arange(n) - seg_starts[seg_id]       # local index in out-list
+        j_idx = np.repeat(np.arange(n), pos)          # later element of pair
+        csum = np.r_[0, np.cumsum(pos)]
+        i_idx = (np.arange(csum[-1]) - np.repeat(csum[:-1], pos)
+                 + np.repeat(seg_starts[seg_id], pos))
+        v, w = dst[i_idx], dst[j_idx]
+        shard = _owner(v, self.B)
+        masks = [shard == s for s in range(self.B)]
+        return [(v[m], w[m]) for m in masks] + [None]
+
+    def tri_count(self, *payloads) -> int:
+        """Phase 3 receive: how many queried wedges (v, w) close — i.e.
+        exist in this shard's oriented out-edges of owned v.  Exact
+        membership via 32-bit co-domain codes packed with the owned
+        index into one uint64 key (no hash collisions: codes come from
+        np.unique over both sides' actual values)."""
+        qv = np.concatenate([p[0] for p in payloads])
+        qw = np.concatenate([p[1] for p in payloads])
+        ne = len(self._tri_odst)
+        combined = np.concatenate([self._tri_odst, qw])
+        _, inv = np.unique(combined, return_inverse=True)
+        inv = inv.astype(np.uint64)
+        ekeys = ((self._tri_osrc.astype(np.uint64) << np.uint64(32))
+                 | inv[:ne])
+        v_idx = np.searchsorted(self.nodes, qv).astype(np.uint64)
+        qkeys = (v_idx << np.uint64(32)) | inv[ne:]
+        return int(np.isin(qkeys, ekeys).sum())
+
 
 def build_shards(num_shards: int) -> List:
     return [GraphShard.remote(s, num_shards) for s in range(num_shards)]
+
+
+def shard_count() -> int:
+    """The pipelines' shard count: half the cluster's CPUs, 2 to 8."""
+    return max(2, min(8, int(ray.cluster_resources().get("CPU", 4)) // 2))
 
 
 def ingest_nodes(shards, hashes: np.ndarray, urls: List[str]):
@@ -616,17 +436,65 @@ def ingest_edge_batch(shards, src: np.ndarray, dst: np.ndarray):
     return futs
 
 
-def _exchange(shards, send_method: str, apply_method: str):
-    """One BSP superstep: every shard produces B payload refs, each
-    receiver gets its column of the B x B ref matrix."""
+def load(nodes, edges, num_shards: int) -> List:
+    """Sealed shards of the graph whose ``nodes`` Dataset holds
+    ``(hash, id)`` rows and whose ``edges`` Dataset holds ``(src, dst)``
+    hash rows: Ray Data tasks route each block to its owner shards.
+    Pair with ``release``."""
+    shards = build_shards(num_shards)
+
+    def add_nodes(t: pa.Table) -> pa.Table:
+        ray.get(ingest_nodes(shards, t["hash"].to_numpy(),
+                             t["id"].to_pylist()))
+        return t.slice(0, 0)
+
+    def add_edges(t: pa.Table) -> pa.Table:
+        ray.get(ingest_edge_batch(shards, t["src"].to_numpy(),
+                                  t["dst"].to_numpy()))
+        return t.slice(0, 0)
+
+    nodes.map_batches(add_nodes, batch_format="pyarrow").materialize()
+    edges.map_batches(add_edges, batch_format="pyarrow").materialize()
+    ray.get([s.seal.remote() for s in shards])
+    return shards
+
+
+def release(shards) -> None:
+    for s in shards:
+        ray.kill(s, no_restart=True)
+
+
+def _send(shards, method: str, *args) -> List[list]:
+    """Per shard, the refs of the B payloads ``method`` returns, one per
+    receiving shard.  Ray hands back a bare ref instead of a list when
+    ``num_returns`` is 1, so every send method returns one more value
+    than there are shards, a trailing None, and its ref is dropped:
+    one shard routes like any other."""
     B = len(shards)
-    if B == 1:
-        ref = getattr(shards[0], send_method).remote()
-        return [getattr(shards[0], apply_method).remote(ref)]
-    msg_refs = [getattr(s, send_method).options(num_returns=B).remote()
-                for s in shards]
-    return [getattr(shards[j], apply_method).remote(
-        *[msg_refs[i][j] for i in range(B)]) for j in range(B)]
+    return [getattr(s, method).options(num_returns=B + 1).remote(*args)[:B]
+            for s in shards]
+
+
+def _exchange(shards, send: str, receive: str, *args) -> list:
+    """One B x B exchange: shard j's ``receive`` gets payload j of every
+    sender's ``send``; the driver forwards refs only."""
+    rows = _send(shards, send, *args)
+    return [getattr(s, receive).remote(*args, *[row[j] for row in rows])
+            for j, s in enumerate(shards)]
+
+
+def _lookup(shards, keys: str, values: str, apply: str) -> list:
+    """Every shard reads the state ``values`` of the vertex ids in its
+    state ``keys`` from their owners: owner j answers requester i's
+    distinct ids, and i's ``apply`` gets its B answers."""
+    rows = _send(shards, "request", keys)
+    return [getattr(s, apply).remote(
+        *[shards[j].answer.remote(values, ref) for j, ref in enumerate(row)])
+        for s, row in zip(shards, rows)]
+
+
+def _superstep(shards, algo: str) -> list:
+    return ray.get(_exchange(shards, "send", "receive", algo))
 
 
 def pagerank(shards, iterations: int = 8, top_k: int = 50) -> pa.Table:
@@ -634,7 +502,7 @@ def pagerank(shards, iterations: int = 8, top_k: int = 50) -> pa.Table:
     dropped): exactly reproducible and oracle-checkable."""
     ray.get([s.pr_init.remote() for s in shards])
     for _ in range(iterations):
-        ray.get(_exchange(shards, "pr_messages", "pr_apply"))
+        _superstep(shards, "pagerank")
     tops = ray.get([s.pr_top.remote(top_k) for s in shards])
     df = pd.concat(tops).sort_values(
         ["pr_score", "url"], ascending=[False, True]).head(top_k)
@@ -645,34 +513,20 @@ def pagerank(shards, iterations: int = 8, top_k: int = 50) -> pa.Table:
 def hits(shards, iterations: int = 2, top_k: int = 50) -> pa.Table:
     """Exact-integer HITS (Kleinberg hubs & authorities, public
     algorithm): alternating BSP half-steps — authorities gather hub
-    mass along in-edges (pagerank's forward message plan, structure
-    shipped once), hubs gather authority mass back along out-edges
-    (the reverse plan).  No normalization, so every score is an exact
+    mass along out-edges (the ``out`` plan pagerank and seed hops use),
+    hubs gather authority mass back along in-edges (the ``in`` plan).
+    Each plan ships its structure once per seal, whichever algorithm
+    sends on it first.  No normalization, so every score is an exact
     int64 and the numpy expected builder matches bit-for-bit."""
     ray.get([s.hits_init.remote() for s in shards])
     for _ in range(iterations):
-        ray.get(_exchange(shards, "ht_auth_messages", "ht_auth_apply"))
-        ray.get(_exchange(shards, "ht_hub_messages", "ht_hub_apply"))
+        _superstep(shards, "authority")
+        _superstep(shards, "hub")
     tops = ray.get([s.ht_top.remote(top_k) for s in shards])
     df = pd.concat(tops).sort_values(
         ["auth", "url"], ascending=[False, True]).head(top_k)
     return table_from_pandas(df.reset_index(drop=True),
                              preserve_index=False)
-
-
-def _cc_jump(shards):
-    """One pointer-jumping round: requester i routes its distinct
-    labels to each owner j, j answers label[L], i min-combines."""
-    B = len(shards)
-    if B == 1:
-        req = shards[0].cc_jump_requests.remote()
-        ans = shards[0].cc_jump_answer.remote(req)
-        return [shards[0].cc_jump_apply.remote(ans)]
-    reqs = [s.cc_jump_requests.options(num_returns=B).remote()
-            for s in shards]
-    answers = [[shards[j].cc_jump_answer.remote(reqs[i][j])
-                for j in range(B)] for i in range(B)]
-    return [shards[i].cc_jump_apply.remote(*answers[i]) for i in range(B)]
 
 
 def _cc_run(shards, max_rounds: int = 200) -> pd.DataFrame:
@@ -690,10 +544,10 @@ def _cc_run(shards, max_rounds: int = 200) -> pd.DataFrame:
     ray.get([s.cc_init.remote() for s in shards])
     n_nodes = sum(ray.get([s.owned_count.remote() for s in shards]))
     for _ in range(max_rounds):
-        changed = sum(ray.get(
-            _exchange(shards, "cc_messages", "cc_apply")))
+        changed = sum(_superstep(shards, "components"))
         if changed < max(1, n_nodes // 20):
-            changed += sum(ray.get(_cc_jump(shards)))
+            changed += sum(ray.get(
+                _lookup(shards, "label", "label", "cc_jump")))
         if changed == 0:
             break
     return pd.concat(ray.get([s.cc_partials.remote() for s in shards]))
@@ -708,8 +562,7 @@ def seed_hops(shards, seed_hashes: np.ndarray,
     of a crawl universe."""
     ray.get([s.sp_init.remote(seed_hashes) for s in shards])
     for _ in range(max_rounds):
-        if sum(ray.get(_exchange(shards, "sp_messages",
-                                 "sp_apply"))) == 0:
+        if sum(_superstep(shards, "seed_hops")) == 0:
             break
     parts = pd.concat(ray.get([s.sp_partials.remote() for s in shards]))
     g = parts.groupby("hops")["n_pages"].sum().reset_index() \
@@ -720,8 +573,9 @@ def seed_hops(shards, seed_hashes: np.ndarray,
 
 
 def connected_components(shards, max_rounds: int = 200) -> pa.Table:
-    """Weakly-connected components by min-label propagation; rounds =
-    graph diameter (convergence detected by global changed-count)."""
+    """Weakly-connected components by min-label propagation with
+    adaptive pointer jumping (``_cc_run``); convergence is detected by
+    a global changed-count of 0."""
     parts = _cc_run(shards, max_rounds)
     g = parts.groupby("label").agg(
         n_pages=("n", "sum"), component=("min_url", "min")).reset_index()
@@ -736,35 +590,18 @@ def triangles(shards) -> pa.Table:
     row (n_nodes, n_edges, n_wedges, n_triangles, transitivity).
 
     Three bounded exchanges, no shuffle: (1) owned degrees + wedge
-    partials, (2) neighbor-degree lookup (request/answer like
-    ``_cc_jump``), (3) degree-oriented wedge existence queries, each
+    partials, (2) neighbor-degree lookup (the owner lookup pointer
+    jumping uses), (3) degree-oriented wedge existence queries, each
     answered by owner(v) against its own oriented out-lists.  Degree
     orientation bounds every out-list at O(sqrt(m)), so hub skew can
     not blow up the wedge volume.  transitivity = 3T / W (exact-int
     double division, identical on the oracle side)."""
-    B = len(shards)
     parts = ray.get([s.tri_degrees.remote() for s in shards])
     n_nodes = sum(ray.get([s.owned_count.remote() for s in shards]))
     n_edges = sum(p[0] for p in parts) // 2
     n_wedges = sum(p[1] for p in parts)
-    if B == 1:
-        req = shards[0].tri_deg_requests.remote()
-        ans = shards[0].tri_deg_answer.remote(req)
-        ray.get(shards[0].tri_orient.remote(ans))
-        wref = shards[0].tri_wedges.remote()
-        n_tri = ray.get(shards[0].tri_count.remote(wref))
-    else:
-        reqs = [s.tri_deg_requests.options(num_returns=B).remote()
-                for s in shards]
-        answers = [[shards[j].tri_deg_answer.remote(reqs[i][j])
-                    for j in range(B)] for i in range(B)]
-        ray.get([shards[i].tri_orient.remote(*answers[i])
-                 for i in range(B)])
-        wrefs = [s.tri_wedges.options(num_returns=B).remote()
-                 for s in shards]
-        n_tri = sum(ray.get(
-            [shards[j].tri_count.remote(*[wrefs[i][j] for i in range(B)])
-             for j in range(B)]))
+    ray.get(_lookup(shards, "tri_nbr", "tri_deg", "tri_orient"))
+    n_tri = sum(ray.get(_exchange(shards, "tri_wedges", "tri_count")))
     trans = (3.0 * n_tri / n_wedges) if n_wedges else 0.0
     return pa.table({
         "n_nodes": pa.array([n_nodes], pa.int64()),
