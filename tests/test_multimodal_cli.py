@@ -28,7 +28,7 @@ REPO = Path(__file__).resolve().parent.parent
 def test_audio_features_dataset(ray_session):
     import ray.data as rd
     t = synth_audio_table(12)
-    out = audio_features(rd.from_arrow(t), concurrency=2) \
+    out = audio_features(rd.from_arrow(t)) \
         .to_pandas().sort_values("clip_id").reset_index(drop=True)
     assert list(out.columns) == ["clip_id", "duration_s", "rms", "zcr",
                                  "peak"]
@@ -36,7 +36,7 @@ def test_audio_features_dataset(ray_session):
     # sine-dominated clips: RMS near 0.5/sqrt(2), bounded peak
     assert (out["rms"] > 0.2).all() and (out["peak"] <= 1.0).all()
     # deterministic across runs
-    again = audio_features(rd.from_arrow(t), concurrency=2) \
+    again = audio_features(rd.from_arrow(t)) \
         .to_pandas().sort_values("clip_id").reset_index(drop=True)
     assert out.equals(again)
 
@@ -53,7 +53,7 @@ def test_audio_strict_raises():
 def test_video_frame_sampling(ray_session):
     import ray.data as rd
     t = synth_video_table(5)
-    out = video_frame_samples(rd.from_arrow(t), k=3, concurrency=2) \
+    out = video_frame_samples(rd.from_arrow(t), k=3) \
         .to_pandas().sort_values(["video_id", "frame_index"]) \
         .reset_index(drop=True)
     assert list(out.columns) == ["video_id", "frame_index", "frame_ppm",

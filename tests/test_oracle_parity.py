@@ -4,7 +4,8 @@ The shipped testdata documents are whitespace-clean and ≥10 tokens, so
 the driver's oracle runs never exercise tokenization edge cases.  This
 test pins the tokenhash oracle SQL against the batch functions directly
 (no Ray) on docs with double spaces, tabs, newlines, leading/trailing
-whitespace, 1-2 tokens, and fully-empty text.
+whitespace, 1-2 tokens, and fully-empty text.  The corpus-statistics
+queries run through Ray on the same docs plus repeated sentences.
 """
 
 import duckdb
@@ -208,3 +209,55 @@ def test_queries_first_50_run_dom_and_phash():
         assert names.index(name) < 50 and q[name] is fn, name
     for name, fn in moved_out.items():
         assert names.index(name) >= 50 and q[name] is fn, name
+
+
+# Sentences of 8+ tokens repeated across documents, so the corpus has
+# duplicated windows and paragraphs next to the MESSY short and empty
+# docs (the shipped testdata has no doc under 8 tokens).
+REPEATS = [
+    "the cat sat on the mat and looked out of the window",
+    "data pipelines should give the same answer every single time",
+    "one more sentence of eight or more tokens for the base side",
+]
+FAMILY_DOCS = MESSY + [
+    REPEATS[0],
+    "prefix words " + REPEATS[0] + " suffix",
+    REPEATS[1] + "\n" + REPEATS[0],
+    REPEATS[1],
+    REPEATS[2] + "\n\n" + REPEATS[1],
+    REPEATS[2] + "\nunique closing paragraph here",
+    "solo",
+]
+DOC_FAMILY = ["doc_dup_ngrams", "doc_dup_spans", "doc_dup_apply",
+              "doc_para_dedup", "doc_unigram_stats", "doc_perplexity",
+              "doc_bigram_surprisal", "doc_rarity_buckets",
+              "doc_incremental_novelty", "doc_tfidf_exact",
+              "doc_dedup_exact", "doc_top_tokens"]
+
+
+def test_doc_family_oracle_messy(ray_session, tmp_path):
+    """The corpus-statistics queries through Ray equal their DuckDB
+    twins on a corpus with empty, one-token and sub-window docs (the
+    zero-unit sentinel rows) and with duplicated windows and
+    paragraphs."""
+    import pyarrow.parquet as pq
+
+    from tools.check_queries import canon
+
+    n = len(FAMILY_DOCS)
+    pq.write_table(pa.table({
+        "doc_id": pa.array(range(n), pa.int64()),
+        "text": pa.array(FAMILY_DOCS, pa.string()),
+        "lang": pa.array(["en"] * n, pa.string()),
+        "source": pa.array(["web"] * n, pa.string()),
+        "n_chars": pa.array([len(t) for t in FAMILY_DOCS], pa.int64()),
+    }), tmp_path / "documents.parquet")
+    c = duckdb.connect()
+    c.execute("CREATE VIEW documents AS SELECT * FROM "
+              f"read_parquet('{tmp_path / 'documents.parquet'}')")
+    q, sql = entry.queries(), entry.oracle_sql()
+    for name in DOC_FAMILY:
+        got = canon(q[name](str(tmp_path)).to_pandas())
+        want = canon(c.execute(sql[name]).fetchdf())
+        assert list(got.columns) == list(want.columns), name
+        assert got.equals(want), (name, pd.concat([got, want], axis=1))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..blocks import table_from_pandas
 
@@ -68,14 +69,7 @@ def doc_signatures(sf_dir: str):
 def doc_dedup_exact(sf_dir: str):
     from ..stages.dedup import exact_dedup_groups
 
-    out = exact_dedup_groups(_read(sf_dir, ["doc_id", "text"]))
-
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        df["dup_count"] = df["dup_count"].astype("int64")
-        df["keeper_id"] = df["keeper_id"].astype("int64")
-        return df
-
-    return out.map_batches(finish, batch_format="pandas")
+    return exact_dedup_groups(_read(sf_dir, ["doc_id", "text"]))
 
 
 def doc_dedup_minhash(sf_dir: str, threshold: float = 0.6):
@@ -213,13 +207,7 @@ def doc_top_tokens(sf_dir: str, k: int = 20):
 
     vocab = grouped_aggregate(ds.map_batches(counts, batch_format="pandas"),
                               ["token"], {"n": ("n", "sum")})
-
-    def fix(df: pd.DataFrame) -> pd.DataFrame:
-        df["n"] = df["n"].astype("int64")
-        return df[["token", "n"]]
-
-    return vocab.map_batches(fix, batch_format="pandas") \
-        .sort(["n", "token"], descending=[True, False]).limit(k)
+    return vocab.sort(["n", "token"], descending=[True, False]).limit(k)
 
 
 def doc_sample_hash(sf_dir: str, pct: int = 10):
@@ -450,7 +438,6 @@ def doc_curation(sf_dir: str):
 
 def pc_invert_keep(keep_col: pa.ChunkedArray) -> pa.Array:
     """bool keep -> int64 violation flag (1 - keep), chunk-safe."""
-    import pyarrow.compute as pc
     return pc.cast(pc.invert(keep_col.combine_chunks()
                              if isinstance(keep_col, pa.ChunkedArray)
                              else keep_col), pa.int64())
@@ -851,6 +838,52 @@ def doc_bpe_pairs(sf_dir: str, k: int = 20):
         preserve_index=False)
 
 
+def _unit_rows(doc_ids: np.ndarray, counts: np.ndarray, keys: dict,
+               empty: np.ndarray) -> pa.Table:
+    """Distinct (doc_id, *keys, cnt) rows of one batch, with cnt the
+    unit's occurrences in its doc — the front of the corpus-statistics
+    family, so only integer keys cross its shuffle.  Doc i owns the
+    next ``counts[i]`` entries of every int64 ``keys`` array; each doc
+    marked in ``empty`` adds one (key -1, cnt 0) sentinel row, so it
+    reaches the per-doc fold without a join against the full table."""
+    names = list(keys)
+    units = pa.table({"doc_id": np.repeat(doc_ids, counts).astype(np.int64),
+                      **keys})
+    g = units.group_by(["doc_id"] + names, use_threads=False) \
+        .aggregate([([], "count_all")])
+    lonely = np.asarray(doc_ids, np.int64)[empty]
+    sentinel = pa.table({
+        "doc_id": lonely,
+        **{k: np.full(len(lonely), -1, np.int64) for k in names},
+        "count_all": np.zeros(len(lonely), np.int64)})
+    return pa.concat_tables([g.select(sentinel.column_names), sentinel]) \
+        .rename_columns(["doc_id"] + names + ["cnt"])
+
+
+def _per_doc(rows, key: str, attach, sums: dict, finish=None):
+    """The per-document fold of the corpus-statistics family: ``rows``
+    co-locate by ``key``, where every row of a key is in one call of
+    the pandas ``attach`` (so in-bucket sums ARE corpus counts); its
+    rows then fold to one row per doc_id with ``grouped_aggregate``
+    (``sums``: {out_col: (in_col, how)}), and an optional Arrow
+    ``finish`` maps the folded blocks."""
+    from ..stages.combine import grouped_aggregate, hash_bucket_combine
+
+    out = grouped_aggregate(hash_bucket_combine(rows, [key], attach),
+                            ["doc_id"], sums)
+    return out if finish is None else out.map_batches(
+        finish, batch_format="pyarrow")
+
+
+def _ratio(t: pa.Table, name: str, num, den, scale: int) -> pa.Table:
+    """``t`` plus the int64 column ``name`` = scale * num // den, or 0
+    where den is 0 — exact integer floor division, identical in numpy
+    and DuckDB (the basis-point and milli-bit columns)."""
+    n, d = np.asarray(num, np.int64), np.asarray(den, np.int64)
+    return t.append_column(name, pa.array(
+        np.where(d > 0, scale * n // np.maximum(d, 1), 0), pa.int64()))
+
+
 def doc_dup_ngrams(sf_dir: str, width: int = 8):
     """Cross-document duplicated-n-gram fraction (the substring-level
     dedup signal of Lee et al.'s "Deduplicating Training Data Makes
@@ -861,50 +894,30 @@ def doc_dup_ngrams(sf_dir: str, width: int = 8):
     basis points (exact integer floor division).
 
     Scale shape: batches collapse to distinct (doc_id, window_hash,
-    cnt) rows before the shuffle (only hashes move); the per-hash
-    combine marks global duplicates; a second grouped sum folds back
-    to one row per document.  Zero-window documents ride a sentinel
-    row so the output covers every doc_id without a join against the
-    full table."""
-    from ..stages.combine import grouped_aggregate, hash_bucket_combine
+    cnt) rows before the shuffle (``_unit_rows``: only hashes move);
+    the per-hash combine marks global duplicates and a grouped sum
+    folds back to one row per document (``_per_doc``).  Zero-window
+    documents ride a sentinel row so the output covers every doc_id
+    without a join against the full table."""
     from ..stages.tokenhash import batch_token_ids, window_hashes
 
-    ds = _read(sf_dir, ["doc_id", "text"])
-
     def rows(t: pa.Table) -> pa.Table:
-        texts = t["text"].to_pylist()
-        doc_ids = t["doc_id"].to_numpy()
-        flat, offs = batch_token_ids(texts)
+        flat, offs = batch_token_ids(t["text"].to_pylist())
         wh, counts = window_hashes(flat, offs, width)
-        rep = np.repeat(doc_ids, counts)
-        df = pd.DataFrame({"doc_id": rep,
-                           "wh": wh.astype(np.int64)})
-        g = df.groupby(["doc_id", "wh"], sort=False).size() \
-            .reset_index(name="cnt")
-        empty = doc_ids[counts == 0]
-        if len(empty):
-            g = pd.concat([g, pd.DataFrame({
-                "doc_id": empty,
-                "wh": np.int64(-1),
-                "cnt": np.int64(0)})], ignore_index=True)
-        return table_from_pandas(
-            g.astype({"doc_id": "int64", "wh": "int64", "cnt": "int64"}),
-            preserve_index=False)
+        return _unit_rows(t["doc_id"].to_numpy(), counts,
+                          {"wh": wh.astype(np.int64)}, counts == 0)
 
-    per_hash = ds.map_batches(rows, batch_format="pyarrow")
+    per_hash = _read(sf_dir, ["doc_id", "text"]).map_batches(
+        rows, batch_format="pyarrow")
     return _dup_fraction(per_hash, "wh",
                          ["n_windows", "n_dup_windows", "dup_bp"])
 
 
 def _dup_fraction(per_key_rows, key_col: str, out_cols):
-    """Shared tail of the corpus-duplication family: rows of
-    (doc_id, <key_col>, cnt) — distinct per (doc, key), cnt = in-doc
-    occurrences, key -1 = zero-unit sentinel — become one row per doc
-    with (units, duplicated units, fraction in basis points).  A unit
-    is duplicated when its key occurs >= 2 times corpus-wide.  Only
-    hashes shuffle; the per-key combine sees every row of a key."""
-    from ..stages.combine import grouped_aggregate, hash_bucket_combine
-
+    """Shared tail of the corpus-duplication family: ``_unit_rows`` of
+    (doc_id, <key_col>, cnt) become one row per doc with (units,
+    duplicated units, fraction in basis points).  A unit is duplicated
+    when its key occurs >= 2 times corpus-wide."""
     n_col, d_col, bp_col = out_cols
 
     def mark(g: pd.DataFrame) -> pd.DataFrame:
@@ -914,21 +927,9 @@ def _dup_fraction(per_key_rows, key_col: str, out_cols):
             .astype(np.int64)
         return g[["doc_id", "cnt", "dup"]]
 
-    marked = hash_bucket_combine(per_key_rows, [key_col], mark)
-    out = grouped_aggregate(marked, ["doc_id"],
-                            {n_col: ("cnt", "sum"),
-                             d_col: ("dup", "sum")})
-
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        nw = df[n_col].astype("int64")
-        nd = df[d_col].astype("int64")
-        df[n_col] = nw
-        df[d_col] = nd
-        df[bp_col] = np.where(nw > 0, (10000 * nd) // nw.clip(lower=1),
-                              0).astype(np.int64)
-        return df[["doc_id", n_col, d_col, bp_col]]
-
-    return out.map_batches(finish, batch_format="pandas")
+    return _per_doc(per_key_rows, key_col, mark,
+                    {n_col: ("cnt", "sum"), d_col: ("dup", "sum")},
+                    lambda t: _ratio(t, bp_col, t[d_col], t[n_col], 10000))
 
 
 def doc_para_dedup(sf_dir: str):
@@ -941,12 +942,8 @@ def doc_para_dedup(sf_dir: str):
     integer hashes cross the shuffle."""
     from ..stages.tokenhash import token_id
 
-    ds = _read(sf_dir, ["doc_id", "text"])
-
     def rows(t: pa.Table) -> pa.Table:
-        texts = t["text"].to_pylist()
-        doc_ids = t["doc_id"].to_numpy()
-        paras = [x.split("\n") for x in texts]
+        paras = [x.split("\n") for x in t["text"].to_pylist()]
         lens = np.fromiter((len(p) for p in paras), np.int64,
                            count=len(paras))
         flat = [p for ps in paras for p in ps]
@@ -954,41 +951,24 @@ def doc_para_dedup(sf_dir: str):
                               return_inverse=True)
         ids = np.fromiter((token_id(p) for p in uniq), np.int64,
                           count=len(uniq))
-        df = pd.DataFrame({"doc_id": np.repeat(doc_ids, lens),
-                           "ph": ids[inv]})
-        g = df.groupby(["doc_id", "ph"], sort=False).size() \
-            .reset_index(name="cnt")
-        return table_from_pandas(
-            g.astype({"doc_id": "int64", "ph": "int64", "cnt": "int64"}),
-            preserve_index=False)
+        return _unit_rows(t["doc_id"].to_numpy(), lens, {"ph": ids[inv]},
+                          lens == 0)
 
-    per_para = ds.map_batches(rows, batch_format="pyarrow")
+    per_para = _read(sf_dir, ["doc_id", "text"]).map_batches(
+        rows, batch_format="pyarrow")
     return _dup_fraction(per_para, "ph",
                          ["n_paras", "n_dup_paras", "dup_bp"])
 
 
 def _doc_token_count_rows(t: pa.Table) -> pa.Table:
-    """Distinct (doc_id, token_id, cnt) rows per batch — the shared
-    front of the corpus-unigram family.  Zero-token docs emit the
-    (tid=-1, cnt=0) sentinel so every document survives the groupby."""
+    """``_unit_rows`` of (doc_id, token_id) — the tokenize step of the
+    corpus-unigram family; zero-token docs ride the sentinel."""
     from ..stages.tokenhash import batch_token_ids
 
-    texts = t["text"].to_pylist()
-    doc_ids = t["doc_id"].to_numpy()
-    flat, offs = batch_token_ids(texts)
+    flat, offs = batch_token_ids(t["text"].to_pylist())
     lens = np.diff(offs)
-    df = pd.DataFrame({"doc_id": np.repeat(doc_ids, lens),
-                       "tid": flat.astype(np.int64)})
-    g = df.groupby(["doc_id", "tid"], sort=False).size() \
-        .reset_index(name="cnt")
-    empty = doc_ids[lens == 0]
-    if len(empty):
-        g = pd.concat([g, pd.DataFrame({
-            "doc_id": empty, "tid": np.int64(-1),
-            "cnt": np.int64(0)})], ignore_index=True)
-    return table_from_pandas(
-        g.astype({"doc_id": "int64", "tid": "int64", "cnt": "int64"}),
-        preserve_index=False)
+    return _unit_rows(t["doc_id"].to_numpy(), lens,
+                      {"tid": flat.astype(np.int64)}, lens == 0)
 
 
 def doc_unigram_stats(sf_dir: str):
@@ -1003,40 +983,26 @@ def doc_unigram_stats(sf_dir: str):
 
     One shuffle: distinct (doc_id, token_id, cnt) rows co-locate by
     token, where the global count is the in-bucket sum — the counts
-    table never exists separately and strings never move."""
-    from ..stages.combine import grouped_aggregate, hash_bucket_combine
-
-    ds = _read(sf_dir, ["doc_id", "text"])
-    per_tok = ds.map_batches(_doc_token_count_rows, batch_format="pyarrow")
-
+    table never exists separately and strings never move.  A
+    zero-token doc's sentinel row carries all four statistics as 0."""
     def attach(g: pd.DataFrame) -> pd.DataFrame:
         g = g.copy()
         tot = g.groupby("tid")["cnt"].transform("sum").astype(np.int64)
         real = g["tid"] >= 0
         g["sum_freq"] = np.where(real, g["cnt"] * tot, 0).astype(np.int64)
         # min over positions = min over the doc's distinct tokens
-        g["min_freq"] = np.where(real, tot, np.iinfo(np.int64).max) \
-            .astype(np.int64)
+        g["min_freq"] = np.where(real, tot, 0).astype(np.int64)
         g["hapax"] = np.where(real & (tot == 1), g["cnt"], 0) \
             .astype(np.int64)
         return g[["doc_id", "cnt", "sum_freq", "min_freq", "hapax"]]
 
-    marked = hash_bucket_combine(per_tok, ["tid"], attach)
-    out = grouped_aggregate(marked, ["doc_id"],
-                            {"n_tokens": ("cnt", "sum"),
-                             "sum_tok_freq": ("sum_freq", "sum"),
-                             "min_tok_freq": ("min_freq", "min"),
-                             "n_hapax": ("hapax", "sum")})
-
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        for c in ("n_tokens", "sum_tok_freq", "min_tok_freq", "n_hapax"):
-            df[c] = df[c].astype("int64")
-        # zero-token docs carry the sentinel's +inf min -> 0
-        df.loc[df["n_tokens"] == 0, "min_tok_freq"] = 0
-        return df[["doc_id", "n_tokens", "sum_tok_freq",
-                   "min_tok_freq", "n_hapax"]]
-
-    return out.map_batches(finish, batch_format="pandas")
+    per_tok = _read(sf_dir, ["doc_id", "text"]).map_batches(
+        _doc_token_count_rows, batch_format="pyarrow")
+    return _per_doc(per_tok, "tid", attach,
+                    {"n_tokens": ("cnt", "sum"),
+                     "sum_tok_freq": ("sum_freq", "sum"),
+                     "min_tok_freq": ("min_freq", "min"),
+                     "n_hapax": ("hapax", "sum")})
 
 
 def _ilog2(x: np.ndarray) -> np.ndarray:
@@ -1063,20 +1029,17 @@ def doc_perplexity(sf_dir: str):
     The ranking an LM-quality filter needs survives the floor; the
     integers make the DuckDB twin bit-identical.
 
-    Scale shape: one tokenize pass (shared `_doc_token_count_rows`
-    front), materialized once for its two consumers; N from a
-    partial-sum pre-pass (one row per block crosses the wire); then
-    the unigram-family single tid hash shuffle, where the in-bucket
-    sum IS the corpus count, and a per-doc aggregate folds positions.
+    Scale shape: one tokenize pass (``_unit_rows`` of token ids),
+    materialized once for its two consumers; N from a partial-sum
+    pre-pass (one row per block crosses the wire); then the
+    ``_per_doc`` fold: one tid hash shuffle, where the in-bucket sum
+    IS the corpus count, and a per-doc aggregate folds positions.
     No vocabulary table ever materializes and no strings move."""
-    from ..stages.combine import grouped_aggregate, hash_bucket_combine
-
     ds = _read(sf_dir, ["doc_id", "text"])
     per_tok = ds.map_batches(_doc_token_count_rows,
                              batch_format="pyarrow").materialize()
 
     def part_n(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         s = pc.sum(t["cnt"]).as_py() or 0
         return pa.table({"n": pa.array([int(s)], pa.int64())})
 
@@ -1096,21 +1059,10 @@ def doc_perplexity(sf_dir: str):
         g["bits"] = bits
         return g[["doc_id", "cnt", "bits"]]
 
-    marked = hash_bucket_combine(per_tok, ["tid"], attach)
-    out = grouped_aggregate(marked, ["doc_id"],
-                            {"n_tokens": ("cnt", "sum"),
-                             "sum_bits": ("bits", "sum")})
-
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        n = df["n_tokens"].astype("int64")
-        s = df["sum_bits"].astype("int64")
-        df["n_tokens"] = n
-        df["sum_bits"] = s
-        df["mean_millibits"] = np.where(
-            n > 0, (1000 * s) // n.clip(lower=1), 0).astype("int64")
-        return df[["doc_id", "n_tokens", "sum_bits", "mean_millibits"]]
-
-    return out.map_batches(finish, batch_format="pandas")
+    return _per_doc(per_tok, "tid", attach,
+                    {"n_tokens": ("cnt", "sum"), "sum_bits": ("bits", "sum")},
+                    lambda t: _ratio(t, "mean_millibits", t["sum_bits"],
+                                     t["n_tokens"], 1000))
 
 
 def doc_bigram_surprisal(sf_dir: str):
@@ -1132,38 +1084,21 @@ def doc_bigram_surprisal(sf_dir: str):
     unigram family (a corpus-dominating prefix token skews its hash
     bucket; the bucket holds many prefixes, so balance follows from
     the hash unless one token IS the corpus)."""
-    from ..stages.combine import grouped_aggregate, hash_bucket_combine
     from ..stages.tokenhash import batch_token_ids
 
-    ds = _read(sf_dir, ["doc_id", "text"])
-
     def bigram_rows(t: pa.Table) -> pa.Table:
-        texts = t["text"].to_pylist()
-        doc_ids = t["doc_id"].to_numpy()
-        flat, offs = batch_token_ids(texts)
+        flat, offs = batch_token_ids(t["text"].to_pylist())
         lens = np.diff(offs)
-        docidx = np.repeat(np.arange(len(doc_ids)), lens)
+        docidx = np.repeat(np.arange(len(lens)), lens)
         # a position starts a bigram iff its successor is in-doc
-        valid = docidx[:-1] == docidx[1:] if len(flat) else \
-            np.zeros(0, bool)
-        df = pd.DataFrame({
-            "doc_id": doc_ids[docidx[:-1][valid]],
-            "v": flat[:-1][valid].astype(np.int64),
-            "w": flat[1:][valid].astype(np.int64)})
-        g = df.groupby(["doc_id", "v", "w"], sort=False).size() \
-            .reset_index(name="cnt")
-        lonely = doc_ids[lens < 2]
-        if len(lonely):
-            g = pd.concat([g, pd.DataFrame({
-                "doc_id": lonely, "v": np.int64(-1),
-                "w": np.int64(-1), "cnt": np.int64(0)})],
-                ignore_index=True)
-        return table_from_pandas(
-            g.astype({"doc_id": "int64", "v": "int64",
-                      "w": "int64", "cnt": "int64"}),
-            preserve_index=False)
+        valid = docidx[:-1] == docidx[1:]
+        return _unit_rows(t["doc_id"].to_numpy(), np.maximum(lens - 1, 0),
+                          {"v": flat[:-1][valid].astype(np.int64),
+                           "w": flat[1:][valid].astype(np.int64)},
+                          lens < 2)
 
-    per_big = ds.map_batches(bigram_rows, batch_format="pyarrow")
+    per_big = _read(sf_dir, ["doc_id", "text"]).map_batches(
+        bigram_rows, batch_format="pyarrow")
 
     def attach(g: pd.DataFrame) -> pd.DataFrame:
         g = g.copy()
@@ -1179,21 +1114,10 @@ def doc_bigram_surprisal(sf_dir: str):
         g["bits"] = bits
         return g[["doc_id", "cnt", "bits"]]
 
-    marked = hash_bucket_combine(per_big, ["v"], attach)
-    out = grouped_aggregate(marked, ["doc_id"],
-                            {"n_bigrams": ("cnt", "sum"),
-                             "sum_bits": ("bits", "sum")})
-
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        n = df["n_bigrams"].astype("int64")
-        df["n_bigrams"] = n
-        df["sum_bits"] = df["sum_bits"].astype("int64")
-        df["mean_millibits"] = np.where(
-            n > 0, (1000 * df["sum_bits"]) // n.clip(lower=1),
-            0).astype("int64")
-        return df[["doc_id", "n_bigrams", "sum_bits", "mean_millibits"]]
-
-    return out.map_batches(finish, batch_format="pandas")
+    return _per_doc(per_big, "v", attach,
+                    {"n_bigrams": ("cnt", "sum"), "sum_bits": ("bits", "sum")},
+                    lambda t: _ratio(t, "mean_millibits", t["sum_bits"],
+                                     t["n_bigrams"], 1000))
 
 
 def doc_source_lang_mix(sf_dir: str):
@@ -1390,8 +1314,8 @@ def doc_rarity_buckets(sf_dir: str):
          driver and broadcast — ranks depend only on the count value,
          and distinct counts are FAR fewer than vocab (heavy-tailed
          corpus: O(10^4) distinct totals even at 10^10 tokens);
-      3. the doc-token rows shuffle ONCE by tid (the unigram-family
-         pattern): in-bucket totals + the broadcast distinct-count
+      3. the doc-token rows shuffle ONCE by tid (the ``_per_doc``
+         fold): in-bucket totals + the broadcast distinct-count
          array give each position's rank by searchsorted, and a
          per-doc aggregate sums them;
       4. tercile thresholds from the exact-quantile refinement
@@ -1400,7 +1324,7 @@ def doc_rarity_buckets(sf_dir: str):
     """
     import ray
 
-    from ..stages.combine import grouped_aggregate, hash_bucket_combine
+    from ..stages.combine import grouped_aggregate
     from ..stages.sketches import exact_quantiles
 
     ds = _read(sf_dir, ["doc_id", "text"])
@@ -1410,13 +1334,12 @@ def doc_rarity_buckets(sf_dir: str):
     # distinct corpus-count values (tiny), sorted ascending
     vocab = grouped_aggregate(per_tok, ["tid"], {"tot": ("cnt", "sum")})
 
-    def distinct_tots(df: pd.DataFrame) -> pd.DataFrame:
-        real = df[df["tid"] >= 0]
-        return pd.DataFrame({"tot": np.unique(
-            real["tot"].to_numpy(dtype=np.int64))})
+    def distinct_tots(t: pa.Table) -> pa.Table:
+        real = t.filter(pc.greater_equal(t["tid"], 0))
+        return pa.table({"tot": pc.unique(real["tot"])})
 
     tots = np.unique(vocab.map_batches(
-        distinct_tots, batch_format="pandas").to_pandas()["tot"]
+        distinct_tots, batch_format="pyarrow").to_pandas()["tot"]
         .to_numpy(dtype=np.int64))
     tots_ref = ray.put(tots)
 
@@ -1431,34 +1354,21 @@ def doc_rarity_buckets(sf_dir: str):
             .astype(np.int64)
         return g[["doc_id", "cnt", "rar"]]
 
-    marked = hash_bucket_combine(per_tok, ["tid"], attach_rank)
-    per_doc = grouped_aggregate(marked, ["doc_id"],
-                                {"n_tokens": ("cnt", "sum"),
-                                 "rarity": ("rar", "sum")})
-
-    def normalize(df: pd.DataFrame) -> pd.DataFrame:
-        n = df["n_tokens"].astype("int64")
-        r = df["rarity"].astype("int64")
-        df["n_tokens"] = n
-        df["rarity"] = r
-        df["norm_rarity"] = np.where(
-            n > 0, (1000 * r) // n.clip(lower=1), 0).astype("int64")
-        return df[["doc_id", "n_tokens", "rarity", "norm_rarity"]]
-
-    scored = per_doc.map_batches(normalize,
-                                 batch_format="pandas").materialize()
+    scored = _per_doc(per_tok, "tid", attach_rank,
+                      {"n_tokens": ("cnt", "sum"), "rarity": ("rar", "sum")},
+                      lambda t: _ratio(t, "norm_rarity", t["rarity"],
+                                       t["n_tokens"], 1000)).materialize()
 
     th = exact_quantiles(scored, "norm_rarity", [1 / 3, 2 / 3])
     q33, q66 = (float(th.loc[th["q"].round(6) == round(q, 6),
                              "value"].iloc[0]) for q in (1 / 3, 2 / 3))
 
-    def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        nr = df["norm_rarity"].to_numpy()
-        df["bucket"] = np.where(nr <= q33, 0,
-                                np.where(nr <= q66, 1, 2)).astype("int64")
-        return df
+    def bucketize(t: pa.Table) -> pa.Table:
+        nr = t["norm_rarity"].to_numpy()
+        return t.append_column("bucket", pa.array(
+            np.where(nr <= q33, 0, np.where(nr <= q66, 1, 2)), pa.int64()))
 
-    return scored.map_batches(bucketize, batch_format="pandas")
+    return scored.map_batches(bucketize, batch_format="pyarrow")
 
 
 INCR_DELTA_MOD = 5  # doc_id % 5 == 0 -> the "new snapshot" (delta) side
@@ -1473,41 +1383,28 @@ def doc_incremental_novelty(sf_dir: str, width: int = 8):
     anywhere in the base, and its novelty fraction in basis points —
     the keep/re-crawl signal an incremental pipeline acts on.
 
-    Scale shape: identical to doc_dup_ngrams — batches collapse to
-    distinct (doc_id, window_hash, cnt) rows before the ONE shuffle
-    (only integer hashes move, text never does), the per-hash combine
-    checks base-side presence in-bucket, and a grouped sum folds back
-    to one row per delta doc.  In production the base side is the
-    PERSISTED window-hash index written by the previous run (a pruned
-    read of hash columns), so the incremental run tokenizes only the
-    delta; here both sides derive from the same table split."""
-    from ..stages.combine import grouped_aggregate, hash_bucket_combine
+    Scale shape: the ``_unit_rows`` front and ``_per_doc`` fold of
+    doc_dup_ngrams — batches collapse to distinct (doc_id,
+    window_hash, cnt) rows before the ONE shuffle (only integer hashes
+    move, text never does), the per-hash combine checks base-side
+    presence in-bucket, and a grouped sum folds back to one row per
+    delta doc.  In production the base side is the PERSISTED
+    window-hash index written by the previous run (a pruned read of
+    hash columns), so the incremental run tokenizes only the delta;
+    here both sides derive from the same table split."""
     from ..stages.tokenhash import batch_token_ids, window_hashes
 
-    ds = _read(sf_dir, ["doc_id", "text"])
-
     def rows(t: pa.Table) -> pa.Table:
-        texts = t["text"].to_pylist()
         doc_ids = t["doc_id"].to_numpy()
-        flat, offs = batch_token_ids(texts)
+        flat, offs = batch_token_ids(t["text"].to_pylist())
         wh, counts = window_hashes(flat, offs, width)
-        df = pd.DataFrame({"doc_id": np.repeat(doc_ids, counts),
-                           "wh": wh.astype(np.int64)})
-        g = df.groupby(["doc_id", "wh"], sort=False).size() \
-            .reset_index(name="cnt")
         # zero-window DELTA docs need the sentinel so they appear in
         # the output; base zero-window docs contribute nothing anyway
-        empty = doc_ids[(counts == 0)
-                        & (doc_ids % INCR_DELTA_MOD == 0)]
-        if len(empty):
-            g = pd.concat([g, pd.DataFrame({
-                "doc_id": empty, "wh": np.int64(-1),
-                "cnt": np.int64(0)})], ignore_index=True)
-        return table_from_pandas(
-            g.astype({"doc_id": "int64", "wh": "int64", "cnt": "int64"}),
-            preserve_index=False)
+        return _unit_rows(doc_ids, counts, {"wh": wh.astype(np.int64)},
+                          (counts == 0) & (doc_ids % INCR_DELTA_MOD == 0))
 
-    per_hash = ds.map_batches(rows, batch_format="pyarrow")
+    per_hash = _read(sf_dir, ["doc_id", "text"]).map_batches(
+        rows, batch_format="pyarrow")
 
     def mark(g: pd.DataFrame) -> pd.DataFrame:
         g = g.copy()
@@ -1521,23 +1418,12 @@ def doc_incremental_novelty(sf_dir: str, width: int = 8):
                              "cnt": d["cnt"].to_numpy(),
                              "known": known})
 
-    marked = hash_bucket_combine(per_hash, ["wh"], mark)
-    out = grouped_aggregate(marked, ["doc_id"],
-                            {"n_windows": ("cnt", "sum"),
-                             "n_known_windows": ("known", "sum")})
-
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        nw = df["n_windows"].astype("int64")
-        nk = df["n_known_windows"].astype("int64")
-        df["n_windows"] = nw
-        df["n_known_windows"] = nk
-        df["novelty_bp"] = np.where(
-            nw > 0, (10000 * (nw - nk)) // nw.clip(lower=1), 0) \
-            .astype("int64")
-        return df[["doc_id", "n_windows", "n_known_windows",
-                   "novelty_bp"]]
-
-    return out.map_batches(finish, batch_format="pandas")
+    return _per_doc(per_hash, "wh", mark,
+                    {"n_windows": ("cnt", "sum"),
+                     "n_known_windows": ("known", "sum")},
+                    lambda t: _ratio(t, "novelty_bp", pc.subtract(
+                        t["n_windows"], t["n_known_windows"]),
+                        t["n_windows"], 10000))
 
 
 def doc_gopher_rules(sf_dir: str):
@@ -1609,30 +1495,14 @@ def doc_tfidf_exact(sf_dir: str, k: int = 6):
                                num_buckets=64)
 
 
-def doc_dup_spans(sf_dir: str, width: int = 8):
-    """Maximal duplicated token SPANS — the actual cut list of exact
-    substring dedup (Lee et al., arXiv:2107.06499 — public recipe):
-    a width-``width`` token window is duplicated when its rolling hash
-    occurs >= 2 times corpus-wide (same rule as :func:`doc_dup_ngrams`,
-    which reports only per-doc fractions); overlapping-or-adjacent
-    duplicated windows in a document merge into one [start_tok,
-    end_tok) span.  Docs shorter than ``width`` have no full-width
-    window and emit nothing (their whole-text duplicates are the exact
-    -dedup family's job).
-
-    Scale shape: stage 1 emits (doc_id, pos, wh) for full-width
-    windows; stage 2 co-locates by window hash and keeps only hashes
-    with a corpus-wide count >= 2 — the second exchange carries
-    DUPLICATED windows only (typically a small fraction); stage 3
-    co-locates those by doc_id and merges islands with one vectorized
-    sorted pass (break when the position gap exceeds ``width``).  Both
-    exchanges are token-scale at worst — the same asymptotics as the
-    suffix-array sort the reference recipe uses, expressed as two
-    hash shuffles."""
+def _dup_windows(ds, width: int):
+    """(doc_id, pos) of every full-width ``width``-token window whose
+    rolling hash occurs >= 2 times corpus-wide — the cut positions of
+    exact substring dedup.  Docs shorter than ``width`` have no
+    full-width window.  Windows co-locate by hash, so the exchange's
+    output carries duplicated windows only."""
     from ..stages.combine import hash_bucket_combine
     from ..stages.tokenhash import batch_token_ids, to_int64, window_hashes
-
-    ds = _read(sf_dir, ["doc_id", "text"])
 
     def rows(t: pa.Table) -> pa.Table:
         texts = t["text"].to_pylist()
@@ -1656,8 +1526,33 @@ def doc_dup_spans(sf_dir: str, width: int = 8):
         tot = g.groupby("wh")["wh"].transform("size")
         return g.loc[tot >= 2, ["doc_id", "pos"]]
 
-    dups = hash_bucket_combine(
+    return hash_bucket_combine(
         ds.map_batches(rows, batch_format="pyarrow"), ["wh"], mark)
+
+
+def doc_dup_spans(sf_dir: str, width: int = 8):
+    """Maximal duplicated token SPANS — the actual cut list of exact
+    substring dedup (Lee et al., arXiv:2107.06499 — public recipe):
+    a width-``width`` token window is duplicated when its rolling hash
+    occurs >= 2 times corpus-wide (same rule as :func:`doc_dup_ngrams`,
+    which reports only per-doc fractions); overlapping-or-adjacent
+    duplicated windows in a document merge into one [start_tok,
+    end_tok) span.  Docs shorter than ``width`` have no full-width
+    window and emit nothing (their whole-text duplicates are the exact
+    -dedup family's job).
+
+    Scale shape: stages 1-2 are ``_dup_windows``: (doc_id, pos, wh)
+    rows of full-width windows co-locate by window hash and keep only
+    hashes with a corpus-wide count >= 2 — the second exchange carries
+    DUPLICATED windows only (typically a small fraction); stage 3
+    co-locates those by doc_id and merges islands with one vectorized
+    sorted pass (break when the position gap exceeds ``width``).  Both
+    exchanges are token-scale at worst — the same asymptotics as the
+    suffix-array sort the reference recipe uses, expressed as two
+    hash shuffles."""
+    from ..stages.combine import hash_bucket_combine
+
+    dups = _dup_windows(_read(sf_dir, ["doc_id", "text"]), width)
 
     def spans(g: pd.DataFrame) -> pd.DataFrame:
         if not len(g):
@@ -1691,8 +1586,9 @@ def doc_dup_apply(sf_dir: str, width: int = 8):
     through untouched (n_removed = 0) — the join-back is outer by
     construction.
 
-    Scale shape: pass 1 is the same token-scale window-hash exchange
-    as doc_dup_spans (only corpus-count>=2 windows survive it); the
+    Scale shape: pass 1 is ``_dup_windows``, the token-scale
+    window-hash exchange doc_dup_spans also runs (only corpus-count>=2
+    windows survive it); the
     surgery co-locates each doc's TEXT with its cut positions through
     ONE doc_id exchange of the union (text rows + tiny cut rows) —
     the single full-text shuffle any rewrite pass needs (the reference
@@ -1705,34 +1601,9 @@ def doc_dup_apply(sf_dir: str, width: int = 8):
     import hashlib
 
     from ..stages.combine import hash_bucket_combine
-    from ..stages.tokenhash import batch_token_ids, to_int64, window_hashes
 
     ds = _read(sf_dir, ["doc_id", "text"])
-
-    def rows(t: pa.Table) -> pa.Table:
-        # identical window extraction to doc_dup_spans (full-width
-        # windows only; short docs have nothing to cut)
-        texts = t["text"].to_pylist()
-        doc_ids = t["doc_id"].to_numpy()
-        flat, offs = batch_token_ids(texts)
-        wh, counts = window_hashes(flat, offs, width)
-        lens = np.diff(offs)
-        starts = np.concatenate([[0], np.cumsum(counts)])[:-1]
-        pos = np.arange(len(wh), dtype=np.int64) \
-            - np.repeat(starts, counts)
-        keep = np.repeat(lens >= width, counts)
-        return pa.table({
-            "doc_id": pa.array(np.repeat(doc_ids, counts)[keep],
-                               type=pa.int64()),
-            "pos": pa.array(pos[keep], type=pa.int64()),
-            "wh": pa.array(to_int64(wh)[keep], type=pa.int64())})
-
-    def mark(g: pd.DataFrame) -> pd.DataFrame:
-        tot = g.groupby("wh")["wh"].transform("size")
-        return g.loc[tot >= 2, ["doc_id", "pos"]]
-
-    dups = hash_bucket_combine(
-        ds.map_batches(rows, batch_format="pyarrow"), ["wh"], mark)
+    dups = _dup_windows(ds, width)
 
     # one schema for the doc_id exchange: text rows ride pos = -1,
     # cut rows ride text = '' (tiny)

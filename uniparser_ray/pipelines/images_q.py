@@ -241,7 +241,7 @@ def audio_features_q(sf_dir: str):
     tag = _sf_tag(sf_dir)
     n = _AUDIO_BY_SF.get(tag, 200)
     t = synth_audio_table(n)
-    return audio_features(rd.from_arrow(t), concurrency=2)
+    return audio_features(rd.from_arrow(t))
 
 
 def video_frames_q(sf_dir: str):
@@ -255,7 +255,7 @@ def video_frames_q(sf_dir: str):
     tag = _sf_tag(sf_dir)
     n = _VIDEO_BY_SF.get(tag, 60)
     t = synth_video_table(n)
-    out = video_frame_samples(rd.from_arrow(t), k=3, concurrency=2)
+    out = video_frame_samples(rd.from_arrow(t), k=3)
 
     def finger(batch: pa.Table) -> pa.Table:
         md5s = [hashlib.md5(b).hexdigest()

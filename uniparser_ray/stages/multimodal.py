@@ -261,7 +261,7 @@ def expected_video_frames(n_videos: int, k: int = 3,
     return pa.Table.from_pylist(rows)
 
 
-def audio_features(ds, concurrency: int = 4):
+def audio_features(ds):
     """Dataset of AUDIO_SCHEMA rows -> per-clip features.
 
     Task form via the warm-worker cache, not an actor pool: the stage's
@@ -271,17 +271,15 @@ def audio_features(ds, concurrency: int = 4):
     ``map_batches(Cls, concurrency=...)``."""
     from .taskcache import cached_stage
     return ds.map_batches(cached_stage(AudioFeatureStage),
-                          batch_format="pyarrow", batch_size=64,
-                          concurrency=concurrency)
+                          batch_format="pyarrow", batch_size=64)
 
 
-def video_frame_samples(ds, k: int = 4, concurrency: int = 4):
+def video_frame_samples(ds, k: int = 4):
     """Dataset of VIDEO_SCHEMA rows -> one row per sampled frame (task
     form — see audio_features)."""
     from .taskcache import cached_stage
     return ds.map_batches(cached_stage(VideoFrameSampleStage, k=k),
-                          batch_format="pyarrow", batch_size=16,
-                          concurrency=concurrency)
+                          batch_format="pyarrow", batch_size=16)
 
 
 def _synth_shot_frames(i: int, seed: int = 11) -> tuple:
